@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from .classify import GLOBAL, classify_3d, detect_period_2d
-from .config import (MODES, SWEEPABLE, ConfigError, RunConfig, _SCHEMA,
-                     build_config, parse_entries)
-from .emden import EmdenState2D, EmdenState3D, integrate
+from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
+                     parse_entries, parse_entry, parse_sweep_axis)
+from .emden import integrate
 from .fields import Field2D, Field3D
-from .profiles import PhysParams
 from .verify import SnapshotFieldSource, refined_residual
 
 EXIT_OK = 0
@@ -30,47 +29,16 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_NUMERIC = 4
 
-_DEFAULT_OUT = {
-    "integrate": "trajectory.jsonl",
-    "sample": "field.csv",
-    "verify": "verify.json",
-    "classify": "classify.json",
-    "sweep": "sweep.csv",
-}
-
 FIELD_CSV_HEADER = "x,y,z,t,rho,u1,u2,u3,s,p"
 
-# (flag, config key); every value is taken as a raw string and run through
-# the same parser as the config file so diagnostics and semantics match
-_FLAGS = [
-    ("--dim", "dim"),
-    ("--K", "K"),
-    ("--gamma", "gamma"),
-    ("--lambda", "lambda"),
-    ("--alpha", "alpha"),
-    ("--xi", "xi"),
-    ("--mu", "mu"),
-    ("--a0", "a0"),
-    ("--a1", "a1"),
-    ("--b0", "b0"),
-    ("--b1", "b1"),
-    ("--t-end", "t_end"),
-    ("--times", "times"),
-    ("--grid-x", "grid.x"),
-    ("--grid-y", "grid.y"),
-    ("--grid-z", "grid.z"),
-    ("--rel-tol", "rel_tol"),
-    ("--abs-tol", "abs_tol"),
-    ("--max-steps", "max_steps"),
-    ("--eps-blow", "eps_blow"),
-    ("--method", "method"),
-    ("--out", "out"),
-    ("--verify-points", "verify.points"),
-    ("--verify-seed", "verify.seed"),
-    ("--verify-h", "verify.h"),
-    ("--verify-time", "verify.time"),
-    ("--sweep-t-end", "sweep.t_end"),
-]
+# every config key except mode is a flag; values are taken as raw strings and
+# run through the config file's parser so diagnostics and semantics match
+_FLAG_KEYS = [key for key in _SCHEMA if key != "mode"]
+
+
+def _flag(key: str) -> str:
+    """Config key ``k`` is flag ``--k`` with ``.`` and ``_`` written as ``-``."""
+    return "--" + key.replace(".", "-").replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,19 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rotational reference solutions of the compressible "
                     "Euler equations: integrate, sample, verify, classify, sweep.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    helps = {
-        "integrate": "integrate the scale-factor system and write a JSONL trajectory",
-        "sample": "evaluate the exact field on a grid and write a CSV field file",
-        "verify": "finite-difference residual report on the exact field (JSON)",
-        "classify": "lifespan verdict (3D) or periodicity report (2D) as JSON",
-        "sweep": "classification summary CSV over a Cartesian parameter grid",
-    }
-    for mode in MODES:
-        sp = sub.add_parser(mode, help=helps[mode])
+    for mode, (_, _, help_line) in MODES.items():
+        sp = sub.add_parser(mode, help=help_line)
         sp.add_argument("--config", metavar="PATH", help="key=value config file")
-        for flag, key in _FLAGS:
-            sp.add_argument(flag, dest="opt_" + key.replace(".", "_").replace("-", "_"),
-                            metavar="VALUE", default=None)
+        for key in _FLAG_KEYS:
+            sp.add_argument(_flag(key), dest=key, metavar="VALUE", default=None)
         sp.add_argument("--sweep", action="append", default=[], metavar="PARAM=V1,V2,...",
                         help="sweep axis (repeatable)")
     return parser
@@ -106,43 +66,21 @@ def _load_config(args) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         entries.update(parse_entries(text))
-    for _, key in _FLAGS:
-        raw = getattr(args, "opt_" + key.replace(".", "_").replace("-", "_"))
-        if raw is None:
-            continue
-        attr, parser = _SCHEMA[key]
-        entries[attr] = parser(key, raw)
-    if args.sweep:
-        sweep = dict(entries.get("sweep", {}))
-        for item in args.sweep:
-            if "=" not in item:
-                raise ConfigError(f"--sweep expects PARAM=V1,V2,..., got {item!r}")
-            param, raw = (part.strip() for part in item.split("=", 1))
-            if param not in SWEEPABLE:
-                raise ConfigError(f"--sweep: {param!r} is not sweepable "
-                                  f"(choose from {', '.join(SWEEPABLE)})")
-            values = [float(v) for v in raw.split(",") if v.strip()]
-            if not values:
-                raise ConfigError(f"--sweep {param}: empty value list")
-            sweep[param] = values
-        entries["sweep"] = sweep
+    flags = vars(args)
+    for key in _FLAG_KEYS:
+        if flags[key] is not None:
+            parse_entry(entries, key, flags[key])
+    for item in args.sweep:
+        param, sep, raw = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--sweep expects PARAM=V1,V2,..., got {item!r}")
+        parse_sweep_axis(entries, param.strip(), raw)
     entries["mode"] = args.mode
     return build_config(entries)
 
 
-def _params(cfg: RunConfig) -> PhysParams:
-    return PhysParams(K=cfg.K, gamma=cfg.gamma, lam=cfg.lam, alpha=cfg.alpha,
-                      xi=cfg.xi, mu=cfg.mu)
-
-
-def _initial_state(cfg: RunConfig):
-    if cfg.dim == 3:
-        return EmdenState3D(0.0, cfg.a0, cfg.a1, cfg.b0, cfg.b1)
-    return EmdenState2D(0.0, cfg.a0, cfg.a1)
-
-
 def _integrate(cfg: RunConfig, t_end: float, dense_times=None):
-    return integrate(_params(cfg), _initial_state(cfg), t_end,
+    return integrate(cfg.params(), cfg.initial_state(), t_end,
                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                      max_steps=cfg.max_steps, dense_times=dense_times,
                      eps_blow=cfg.eps_blow, method=cfg.method)
@@ -152,9 +90,8 @@ def _report_termination(termination) -> None:
     print(json.dumps({"termination": termination.to_dict()}), file=sys.stderr)
 
 
-def run_integrate(cfg: RunConfig) -> int:
+def run_integrate(cfg: RunConfig, out: str) -> int:
     traj = _integrate(cfg, cfg.t_end, dense_times=cfg.times or None)
-    out = cfg.out or _DEFAULT_OUT["integrate"]
     traj.write_jsonl(out)
     print(f"wrote {out} ({len(traj.states)} samples, {traj.termination.kind})")
     if traj.termination.kind == "blowup":
@@ -175,7 +112,7 @@ def _csv_float(v) -> str:
     return repr(float(v))
 
 
-def run_sample(cfg: RunConfig) -> int:
+def run_sample(cfg: RunConfig, out: str) -> int:
     for name, axis in (("grid.x", cfg.grid_x), ("grid.y", cfg.grid_y)):
         if axis is None:
             raise ConfigError(f"missing required key: {name}")
@@ -184,8 +121,8 @@ def run_sample(cfg: RunConfig) -> int:
     if not cfg.times:
         raise ConfigError("missing required key: times")
 
-    params = _params(cfg)
-    ic = _initial_state(cfg)
+    params = cfg.params()
+    ic = cfg.initial_state()
     t_max = cfg.times[-1]
     termination = None
     if t_max > 0.0:
@@ -201,7 +138,6 @@ def run_sample(cfg: RunConfig) -> int:
     ys = _axis_points(cfg.grid_y)
     zs = _axis_points(cfg.grid_z) if cfg.dim == 3 else np.array([0.0])
 
-    out = cfg.out or _DEFAULT_OUT["sample"]
     rows = 0
     truncated = False
     with open(out, "w", encoding="utf-8", newline="\n") as f:
@@ -260,11 +196,11 @@ def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
     return points
 
 
-def run_verify(cfg: RunConfig) -> int:
+def run_verify(cfg: RunConfig, out: str) -> int:
     if cfg.dim != 3:
         raise ConfigError("verify supports dim = 3 only")
-    params = _params(cfg)
-    ic = _initial_state(cfg)
+    params = cfg.params()
+    ic = cfg.initial_state()
     t = cfg.verify_time
     if t > 0.0:
         traj = _integrate(cfg, t)
@@ -303,7 +239,6 @@ def run_verify(cfg: RunConfig) -> int:
         "summary": summary,
         "points": [r.to_dict() for r in reports],
     }
-    out = cfg.out or _DEFAULT_OUT["verify"]
     with open(out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
@@ -324,15 +259,14 @@ def _ic_dict(cfg: RunConfig) -> dict:
     return d
 
 
-def run_classify(cfg: RunConfig) -> int:
-    out = cfg.out or _DEFAULT_OUT["classify"]
+def run_classify(cfg: RunConfig, out: str) -> int:
     doc = {"params": _params_dict(cfg), "ic": _ic_dict(cfg)}
     if cfg.dim == 3:
-        result = classify_3d(_params(cfg), _initial_state(cfg))
+        result = classify_3d(cfg.params(), cfg.initial_state())
         doc.update(result.to_dict())
         summary = result.verdict
     else:
-        estimate = detect_period_2d(_params(cfg), _initial_state(cfg),
+        estimate = detect_period_2d(cfg.params(), cfg.initial_state(),
                                     cfg.t_end, tol=cfg.rel_tol)
         doc["period"] = estimate.to_dict() if estimate is not None else None
         summary = ("period {:.6g}".format(estimate.period)
@@ -344,27 +278,20 @@ def run_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_sweep(cfg: RunConfig) -> int:
+def run_sweep(cfg: RunConfig, out: str) -> int:
     if cfg.dim != 3:
         raise ConfigError("sweep supports dim = 3 only")
     if not cfg.sweep:
         raise ConfigError("missing required key: sweep.<param> (at least one axis)")
     horizon = cfg.sweep_t_end if cfg.sweep_t_end is not None else cfg.t_end
     names = list(cfg.sweep)
-    out = cfg.out or _DEFAULT_OUT["sweep"]
+    columns = [_SCHEMA[key][0] for key in SWEEPABLE]
     count = 0
     with open(out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("gamma,K,lambda,alpha,xi,mu,a0,a1,b0,b1,verdict,basis,T_est\n")
+        f.write(",".join(SWEEPABLE) + ",verdict,basis,T_est\n")
         for combo in itertools.product(*(cfg.sweep[n] for n in names)):
-            values = {attr: getattr(cfg, attr)
-                      for attr in ("K", "gamma", "lam", "alpha", "xi", "mu",
-                                   "a0", "a1", "b0", "b1")}
-            values.update({_SCHEMA[n][0]: v for n, v in zip(names, combo)})
-            params = PhysParams(K=values["K"], gamma=values["gamma"],
-                                lam=values["lam"], alpha=values["alpha"],
-                                xi=values["xi"], mu=values["mu"])
-            ic = EmdenState3D(0.0, values["a0"], values["a1"],
-                              values["b0"], values["b1"])
+            cell = cfg.with_keys(dict(zip(names, combo)))
+            params, ic = cell.params(), cell.initial_state()
             result = classify_3d(params, ic)
             t_est = result.T
             if t_est is None and result.verdict != GLOBAL:
@@ -374,11 +301,7 @@ def run_sweep(cfg: RunConfig) -> int:
                 if traj.termination.kind == "blowup":
                     t_est = traj.termination.t_est
             f.write(",".join([
-                _csv_float(values["gamma"]), _csv_float(values["K"]),
-                _csv_float(values["lam"]), _csv_float(values["alpha"]),
-                _csv_float(values["xi"]), _csv_float(values["mu"]),
-                _csv_float(values["a0"]), _csv_float(values["a1"]),
-                _csv_float(values["b0"]), _csv_float(values["b1"]),
+                *(_csv_float(getattr(cell, attr)) for attr in columns),
                 result.verdict, result.basis,
                 "" if t_est is None else _csv_float(t_est),
             ]) + "\n")
@@ -387,12 +310,18 @@ def run_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_RUNNERS = {
-    "integrate": run_integrate,
-    "sample": run_sample,
-    "verify": run_verify,
-    "classify": run_classify,
-    "sweep": run_sweep,
+# subcommand -> (runner, default output file, help line)
+MODES = {
+    "integrate": (run_integrate, "trajectory.jsonl",
+                  "integrate the scale-factor system and write a JSONL trajectory"),
+    "sample": (run_sample, "field.csv",
+               "evaluate the exact field on a grid and write a CSV field file"),
+    "verify": (run_verify, "verify.json",
+               "finite-difference residual report on the exact field (JSON)"),
+    "classify": (run_classify, "classify.json",
+                 "lifespan verdict (3D) or periodicity report (2D) as JSON"),
+    "sweep": (run_sweep, "sweep.csv",
+              "classification summary CSV over a Cartesian parameter grid"),
 }
 
 
@@ -400,7 +329,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _RUNNERS[cfg.mode](cfg)
+        runner, default_out, _ = MODES[cfg.mode]
+        return runner(cfg, cfg.out or default_out)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

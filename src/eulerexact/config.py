@@ -7,17 +7,23 @@ integration controls (``t_end``, ``rel_tol``, ``abs_tol``, ``max_steps``,
 ``eps_blow``, ``method``), grid axes (``grid.x = min:max:count``), output
 times (``times = t1,t2,...``), verification controls (``verify.*``) and sweep
 axes (``sweep.<param> = v1,v2,...``).  Command-line flags override file keys.
+Every number must be finite.  The family constants and initial values (each
+sweep value included) are valid when :class:`PhysParams` and the Emden state
+accept them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, replace
+
+from .emden import _METHODS, EmdenState2D, EmdenState3D
+from .profiles import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_entries",
-           "build_config", "serialize_config", "MODES", "SWEEPABLE"]
+           "parse_entry", "parse_sweep_axis", "build_config", "serialize_config",
+           "SWEEPABLE"]
 
-MODES = ("integrate", "sample", "verify", "classify", "sweep")
-METHODS = ("RK45", "DOP853")
 SWEEPABLE = ("gamma", "K", "lambda", "alpha", "xi", "mu", "a0", "a1", "b0", "b1")
 
 
@@ -57,12 +63,30 @@ class RunConfig:
     sweep: dict[str, list[float]] = field(default_factory=dict)
     sweep_t_end: float | None = None
 
+    def params(self) -> PhysParams:
+        """The solution family; raises ValueError for invalid constants."""
+        return PhysParams(K=self.K, gamma=self.gamma, lam=self.lam,
+                          alpha=self.alpha, xi=self.xi, mu=self.mu)
+
+    def initial_state(self) -> EmdenState3D | EmdenState2D:
+        """The Emden state at t = 0 from a0, a1 (and b0, b1 in 3D)."""
+        if self.dim == 3:
+            return EmdenState3D(0.0, self.a0, self.a1, self.b0, self.b1)
+        return EmdenState2D(0.0, self.a0, self.a1)
+
+    def with_keys(self, values: dict[str, float]) -> RunConfig:
+        """A copy with the given config keys (``lambda``, ``a0``, ...) set."""
+        return replace(self, **{_SCHEMA[key][0]: v for key, v in values.items()})
+
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}': malformed number {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': value must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(key, raw):
@@ -91,7 +115,8 @@ def _parse_str(key, raw):
     return raw
 
 
-# file/flag key -> (RunConfig attribute, parser)
+# file key -> (RunConfig attribute, parser); the command line has one flag per
+# key except mode, which is the subcommand
 _SCHEMA = {
     "mode": ("mode", _parse_str),
     "dim": ("dim", _parse_int),
@@ -124,6 +149,29 @@ _SCHEMA = {
 }
 
 
+def parse_sweep_axis(entries: dict[str, object], param: str, raw: str) -> None:
+    """Parse the values ``v1,v2,...`` of sweep axis ``param`` into ``entries``."""
+    key = "sweep." + param
+    if param not in SWEEPABLE:
+        raise ConfigError(f"key '{key}': {param!r} is not sweepable "
+                          f"(choose from {', '.join(SWEEPABLE)})")
+    values = _parse_times(key, raw)
+    if not values:
+        raise ConfigError(f"key '{key}': empty value list")
+    entries.setdefault("sweep", {})[param] = values
+
+
+def parse_entry(entries: dict[str, object], key: str, raw: str) -> None:
+    """Parse one ``key = raw`` entry into ``entries`` (attribute -> value)."""
+    if key in _SCHEMA:
+        attr, parser = _SCHEMA[key]
+        entries[attr] = parser(key, raw)
+    elif key.startswith("sweep."):
+        parse_sweep_axis(entries, key[len("sweep."):], raw)
+    else:
+        raise ConfigError(f"unknown key '{key}'")
+
+
 def parse_entries(text: str) -> dict[str, object]:
     """Parse key=value lines into an attribute -> value mapping.
 
@@ -139,23 +187,26 @@ def parse_entries(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: expected key = value, got {rawline.strip()!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         try:
-            if key.startswith("sweep.") and key != "sweep.t_end":
-                param = key[len("sweep."):]
-                if param not in SWEEPABLE:
-                    raise ConfigError(f"key '{key}': {param!r} is not sweepable "
-                                      f"(choose from {', '.join(SWEEPABLE)})")
-                values = _parse_times(key, raw)
-                if not values:
-                    raise ConfigError(f"key '{key}': empty value list")
-                entries.setdefault("sweep", {})[param] = values
-            elif key in _SCHEMA:
-                attr, parser = _SCHEMA[key]
-                entries[attr] = parser(key, raw)
-            else:
-                raise ConfigError(f"unknown key '{key}'")
+            parse_entry(entries, key, raw)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return entries
+
+
+# config key of each PhysParams or Emden state attribute named differently
+_KEY_OF = {"lam": "lambda", "a": "a0", "a_dot": "a1", "b": "b0", "b_dot": "b1"}
+
+
+def _check_family(cfg: RunConfig) -> None:
+    """Build the family and initial state of ``cfg``; ConfigError names the key."""
+    try:
+        cfg.params()
+        # 3D even when dim = 2: the default eps_blow is taken from b0 too
+        EmdenState3D(0.0, cfg.a0, cfg.a1, cfg.b0, cfg.b1)
+    except ValueError as exc:
+        # the library's messages begin with the attribute's name
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"{_KEY_OF.get(name, name)} {rule}") from None
 
 
 def build_config(entries: dict[str, object]) -> RunConfig:
@@ -169,30 +220,22 @@ def build_config(entries: dict[str, object]) -> RunConfig:
     def err(msg):
         raise ConfigError(msg)
 
-    if cfg.mode and cfg.mode not in MODES:
-        err(f"mode must be one of {', '.join(MODES)}; got {cfg.mode!r}")
+    if cfg.mode:
+        # the mode table sits beside the runners; cli imports this module
+        from .cli import MODES
+        if cfg.mode not in MODES:
+            err(f"mode must be one of {', '.join(MODES)}; got {cfg.mode!r}")
     if cfg.dim not in (2, 3):
         err(f"dim must be 2 or 3, got {cfg.dim}")
-    if not cfg.K > 0:
-        err(f"K must be > 0, got {cfg.K}")
-    if not cfg.gamma >= 1:
-        err(f"gamma must be >= 1, got {cfg.gamma}")
-    if not cfg.alpha >= 0:
-        err(f"alpha must be >= 0, got {cfg.alpha}")
-    if not cfg.mu >= 0:
-        err(f"mu must be >= 0, got {cfg.mu}")
-    if not cfg.a0 > 0:
-        err(f"a0 must be > 0, got {cfg.a0}")
-    if not cfg.b0 > 0:
-        err(f"b0 must be > 0, got {cfg.b0}")
+    _check_family(cfg)
     if not (0.0 < cfg.rel_tol < 1.0):
         err(f"rel_tol must lie in (0, 1), got {cfg.rel_tol}")
     if not (0.0 < cfg.abs_tol < 1.0):
         err(f"abs_tol must lie in (0, 1), got {cfg.abs_tol}")
     if cfg.max_steps < 1:
         err(f"max_steps must be >= 1, got {cfg.max_steps}")
-    if cfg.method not in METHODS:
-        err(f"method must be one of {', '.join(METHODS)}; got {cfg.method!r}")
+    if cfg.method not in _METHODS:
+        err(f"method must be one of {', '.join(_METHODS)}; got {cfg.method!r}")
     if cfg.verify_points < 1:
         err(f"verify.points must be >= 1, got {cfg.verify_points}")
     if not cfg.verify_h > 0:
@@ -227,13 +270,11 @@ def build_config(entries: dict[str, object]) -> RunConfig:
         cfg.eps_blow = 1e-10 * min(cfg.a0, cfg.b0)
 
     for param, values in cfg.sweep.items():
-        bad = next((v for v in values if param == "gamma" and v < 1
-                    or param == "K" and v <= 0
-                    or param == "alpha" and v < 0
-                    or param == "mu" and v < 0
-                    or param in ("a0", "b0") and v <= 0), None)
-        if bad is not None:
-            err(f"sweep.{param}: invalid value {bad}")
+        for v in values:
+            try:
+                _check_family(cfg.with_keys({param: v}))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.{param}: invalid value {v} ({exc})") from None
 
     return cfg
 

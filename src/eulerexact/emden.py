@@ -50,6 +50,18 @@ _METHODS = {"RK45": RK45, "DOP853": DOP853}
 _COLLAPSE_RATIO = 1e-3
 
 
+def _check_state(**components: float) -> None:
+    """Reject a non-finite component or a scale factor (a, b) that is not > 0.
+
+    The message begins with the component's name.
+    """
+    for name, value in components.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if name in ("a", "b") and not value > 0.0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class EmdenState3D:
     """Snapshot (t, a, a', b, b') with a > 0 and b > 0."""
@@ -61,8 +73,7 @@ class EmdenState3D:
     b_dot: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"scale factors must be positive: a={self.a}, b={self.b}")
+        _check_state(t=self.t, a=self.a, a_dot=self.a_dot, b=self.b, b_dot=self.b_dot)
 
 
 @dataclass(frozen=True)
@@ -74,8 +85,7 @@ class EmdenState2D:
     a_dot: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ValueError(f"scale factor must be positive: a={self.a}")
+        _check_state(t=self.t, a=self.a, a_dot=self.a_dot)
 
 
 def emden_rhs_3d(state: EmdenState3D, p: PhysParams) -> tuple[float, float, float, float]:
@@ -297,6 +307,8 @@ def integrate(
         raise TypeError(f"unsupported state type: {type(initial_state)!r}")
 
     t0 = initial_state.t
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if not t_end > t0:
         raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
     if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):

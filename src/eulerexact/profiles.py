@@ -36,7 +36,7 @@ class NonSmoothCutoffWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Constants selecting one solution family.
+    """Constants selecting one solution family; every value must be finite.
 
     Attributes
     ----------
@@ -65,7 +65,10 @@ class PhysParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        # "not x > 0" also rejects NaN
+        for name in ("K", "gamma", "lam", "alpha", "xi", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.K > 0.0:
             raise ValueError(f"K must be > 0, got {self.K}")
         if not self.gamma >= 1.0:

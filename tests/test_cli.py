@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -259,3 +260,30 @@ class TestConfigHandling:
         code, _, err = run(tmp_path, "classify",
                            "--out", str(tmp_path / "nodir" / "c.json"))
         assert code == 2
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, key", [
+        (["classify", "--lambda", "nan"], "lambda"),
+        (["classify", "--gamma", "inf", "--lambda", "1"], "gamma"),
+        (["classify", "--xi=-inf"], "xi"),
+        (["integrate", "--lambda", "nan", "--t-end", "1"], "lambda"),
+        (["integrate", "--t-end", "inf"], "t_end"),
+        (["sample", "--times", "nan", "--grid-x", "0:1:2", "--grid-y", "0:1:2",
+          "--grid-z", "0:1:2"], "times"),
+        (["sweep", "--sweep", "lambda=nan"], "sweep.lambda"),
+    ])
+    def test_rejected_promptly_naming_the_key(self, tmp_path, argv, key):
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code, _, err = run(tmp_path, *argv, "--out", str(out))
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert f"key '{key}'" in err
+        assert not out.exists()
+
+    def test_sweep_value_reported_like_a_file_key(self, tmp_path):
+        code, _, err = run(tmp_path, "sweep", "--sweep", "lambda=abc",
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "key 'sweep.lambda': malformed number 'abc'" in err

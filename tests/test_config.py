@@ -1,7 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from eulerexact import ConfigError, RunConfig, parse_config, serialize_config
+from eulerexact import ConfigError, RunConfig, cli, parse_config, serialize_config
+from eulerexact.config import _SCHEMA
 
 
 class TestParse:
@@ -101,7 +104,7 @@ class TestValidation:
             parse_config("sweep.gamma = 0.5,1.5\n")
 
 
-def random_config(rng) -> RunConfig:
+def random_config_text(rng) -> str:
     entries = {
         "mode": str(rng.choice(["integrate", "sample", "verify", "classify", "sweep"])),
         "dim": int(rng.choice([2, 3])),
@@ -136,7 +139,11 @@ def random_config(rng) -> RunConfig:
         lines.append(f"sweep.xi = {rng.uniform(0.1, 2)!r}")
     if rng.random() < 0.5:
         lines.append("out = somewhere.csv")
-    return parse_config("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def random_config(rng) -> RunConfig:
+    return parse_config(random_config_text(rng))
 
 
 class TestRoundTrip:
@@ -146,3 +153,39 @@ class TestRoundTrip:
             cfg = random_config(rng)
             again = parse_config(serialize_config(cfg))
             assert again == cfg
+
+
+def flag(key):
+    return "--" + key.replace(".", "-").replace("_", "-")
+
+
+def argv_for(text):
+    """The command line that sets the same entries as config ``text``."""
+    argv = []
+    for line in text.splitlines():
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "mode":
+            argv.insert(0, value)
+        elif key.startswith("sweep.") and key != "sweep.t_end":
+            argv.append(f"--sweep={key[len('sweep.'):]}={value}")
+        else:
+            argv.append(f"{flag(key)}={value}")
+    return argv
+
+
+class TestFlagsMatchFileKeys:
+    def test_flags_give_the_file_config(self):
+        rng = np.random.default_rng(12345)
+        for _ in range(100):
+            text = random_config_text(rng)
+            args = cli.build_parser().parse_args(argv_for(text))
+            assert cli._load_config(args) == parse_config(text)
+
+    def test_one_flag_per_key_except_mode(self):
+        parser = cli.build_parser()
+        (modes,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        expected = [flag(key) for key in _SCHEMA if key != "mode"]
+        for sub in modes.choices.values():
+            flags = [opt for a in sub._actions for opt in a.option_strings
+                     if opt not in ("-h", "--help", "--config", "--sweep")]
+            assert flags == expected

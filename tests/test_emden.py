@@ -23,6 +23,17 @@ class TestStates:
         with pytest.raises(ValueError):
             EmdenState2D(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        for i, name in enumerate(["t", "a", "a_dot", "b", "b_dot"]):
+            y = [0.0, 1.0, 0.0, 1.0, 0.0]
+            y[i] = value
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                EmdenState3D(*y)
+            if i < 3:
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    EmdenState2D(*y[:3])
+
 
 class TestRhs:
     def test_3d_lam_zero(self):
@@ -222,6 +233,9 @@ class TestIntegrate:
             integrate(p, ic, 1.0, dense_times=[0.5, 2.0])
         with pytest.raises(ValueError):
             integrate(p, ic, 1.0, method="EULER")
+        for t_end in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="t_end"):
+                integrate(p, ic, t_end)
 
     def test_eps_blow_override(self):
         p = params(gamma=1.4, lam=0.0, xi=1.0)

@@ -28,6 +28,14 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams(K=math.nan, gamma=1.4, lam=1.0, alpha=1.0, xi=1.0)
 
+    @pytest.mark.parametrize("name", ["K", "gamma", "lam", "alpha", "xi", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        kwargs = dict(K=1.0, gamma=1.4, lam=1.0, alpha=1.0, xi=1.0, mu=0.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PhysParams(**kwargs)
+
     def test_zero_xi_flagged_not_rejected(self):
         p = PhysParams(K=1.0, gamma=1.4, lam=1.0, alpha=1.0, xi=0.0)
         assert not p.is_rotational
