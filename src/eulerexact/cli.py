@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .classify import GLOBAL, classify_3d, detect_period_2d
+from .classify import GLOBAL, OPEN_CASE, classify_3d, detect_period_2d
 from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
 from .emden import integrate
@@ -112,6 +112,15 @@ def _csv_float(v) -> str:
     return repr(float(v))
 
 
+def _csv_lines(values: np.ndarray) -> list[list[str]]:
+    """``_csv_float`` of an (nx, ny) slab as ny y-lines of nx strings.
+
+    ``repr`` of the Python floats from ``tolist`` equals ``_csv_float`` of the
+    numpy scalars, at a fraction of the cost.
+    """
+    return [list(map(repr, line)) for line in values.T.tolist()]
+
+
 def run_sample(cfg: RunConfig, out: str) -> int:
     for name, axis in (("grid.x", cfg.grid_x), ("grid.y", cfg.grid_y)):
         if axis is None:
@@ -137,6 +146,9 @@ def run_sample(cfg: RunConfig, out: str) -> int:
     xs = _axis_points(cfg.grid_x)
     ys = _axis_points(cfg.grid_y)
     zs = _axis_points(cfg.grid_z) if cfg.dim == 3 else np.array([0.0])
+    x_strs = list(map(repr, xs.tolist()))
+    y_strs = list(map(repr, ys.tolist()))
+    X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
 
     rows = 0
     truncated = False
@@ -147,31 +159,29 @@ def run_sample(cfg: RunConfig, out: str) -> int:
             if state is None:
                 truncated = True
                 continue
-            if cfg.dim == 3:
-                field = Field3D.from_params(params, state)
-                X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij", sparse=True)
-                g = field.eval_grid(X, Y, Z)
-                cols = (g["rho"], g["u1"], g["u2"], g["u3"], g["s"], g["p"])
-            else:
-                field = Field2D.from_params(params, state)
-                X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-                g = field.eval_grid(X, Y)
-                zero = np.zeros_like(g["rho"][..., None])
-                cols = (g["rho"][..., None], g["u1"][..., None], g["u2"][..., None],
-                        zero, g["eta"][..., None], g["p"][..., None])
-            # x varies fastest, then y, then z: Fortran ravel of [ix, iy, iz]
-            flat = [c.ravel(order="F") for c in cols]
-            xi_idx, yi_idx, zi_idx = np.meshgrid(xs, ys, zs, indexing="ij", sparse=False)
-            coords = [c.ravel(order="F") for c in (xi_idx, yi_idx, zi_idx)]
-            for i in range(flat[0].size):
-                f.write(",".join((
-                    _csv_float(coords[0][i]), _csv_float(coords[1][i]),
-                    _csv_float(coords[2][i]), _csv_float(t),
-                    _csv_float(flat[0][i]), _csv_float(flat[1][i]),
-                    _csv_float(flat[2][i]), _csv_float(flat[3][i]),
-                    _csv_float(flat[4][i]), _csv_float(flat[5][i]),
-                )) + "\n")
-                rows += 1
+            field = (Field3D if cfg.dim == 3 else Field2D).from_params(params, state)
+            t_str = _csv_float(t)
+            # one (nx, ny) slab per z keeps memory O(nx*ny); the velocity is
+            # linear in space, so u1 and u2 are the same on every slab and u3
+            # is constant on each
+            for iz, z in enumerate(zs.tolist()):
+                if cfg.dim == 3:
+                    g = field.eval_grid(X, Y, z)
+                    u3, sim = _csv_float(g["u3"].flat[0]), g["s"]
+                else:
+                    g = field.eval_grid(X, Y)
+                    u3, sim = "0.0", g["eta"]
+                if iz == 0:
+                    u1, u2 = _csv_lines(g["u1"]), _csv_lines(g["u2"])
+                z_str = repr(z)
+                # rho, s and p are formatted one y-line (nx rows) at a time
+                for iy, (rho, sim_y, p) in enumerate(zip(g["rho"].T, sim.T, g["p"].T)):
+                    yzt = f"{y_strs[iy]},{z_str},{t_str}"
+                    f.write("\n".join(map(",".join, zip(
+                        x_strs, itertools.repeat(yzt), map(repr, rho.tolist()),
+                        u1[iy], u2[iy], itertools.repeat(u3),
+                        map(repr, sim_y.tolist()), map(repr, p.tolist())))) + "\n")
+                rows += xs.size * ys.size
     print(f"wrote {out} ({rows} rows)")
     if truncated and termination is not None:
         _report_termination(termination)
@@ -293,16 +303,19 @@ def run_sweep(cfg: RunConfig, out: str) -> int:
             cell = cfg.with_keys(dict(zip(names, combo)))
             params, ic = cell.params(), cell.initial_state()
             result = classify_3d(params, ic)
-            t_est = result.T
+            t_est, basis = result.T, result.basis
             if t_est is None and result.verdict != GLOBAL:
                 traj = integrate(params, ic, horizon, rel_tol=cfg.rel_tol,
                                  abs_tol=cfg.abs_tol, max_steps=cfg.max_steps,
                                  method=cfg.method)
                 if traj.termination.kind == "blowup":
                     t_est = traj.termination.t_est
+                    # the table leaves this cell open; only the run saw a collapse
+                    if result.verdict == OPEN_CASE:
+                        basis = "numerical_evidence"
             f.write(",".join([
                 *(_csv_float(getattr(cell, attr)) for attr in columns),
-                result.verdict, result.basis,
+                result.verdict, basis,
                 "" if t_est is None else _csv_float(t_est),
             ]) + "\n")
             count += 1

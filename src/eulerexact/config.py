@@ -53,7 +53,7 @@ class RunConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    eps_blow: float = 0.0  # resolved to 1e-10 * min(a0, b0) when not given
+    eps_blow: float = 0.0  # resolved to 1e-10 * min(a0, b0) (3D) or 1e-10 * a0 (2D)
     method: str = "RK45"
     out: str | None = None
     verify_points: int = 20
@@ -201,8 +201,7 @@ def _check_family(cfg: RunConfig) -> None:
     """Build the family and initial state of ``cfg``; ConfigError names the key."""
     try:
         cfg.params()
-        # 3D even when dim = 2: the default eps_blow is taken from b0 too
-        EmdenState3D(0.0, cfg.a0, cfg.a1, cfg.b0, cfg.b1)
+        cfg.initial_state()
     except ValueError as exc:
         # the library's messages begin with the attribute's name
         name, _, rule = str(exc).partition(" ")
@@ -267,7 +266,7 @@ def build_config(entries: dict[str, object]) -> RunConfig:
         if not cfg.eps_blow > 0:
             err(f"eps_blow must be > 0, got {cfg.eps_blow}")
     else:
-        cfg.eps_blow = 1e-10 * min(cfg.a0, cfg.b0)
+        cfg.eps_blow = 1e-10 * (min(cfg.a0, cfg.b0) if cfg.dim == 3 else cfg.a0)
 
     for param, values in cfg.sweep.items():
         for v in values:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +40,13 @@ class TestClassifyCommand:
         assert doc["period"]["method"] == "pericenter-section"
         assert doc["period"]["period"] == pytest.approx(2 * math.pi, rel=0.05)
         assert "b0" not in doc["ic"]
+
+    def test_dim2_ignores_b0(self, tmp_path):
+        out = tmp_path / "c.json"
+        code, _, err = run(tmp_path, "classify", "--dim", "2", "--b0", "0",
+                           "--out", str(out))
+        assert code == 0, err
+        assert "b0" not in json.loads(out.read_text())["ic"]
 
 
 class TestSampleCommand:
@@ -123,6 +132,56 @@ class TestSampleCommand:
         code, _, err = run(tmp_path, "sample", "--times", "0")
         assert code == 2
         assert "grid.x" in err
+
+
+# sha256 of the `sample` output bytes; nx != ny != nz so a transposed or
+# reordered writer changes the digest
+GOLDEN_SAMPLES = {
+    # 278 of its 420 rows lie outside the compact support (rho = 0)
+    "compact_3d_with_vacuum": (
+        ["--gamma", "1.5", "--lambda", "1", "--xi", "1.3", "--a1", "0.2", "--b1", "-0.3",
+         "--grid-x=-3:3:7", "--grid-y=-2.5:2.5:6", "--grid-z=-2:2:5", "--times", "0,0.3"],
+        1 + 7 * 6 * 5 * 2,
+        "096c8958419b1ae5ad8229771cc37e1589cdb338b13165f4f5a8a3eb31288468"),
+    "gaussian_3d": (
+        ["--gamma", "1", "--lambda", "0.7", "--xi", "0.9", "--a1", "-0.1", "--b1", "0.4",
+         "--grid-x=-2:2:7", "--grid-y=-1.5:1.5:6", "--grid-z=-1:1.5:5",
+         "--times", "0,0.25,1.1"],
+        1 + 7 * 6 * 5 * 3,
+        "1e51ed29b3fa26a9c83473cee80bdf8d3863de22eec52972701d29bcf582c390"),
+    "planar_2d_lambda_negative": (
+        ["--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
+         "--a1", "0.3", "--grid-x=-2:2:7", "--grid-y=-1.5:1.5:6", "--times", "0,0.4,2.5"],
+        1 + 7 * 6 * 3,
+        "d16cbfd48ba349f6b96184fd546e1f861ae16e4224d4d0ab5fa45ba4755d9e7e"),
+}
+
+
+class TestSampleWriter:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
+    def test_output_bytes_pinned(self, tmp_path, name):
+        argv, lines, digest = GOLDEN_SAMPLES[name]
+        out = tmp_path / "f.csv"
+        code, _, _ = run(tmp_path, "sample", *argv, "--out", str(out))
+        assert code == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_memory_does_not_grow_with_nz(self, tmp_path):
+        def peak_bytes(nz):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(tmp_path, "sample", "--grid-x=-1:1:40", "--grid-y=-1:1:40",
+                                 f"--grid-z=-1:1:{nz}", "--times", "0",
+                                 "--out", str(tmp_path / "f.csv"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        assert peak_bytes(32) < 2 * peak_bytes(4)
 
 
 class TestIntegrateCommand:
@@ -211,6 +270,18 @@ class TestSweepCommand:
         verdict, t_est = table[(-1.0, -0.5)]
         assert verdict == "finite_time_blowup"
         assert float(t_est) > 0.0
+
+    def test_open_case_collapse_is_numerical_evidence(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code, _, _ = run(tmp_path, "sweep", "--gamma", "1.5", "--lambda=-1",
+                         "--sweep", "b1=0.5,3", "--sweep-t-end", "3", "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        # b1 = 0.5 collapses before the horizon, b1 = 3 does not
+        assert [(r[9], r[10], r[11], bool(r[12])) for r in rows] == [
+            ("0.5", "unknown_open_case", "numerical_evidence", True),
+            ("3.0", "unknown_open_case", "analytic", False),
+        ]
 
     def test_requires_axis(self, tmp_path):
         code, _, err = run(tmp_path, "sweep")

@@ -103,6 +103,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep.gamma"):
             parse_config("sweep.gamma = 0.5,1.5\n")
 
+    def test_b0_is_ignored_in_2d(self):
+        cfg = parse_config("dim = 2\na0 = 0.5\nb0 = 0\n")
+        assert cfg.eps_blow == 1e-10 * 0.5
+        assert parse_config("dim = 2\na0 = 2\nb0 = 0.1\n").eps_blow == 1e-10 * 2.0
+        with pytest.raises(ConfigError, match="b0"):
+            parse_config("dim = 3\nb0 = 0\n")
+
 
 def random_config_text(rng) -> str:
     entries = {
