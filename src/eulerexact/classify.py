@@ -9,8 +9,10 @@ analytically and can only be probed numerically, which never upgrades to
 "global": surviving a finite horizon is not evidence of global existence.
 
 Planar dynamics with lam < 0 and 1 <= gamma < 2 admits periodic orbits; they
-are detected by successive crossings of the pericenter section
-{a' = 0, a'' > 0}.  In 3D no periodic solution exists when lam < 0 because
+are detected by the first two upward crossings of the pericenter section
+{a' = 0, a'' > 0}, found as events of the integrator's step loop, which
+stops at the second one (a start exactly at a pericenter counts as the
+first).  In 3D no periodic solution exists when lam < 0 because
 b'' < 0 makes b' strictly decreasing; :func:`check_no_period_3d` verifies that
 monotonicity on a trajectory.
 """
@@ -21,9 +23,8 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .emden import EmdenState2D, EmdenState3D, Trajectory, integrate
+from .emden import EmdenState2D, EmdenState3D, Trajectory, _run, emden_rhs_2d, integrate
 from .profiles import PhysParams
 
 __all__ = [
@@ -122,22 +123,19 @@ class PeriodEstimate:
         return asdict(self)
 
 
-def _accel_2d(p: PhysParams, a: float) -> float:
-    return p.xi * p.xi / a**3 + p.lam / a ** (2.0 * p.gamma - 1.0)
-
-
 def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
                      tol: float = 1e-10, *,
                      fixed_point_tol: float = 1e-9) -> PeriodEstimate | None:
     """Detect a period of the planar dynamics via the pericenter section.
 
-    Integrates for ``t_max`` time units past ``ic.t`` and records upward
-    crossings of a' = 0 (where a'' > 0).  Returns the crossing-to-crossing
-    time with its return error, or None if fewer than two crossings occur
-    (e.g. monotone escape for lam > 0).  An initial condition at an
-    equilibrium is reported as a fixed point with the linearized period.
+    Integrates for at most ``t_max`` time units past ``ic.t`` until the
+    second upward crossing of a' = 0 (where a'' > 0).  Returns the
+    crossing-to-crossing time with its return error, or None if fewer than
+    two crossings occur (e.g. monotone escape for lam > 0, a collapse, or an
+    exhausted step budget).  An initial condition at an equilibrium is
+    reported as a fixed point with the linearized period.
     """
-    accel0 = _accel_2d(p, ic.a)
+    accel0 = emden_rhs_2d(ic, p)[1]
     scale = max(1.0, abs(ic.a))
     if abs(ic.a_dot) <= fixed_point_tol * scale and abs(accel0) <= fixed_point_tol * scale:
         # d(a'')/da at the equilibrium; oscillatory only if negative
@@ -149,39 +147,13 @@ def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
         return PeriodEstimate(period=2.0 * math.pi / math.sqrt(-daccel),
                               return_error=0.0, method="fixed-point")
 
-    g = p.gamma
-    xi2 = p.xi * p.xi
-    lam = p.lam
-
-    def rhs(t, y):
-        a, ad = y
-        if a <= 0.0:
-            return np.array([np.nan, np.nan])
-        return np.array([ad, xi2 / a**3 + lam / a ** (2.0 * g - 1.0)])
-
-    def pericenter(t, y):
-        return y[1]
-
-    pericenter.direction = 1.0
-
-    def floor(t, y):
-        return y[0] - 1e-10 * ic.a
-
-    floor.terminal = True
-    floor.direction = -1.0
-
-    sol = solve_ivp(rhs, (ic.t, ic.t + t_max), np.array([ic.a, ic.a_dot]),
-                    method="RK45", rtol=tol, atol=tol * 1e-2,
-                    events=(pericenter, floor), dense_output=False)
-    crossings_t = sol.t_events[0]
-    crossings_y = sol.y_events[0]
-    if len(crossings_t) < 2:
+    crossings = _run(p, 2, np.array([ic.a, ic.a_dot]), ic.t, ic.t + t_max,
+                     rel_tol=tol, abs_tol=tol * 1e-2, section=True)[-1]
+    if len(crossings) < 2:
         return None
-    period = float(crossings_t[1] - crossings_t[0])
-    da = crossings_y[1][0] - crossings_y[0][0]
-    dad = crossings_y[1][1] - crossings_y[0][1]
-    return PeriodEstimate(period=period,
-                          return_error=float(math.hypot(da, dad)),
+    (t1, y1), (t2, y2) = crossings
+    return PeriodEstimate(period=float(t2 - t1),
+                          return_error=float(math.hypot(y2[0] - y1[0], y2[1] - y1[1])),
                           method="pericenter-section")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .emden import _METHODS, EmdenState2D, EmdenState3D
+from .emden import _METHODS, MAX_STEPS, EmdenState2D, EmdenState3D
 from .profiles import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_entries",
@@ -52,8 +52,8 @@ class RunConfig:
     grid_z: tuple[float, float, int] | None = None
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
-    eps_blow: float = 0.0  # resolved to 1e-10 * min(a0, b0) (3D) or 1e-10 * a0 (2D)
+    max_steps: int = MAX_STEPS
+    eps_blow: float | None = None  # None: the library's floor, 1e-10 * each initial value
     method: str = "RK45"
     out: str | None = None
     verify_points: int = 20
@@ -262,11 +262,8 @@ def build_config(entries: dict[str, object]) -> RunConfig:
         elif cfg.times[-1] > cfg.t_end:
             cfg.t_end = cfg.times[-1]
 
-    if "eps_blow" in entries:
-        if not cfg.eps_blow > 0:
-            err(f"eps_blow must be > 0, got {cfg.eps_blow}")
-    else:
-        cfg.eps_blow = 1e-10 * (min(cfg.a0, cfg.b0) if cfg.dim == 3 else cfg.a0)
+    if cfg.eps_blow is not None and not cfg.eps_blow > 0:
+        err(f"eps_blow must be > 0, got {cfg.eps_blow}")
 
     for param, values in cfg.sweep.items():
         for v in values:

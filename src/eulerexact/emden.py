@@ -10,10 +10,12 @@ and in the planar case the single equation
     a'' = xi^2 / a^3 + lam / a^(2 gamma - 1).
 
 Both conserve a first integral (see :func:`energy_3d` / :func:`energy_2d`;
-the formulas are verified symbolically in the test suite).  Integration is
-done with an adaptive embedded Runge-Kutta pair driven step by step so that
-collapse of a scale factor (a or b reaching a small positive floor) can be
-detected and located by root bracketing on the dense output.
+the formulas are verified symbolically in the test suite).  The equations are
+written once, in ``_rhs_vec``.  Integration is done with an adaptive embedded
+Runge-Kutta pair driven step by step by one loop, ``_run``, so that events are
+located by root bracketing on each step's dense output: collapse of a scale
+factor (a or b reaching a small positive floor) and, for the planar period
+search, upward crossings of the pericenter section a' = 0.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 _METHODS = {"RK45": RK45, "DOP853": DOP853}
+
+# default adaptive step budget of integrate and of a run configuration
+MAX_STEPS = 100_000
 
 # On solver failure, a component this far below its initial value with inward
 # velocity is treated as a collapse rather than a generic step failure.
@@ -90,17 +95,12 @@ class EmdenState2D:
 
 def emden_rhs_3d(state: EmdenState3D, p: PhysParams) -> tuple[float, float, float, float]:
     """Right-hand side (a', a'', b', b'') of the 3D scale-factor system."""
-    a, b, g = state.a, state.b, p.gamma
-    a_ddot = p.xi * p.xi / a**3 + p.lam / (a ** (2.0 * g - 1.0) * b ** (g - 1.0))
-    b_ddot = p.lam / (a ** (2.0 * g - 2.0) * b**g)
-    return (state.a_dot, a_ddot, state.b_dot, b_ddot)
+    return tuple(_rhs_vec(p, 3)(state.t, (state.a, state.a_dot, state.b, state.b_dot)).tolist())
 
 
 def emden_rhs_2d(state: EmdenState2D, p: PhysParams) -> tuple[float, float]:
     """Right-hand side (a', a'') of the planar scale-factor equation."""
-    a = state.a
-    a_ddot = p.xi * p.xi / a**3 + p.lam / a ** (2.0 * p.gamma - 1.0)
-    return (state.a_dot, a_ddot)
+    return tuple(_rhs_vec(p, 2)(state.t, (state.a, state.a_dot)).tolist())
 
 
 def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
@@ -188,13 +188,12 @@ class Trajectory:
 
     def jsonl_lines(self) -> list[str]:
         lines = []
-        e = energy_3d if self.dim == 3 else energy_2d
-        for st in self.states:
+        for st, energy in zip(self.states, self.energies()):
             rec = {"t": st.t, "a": st.a, "a_dot": st.a_dot}
             if self.dim == 3:
                 rec["b"] = st.b
                 rec["b_dot"] = st.b_dot
-            rec["energy"] = e(st, self.params)
+            rec["energy"] = energy
             lines.append(json.dumps(rec))
         lines.append(json.dumps({"termination": self.termination.to_dict()}))
         return lines
@@ -210,7 +209,16 @@ def _state_from_vec(dim: int, t: float, y) -> EmdenState3D | EmdenState2D:
     return EmdenState2D(t, float(y[0]), float(y[1]))
 
 
+def _vec_from_state(state: EmdenState3D | EmdenState2D) -> tuple[int, np.ndarray]:
+    if isinstance(state, EmdenState3D):
+        return 3, np.array([state.a, state.a_dot, state.b, state.b_dot])
+    if isinstance(state, EmdenState2D):
+        return 2, np.array([state.a, state.a_dot])
+    raise TypeError(f"unsupported state type: {type(state)!r}")
+
+
 def _rhs_vec(p: PhysParams, dim: int):
+    """The equations of motion as ``rhs(t, y)`` on (a, a'[, b, b'])."""
     g = p.gamma
     xi2 = p.xi * p.xi
     lam = p.lam
@@ -241,36 +249,116 @@ def _rhs_vec(p: PhysParams, dim: int):
     return rhs
 
 
-def _floor_crossing(dense, t_lo, t_hi, floors, rel_tol):
-    """Locate the earliest floor crossing of any monitored component.
+# the pericenter section watches a' (component 1); its crossing time is
+# refined to the tolerance scipy's solve_ivp uses for events
+_SECTION = 1
+_SECTION_TOL = 4.0 * np.finfo(float).eps
 
-    Returns (t_est, component_index, bracket_width) or None.  The step is
-    scanned at interior samples so a dip below the floor inside the step is
-    not missed.
+
+def _locate(dense, t_lo, t_hi, floors, rel_tol, section_after):
+    """Locate the earliest event in the step [t_lo, t_hi].
+
+    Returns (t_est, component_index, bracket_width) or None.  Floor events
+    are a component of ``floors`` falling to its floor; the step is scanned
+    at interior samples so a dip below the floor inside the step is not
+    missed.  Unless ``section_after`` is None, a section event is a' rising
+    through 0 over the step (``a'(t_lo) <= 0 <= a'(t_hi)``, the rule of
+    solve_ivp); it counts only later than ``section_after``, so a crossing on
+    a step boundary is not counted twice.
     """
     tt = np.linspace(t_lo, t_hi, 9)
     yy = dense(tt)
     best = None
     for comp, floor in floors:
-        vals = yy[comp]
-        below = np.nonzero(vals <= floor)[0]
+        below = np.nonzero(yy[comp] <= floor)[0]
         if below.size == 0:
             continue
         i = below[0]
-        lo = tt[i - 1] if i > 0 else t_lo
-        hi = tt[i]
         if i == 0:
             # crossing happened exactly at the step start; accepted states are
             # above the floor, so treat the start as the estimate
-            t_est, width = lo, 0.0
+            t_est, width = t_lo, 0.0
         else:
             rt = max(rel_tol, 8.9e-16)
-            t_est = brentq(lambda q: float(dense(q)[comp]) - floor, lo, hi,
+            t_est = brentq(lambda q: float(dense(q)[comp]) - floor, tt[i - 1], tt[i],
                            xtol=1e-300, rtol=rt)
             width = rt * abs(t_est)
         if best is None or t_est < best[0]:
             best = (t_est, comp, width)
+    if section_after is not None and yy[_SECTION, 0] <= 0.0 <= yy[_SECTION, -1]:
+        t_est = brentq(lambda q: float(dense(q)[_SECTION]), t_lo, t_hi,
+                       xtol=_SECTION_TOL, rtol=_SECTION_TOL)
+        if t_est > section_after and (best is None or t_est < best[0]):
+            best = (t_est, _SECTION, 0.0)
     return best
+
+
+def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float, *,
+         rel_tol: float, abs_tol: float, max_steps: int = MAX_STEPS,
+         eps_blow: float | None = None, method: str = "RK45",
+         section: bool = False):
+    """The adaptive step loop: step from (t0, y0) towards ``t_end``.
+
+    The run ends at ``t_end``, at the first floor event, after ``max_steps``
+    steps, on a step failure, or (with ``section``) at the second section
+    crossing, whose termination kind is ``section``.  Returns (termination,
+    t_stop, step times, step interpolants, section crossings as (t, y)).
+    """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not t_end > t0:
+        raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
+    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
+        raise ValueError("tolerances must lie in (0, 1)")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
+
+    comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
+    floors = [(comp, eps_blow if eps_blow is not None else 1e-10 * y0[comp])
+              for comp in comp_names]
+    solver = _METHODS[method](_rhs_vec(p, dim), t0, y0, t_end,
+                              rtol=rel_tol, atol=abs_tol)
+    ts, interpolants, crossings = [t0], [], []
+    section_after = -math.inf if section else None
+    termination = None
+
+    with warnings.catch_warnings():
+        # scipy warns when shrinking steps hit the representable minimum;
+        # that situation is diagnosed explicitly below
+        warnings.simplefilter("ignore")
+        while solver.status == "running":
+            if len(interpolants) >= max_steps:
+                termination = Termination("step_failure",
+                                          detail=f"max_steps={max_steps} exhausted")
+                break
+            t_prev = solver.t
+            solver.step()
+            if solver.status == "failed":
+                termination = _diagnose_failure(solver, y0, comp_names)
+                break
+            dense = solver.dense_output()
+            interpolants.append(dense)
+            ts.append(solver.t)
+            hit = _locate(dense, t_prev, solver.t, floors, rel_tol, section_after)
+            if hit is None:
+                continue
+            t_est, comp, width = hit
+            if comp == _SECTION:
+                crossings.append((t_est, dense(t_est)))
+                section_after = t_est
+                if len(crossings) < 2:
+                    continue
+                termination = Termination("section", t_est=t_est)
+            else:
+                termination = Termination("blowup", t_est=t_est,
+                                          which=comp_names[comp],
+                                          bracket_width=width)
+            break
+
+    if termination is None:
+        termination = Termination("reached_t_end")
+    t_stop = termination.t_est if termination.kind == "blowup" else solver.t
+    return termination, t_stop, ts, interpolants, crossings
 
 
 def integrate(
@@ -280,7 +368,7 @@ def integrate(
     *,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
-    max_steps: int = 1_000_000,
+    max_steps: int = MAX_STEPS,
     dense_times: Sequence[float] | None = None,
     eps_blow: float | None = None,
     method: str = "RK45",
@@ -294,27 +382,8 @@ def integrate(
     underflow while a component is collapsing is also reported as blowup; any
     other failure (including ``max_steps`` exhaustion) is a ``step_failure``.
     """
-    if isinstance(initial_state, EmdenState3D):
-        dim = 3
-        y0 = np.array([initial_state.a, initial_state.a_dot,
-                       initial_state.b, initial_state.b_dot])
-        comp_names = {0: "a", 2: "b"}
-    elif isinstance(initial_state, EmdenState2D):
-        dim = 2
-        y0 = np.array([initial_state.a, initial_state.a_dot])
-        comp_names = {0: "a"}
-    else:
-        raise TypeError(f"unsupported state type: {type(initial_state)!r}")
-
+    dim, y0 = _vec_from_state(initial_state)
     t0 = initial_state.t
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if not t_end > t0:
-        raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
-    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
-        raise ValueError("tolerances must lie in (0, 1)")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
     if dense_times is not None:
         dense_times = [float(t) for t in dense_times]
         if any(t1 >= t2 for t1, t2 in zip(dense_times, dense_times[1:])):
@@ -322,50 +391,9 @@ def integrate(
         if dense_times and (dense_times[0] < t0 or dense_times[-1] > t_end):
             raise ValueError("dense_times must lie within [t0, t_end]")
 
-    floors = [(comp, eps_blow if eps_blow is not None else 1e-10 * y0[comp])
-              for comp in comp_names]
-
-    solver = _METHODS[method](_rhs_vec(p, dim), t0, y0, t_end,
-                              rtol=rel_tol, atol=abs_tol)
-    ts: list[float] = [t0]
-    interpolants: list = []
-    termination = None
-    t_stop = t_end
-    nsteps = 0
-
-    with warnings.catch_warnings():
-        # scipy warns when shrinking steps hit the representable minimum;
-        # that situation is diagnosed explicitly below
-        warnings.simplefilter("ignore")
-        while solver.status == "running":
-            if nsteps >= max_steps:
-                termination = Termination("step_failure",
-                                          detail=f"max_steps={max_steps} exhausted")
-                t_stop = solver.t
-                break
-            t_prev = solver.t
-            solver.step()
-            nsteps += 1
-            if solver.status == "failed":
-                termination = _diagnose_failure(solver, y0, comp_names)
-                t_stop = solver.t
-                break
-            dense = solver.dense_output()
-            interpolants.append(dense)
-            ts.append(solver.t)
-            hit = _floor_crossing(dense, t_prev, solver.t, floors, rel_tol)
-            if hit is not None:
-                t_est, comp, width = hit
-                termination = Termination("blowup", t_est=t_est,
-                                          which=comp_names[comp],
-                                          bracket_width=width)
-                t_stop = t_est
-                break
-
-    if termination is None:
-        termination = Termination("reached_t_end")
-        t_stop = solver.t
-
+    termination, t_stop, ts, interpolants, _ = _run(
+        p, dim, y0, t0, t_end, rel_tol=rel_tol, abs_tol=abs_tol,
+        max_steps=max_steps, eps_blow=eps_blow, method=method)
     sol = OdeSolution(ts, interpolants) if interpolants else None
 
     if dense_times is not None:
@@ -414,10 +442,7 @@ def advance(
     """
     if dt == 0.0:
         return state
-    if isinstance(state, EmdenState3D):
-        dim, y = 3, np.array([state.a, state.a_dot, state.b, state.b_dot])
-    else:
-        dim, y = 2, np.array([state.a, state.a_dot])
+    dim, y = _vec_from_state(state)
     if n_substeps is None:
         n_substeps = max(8, int(abs(dt) / 1e-4) + 1)
     rhs = _rhs_vec(p, dim)

@@ -2,13 +2,17 @@
 
 Everything here is deliberately written against the raw equations, not
 against the library code paths it checks: a fixed-step classic RK4 stepper
-(scalar and vectorized over parameter batches) and plain finite-difference
-helpers.
+(scalar and vectorized over parameter batches), plain finite-difference
+helpers and the planar period from the first integral by quadrature.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 
 def rhs_3d_arrays(y, K, gamma, lam, xi):
@@ -45,3 +49,40 @@ def central_diff(fun, x, h):
 
 def second_diff(fun, x, h):
     return (fun(x + h) - 2.0 * fun(x) + fun(x - h)) / (h * h)
+
+
+def planar_potential(a, gamma, lam, xi):
+    """V(a) = xi^2/(2a^2) + lam a^(2-2gamma)/(2gamma-2); -lam log a at gamma = 1."""
+    if gamma == 1.0:
+        return xi * xi / (2.0 * a * a) - lam * math.log(a)
+    return xi * xi / (2.0 * a * a) + lam * a ** (2.0 - 2.0 * gamma) / (2.0 * gamma - 2.0)
+
+
+def first_integral_period(gamma, lam, xi, a0, a1):
+    """Period T = 2 int da / sqrt(2 (E - V(a))) between the turning points.
+
+    Needs lam < 0 and 1 <= gamma < 2 (V has one minimum, at
+    a_eq = (xi^2/|lam|)^(1/(4-2gamma))) and a bound orbit, E below V's limit
+    at infinity.  The substitution a = c + h sin(theta) removes the inverse
+    square-root singularities at the turning points c -/+ h.
+    """
+    V = lambda a: planar_potential(a, gamma, lam, xi)  # noqa: E731
+    E = 0.5 * a1 * a1 + V(a0)
+    a_eq = (xi * xi / -lam) ** (1.0 / (4.0 - 2.0 * gamma))
+    lo = a_eq
+    while V(lo) < E:
+        lo *= 0.5
+    hi = a_eq
+    while V(hi) < E:
+        hi *= 2.0
+    a_min = brentq(lambda a: V(a) - E, lo, a_eq, xtol=1e-15, rtol=1e-15)
+    a_max = brentq(lambda a: V(a) - E, a_eq, hi, xtol=1e-15, rtol=1e-15)
+    c, h = 0.5 * (a_min + a_max), 0.5 * (a_max - a_min)
+
+    def integrand(theta):
+        gap = E - V(c + h * math.sin(theta))
+        return h * math.cos(theta) / math.sqrt(2.0 * max(gap, 1e-300))
+
+    value, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi,
+                    epsabs=0.0, epsrel=1e-12, limit=200)
+    return 2.0 * value

@@ -9,6 +9,8 @@ from eulerexact import (BLOWUP, GLOBAL, OPEN_CASE, EmdenState2D, EmdenState3D,
                         probe_open_case)
 from eulerexact.emden import Termination
 
+from _oracles import first_integral_period, planar_potential
+
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0):
     return PhysParams(K=K, gamma=gamma, lam=lam, alpha=alpha, xi=xi)
@@ -180,6 +182,52 @@ class TestPeriodDetection:
     def test_no_second_crossing_before_t_max(self):
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         assert detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), 3.0) is None
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan])
+    def test_search_horizon_must_be_positive_and_finite(self, t_max):
+        p = params(gamma=1.5, lam=-1.0, xi=1.0)
+        with pytest.raises(ValueError, match="t_end"):
+            detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), t_max)
+
+    @pytest.mark.parametrize("a0, a1, period", [
+        (0.9, 0.0, 6.401362423544938),  # starts at a pericenter
+        (1.1, 0.0, 6.361888521466641),
+        (1.0, 0.2, 6.679947031751413),
+    ])
+    def test_pinned_periods(self, a0, a1, period):
+        p = params(gamma=1.5, lam=-1.0, xi=1.0)
+        est = detect_period_2d(p, EmdenState2D(0.0, a0, a1), 50.0)
+        assert est.method == "pericenter-section"
+        assert est.period == pytest.approx(period, rel=1e-13, abs=0.0)
+
+    def test_pericenter_start_counts_as_first_crossing(self):
+        # a' = 0 and a'' > 0 at t0: t0 is the first crossing, so a horizon
+        # just over one period finds the second
+        p = params(gamma=1.5, lam=-1.0, xi=1.0)
+        est = detect_period_2d(p, EmdenState2D(0.0, 0.9, 0.0), 7.0)
+        assert est is not None
+        assert est.period == pytest.approx(6.401362423544938, rel=1e-13, abs=0.0)
+
+    def test_period_matches_first_integral(self):
+        # generated bound orbits (E below V at infinity when gamma > 1)
+        rng = np.random.default_rng(4)
+        checked = 0
+        while checked < 10:
+            gamma = 1.0 if checked == 0 else float(rng.uniform(1.0, 1.8))
+            lam = -float(rng.uniform(0.5, 2.0))
+            xi = float(rng.uniform(0.5, 1.5))
+            a_eq = (xi * xi / -lam) ** (1.0 / (4.0 - 2.0 * gamma))
+            a0 = a_eq * float(rng.uniform(0.6, 1.6))
+            a1 = float(rng.uniform(-0.3, 0.3))
+            energy = 0.5 * a1 * a1 + planar_potential(a0, gamma, lam, xi)
+            if gamma > 1.0 and energy >= 0.05 * planar_potential(a_eq, gamma, lam, xi):
+                continue
+            want = first_integral_period(gamma, lam, xi, a0, a1)
+            est = detect_period_2d(params(gamma=gamma, lam=lam, xi=xi),
+                                   EmdenState2D(0.0, a0, a1), 2.5 * want)
+            assert est is not None
+            assert est.period == pytest.approx(want, rel=1e-7)
+            checked += 1
 
 
 class TestNoPeriod3D:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -29,6 +32,26 @@ class TestClassifyCommand:
         assert doc["verdict"] == "finite_time_blowup"
         assert doc["T"] == 1.0
         assert doc["basis"] == "analytic"
+
+    def test_dim2_long_horizon_stops_at_second_crossing(self, tmp_path):
+        # the period is fixed after about 13 time units; t_end only bounds
+        # the search, so a 1e7 horizon must neither hang nor change it
+        periods = []
+        for t_end in ("1e7", "100"):
+            out = tmp_path / f"c{t_end}.json"
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [os.path.join(os.path.dirname(__file__), "..", "src"),
+                 os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from eulerexact.cli import main; sys.exit(main())",
+                 "classify", "--dim", "2",
+                 "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
+                 "--t-end", t_end, "--out", str(out)],
+                env=env, capture_output=True, timeout=5.0)
+            assert proc.returncode == 0, proc.stderr
+            periods.append(json.loads(out.read_text())["period"]["period"])
+        assert periods == [6.361888521466641, 6.361888521466641]
 
     def test_dim2_reports_period(self, tmp_path):
         out = tmp_path / "c.json"
@@ -203,6 +226,20 @@ class TestIntegrateCommand:
                            "--t-end", "2", "--out", str(out))
         assert code == 3
         assert json.loads(err.strip().splitlines()[-1])["termination"]["which"] == "b"
+
+    def test_blowup_time_matches_library_floor(self, tmp_path):
+        # an unset eps_blow is the library's per-component floor, so the CLI
+        # and integrate() locate the same collapse (a0 < b0 used to lower b's
+        # floor to 1e-10 * a0 on the command line only)
+        from eulerexact import EmdenState3D, PhysParams, integrate
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(tmp_path, "integrate", "--lambda", "0", "--a0", "0.5",
+                           "--b1", "-1", "--t-end", "2", "--out", str(out))
+        assert code == 3
+        term = json.loads(err.strip().splitlines()[-1])["termination"]
+        lib = integrate(PhysParams(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0),
+                        EmdenState3D(0.0, 0.5, 0.0, 1.0, -1.0), 2.0).termination
+        assert term["t_est"] == lib.t_est
 
     def test_step_failure_exit_code(self, tmp_path):
         out = tmp_path / "t.jsonl"

@@ -1,9 +1,10 @@
 import argparse
+import inspect
 
 import numpy as np
 import pytest
 
-from eulerexact import ConfigError, RunConfig, cli, parse_config, serialize_config
+from eulerexact import ConfigError, RunConfig, cli, emden, parse_config, serialize_config
 from eulerexact.config import _SCHEMA
 
 
@@ -15,7 +16,7 @@ class TestParse:
         assert cfg.K == 1.0
         assert cfg.rel_tol == 1e-10
         assert cfg.abs_tol == 1e-12
-        assert cfg.eps_blow == 1e-10 * min(cfg.a0, cfg.b0)
+        assert cfg.eps_blow is None
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("""
@@ -99,14 +100,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eps_blow"):
             parse_config("eps_blow = 0\n")
 
+    def test_step_budget_default_is_the_library_default(self):
+        # one constant, not two literals that can drift apart
+        default = inspect.signature(emden.integrate).parameters["max_steps"].default
+        assert default is emden.MAX_STEPS
+        assert RunConfig().max_steps is emden.MAX_STEPS
+
     def test_sweep_value_validated(self):
         with pytest.raises(ConfigError, match="sweep.gamma"):
             parse_config("sweep.gamma = 0.5,1.5\n")
 
     def test_b0_is_ignored_in_2d(self):
         cfg = parse_config("dim = 2\na0 = 0.5\nb0 = 0\n")
-        assert cfg.eps_blow == 1e-10 * 0.5
-        assert parse_config("dim = 2\na0 = 2\nb0 = 0.1\n").eps_blow == 1e-10 * 2.0
+        assert cfg.eps_blow is None
+        assert parse_config("dim = 2\na0 = 2\nb0 = 0.1\n").eps_blow is None
         with pytest.raises(ConfigError, match="b0"):
             parse_config("dim = 3\nb0 = 0\n")
 
