@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .classify import GLOBAL, OPEN_CASE, classify_3d, detect_period_2d
 from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
-from .emden import integrate
+from .emden import integrate, strict_json
 from .fields import Field2D, Field3D
 from .verify import SnapshotFieldSource, refined_residual
 
@@ -87,7 +86,14 @@ def _integrate(cfg: RunConfig, t_end: float, dense_times=None):
 
 
 def _report_termination(termination) -> None:
-    print(json.dumps({"termination": termination.to_dict()}), file=sys.stderr)
+    print(strict_json({"termination": termination.to_dict()}), file=sys.stderr)
+
+
+def _write_json(out: str, doc: dict) -> None:
+    """Strict, indented JSON, serialized before the file is opened."""
+    text = strict_json(doc, indent=2) + "\n"
+    with open(out, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def run_integrate(cfg: RunConfig, out: str) -> int:
@@ -223,14 +229,15 @@ def run_verify(cfg: RunConfig, out: str) -> int:
     field = Field3D.from_params(params, state)
     source = SnapshotFieldSource(field)
     rng = np.random.default_rng(cfg.verify_seed)
-    reports = [refined_residual(source, t, x, y, z, cfg.verify_h, mu=cfg.mu)
-               for (x, y, z) in _interior_points(field, rng, cfg.verify_points)]
+    x, y, z = np.array(_interior_points(field, rng, cfg.verify_points)).T
+    reports = refined_residual(source, t, x, y, z, cfg.verify_h, mu=cfg.mu)
 
     mass = np.array([abs(r.mass_residual) for r in reports])
     mom = np.array([max(abs(m) for m in r.momentum_residual) for r in reports])
     orders = np.array([r.observed_order for r in reports if r.observed_order is not None])
     summary = {
         "points": len(reports),
+        "kink_points": sum(r.kink_crossing for r in reports),
         "mass_abs": {"p50": float(np.percentile(mass, 50)),
                      "p90": float(np.percentile(mass, 90)),
                      "max": float(mass.max())},
@@ -249,9 +256,7 @@ def run_verify(cfg: RunConfig, out: str) -> int:
         "summary": summary,
         "points": [r.to_dict() for r in reports],
     }
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(out, doc)
     print(f"wrote {out} ({len(reports)} points, "
           f"median order {summary['observed_order']['p50']})")
     return EXIT_OK
@@ -281,9 +286,7 @@ def run_classify(cfg: RunConfig, out: str) -> int:
         doc["period"] = estimate.to_dict() if estimate is not None else None
         summary = ("period {:.6g}".format(estimate.period)
                    if estimate is not None else "no period detected")
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(out, doc)
     print(f"wrote {out} ({summary})")
     return EXIT_OK
 

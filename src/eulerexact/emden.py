@@ -187,6 +187,7 @@ class Trajectory:
         return [e(st, self.params) for st in self.states]
 
     def jsonl_lines(self) -> list[str]:
+        """One strict JSON record per state, then the termination record."""
         lines = []
         for st, energy in zip(self.states, self.energies()):
             rec = {"t": st.t, "a": st.a, "a_dot": st.a_dot}
@@ -194,13 +195,25 @@ class Trajectory:
                 rec["b"] = st.b
                 rec["b_dot"] = st.b_dot
             rec["energy"] = energy
-            lines.append(json.dumps(rec))
-        lines.append(json.dumps({"termination": self.termination.to_dict()}))
+            lines.append(strict_json(rec))
+        lines.append(strict_json({"termination": self.termination.to_dict()}))
         return lines
 
     def write_jsonl(self, path) -> None:
+        """Serialize first, so a non-finite record leaves no file behind."""
+        text = "\n".join(self.jsonl_lines()) + "\n"
         with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.jsonl_lines()) + "\n")
+            f.write(text)
+
+
+def strict_json(obj, **kwargs) -> str:
+    """``json.dumps`` of an output record with no NaN or Infinity: a
+    non-finite number raises a ValueError that shows the record."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        raise ValueError("non-finite number in an output record (strict JSON has "
+                         f"no NaN or Infinity): {str(obj)[:300]}") from None
 
 
 def _state_from_vec(dim: int, t: float, y) -> EmdenState3D | EmdenState2D:
@@ -432,19 +445,21 @@ def advance(
     p: PhysParams,
     state: EmdenState3D | EmdenState2D,
     dt: float,
-    n_substeps: int | None = None,
 ) -> EmdenState3D | EmdenState2D:
-    """Propagate a snapshot by dt with fixed-step classic RK4 substeps.
+    """Propagate a snapshot by dt with max(8, |dt|/1e-4 + 1) fixed RK4 substeps.
 
-    The default substep count keeps the propagation error around 1e-20 for
-    |dt| up to 1e-2, far below second-order stencil truncation; this is the
-    time-shift engine for finite-difference residual checks.
+    The error stays around 1e-20 for |dt| up to 1e-2, far below second-order
+    stencil truncation; this is the time-shift engine for finite-difference
+    residual checks.  A shift needing more than ``MAX_STEPS`` substeps (|dt|
+    of about 10 or more) raises ValueError before any stepping.
     """
     if dt == 0.0:
         return state
+    if not abs(dt) / 1e-4 < MAX_STEPS:
+        raise ValueError(f"time shift dt={dt} needs more than MAX_STEPS={MAX_STEPS} "
+                         "fixed RK4 substeps of 1e-4")
     dim, y = _vec_from_state(state)
-    if n_substeps is None:
-        n_substeps = max(8, int(abs(dt) / 1e-4) + 1)
+    n_substeps = max(8, int(abs(dt) / 1e-4) + 1)
     rhs = _rhs_vec(p, dim)
     h = dt / n_substeps
     t = state.t

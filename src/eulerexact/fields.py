@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .emden import EmdenState2D, EmdenState3D
-from .profiles import DensityProfile, PhysParams, similarity_eta, similarity_s
+from .profiles import DensityProfile, PhysParams, similarity_s
 
 __all__ = [
     "FieldSample",
@@ -38,9 +38,45 @@ __all__ = [
 ]
 
 
+def _transported(shape, x, y, z, a: float, b: float, stretch: float, swirl: float,
+                 b_stretch: float) -> dict[str, np.ndarray]:
+    """Density, velocity and similarity variable of a transported shape.
+
+    The one place the field formulas are written.  Coordinates are
+    broadcastable arrays, and each output keeps the broadcast shape of the
+    coordinates it depends on (``u3`` depends on ``z`` alone), so a scalar
+    coordinate is never expanded.  ``shape`` maps s to f(s) elementwise.
+    """
+    x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
+    s = similarity_s(x, y, z, a, b)
+    # + 0.0 turns a velocity of -0.0 (u3 at z = 0 while b shrinks, say) into
+    # the 0.0 that the field files have always held
+    return {
+        "rho": shape(s) / (a * a * b),
+        "u1": stretch * x - swirl * y + 0.0,
+        "u2": swirl * x + stretch * y + 0.0,
+        "u3": b_stretch * z + 0.0,
+        "s": s,
+    }
+
+
+def _exact(params: PhysParams, profile: DensityProfile, x, y, z,
+           a: float, a_dot: float, b: float, b_dot: float) -> dict[str, np.ndarray]:
+    """The exact family at one snapshot, with the pressure K rho^gamma."""
+    g = _transported(profile.value_many, x, y, z, a, b,
+                     a_dot / a, params.xi / (a * a), b_dot / b)
+    g["p"] = params.K * np.power(g["rho"], params.gamma)  # np.power: see value_many
+    return g
+
+
+def _sample(cls, values):
+    """``cls`` of the values, each a Python float where it is 0-d."""
+    return cls(*(float(v) if np.ndim(v) == 0 else v for v in values))
+
+
 @dataclass(frozen=True)
 class FieldSample:
-    """Primitive variables at one 3D space-time point."""
+    """Primitive variables at one 3D space-time point (or arrays over many)."""
 
     rho: float
     u1: float
@@ -52,7 +88,7 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class FieldSample2D:
-    """Primitive variables at one planar space-time point."""
+    """Primitive variables at one planar space-time point (or arrays over many)."""
 
     rho: float
     u1: float
@@ -77,38 +113,16 @@ class Field3D:
         """Same family, different snapshot."""
         return Field3D(self.params, self.profile, state)
 
-    def eval(self, x: float, y: float, z: float) -> FieldSample:
-        p, st = self.params, self.state
-        a, b = st.a, st.b
-        s = similarity_s(x, y, z, a, b)
-        rho = self.profile.value(s) / (a * a * b)
-        swirl = p.xi / (a * a)
-        stretch = st.a_dot / a
-        u1 = stretch * x - swirl * y
-        u2 = swirl * x + stretch * y
-        u3 = st.b_dot / b * z
-        return FieldSample(rho, u1, u2, u3, s, p.K * rho**p.gamma)
+    def eval(self, x, y, z) -> FieldSample:
+        """:meth:`eval_grid` as a :class:`FieldSample` (floats for scalar input)."""
+        # the grid's keys are in the order of the sample's fields
+        return _sample(FieldSample, self.eval_grid(x, y, z).values())
 
     def eval_grid(self, x, y, z) -> dict[str, np.ndarray]:
-        """Vectorized :meth:`eval` over broadcastable coordinate arrays."""
-        p, st = self.params, self.state
-        a, b = st.a, st.b
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        s = (x * x + y * y) / (a * a) + (z * z) / (b * b)
-        rho = self.profile.value_many(s) / (a * a * b)
-        swirl = p.xi / (a * a)
-        stretch = st.a_dot / a
-        zero = np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
-        return {
-            "rho": rho + zero,
-            "u1": stretch * x - swirl * y + zero,
-            "u2": swirl * x + stretch * y + zero,
-            "u3": st.b_dot / b * z + zero,
-            "s": s + zero,
-            "p": p.K * rho**p.gamma + zero,
-        }
+        """rho, u1, u2, u3, s and p over broadcastable coordinate arrays, each
+        in the broadcast shape of the coordinates it depends on (``u3``: z)."""
+        st = self.state
+        return _exact(self.params, self.profile, x, y, z, st.a, st.a_dot, st.b, st.b_dot)
 
     def vorticity(self, x: float, y: float, z: float) -> tuple[float, float, float]:
         """curl(u); uniform (0, 0, 2 xi / a^2) for this family."""
@@ -132,34 +146,16 @@ class Field2D:
     def from_params(cls, params: PhysParams, state: EmdenState2D) -> "Field2D":
         return cls(params, DensityProfile(params), state)
 
-    def eval(self, x: float, y: float) -> FieldSample2D:
-        p, st = self.params, self.state
-        a = st.a
-        eta = similarity_eta(x, y, a)
-        rho = self.profile.value(eta) / (a * a)
-        swirl = p.xi / (a * a)
-        stretch = st.a_dot / a
-        u1 = stretch * x - swirl * y
-        u2 = swirl * x + stretch * y
-        return FieldSample2D(rho, u1, u2, eta, p.K * rho**p.gamma)
+    def eval(self, x, y) -> FieldSample2D:
+        """:meth:`eval_grid` as a :class:`FieldSample2D` (floats for scalar input)."""
+        return _sample(FieldSample2D, self.eval_grid(x, y).values())
 
     def eval_grid(self, x, y) -> dict[str, np.ndarray]:
-        p, st = self.params, self.state
-        a = st.a
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        eta = (x * x + y * y) / (a * a)
-        rho = self.profile.value_many(eta) / (a * a)
-        swirl = p.xi / (a * a)
-        stretch = st.a_dot / a
-        zero = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-        return {
-            "rho": rho + zero,
-            "u1": stretch * x - swirl * y + zero,
-            "u2": swirl * x + stretch * y + zero,
-            "eta": eta + zero,
-            "p": p.K * rho**p.gamma + zero,
-        }
+        """rho, u1, u2, eta and p: the 3D formulas at z = 0 with b = 1, b' = 0,
+        which leave every bit of the planar values unchanged."""
+        st = self.state
+        g = _exact(self.params, self.profile, x, y, 0.0, st.a, st.a_dot, 1.0, 0.0)
+        return {"rho": g["rho"], "u1": g["u1"], "u2": g["u2"], "eta": g["s"], "p": g["p"]}
 
     def vorticity(self, x: float, y: float) -> float:
         """Scalar curl; uniform 2 xi / a^2."""
@@ -187,16 +183,19 @@ class GeneralMassFamily:
     b: Callable[[float], float]
     b_dot: Callable[[float], float]
 
-    def eval(self, t: float, x: float, y: float, z: float) -> FieldSample:
+    def eval(self, t: float, x, y, z) -> FieldSample:
+        """Sample at time ``t`` over broadcastable coordinate arrays; the
+        handle ``f`` is called on each similarity value in turn."""
         av, bv = self.a(t), self.b(t)
-        s = similarity_s(x, y, z, av, bv)
-        fs = self.f(s)
-        if fs < 0.0:
-            raise ValueError(f"profile handle must be nonnegative, got f({s}) = {fs}")
-        rho = fs / (av * av * bv)
-        g = self.G(t)
-        stretch = self.a_dot(t) / av
-        u1 = stretch * x - g * y
-        u2 = g * x + stretch * y
-        u3 = self.b_dot(t) / bv * z
-        return FieldSample(rho, u1, u2, u3, s, math.nan)
+        g = _transported(self._shape, x, y, z, av, bv,
+                         self.a_dot(t) / av, self.G(t), self.b_dot(t) / bv)
+        return _sample(FieldSample, (g["rho"], g["u1"], g["u2"], g["u3"], g["s"], math.nan))
+
+    def _shape(self, s) -> np.ndarray:
+        s = np.asarray(s)
+        fs = np.array([self.f(v) for v in s.ravel().tolist()], dtype=float).reshape(s.shape)
+        bad = fs < 0.0
+        if np.any(bad):
+            raise ValueError("profile handle must be nonnegative, got "
+                             f"f({s[bad].flat[0]}) = {fs[bad].flat[0]}")
+        return fs

@@ -117,30 +117,22 @@ class DensityProfile:
         return p.alpha / self.slope_coefficient
 
     def value(self, s: float) -> float:
-        """Evaluate f(s).  Nonnegative; equals alpha at s = 0."""
-        if not s >= 0.0:
-            raise ValueError(f"similarity variable must be >= 0, got {s}")
-        p = self.params
-        if p.is_isothermal:
-            return p.alpha * math.exp(-p.lam / (2.0 * p.K) * s)
-        base = p.alpha - self.slope_coefficient * s
-        if base <= 0.0:
-            return 0.0
-        return base ** (1.0 / (p.gamma - 1.0))
+        """f(s) at one point: the 0-d case of :meth:`value_many`."""
+        return float(self.value_many(s))
 
-    def value_many(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value` for array input (broadcasting allowed)."""
+    def value_many(self, s) -> np.ndarray:
+        """f(s) over an array of s >= 0; nonnegative, alpha at s = 0."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0):
-            raise ValueError("similarity variable must be >= 0")
+        if not (s >= 0.0).all():
+            raise ValueError(f"similarity variable must be >= 0, got {np.min(s)}")
         p = self.params
         if p.is_isothermal:
-            return p.alpha * np.exp(-p.lam / (2.0 * p.K) * s)
-        base = p.alpha - self.slope_coefficient * s
-        out = np.zeros_like(base)
-        pos = base > 0.0
-        out[pos] = base[pos] ** (1.0 / (p.gamma - 1.0))
-        return out
+            # alpha = -0.0 passes the alpha >= 0 check; + 0.0 keeps f from being -0.0
+            return (p.alpha + 0.0) * np.exp(-p.lam / (2.0 * p.K) * s)
+        # the ufunc, not **: on a numpy scalar (a 0-d input), ** runs the C
+        # library's pow, whose last bit can differ from the array loop's
+        return np.power(np.maximum(p.alpha - self.slope_coefficient * s, 0.0),
+                        1.0 / (p.gamma - 1.0))
 
     def derivative(self, s: float) -> float:
         """One-sided-aware df/ds.
@@ -173,8 +165,11 @@ class DensityProfile:
         return 0.0
 
 
-def similarity_s(x: float, y: float, z: float, a: float, b: float) -> float:
-    """3D similarity variable (x^2 + y^2)/a^2 + z^2/b^2 for a, b > 0."""
+def similarity_s(x, y, z, a: float, b: float):
+    """3D similarity variable (x^2 + y^2)/a^2 + z^2/b^2 for a, b > 0.
+
+    The coordinates may be broadcastable arrays.
+    """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(
             f"scale factors must be positive (state at or past collapse): a={a}, b={b}"
@@ -182,8 +177,7 @@ def similarity_s(x: float, y: float, z: float, a: float, b: float) -> float:
     return (x * x + y * y) / (a * a) + (z * z) / (b * b)
 
 
-def similarity_eta(x: float, y: float, a: float) -> float:
-    """Planar similarity variable (x^2 + y^2)/a^2 for a > 0."""
-    if not a > 0.0:
-        raise ValueError(f"scale factor must be positive: a={a}")
-    return (x * x + y * y) / (a * a)
+def similarity_eta(x, y, a: float):
+    """Planar similarity variable (x^2 + y^2)/a^2 for a > 0: the z = 0, b = 1
+    case of :func:`similarity_s`, equal to it bit for bit."""
+    return similarity_s(x, y, 0.0, a, 1.0)

@@ -131,131 +131,145 @@ class ResidualReport:
         return math.sqrt((self.mass_residual**2 + m[0] ** 2 + m[1] ** 2 + m[2] ** 2) / 4.0)
 
 
+# rows of a stencil array: the sample's fields, in this order
+_FIELDS = ("rho", "u1", "u2", "u3", "pressure", "s")
+_RHO, _U, _P, _S = 0, slice(1, 4), 4, 5
+_AXES = np.arange(3)
+
+
 def _stencil(source, t, x, y, z, h):
-    """Center plus the eight +/-h shifts, as FieldSamples keyed by axis."""
-    return {
-        "c": source.sample(t, x, y, z),
-        "tp": source.sample(t + h, x, y, z),
-        "tm": source.sample(t - h, x, y, z),
-        "xp": source.sample(t, x + h, y, z),
-        "xm": source.sample(t, x - h, y, z),
-        "yp": source.sample(t, x, y + h, z),
-        "ym": source.sample(t, x, y - h, z),
-        "zp": source.sample(t, x, y, z + h),
-        "zm": source.sample(t, x, y, z - h),
-    }
+    """The broadcast points and the stencil arrays of the three time levels,
+    whose rows are the fields in ``_FIELDS`` order.
 
-
-def _kink_flag(source, st) -> bool:
-    sstar = getattr(source, "cutoff_s", None)
-    if sstar is None:
-        return False
-    svals = [smp.s for smp in st.values()]
-    return bool(min(svals) < sstar <= max(svals))
-
-
-def _mass_from_stencil(st, h) -> float:
-    def flux(pl, mi, comp):
-        return (pl.rho * getattr(pl, comp) - mi.rho * getattr(mi, comp)) / (2.0 * h)
-
-    return ((st["tp"].rho - st["tm"].rho) / (2.0 * h)
-            + flux(st["xp"], st["xm"], "u1")
-            + flux(st["yp"], st["ym"], "u2")
-            + flux(st["zp"], st["zm"], "u3"))
-
-
-def _momentum_from_stencil(st, h) -> tuple[float, float, float]:
-    c = st["c"]
-    out = []
-    for comp, grad_pl, grad_mi in (("u1", "xp", "xm"), ("u2", "yp", "ym"), ("u3", "zp", "zm")):
-        dt = (getattr(st["tp"], comp) - getattr(st["tm"], comp)) / (2.0 * h)
-        adv = (c.u1 * (getattr(st["xp"], comp) - getattr(st["xm"], comp))
-               + c.u2 * (getattr(st["yp"], comp) - getattr(st["ym"], comp))
-               + c.u3 * (getattr(st["zp"], comp) - getattr(st["zm"], comp))) / (2.0 * h)
-        dp = (st[grad_pl].pressure - st[grad_mi].pressure) / (2.0 * h)
-        out.append(c.rho * (dt + adv) + dp)
-    return tuple(out)
-
-
-def _laplacian_from_stencil(st, h) -> tuple[float, float, float]:
-    c = st["c"]
-    out = []
-    for comp in ("u1", "u2", "u3"):
-        acc = 0.0
-        for pl, mi in (("xp", "xm"), ("yp", "ym"), ("zp", "zm")):
-            acc += (getattr(st[pl], comp) - 2.0 * getattr(c, comp)
-                    + getattr(st[mi], comp)) / (h * h)
-        out.append(acc)
-    return tuple(out)
-
-
-def mass_residual(source, t: float, x: float, y: float, z: float, h: float) -> float:
-    """Central-difference rho_t + div(rho u); O(h^2) for continuity solutions."""
-    if not h > 0.0:
-        raise ValueError(f"stencil step must be positive, got {h}")
-    return _mass_from_stencil(_stencil(source, t, x, y, z, h), h)
-
-
-def euler_residual(source, t: float, x: float, y: float, z: float, h: float) -> ResidualReport:
-    """Continuity and momentum residuals of the inviscid equations.
-
-    A stencil that straddles a compact support boundary is flagged
-    (``kink_crossing``) and reported anyway rather than rejected.
+    The centre time is one ``sample`` call over the centre points and their
+    six +/-h shifts, stacked on a second axis (centre, x+, x-, y+, y-, z+, z-);
+    t + h and t - h are one call each at the centre points.
     """
     if not h > 0.0:
         raise ValueError(f"stencil step must be positive, got {h}")
-    st = _stencil(source, t, x, y, z, h)
-    return ResidualReport(
-        t=t, x=x, y=y, z=z, stencil_h=h,
-        mass_residual=_mass_from_stencil(st, h),
-        momentum_residual=_momentum_from_stencil(st, h),
-        kink_crossing=_kink_flag(source, st),
-    )
+    if h * h == 0.0:
+        raise ValueError(f"stencil step {h} is too small: its square underflows to 0")
+    x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x, y, z)))
+    xs = np.stack([x, x + h, x - h, x, x, x, x])
+    ys = np.stack([y, y, y, y + h, y - h, y, y])
+    zs = np.stack([z, z, z, z, z, z + h, z - h])
+
+    def rows(smp, shape):
+        return np.stack([np.broadcast_to(getattr(smp, k), shape) for k in _FIELDS])
+
+    return (x, y, z), (rows(source.sample(t, xs, ys, zs), xs.shape),
+                       rows(source.sample(t + h, x, y, z), x.shape),
+                       rows(source.sample(t - h, x, y, z), x.shape))
 
 
-def navier_stokes_residual(source, t: float, x: float, y: float, z: float,
-                           h: float, mu: float) -> ResidualReport:
+def _delta(q):
+    """q(+h e_k) - q(-h e_k) for each axis k (second axis) of a centre-time array."""
+    return q[:, 1::2] - q[:, 2::2]
+
+
+def _kink_flag(source, st):
+    """Whether the stencil's similarity values straddle the support boundary."""
+    sstar = getattr(source, "cutoff_s", None)
+    c, tp, tm = st
+    if sstar is None:
+        return np.zeros(tp.shape[1:], dtype=bool)
+    s = np.concatenate([c[_S], tp[_S:_S + 1], tm[_S:_S + 1]])
+    return (s.min(axis=0) < sstar) & (sstar <= s.max(axis=0))
+
+
+def _mass_from_stencil(st, h):
+    c, tp, tm = st
+    div = _delta(c[_RHO] * c[_U])[_AXES, _AXES] / (2.0 * h)  # d(rho u_k)/dx_k
+    return (tp[_RHO] - tm[_RHO]) / (2.0 * h) + div[0] + div[1] + div[2]
+
+
+def _momentum_from_stencil(st, h):
+    """rho (u_t + (u . grad) u) + grad p, one row per component."""
+    c, tp, tm = st
+    u, du = c[_U, 0], _delta(c[_U])  # du[i, k]: u_i(+h e_k) - u_i(-h e_k)
+    dt = (tp[_U] - tm[_U]) / (2.0 * h)
+    adv = (u[0] * du[:, 0] + u[1] * du[:, 1] + u[2] * du[:, 2]) / (2.0 * h)
+    dp = (c[_P, 1::2] - c[_P, 2::2]) / (2.0 * h)  # p along axis i for component i
+    return c[_RHO, 0] * (dt + adv) + dp
+
+
+def _laplacian_from_stencil(st, h):
+    u = st[0][_U]
+    d2 = (u[:, 1::2] - 2.0 * u[:, :1] + u[:, 2::2]) / (h * h)
+    return d2[:, 0] + d2[:, 1] + d2[:, 2]
+
+
+def _reports(source, t, x, y, z, h, mu=None) -> tuple[list[ResidualReport], bool]:
+    """One stencil pass: a report per broadcast point in C order, and whether
+    the coordinates were scalars."""
+    if mu is not None and not mu >= 0.0:
+        raise ValueError(f"viscosity must be >= 0, got {mu}")
+    (x, y, z), st = _stencil(source, t, x, y, z, h)
+    mom = _momentum_from_stencil(st, h)
+    ns = [None] * x.size
+    if mu is not None:
+        ns = map(tuple, (mom - mu * _laplacian_from_stencil(st, h)).reshape(3, -1).T.tolist())
+    return [ResidualReport(t=t, x=xi, y=yi, z=zi, stencil_h=h, mass_residual=m,
+                           momentum_residual=tuple(mo), ns_momentum_residual=n,
+                           mu=mu, kink_crossing=k)
+            for xi, yi, zi, m, mo, n, k in zip(
+                x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist(),
+                _mass_from_stencil(st, h).ravel().tolist(),
+                mom.reshape(3, -1).T.tolist(), ns,
+                _kink_flag(source, st).ravel().tolist())], x.ndim == 0
+
+
+def mass_residual(source, t: float, x, y, z, h: float):
+    """Central-difference rho_t + div(rho u); O(h^2) for continuity solutions.
+
+    A float for scalar coordinates, else an array of their broadcast shape.
+    """
+    (x, _, _), st = _stencil(source, t, x, y, z, h)
+    mass = _mass_from_stencil(st, h)
+    return float(mass) if x.ndim == 0 else mass
+
+
+def euler_residual(source, t: float, x, y, z, h: float):
+    """Continuity and momentum residuals of the inviscid equations.
+
+    One :class:`ResidualReport` for scalar coordinates; for arrays, a list of
+    reports over the broadcast points in C order, from one stencil pass.
+    A stencil that straddles a compact support boundary is flagged
+    (``kink_crossing``) and reported anyway rather than rejected.  A step
+    ``h`` whose square underflows to 0 is rejected.
+    """
+    reports, scalar = _reports(source, t, x, y, z, h)
+    return reports[0] if scalar else reports
+
+
+def navier_stokes_residual(source, t: float, x, y, z, h: float, mu: float):
     """Euler residual plus the viscous momentum residual (momentum - mu lap u).
 
     Both come from one stencil pass, so mu = 0 reproduces the Euler momentum
     residual bitwise, and for the exact family (u linear in space) the two
-    differ only by mu times finite-difference rounding noise.
+    differ only by mu times finite-difference rounding noise.  Coordinates
+    and ``h`` are handled as in :func:`euler_residual`.
     """
-    if not h > 0.0:
-        raise ValueError(f"stencil step must be positive, got {h}")
-    if not mu >= 0.0:
-        raise ValueError(f"viscosity must be >= 0, got {mu}")
-    st = _stencil(source, t, x, y, z, h)
-    mom = _momentum_from_stencil(st, h)
-    lap = _laplacian_from_stencil(st, h)
-    return ResidualReport(
-        t=t, x=x, y=y, z=z, stencil_h=h,
-        mass_residual=_mass_from_stencil(st, h),
-        momentum_residual=mom,
-        ns_momentum_residual=tuple(m - mu * v for m, v in zip(mom, lap)),
-        mu=mu,
-        kink_crossing=_kink_flag(source, st),
-    )
+    reports, scalar = _reports(source, t, x, y, z, h, mu)
+    return reports[0] if scalar else reports
 
 
-def refined_residual(source, t: float, x: float, y: float, z: float, h: float,
-                     mu: float | None = None) -> ResidualReport:
+def refined_residual(source, t: float, x, y, z, h: float, mu: float | None = None):
     """Residual at h with the observed convergence order from an h/2 rerun.
 
     ``observed_order = log2(|r(h)| / |r(h/2)|)`` over the RMS of the four
     equation residuals; approximately 2 for exact fields until the residuals
-    reach the rounding floor.
+    reach the rounding floor.  Coordinates are handled as in
+    :func:`euler_residual`, with one stencil pass per level for all points;
+    an ``h`` whose half step has a square that underflows to 0 is rejected.
     """
-    if mu is None:
-        coarse = euler_residual(source, t, x, y, z, h)
-        fine = euler_residual(source, t, x, y, z, h / 2.0)
-    else:
-        coarse = navier_stokes_residual(source, t, x, y, z, h, mu)
-        fine = navier_stokes_residual(source, t, x, y, z, h / 2.0, mu)
-    rc, rf = coarse.magnitude(), fine.magnitude()
-    coarse.observed_order = math.log2(rc / rf) if rf > 0.0 and rc > 0.0 else None
-    coarse.kink_crossing = coarse.kink_crossing or fine.kink_crossing
-    return coarse
+    reports, scalar = _reports(source, t, x, y, z, h, mu)
+    fine, _ = _reports(source, t, x, y, z, h / 2.0, mu)
+    for coarse, f in zip(reports, fine):
+        rc, rf = coarse.magnitude(), f.magnitude()
+        coarse.observed_order = math.log2(rc / rf) if rf > 0.0 and rc > 0.0 else None
+        coarse.kink_crossing = coarse.kink_crossing or f.kink_crossing
+    return reports[0] if scalar else reports
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Everything here is deliberately written against the raw equations, not
 against the library code paths it checks: a fixed-step classic RK4 stepper
 (scalar and vectorized over parameter batches), plain finite-difference
-helpers and the planar period from the first integral by quadrature.
+helpers, the planar period from the first integral by quadrature, and the
+residual stencil written point by point over scalar samples.
 """
 
 from __future__ import annotations
@@ -86,3 +87,28 @@ def first_integral_period(gamma, lam, xi, a0, a1):
     value, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi,
                     epsabs=0.0, epsrel=1e-12, limit=200)
     return 2.0 * value
+
+
+def pointwise_stencil_residuals(source, t, x, y, z, h):
+    """Mass, momentum and velocity-Laplacian residuals at one point from nine
+    scalar ``sample`` calls, in the same operation order as the library's
+    batched stencil: (mass, (m1, m2, m3), (l1, l2, l3))."""
+    c = source.sample(t, x, y, z)
+    tp, tm = source.sample(t + h, x, y, z), source.sample(t - h, x, y, z)
+    shifts = [(source.sample(t, x + h, y, z), source.sample(t, x - h, y, z)),
+              (source.sample(t, x, y + h, z), source.sample(t, x, y - h, z)),
+              (source.sample(t, x, y, z + h), source.sample(t, x, y, z - h))]
+    comps = ("u1", "u2", "u3")
+    mass = (tp.rho - tm.rho) / (2.0 * h)
+    for k, (pl, mi) in enumerate(shifts):
+        mass += (pl.rho * getattr(pl, comps[k]) - mi.rho * getattr(mi, comps[k])) / (2.0 * h)
+    momentum, laplacian = [], []
+    for i, comp in enumerate(comps):
+        dt = (getattr(tp, comp) - getattr(tm, comp)) / (2.0 * h)
+        adv = sum((getattr(c, comps[k]) * (getattr(pl, comp) - getattr(mi, comp))
+                   for k, (pl, mi) in enumerate(shifts)), start=-0.0) / (2.0 * h)
+        dp = (shifts[i][0].pressure - shifts[i][1].pressure) / (2.0 * h)
+        momentum.append(c.rho * (dt + adv) + dp)
+        laplacian.append(sum(((getattr(pl, comp) - 2.0 * getattr(c, comp) + getattr(mi, comp))
+                              / (h * h) for pl, mi in shifts), start=-0.0))
+    return mass, tuple(momentum), tuple(laplacian)

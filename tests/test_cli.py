@@ -395,3 +395,86 @@ class TestNonFiniteInputs:
                            "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert "key 'sweep.lambda': malformed number 'abc'" in err
+
+
+def run_subprocess(*argv, timeout=5.0):
+    """``eulerexact`` in a fresh interpreter, killed after ``timeout`` seconds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from eulerexact.cli import main; sys.exit(main())",
+         *argv], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+class TestVerifyStencilStep:
+    def test_huge_step_fails_promptly(self, tmp_path):
+        # each time shift would need ~1e14 fixed RK4 substeps
+        out = tmp_path / "v.json"
+        proc = run_subprocess("verify", "--verify-h", "1e10", "--out", str(out))
+        assert proc.returncode == 2
+        assert "MAX_STEPS" in proc.stderr
+        assert not out.exists()
+
+    def test_underflowing_step_is_a_named_error(self, tmp_path):
+        # h*h underflowed to 0 in the Laplacian: an uncaught ZeroDivisionError
+        out = tmp_path / "v.json"
+        code, _, err = run(tmp_path, "verify", "--verify-h", "1e-300", "--out", str(out))
+        assert code == 2
+        assert "stencil step 1e-300" in err
+        assert not out.exists()
+
+
+class TestVerifySummary:
+    def test_one_residual_call_and_six_evaluations_per_request(self, tmp_path, monkeypatch):
+        import eulerexact.cli
+        from eulerexact.fields import Field3D
+
+        calls = {"refined": 0, "eval": 0}
+        refined, evaluate = eulerexact.cli.refined_residual, Field3D.eval
+
+        def counted_refined(*args, **kwargs):
+            calls["refined"] += 1
+            return refined(*args, **kwargs)
+
+        def counted_eval(*args, **kwargs):
+            calls["eval"] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(eulerexact.cli, "refined_residual", counted_refined)
+        monkeypatch.setattr(Field3D, "eval", counted_eval)
+        out = tmp_path / "v.json"
+        code, _, _ = run(tmp_path, "verify", "--mu", "0.3", "--verify-points", "25",
+                         "--out", str(out))
+        assert code == 0
+        assert len(json.loads(out.read_text())["points"]) == 25
+        assert calls == {"refined": 1, "eval": 6}
+
+    def test_kink_points_count_straddling_stencils(self, tmp_path):
+        # compact support (gamma > 1, lam > 0) with cutoff_s = 0.6: points lie
+        # at s <= 0.7 cutoff_s, so a step of 0.2 takes some stencils past it
+        counts = {}
+        for h in ("1e-3", "0.2"):
+            out = tmp_path / f"v{h}.json"
+            code, _, _ = run(tmp_path, "verify", "--gamma", "1.5", "--lambda", "1",
+                             "--alpha", "0.1", "--verify-points", "40", "--verify-h", h,
+                             "--out", str(out))
+            assert code == 0
+            doc = json.loads(out.read_text())
+            flags = [pt["kink_crossing"] for pt in doc["points"]]
+            assert doc["summary"]["kink_points"] == sum(flags)
+            counts[h] = sum(flags)
+        assert counts["1e-3"] == 0
+        assert 0 < counts["0.2"] < 40
+
+
+class TestStrictJson:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_energy_leaves_no_file(self, tmp_path):
+        # the energy overflows to inf; it was written as "energy": Infinity
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(tmp_path, "integrate", "--xi", "1e200", "--t-end", "1",
+                           "--out", str(out))
+        assert code == 2
+        assert "non-finite" in err
+        assert not out.exists()

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -321,3 +323,29 @@ class TestAdvance:
         back = advance(p, there, -0.01)
         assert back.a == pytest.approx(ic.a, rel=1e-13)
         assert back.b == pytest.approx(ic.b, rel=1e-13)
+
+    @pytest.mark.parametrize("dt", [10.0, -1e10, math.inf, math.nan])
+    def test_shift_beyond_step_budget_rejected_before_stepping(self, dt):
+        p = params(gamma=1.5, lam=0.9, xi=1.1)
+        ic = EmdenState3D(0.0, 1.0, 0.3, 1.2, -0.2)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            advance(p, ic, dt)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_substep_count_is_not_a_parameter(self):
+        p = params()
+        ic = EmdenState3D(0.0, 1.0, 0.3, 1.2, -0.2)
+        with pytest.raises(TypeError):
+            advance(p, ic, 0.01, n_substeps=4)
+
+
+class TestStrictJsonl:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_energy_leaves_no_file(self, tmp_path):
+        # xi^2 overflows: the first-integral value of the initial state is inf
+        traj = integrate(params(xi=1e200), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0), 1.0)
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match="non-finite"):
+            traj.write_jsonl(out)
+        assert not out.exists()

@@ -1,0 +1,115 @@
+"""Property tests on generated parameters, states and points: the scalar
+evaluators are the 0-d case of the array ones, bit for bit, and a batched
+residual stencil gives each point what a single-point call gives it."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
+                        GeneralFamilySource, GeneralMassFamily, PhysParams,
+                        SnapshotFieldSource, mass_residual, navier_stokes_residual,
+                        refined_residual)
+from eulerexact.profiles import DensityProfile
+
+from _oracles import pointwise_stencil_residuals
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+params = st.builds(
+    PhysParams, K=real(0.2, 3.0),
+    gamma=st.one_of(st.just(1.0), real(1.0, 3.0)),
+    lam=real(-2.0, 2.0), alpha=real(0.0, 2.0), xi=real(-2.0, 2.0))
+states_3d = st.builds(EmdenState3D, st.just(0.0), real(0.3, 3.0), real(-2.0, 2.0),
+                      real(0.3, 3.0), real(-2.0, 2.0))
+states_2d = st.builds(EmdenState2D, st.just(0.0), real(0.3, 3.0), real(-2.0, 2.0))
+
+
+def points(dim, max_size=8):
+    return st.lists(st.tuples(*[real(-4.0, 4.0)] * dim), min_size=1, max_size=max_size)
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@SETTINGS
+@given(params, states_3d, points(3))
+def test_field3d_eval_is_the_0d_case_of_eval_grid(p, state, pts):
+    field = Field3D.from_params(p, state)
+    x, y, z = np.array(pts).T
+    grid = field.eval_grid(x, y, z)
+    for i, pt in enumerate(pts):
+        smp = field.eval(*pt)
+        got = (smp.rho, smp.u1, smp.u2, smp.u3, smp.s, smp.pressure)
+        assert all(isinstance(v, float) for v in got)
+        assert [bits(v) for v in got] == [bits(grid[k][i]) for k in grid]
+
+
+@SETTINGS
+@given(params, states_2d, points(2))
+def test_field2d_eval_is_the_0d_case_of_eval_grid(p, state, pts):
+    field = Field2D.from_params(p, state)
+    x, y = np.array(pts).T
+    grid = field.eval_grid(x, y)
+    for i, pt in enumerate(pts):
+        smp = field.eval(*pt)
+        got = (smp.rho, smp.u1, smp.u2, smp.eta, smp.pressure)
+        assert [bits(v) for v in got] == [bits(grid[k][i]) for k in grid]
+
+
+@SETTINGS
+@given(params, st.lists(real(0.0, 50.0), min_size=1, max_size=20))
+def test_profile_value_is_the_0d_case_of_value_many(p, s):
+    profile = DensityProfile(p)
+    many = profile.value_many(np.array(s))
+    assert [bits(profile.value(si)) for si in s] == [bits(v) for v in many]
+
+
+@SETTINGS
+@given(params, states_3d, points(3, max_size=6), st.one_of(st.none(), real(0.01, 2.0)))
+def test_batched_refined_residual_equals_single_point_calls(p, state, pts, mu):
+    source = SnapshotFieldSource(Field3D.from_params(p, state))
+    x, y, z = np.array(pts).T
+    batched = refined_residual(source, 0.0, x, y, z, 1e-3, mu=mu)
+    singles = [refined_residual(source, 0.0, *pt, 1e-3, mu=mu) for pt in pts]
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert [repr(r.to_dict()) for r in batched] == [repr(r.to_dict()) for r in singles]
+
+
+@SETTINGS
+@given(params, states_3d, points(3, max_size=6), real(0.0, 2.0), real(1e-4, 0.1))
+def test_batched_stencil_equals_pointwise_reference(p, state, pts, mu, h):
+    source = SnapshotFieldSource(Field3D.from_params(p, state))
+    x, y, z = np.array(pts).T
+    for rep, pt in zip(navier_stokes_residual(source, 0.0, x, y, z, h, mu), pts):
+        mass, mom, lap = pointwise_stencil_residuals(source, 0.0, *pt, h)
+        assert repr((rep.mass_residual, rep.momentum_residual)) == repr((mass, mom))
+        assert repr(rep.ns_momentum_residual) == repr(tuple(m - mu * v for m, v in zip(mom, lap)))
+
+
+@SETTINGS
+@given(real(0.1, 2.0), real(-1.0, 1.0), real(0.5, 2.0), real(-0.3, 0.3), real(0.2, 1.5),
+       points(3), real(0.0, 1.0))
+def test_general_family_same_on_arrays_as_on_scalars(c, g, a0, a1, b0, pts, t):
+    family = GeneralMassFamily(
+        f=lambda s: math.exp(-c * s), G=lambda t: g * math.cos(t),
+        a=lambda t: a0 + a1 * t, a_dot=lambda t: a1,
+        b=lambda t: b0 * math.exp(t), b_dot=lambda t: b0 * math.exp(t))
+    source = GeneralFamilySource(family)
+    x, y, z = np.array(pts).T
+    arrays = source.sample(t, x, y, z)
+    masses = mass_residual(source, t, x, y, z, 1e-3)
+    for i, pt in enumerate(pts):
+        one = source.sample(t, *pt)
+        for name in ("rho", "u1", "u2", "u3", "s"):
+            assert bits(getattr(one, name)) == bits(getattr(arrays, name)[i])
+        assert math.isnan(one.pressure) and math.isnan(arrays.pressure)
+        assert bits(mass_residual(source, t, *pt, 1e-3)) == bits(masses[i])

@@ -328,3 +328,33 @@ class TestCutoffRegularity:
         report = cutoff_regularity_check(DensityProfile(params(gamma=1.0, lam=5.0)))
         assert report.c1
         assert not report.has_cutoff
+
+
+class TestBatchedStencil:
+    def test_reports_per_point_in_order(self):
+        p = params(gamma=1.5, lam=1.0, alpha=1.0)
+        source = snapshot_source(p, a=1.0, ad=0.0, b=1.0, bd=0.0)
+        near = math.sqrt(0.999 * source.cutoff_s)
+        xs = np.array([near, 0.1, -near])
+        reps = euler_residual(source, 0.0, xs, 0.0, 0.0, 0.05)
+        assert [r.x for r in reps] == xs.tolist()
+        assert [r.kink_crossing for r in reps] == [True, False, True]
+        refined = refined_residual(source, 0.0, xs, 0.0, 0.0, 0.05)
+        assert [r.kink_crossing for r in refined] == [True, False, True]
+
+    def test_mass_residual_keeps_the_broadcast_shape(self):
+        source = snapshot_source(params(gamma=1.5, lam=1.0, alpha=1.0))
+        got = mass_residual(source, 0.0, np.linspace(-0.5, 0.5, 6).reshape(2, 3),
+                            0.1, 0.2, 1e-3)
+        assert got.shape == (2, 3)
+        assert isinstance(mass_residual(source, 0.0, 0.1, 0.1, 0.2, 1e-3), float)
+
+    @pytest.mark.parametrize("h", [1e-300, 1e-170])
+    def test_step_whose_square_underflows_rejected(self, h):
+        source = snapshot_source(params())
+        for call in (lambda: mass_residual(source, 0.0, 0.1, 0.1, 0.1, h),
+                     lambda: euler_residual(source, 0.0, 0.1, 0.1, 0.1, h),
+                     lambda: navier_stokes_residual(source, 0.0, 0.1, 0.1, 0.1, h, mu=1.0),
+                     lambda: refined_residual(source, 0.0, 0.1, 0.1, 0.1, h)):
+            with pytest.raises(ValueError, match="stencil step"):
+                call()
