@@ -5,7 +5,7 @@ deterministic export for validating external CFD codes."""
 
 from .classify import (BLOWUP, GLOBAL, OPEN_CASE, Classification,
                        PeriodEstimate, check_no_period_3d, classify_3d,
-                       detect_period_2d, probe_open_case)
+                       classify_cell, detect_period_2d, probe_open_case)
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .emden import (EmdenState2D, EmdenState3D, Termination, Trajectory,
                     advance, emden_rhs_2d, emden_rhs_3d, energy_2d, energy_3d,
@@ -34,8 +34,8 @@ __all__ = [
     "ResidualReport", "MassBudget", "RegularityReport",
     "mass_residual", "euler_residual", "navier_stokes_residual",
     "refined_residual", "total_mass", "cutoff_regularity_check",
-    "GLOBAL", "BLOWUP", "OPEN_CASE",
-    "Classification", "PeriodEstimate",
-    "classify_3d", "probe_open_case", "detect_period_2d", "check_no_period_3d",
+    "GLOBAL", "BLOWUP", "OPEN_CASE", "Classification", "PeriodEstimate",
+    "classify_3d", "classify_cell", "probe_open_case", "detect_period_2d",
+    "check_no_period_3d",
     "RunConfig", "ConfigError", "parse_config", "serialize_config",
 ]

@@ -5,8 +5,8 @@ sign of b1): positive lam forces both scale factors outward (global); lam = 0
 leaves b exactly linear so the verdict follows the sign of b1; negative lam
 with gamma = 1, or with gamma > 1 and nonexpanding b, collapses b in finite
 time.  The remaining cell (gamma > 1, lam < 0, b1 > 0) is undecided
-analytically and can only be probed numerically, which never upgrades to
-"global": surviving a finite horizon is not evidence of global existence.
+analytically and can only be probed numerically (:func:`classify_cell`), which
+never upgrades to "global": surviving a horizon does not prove global existence.
 
 Planar dynamics with lam < 0 and 1 <= gamma < 2 admits periodic orbits; they
 are detected by the first two upward crossings of the pericenter section
@@ -20,11 +20,12 @@ monotonicity on a trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .emden import EmdenState2D, EmdenState3D, Trajectory, _run, emden_rhs_2d, integrate
+from .emden import (MAX_STEPS, EmdenState2D, EmdenState3D, Trajectory, _run,
+                    emden_rhs_2d, integrate)
 from .profiles import PhysParams
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "Classification",
     "PeriodEstimate",
     "classify_3d",
+    "classify_cell",
     "probe_open_case",
     "detect_period_2d",
     "check_no_period_3d",
@@ -50,9 +52,10 @@ _NUMERIC_NOTE = "numerical evidence, not proof"
 class Classification:
     """Verdict plus its basis.
 
-    Analytic verdicts cite the decision-table cell (``case``); numeric
-    verdicts record the probed horizon and carry the evidence disclaimer in
-    ``note``.
+    Table verdicts cite the decision-table cell (``case``).  ``t_horizon`` is
+    set when the cell was integrated: the time the run reached (the horizon,
+    the collapse time ``T``, or less if the step budget or step size gave out).
+    ``numerical_evidence`` verdicts carry the evidence disclaimer in ``note``.
     """
 
     verdict: str
@@ -83,25 +86,44 @@ def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
     return Classification(OPEN_CASE, "analytic", case="lam_negative_b1_positive_open")
 
 
+def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float, *,
+                  rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+                  max_steps: int = MAX_STEPS, method: str = "RK45") -> Classification:
+    """Lifespan verdict of one 3D cell: the table's verdict and case, and ``T``.
+
+    A cell that is not global and has no closed-form ``T`` is integrated once,
+    ``horizon`` time units past ``ic.t``: a collapse gives ``T``, and an open
+    cell whose ``T`` was found this way has basis ``numerical_evidence``."""
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    table = classify_3d(p, ic)
+    if table.T is not None or table.verdict == GLOBAL:
+        return table
+    traj = integrate(p, ic, ic.t + horizon, rel_tol=rel_tol, abs_tol=abs_tol,
+                     max_steps=max_steps, dense_times=[], method=method)
+    T = traj.termination.t_est if traj.termination.kind == "blowup" else None
+    # the table leaves an open cell undecided; only the run saw its collapse
+    evidence = T is not None and table.verdict == OPEN_CASE
+    return replace(table, T=T, t_horizon=traj.t_span[1] - ic.t,
+                   basis="numerical_evidence" if evidence else table.basis,
+                   note=_NUMERIC_NOTE if evidence else "")
+
+
 def probe_open_case(p: PhysParams, ic: EmdenState3D, t_horizon: float,
                     tol: float = 1e-10) -> Classification:
     """Numerically probe the undecided cell (gamma > 1, lam < 0, b1 > 0).
 
-    Returns a blowup verdict with the detected collapse time if the floor
-    event fires before the horizon, otherwise the open verdict with the
-    horizon recorded.  Never returns "global".
+    A view of :func:`classify_cell`: a collapse before the horizon is reported
+    as a blowup verdict with its time, otherwise the open verdict stays; the
+    basis is always numerical evidence.  Never returns "global".
     """
     if not (p.lam < 0.0 and not p.is_isothermal and ic.b_dot > 0.0):
         raise ValueError(
             "open-case probe requires lam < 0, gamma > 1 and b1 > 0; "
             f"got lam={p.lam}, gamma={p.gamma}, b1={ic.b_dot}")
-    traj = integrate(p, ic, ic.t + t_horizon, rel_tol=tol, abs_tol=tol * 1e-2)
-    if traj.termination.kind == "blowup":
-        return Classification(BLOWUP, "numerical_evidence",
-                              T=traj.termination.t_est, t_horizon=t_horizon,
-                              note=_NUMERIC_NOTE)
-    return Classification(OPEN_CASE, "numerical_evidence",
-                          t_horizon=t_horizon, note=_NUMERIC_NOTE)
+    cell = classify_cell(p, ic, t_horizon, rel_tol=tol, abs_tol=tol * 1e-2)
+    return replace(cell, verdict=OPEN_CASE if cell.T is None else BLOWUP,
+                   basis="numerical_evidence", note=_NUMERIC_NOTE)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .classify import GLOBAL, OPEN_CASE, classify_3d, detect_period_2d
+# classify_3d is not called here: it stays importable for bench/tracer.py
+from .classify import classify_3d, classify_cell, detect_period_2d  # noqa: F401
 from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
 from .emden import integrate, strict_json
@@ -85,8 +86,13 @@ def _integrate(cfg: RunConfig, t_end: float, dense_times=None):
                      eps_blow=cfg.eps_blow, method=cfg.method)
 
 
-def _report_termination(termination) -> None:
+def _exit_code(termination) -> int:
+    """EXIT_OK for a run that reached its end; otherwise the termination
+    record goes to stderr and its exit code is returned."""
+    if termination.kind == "reached_t_end":
+        return EXIT_OK
     print(strict_json({"termination": termination.to_dict()}), file=sys.stderr)
+    return EXIT_BLOWUP if termination.kind == "blowup" else EXIT_NUMERIC
 
 
 def _write_json(out: str, doc: dict) -> None:
@@ -100,18 +106,7 @@ def run_integrate(cfg: RunConfig, out: str) -> int:
     traj = _integrate(cfg, cfg.t_end, dense_times=cfg.times or None)
     traj.write_jsonl(out)
     print(f"wrote {out} ({len(traj.states)} samples, {traj.termination.kind})")
-    if traj.termination.kind == "blowup":
-        _report_termination(traj.termination)
-        return EXIT_BLOWUP
-    if traj.termination.kind == "step_failure":
-        _report_termination(traj.termination)
-        return EXIT_NUMERIC
-    return EXIT_OK
-
-
-def _axis_points(axis) -> np.ndarray:
-    lo, hi, count = axis
-    return np.linspace(lo, hi, count)
+    return _exit_code(traj.termination)
 
 
 def _csv_float(v) -> str:
@@ -149,9 +144,10 @@ def run_sample(cfg: RunConfig, out: str) -> int:
     else:
         states = {0.0: ic}
 
-    xs = _axis_points(cfg.grid_x)
-    ys = _axis_points(cfg.grid_y)
-    zs = _axis_points(cfg.grid_z) if cfg.dim == 3 else np.array([0.0])
+    # each axis is (min, max, count)
+    xs = np.linspace(*cfg.grid_x)
+    ys = np.linspace(*cfg.grid_y)
+    zs = np.linspace(*cfg.grid_z) if cfg.dim == 3 else np.array([0.0])
     x_strs = list(map(repr, xs.tolist()))
     y_strs = list(map(repr, ys.tolist()))
     X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
@@ -189,10 +185,8 @@ def run_sample(cfg: RunConfig, out: str) -> int:
                         map(repr, sim_y.tolist()), map(repr, p.tolist())))) + "\n")
                 rows += xs.size * ys.size
     print(f"wrote {out} ({rows} rows)")
-    if truncated and termination is not None:
-        _report_termination(termination)
-        return EXIT_BLOWUP if termination.kind == "blowup" else EXIT_NUMERIC
-    return EXIT_OK
+    # a run that reached t_max sampled every requested time
+    return _exit_code(termination) if truncated else EXIT_OK
 
 
 def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
@@ -215,18 +209,15 @@ def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
 def run_verify(cfg: RunConfig, out: str) -> int:
     if cfg.dim != 3:
         raise ConfigError("verify supports dim = 3 only")
-    params = cfg.params()
-    ic = cfg.initial_state()
     t = cfg.verify_time
     if t > 0.0:
         traj = _integrate(cfg, t)
         if traj.termination.kind != "reached_t_end":
-            _report_termination(traj.termination)
-            return (EXIT_BLOWUP if traj.termination.kind == "blowup" else EXIT_NUMERIC)
+            return _exit_code(traj.termination)
         state = traj.state_at(t)
     else:
-        state = ic
-    field = Field3D.from_params(params, state)
+        state = cfg.initial_state()
+    field = Field3D.from_params(cfg.params(), state)
     source = SnapshotFieldSource(field)
     rng = np.random.default_rng(cfg.verify_seed)
     x, y, z = np.array(_interior_points(field, rng, cfg.verify_points)).T
@@ -274,10 +265,17 @@ def _ic_dict(cfg: RunConfig) -> dict:
     return d
 
 
+def _classify_cell(cfg: RunConfig):
+    """The lifespan verdict of one cell, as a sweep row or 3D ``classify``."""
+    return classify_cell(cfg.params(), cfg.initial_state(), cfg.horizon,
+                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                         max_steps=cfg.max_steps, method=cfg.method)
+
+
 def run_classify(cfg: RunConfig, out: str) -> int:
     doc = {"params": _params_dict(cfg), "ic": _ic_dict(cfg)}
     if cfg.dim == 3:
-        result = classify_3d(cfg.params(), cfg.initial_state())
+        result = _classify_cell(cfg)
         doc.update(result.to_dict())
         summary = result.verdict
     else:
@@ -296,7 +294,6 @@ def run_sweep(cfg: RunConfig, out: str) -> int:
         raise ConfigError("sweep supports dim = 3 only")
     if not cfg.sweep:
         raise ConfigError("missing required key: sweep.<param> (at least one axis)")
-    horizon = cfg.sweep_t_end if cfg.sweep_t_end is not None else cfg.t_end
     names = list(cfg.sweep)
     columns = [_SCHEMA[key][0] for key in SWEEPABLE]
     count = 0
@@ -304,22 +301,11 @@ def run_sweep(cfg: RunConfig, out: str) -> int:
         f.write(",".join(SWEEPABLE) + ",verdict,basis,T_est\n")
         for combo in itertools.product(*(cfg.sweep[n] for n in names)):
             cell = cfg.with_keys(dict(zip(names, combo)))
-            params, ic = cell.params(), cell.initial_state()
-            result = classify_3d(params, ic)
-            t_est, basis = result.T, result.basis
-            if t_est is None and result.verdict != GLOBAL:
-                traj = integrate(params, ic, horizon, rel_tol=cfg.rel_tol,
-                                 abs_tol=cfg.abs_tol, max_steps=cfg.max_steps,
-                                 method=cfg.method)
-                if traj.termination.kind == "blowup":
-                    t_est = traj.termination.t_est
-                    # the table leaves this cell open; only the run saw a collapse
-                    if result.verdict == OPEN_CASE:
-                        basis = "numerical_evidence"
+            result = _classify_cell(cell)
             f.write(",".join([
                 *(_csv_float(getattr(cell, attr)) for attr in columns),
-                result.verdict, basis,
-                "" if t_est is None else _csv_float(t_est),
+                result.verdict, result.basis,
+                "" if result.T is None else _csv_float(result.T),
             ]) + "\n")
             count += 1
     print(f"wrote {out} ({count} parameter points)")
@@ -347,10 +333,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         runner, default_out, _ = MODES[cfg.mode]
         return runner(cfg, cfg.out or default_out)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .emden import _METHODS, MAX_STEPS, EmdenState2D, EmdenState3D
+from .emden import _METHODS, ADVANCE_SUBSTEP, MAX_STEPS, EmdenState2D, EmdenState3D
 from .profiles import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_entries",
@@ -74,6 +74,11 @@ class RunConfig:
             return EmdenState3D(0.0, self.a0, self.a1, self.b0, self.b1)
         return EmdenState2D(0.0, self.a0, self.a1)
 
+    @property
+    def horizon(self) -> float:
+        """The lifespan horizon of 3D classify and sweep: sweep.t_end, else t_end."""
+        return self.t_end if self.sweep_t_end is None else self.sweep_t_end
+
     def with_keys(self, values: dict[str, float]) -> RunConfig:
         """A copy with the given config keys (``lambda``, ``a0``, ...) set."""
         return replace(self, **{_SCHEMA[key][0]: v for key, v in values.items()})
@@ -105,10 +110,8 @@ def _parse_grid(key, raw):
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"key '{key}': expected min:max:count, got {raw!r}")
-    lo = _parse_float(key, parts[0].strip())
-    hi = _parse_float(key, parts[1].strip())
-    count = _parse_int(key, parts[2].strip())
-    return (lo, hi, count)
+    lo, hi = (_parse_float(key, part.strip()) for part in parts[:2])
+    return (lo, hi, _parse_int(key, parts[2].strip()))
 
 
 def _parse_str(key, raw):
@@ -237,8 +240,10 @@ def build_config(entries: dict[str, object]) -> RunConfig:
         err(f"method must be one of {', '.join(_METHODS)}; got {cfg.method!r}")
     if cfg.verify_points < 1:
         err(f"verify.points must be >= 1, got {cfg.verify_points}")
-    if not cfg.verify_h > 0:
-        err(f"verify.h must be > 0, got {cfg.verify_h}")
+    # each time shift t +/- h of the stencil is one advance call
+    if not 0.0 < cfg.verify_h / ADVANCE_SUBSTEP < MAX_STEPS:
+        err(f"verify.h must lie in (0, {MAX_STEPS * ADVANCE_SUBSTEP:g}): a time shift by h takes "
+            f"RK4 substeps of {ADVANCE_SUBSTEP} within MAX_STEPS={MAX_STEPS}; got {cfg.verify_h}")
     if cfg.verify_time < 0:
         err(f"verify.time must be >= 0, got {cfg.verify_time}")
 
@@ -262,6 +267,12 @@ def build_config(entries: dict[str, object]) -> RunConfig:
         elif cfg.times[-1] > cfg.t_end:
             cfg.t_end = cfg.times[-1]
 
+    # checked here so a bad horizon fails before any table shortcut or output
+    lifespan = cfg.mode == "sweep" or (cfg.mode == "classify" and cfg.dim == 3)
+    if lifespan and not cfg.horizon > 0.0:
+        key = "t_end" if cfg.sweep_t_end is None else "sweep.t_end"
+        err(f"{key} (the lifespan horizon) must be > 0, got {cfg.horizon}")
+
     if cfg.eps_blow is not None and not cfg.eps_blow > 0:
         err(f"eps_blow must be > 0, got {cfg.eps_blow}")
 
@@ -281,9 +292,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -47,8 +47,10 @@ __all__ = [
 
 _METHODS = {"RK45": RK45, "DOP853": DOP853}
 
-# default adaptive step budget of integrate and of a run configuration
+# default adaptive step budget of integrate and of a run configuration; also
+# the most fixed RK4 substeps of ADVANCE_SUBSTEP that advance takes
 MAX_STEPS = 100_000
+ADVANCE_SUBSTEP = 1e-4
 
 # On solver failure, a component this far below its initial value with inward
 # velocity is treated as a collapse rather than a generic step failure.
@@ -192,8 +194,7 @@ class Trajectory:
         for st, energy in zip(self.states, self.energies()):
             rec = {"t": st.t, "a": st.a, "a_dot": st.a_dot}
             if self.dim == 3:
-                rec["b"] = st.b
-                rec["b_dot"] = st.b_dot
+                rec.update(b=st.b, b_dot=st.b_dot)
             rec["energy"] = energy
             lines.append(strict_json(rec))
         lines.append(strict_json({"termination": self.termination.to_dict()}))
@@ -416,12 +417,8 @@ def integrate(
         if termination.kind == "blowup" and (not sample_times or sample_times[-1] < t_stop):
             sample_times.append(t_stop)
 
-    states = []
-    for t in sample_times:
-        if t == t0:
-            states.append(initial_state)
-        else:
-            states.append(_state_from_vec(dim, t, sol(t)))
+    states = [initial_state if t == t0 else _state_from_vec(dim, t, sol(t))
+              for t in sample_times]
 
     return Trajectory(params=p, dim=dim, initial_state=initial_state,
                       states=states, termination=termination,
@@ -446,7 +443,7 @@ def advance(
     state: EmdenState3D | EmdenState2D,
     dt: float,
 ) -> EmdenState3D | EmdenState2D:
-    """Propagate a snapshot by dt with max(8, |dt|/1e-4 + 1) fixed RK4 substeps.
+    """Propagate a snapshot by dt in max(8, |dt|/ADVANCE_SUBSTEP + 1) RK4 substeps.
 
     The error stays around 1e-20 for |dt| up to 1e-2, far below second-order
     stencil truncation; this is the time-shift engine for finite-difference
@@ -455,11 +452,11 @@ def advance(
     """
     if dt == 0.0:
         return state
-    if not abs(dt) / 1e-4 < MAX_STEPS:
+    if not abs(dt) / ADVANCE_SUBSTEP < MAX_STEPS:
         raise ValueError(f"time shift dt={dt} needs more than MAX_STEPS={MAX_STEPS} "
-                         "fixed RK4 substeps of 1e-4")
+                         f"fixed RK4 substeps of {ADVANCE_SUBSTEP}")
     dim, y = _vec_from_state(state)
-    n_substeps = max(8, int(abs(dt) / 1e-4) + 1)
+    n_substeps = max(8, int(abs(dt) / ADVANCE_SUBSTEP) + 1)
     rhs = _rhs_vec(p, dim)
     h = dt / n_substeps
     t = state.t

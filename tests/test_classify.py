@@ -5,7 +5,7 @@ import pytest
 
 from eulerexact import (BLOWUP, GLOBAL, OPEN_CASE, EmdenState2D, EmdenState3D,
                         PhysParams, Trajectory, check_no_period_3d,
-                        classify_3d, detect_period_2d, integrate,
+                        classify_3d, classify_cell, detect_period_2d, integrate,
                         probe_open_case)
 from eulerexact.emden import Termination
 
@@ -140,6 +140,55 @@ class TestProbeOpenCase:
         c = probe_open_case(params(gamma=1.5, lam=-0.1, xi=2.0),
                             state3(b1=2.0), 5.0)
         assert c.verdict != GLOBAL
+
+
+class TestClassifyCell:
+    def test_table_time_or_global_verdict_needs_no_run(self, monkeypatch):
+        import eulerexact.classify
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(eulerexact.classify, "integrate", no_run)
+        for p, ic in [(params(lam=0.5), state3(b1=-1.0)),
+                      (params(lam=0.0), state3(b1=0.5)),
+                      (params(lam=0.0), state3(b0=1.0, b1=-0.5))]:
+            assert classify_cell(p, ic, 10.0) == classify_3d(p, ic)
+
+    def test_analytic_blowup_cell_gets_the_runs_collapse_time(self):
+        p, ic = params(gamma=1.0, lam=-1.0), state3(b1=0.5)
+        c = classify_cell(p, ic, 30.0)
+        traj = integrate(p, ic, 30.0)
+        assert (c.verdict, c.basis, c.case) == (BLOWUP, "analytic", "lam_negative_isothermal")
+        assert c.T == traj.termination.t_est
+        assert c.t_horizon == c.T
+        assert c.note == ""
+
+    def test_open_cell_collapse_is_numerical_evidence(self):
+        p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
+        c = classify_cell(p, ic, 30.0)
+        assert (c.verdict, c.basis) == (OPEN_CASE, "numerical_evidence")
+        assert c.note == "numerical evidence, not proof"
+        assert c.T == probe_open_case(p, ic, 30.0).T == 1.424026719352556
+
+    def test_open_cell_surviving_the_horizon_keeps_the_table_label(self):
+        c = classify_cell(params(gamma=2.0, lam=-1.0), state3(b1=1e6), 0.01)
+        assert (c.verdict, c.basis, c.T) == (OPEN_CASE, "analytic", None)
+        assert c.t_horizon == 0.01
+
+    def test_exhausted_step_budget_records_the_time_reached(self):
+        # three steps cover a fraction of the horizon: no evidence of survival
+        p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
+        c = classify_cell(p, ic, 30.0, max_steps=3)
+        traj = integrate(p, ic, 30.0, max_steps=3)
+        assert traj.termination.kind == "step_failure"
+        assert c.verdict == OPEN_CASE and c.T is None
+        assert c.t_horizon == traj.t_span[1] < 30.0
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.inf, math.nan])
+    def test_horizon_is_checked_before_the_table(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            classify_cell(params(lam=1.0), state3(), horizon)
 
 
 class TestPeriodDetection:

@@ -333,6 +333,69 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestOneLifespanPath:
+    def test_open_cell_gets_one_time_everywhere(self, tmp_path):
+        from eulerexact import EmdenState3D, PhysParams, probe_open_case
+
+        cell = ["--gamma", "1.4", "--lambda=-1", "--b1", "0.2"]
+        c_out, s_out = tmp_path / "c.json", tmp_path / "s.csv"
+        assert run(tmp_path, "classify", *cell, "--t-end", "30", "--out", str(c_out))[0] == 0
+        assert run(tmp_path, "sweep", *cell, "--sweep", "b1=0.2", "--sweep-t-end", "30",
+                   "--out", str(s_out))[0] == 0
+        doc = json.loads(c_out.read_text())
+        row = s_out.read_text().splitlines()[1].split(",")
+        probe = probe_open_case(PhysParams(K=1.0, gamma=1.4, lam=-1.0, alpha=1.0, xi=1.0),
+                                EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2), 30.0)
+        assert doc["T"] == float(row[12]) == probe.T == 1.424026719352556
+        assert (doc["verdict"], doc["basis"]) == tuple(row[10:12]) == (
+            "unknown_open_case", "numerical_evidence")
+        assert (probe.verdict, probe.basis) == ("finite_time_blowup", "numerical_evidence")
+
+    def test_classify_times_an_analytic_blowup_cell(self, tmp_path):
+        out = tmp_path / "c.json"
+        code, _, _ = run(tmp_path, "classify", "--gamma", "1", "--lambda=-1",
+                         "--sweep-t-end", "30", "--out", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert (doc["verdict"], doc["basis"]) == ("finite_time_blowup", "analytic")
+        assert doc["case"] == "lam_negative_isothermal"
+        assert 0.0 < doc["T"] == doc["t_horizon"] < 30.0
+
+
+class TestLifespanHorizon:
+    @pytest.mark.parametrize("argv, key", [
+        (["sweep", "--sweep", "lambda=-1", "--sweep-t-end=-1"], "sweep.t_end"),
+        (["sweep", "--sweep", "lambda=-1", "--sweep-t-end=0"], "sweep.t_end"),
+        # global cells need no run, but the horizon is checked all the same
+        (["sweep", "--sweep", "lambda=1", "--sweep-t-end=-1"], "sweep.t_end"),
+        (["sweep", "--sweep", "lambda=1", "--sweep-t-end=0"], "sweep.t_end"),
+        (["sweep", "--sweep", "lambda=1", "--t-end=0"], "t_end"),
+        (["classify", "--t-end=-1"], "t_end"),
+        (["classify", "--lambda=-1", "--t-end=0"], "t_end"),
+        (["classify", "--t-end=-1", "--sweep-t-end=0"], "sweep.t_end"),
+    ])
+    def test_non_positive_horizon_exits_2_naming_its_key(self, tmp_path, argv, key):
+        out = tmp_path / "out"
+        code, _, err = run(tmp_path, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: {key} (the lifespan horizon) must be > 0")
+        assert not out.exists()
+
+    def test_sweep_horizon_overrides_t_end(self, tmp_path):
+        out = tmp_path / "c.json"
+        code, _, _ = run(tmp_path, "classify", "--t-end=-1", "--sweep-t-end", "5",
+                         "--out", str(out))
+        assert code == 0
+
+    def test_sample_at_time_zero_still_allows_t_end_zero(self, tmp_path):
+        out = tmp_path / "f.csv"
+        code, _, _ = run(tmp_path, "sample", "--times", "0", "--t-end", "0",
+                         "--grid-x=-1:1:2", "--grid-y=-1:1:2", "--grid-z=-1:1:2",
+                         "--out", str(out))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 8
+
+
 class TestConfigHandling:
     def test_file_plus_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -413,6 +476,15 @@ class TestVerifyStencilStep:
         out = tmp_path / "v.json"
         proc = run_subprocess("verify", "--verify-h", "1e10", "--out", str(out))
         assert proc.returncode == 2
+        assert "MAX_STEPS" in proc.stderr
+        assert not out.exists()
+
+    def test_step_beyond_the_substep_budget_names_verify_h(self, tmp_path):
+        # h = 20 needs 200 000 RK4 substeps of 1e-4 per time shift
+        out = tmp_path / "v.json"
+        proc = run_subprocess("verify", "--verify-h", "20", "--out", str(out))
+        assert proc.returncode == 2
+        assert "verify.h" in proc.stderr
         assert "MAX_STEPS" in proc.stderr
         assert not out.exists()
 

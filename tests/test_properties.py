@@ -1,8 +1,14 @@
 """Property tests on generated parameters, states and points: the scalar
-evaluators are the 0-d case of the array ones, bit for bit, and a batched
-residual stencil gives each point what a single-point call gives it."""
+evaluators are the 0-d case of the array ones, bit for bit, a batched
+residual stencil gives each point what a single-point call gives it, and 3D
+``classify`` gives each cell the row a one-cell ``sweep`` gives it."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +18,7 @@ from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
                         GeneralFamilySource, GeneralMassFamily, PhysParams,
                         SnapshotFieldSource, mass_residual, navier_stokes_residual,
                         refined_residual)
+from eulerexact.cli import main
 from eulerexact.profiles import DensityProfile
 
 from _oracles import pointwise_stencil_residuals
@@ -113,3 +120,25 @@ def test_general_family_same_on_arrays_as_on_scalars(c, g, a0, a1, b0, pts, t):
             assert bits(getattr(one, name)) == bits(getattr(arrays, name)[i])
         assert math.isnan(one.pressure) and math.isnan(arrays.pressure)
         assert bits(mass_residual(source, t, *pt, 1e-3)) == bits(masses[i])
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(st.just(1.0), real(1.0, 3.0)), st.one_of(st.just(0.0), real(-2.0, 2.0)),
+       real(0.3, 3.0), st.one_of(st.just(0.0), real(-2.0, 2.0)))
+def test_classify_is_a_one_cell_sweep(gamma, lam, b0, b1):
+    cell = [f"--gamma={gamma!r}", f"--lambda={lam!r}", f"--b0={b0!r}", "--sweep-t-end=5"]
+    with tempfile.TemporaryDirectory() as tmp:
+        c_out, s_out = os.path.join(tmp, "c.json"), os.path.join(tmp, "s.csv")
+        _quiet_main(["classify", *cell, f"--b1={b1!r}", "--out", c_out])
+        _quiet_main(["sweep", *cell, f"--sweep=b1={b1!r}", "--out", s_out])
+        with open(c_out, encoding="utf-8") as f:
+            doc = json.load(f)
+        with open(s_out, encoding="utf-8") as f:
+            row = f.read().splitlines()[1].split(",")
+    assert [doc["verdict"], doc["basis"]] == row[10:12]
+    assert doc.get("T") == (float(row[12]) if row[12] else None)

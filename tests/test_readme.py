@@ -1,0 +1,36 @@
+"""The README's examples run as documented: every ``eulerexact`` command in
+its shell blocks exits 0 through ``cli.main``, and its Python block executes."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from eulerexact.cli import MODES, main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.S | re.M)
+
+
+# shell lines joined across backslash continuations, without the program name
+COMMANDS = [shlex.split(line)[1:]
+            for line in "\n".join(_blocks("sh")).replace("\\\n", " ").splitlines()
+            if line.startswith("eulerexact ")]
+
+
+def test_every_mode_has_an_example():
+    assert {argv[0] for argv in COMMANDS} == set(MODES)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+def test_shell_example_exits_0(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_library_example_runs():
+    (block,) = _blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
