@@ -86,21 +86,21 @@ def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
     return Classification(OPEN_CASE, "analytic", case="lam_negative_b1_positive_open")
 
 
-def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float, *,
-                  rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                  max_steps: int = MAX_STEPS, method: str = "RK45") -> Classification:
+def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
+                  **run_options) -> Classification:
     """Lifespan verdict of one 3D cell: the table's verdict and case, and ``T``.
 
     A cell that is not global and has no closed-form ``T`` is integrated once,
-    ``horizon`` time units past ``ic.t``: a collapse gives ``T``, and an open
-    cell whose ``T`` was found this way has basis ``numerical_evidence``."""
+    ``horizon`` time units past ``ic.t``, by :func:`integrate` with
+    ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
+    ``eps_blow``): a collapse gives ``T``, and an open cell whose ``T`` was
+    found this way has basis ``numerical_evidence``."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     table = classify_3d(p, ic)
     if table.T is not None or table.verdict == GLOBAL:
         return table
-    traj = integrate(p, ic, ic.t + horizon, rel_tol=rel_tol, abs_tol=abs_tol,
-                     max_steps=max_steps, dense_times=[], method=method)
+    traj = integrate(p, ic, ic.t + horizon, dense_times=[], **run_options)
     T = traj.termination.t_est if traj.termination.kind == "blowup" else None
     # the table leaves an open cell undecided; only the run saw its collapse
     evidence = T is not None and table.verdict == OPEN_CASE
@@ -146,15 +146,15 @@ class PeriodEstimate:
 
 
 def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
-                     tol: float = 1e-10, *,
+                     tol: float = 1e-10, *, max_steps: int = MAX_STEPS,
                      fixed_point_tol: float = 1e-9) -> PeriodEstimate | None:
     """Detect a period of the planar dynamics via the pericenter section.
 
     Integrates for at most ``t_max`` time units past ``ic.t`` until the
     second upward crossing of a' = 0 (where a'' > 0).  Returns the
     crossing-to-crossing time with its return error, or None if fewer than
-    two crossings occur (e.g. monotone escape for lam > 0, a collapse, or an
-    exhausted step budget).  An initial condition at an equilibrium is
+    two crossings occur (e.g. monotone escape for lam > 0, a collapse, or
+    ``max_steps`` steps taken).  An initial condition at an equilibrium is
     reported as a fixed point with the linearized period.
     """
     accel0 = emden_rhs_2d(ic, p)[1]
@@ -170,7 +170,8 @@ def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
                               return_error=0.0, method="fixed-point")
 
     crossings = _run(p, 2, np.array([ic.a, ic.a_dot]), ic.t, ic.t + t_max,
-                     rel_tol=tol, abs_tol=tol * 1e-2, section=True)[-1]
+                     rel_tol=tol, abs_tol=tol * 1e-2, max_steps=max_steps,
+                     section=True)[-1]
     if len(crossings) < 2:
         return None
     (t1, y1), (t2, y2) = crossings

@@ -80,10 +80,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _integrate(cfg: RunConfig, t_end: float, dense_times=None):
-    return integrate(cfg.params(), cfg.initial_state(), t_end,
-                     rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                     max_steps=cfg.max_steps, dense_times=dense_times,
-                     eps_blow=cfg.eps_blow, method=cfg.method)
+    return integrate(cfg.params(), cfg.initial_state(), t_end, dense_times=dense_times,
+                     **cfg.run_options())
 
 
 def _exit_code(termination) -> int:
@@ -268,8 +266,7 @@ def _ic_dict(cfg: RunConfig) -> dict:
 def _classify_cell(cfg: RunConfig):
     """The lifespan verdict of one cell, as a sweep row or 3D ``classify``."""
     return classify_cell(cfg.params(), cfg.initial_state(), cfg.horizon,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         max_steps=cfg.max_steps, method=cfg.method)
+                         **cfg.run_options())
 
 
 def run_classify(cfg: RunConfig, out: str) -> int:
@@ -280,7 +277,7 @@ def run_classify(cfg: RunConfig, out: str) -> int:
         summary = result.verdict
     else:
         estimate = detect_period_2d(cfg.params(), cfg.initial_state(),
-                                    cfg.t_end, tol=cfg.rel_tol)
+                                    cfg.t_end, tol=cfg.rel_tol, max_steps=cfg.max_steps)
         doc["period"] = estimate.to_dict() if estimate is not None else None
         summary = ("period {:.6g}".format(estimate.period)
                    if estimate is not None else "no period detected")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .emden import _METHODS, ADVANCE_SUBSTEP, MAX_STEPS, EmdenState2D, EmdenState3D
+from .emden import _METHODS, MAX_STEPS, MIN_REL_TOL, EmdenState2D, EmdenState3D
 from .profiles import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_entries",
@@ -73,6 +73,11 @@ class RunConfig:
         if self.dim == 3:
             return EmdenState3D(0.0, self.a0, self.a1, self.b0, self.b1)
         return EmdenState2D(0.0, self.a0, self.a1)
+
+    def run_options(self) -> dict:
+        """The keyword arguments of :func:`emden.integrate` that a config sets."""
+        return dict(rel_tol=self.rel_tol, abs_tol=self.abs_tol, max_steps=self.max_steps,
+                    eps_blow=self.eps_blow, method=self.method)
 
     @property
     def horizon(self) -> float:
@@ -230,8 +235,9 @@ def build_config(entries: dict[str, object]) -> RunConfig:
     if cfg.dim not in (2, 3):
         err(f"dim must be 2 or 3, got {cfg.dim}")
     _check_family(cfg)
-    if not (0.0 < cfg.rel_tol < 1.0):
-        err(f"rel_tol must lie in (0, 1), got {cfg.rel_tol}")
+    if not (MIN_REL_TOL <= cfg.rel_tol < 1.0):
+        # below MIN_REL_TOL the stepper would silently use MIN_REL_TOL instead
+        err(f"rel_tol must lie in [{MIN_REL_TOL!r}, 1), got {cfg.rel_tol}")
     if not (0.0 < cfg.abs_tol < 1.0):
         err(f"abs_tol must lie in (0, 1), got {cfg.abs_tol}")
     if cfg.max_steps < 1:
@@ -240,10 +246,8 @@ def build_config(entries: dict[str, object]) -> RunConfig:
         err(f"method must be one of {', '.join(_METHODS)}; got {cfg.method!r}")
     if cfg.verify_points < 1:
         err(f"verify.points must be >= 1, got {cfg.verify_points}")
-    # each time shift t +/- h of the stencil is one advance call
-    if not 0.0 < cfg.verify_h / ADVANCE_SUBSTEP < MAX_STEPS:
-        err(f"verify.h must lie in (0, {MAX_STEPS * ADVANCE_SUBSTEP:g}): a time shift by h takes "
-            f"RK4 substeps of {ADVANCE_SUBSTEP} within MAX_STEPS={MAX_STEPS}; got {cfg.verify_h}")
+    if not cfg.verify_h > 0:
+        err(f"verify.h must be > 0, got {cfg.verify_h}")
     if cfg.verify_time < 0:
         err(f"verify.time must be >= 0, got {cfg.verify_time}")
 

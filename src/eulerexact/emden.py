@@ -11,8 +11,9 @@ and in the planar case the single equation
 
 Both conserve a first integral (see :func:`energy_3d` / :func:`energy_2d`;
 the formulas are verified symbolically in the test suite).  The equations are
-written once, in ``_rhs_vec``.  Integration is done with an adaptive embedded
-Runge-Kutta pair driven step by step by one loop, ``_run``, so that events are
+written once, in ``_rhs_vec``.  Integration, the time shifts of
+:func:`advance` included, is done with an adaptive embedded Runge-Kutta pair
+driven step by step by one loop, ``_run``, so that events are
 located by root bracketing on each step's dense output: collapse of a scale
 factor (a or b reaching a small positive floor) and, for the planar period
 search, upward crossings of the pericenter section a' = 0.
@@ -47,10 +48,10 @@ __all__ = [
 
 _METHODS = {"RK45": RK45, "DOP853": DOP853}
 
-# default adaptive step budget of integrate and of a run configuration; also
-# the most fixed RK4 substeps of ADVANCE_SUBSTEP that advance takes
+# default adaptive step budget of integrate and of a run configuration
 MAX_STEPS = 100_000
-ADVANCE_SUBSTEP = 1e-4
+# the smallest rel_tol scipy's steppers honour; below it they clamp silently
+MIN_REL_TOL = 100 * math.ulp(1.0)
 
 # On solver failure, a component this far below its initial value with inward
 # velocity is treated as a collapse rather than a generic step failure.
@@ -293,10 +294,9 @@ def _locate(dense, t_lo, t_hi, floors, rel_tol, section_after):
             # above the floor, so treat the start as the estimate
             t_est, width = t_lo, 0.0
         else:
-            rt = max(rel_tol, 8.9e-16)
             t_est = brentq(lambda q: float(dense(q)[comp]) - floor, tt[i - 1], tt[i],
-                           xtol=1e-300, rtol=rt)
-            width = rt * abs(t_est)
+                           xtol=1e-300, rtol=rel_tol)
+            width = rel_tol * abs(t_est)
         if best is None or t_est < best[0]:
             best = (t_est, comp, width)
     if section_after is not None and yy[_SECTION, 0] <= 0.0 <= yy[_SECTION, -1]:
@@ -322,8 +322,9 @@ def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float, *,
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not t_end > t0:
         raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
-    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
-        raise ValueError("tolerances must lie in (0, 1)")
+    if not (MIN_REL_TOL <= rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
+        raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL!r}, 1) and abs_tol in (0, 1); "
+                         f"got rel_tol={rel_tol}, abs_tol={abs_tol}")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
 
@@ -438,35 +439,35 @@ def _diagnose_failure(solver, y0, comp_names) -> Termination:
                        detail="adaptive step size underflow")
 
 
+# advance's run: tight enough that a shift's error stays far below the
+# residual stencil's O(h^2) truncation
+_ADVANCE_RUN = dict(rel_tol=1e-13, abs_tol=1e-15, method="DOP853")
+
+
 def advance(
     p: PhysParams,
     state: EmdenState3D | EmdenState2D,
     dt: float,
 ) -> EmdenState3D | EmdenState2D:
-    """Propagate a snapshot by dt in max(8, |dt|/ADVANCE_SUBSTEP + 1) RK4 substeps.
+    """Propagate a snapshot by dt: one run of the adaptive loop (DOP853 at
+    rel_tol 1e-13, abs_tol 1e-15).
 
-    The error stays around 1e-20 for |dt| up to 1e-2, far below second-order
-    stencil truncation; this is the time-shift engine for finite-difference
-    residual checks.  A shift needing more than ``MAX_STEPS`` substeps (|dt|
-    of about 10 or more) raises ValueError before any stepping.
+    This is the time-shift engine for finite-difference residual checks.  The
+    system has no velocity terms, so a backward shift is a forward one with
+    a' and b' reversed.  A non-finite dt, or a run that does not reach the
+    shifted time (a collapse, the ``MAX_STEPS`` budget, a step failure),
+    raises ValueError.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"time shift dt must be finite, got {dt}")
     if dt == 0.0:
         return state
-    if not abs(dt) / ADVANCE_SUBSTEP < MAX_STEPS:
-        raise ValueError(f"time shift dt={dt} needs more than MAX_STEPS={MAX_STEPS} "
-                         f"fixed RK4 substeps of {ADVANCE_SUBSTEP}")
     dim, y = _vec_from_state(state)
-    n_substeps = max(8, int(abs(dt) / ADVANCE_SUBSTEP) + 1)
-    rhs = _rhs_vec(p, dim)
-    h = dt / n_substeps
-    t = state.t
-    for _ in range(n_substeps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        if np.any(np.isnan(k1)) or np.any(np.isnan(k4)):
-            raise ValueError("advance stepped at or past a collapsed state")
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    y[1::2] *= math.copysign(1.0, dt)
+    termination, t_stop, _, interpolants, _ = _run(p, dim, y, 0.0, abs(dt), **_ADVANCE_RUN)
+    if termination.kind != "reached_t_end":
+        raise ValueError(f"time shift dt={dt} from t={state.t} stopped after |dt|={t_stop!r} "
+                         f"in {termination.kind}: {termination.to_dict()}")
+    y = interpolants[-1](abs(dt))
+    y[1::2] *= math.copysign(1.0, dt)
     return _state_from_vec(dim, state.t + dt, y)

@@ -44,9 +44,9 @@ class SnapshotFieldSource:
     """Exact-family source anchored at one scale-factor snapshot.
 
     Time-shifted samples advance the snapshot along the governing ODEs with
-    the fixed-step fourth-order propagator from :func:`eulerexact.emden.advance`,
-    whose error is many orders below second-order stencil truncation.  Shifted
-    states are cached per requested time.
+    :func:`eulerexact.emden.advance`, one tight-tolerance run of the adaptive
+    loop whose error is many orders below second-order stencil truncation.
+    Shifted states are cached per requested time.
     """
 
     def __init__(self, field: Field3D):

@@ -64,6 +64,15 @@ class TestClassifyCommand:
         assert doc["period"]["period"] == pytest.approx(2 * math.pi, rel=0.05)
         assert "b0" not in doc["ic"]
 
+    def test_dim2_period_search_keeps_the_step_budget(self, tmp_path):
+        # with the default budget this orbit has period 6.36189
+        out = tmp_path / "c.json"
+        code, _, _ = run(tmp_path, "classify", "--dim", "2", "--gamma", "1.5",
+                         "--lambda=-1", "--xi", "1", "--a0", "1.1", "--t-end", "100",
+                         "--max-steps", "3", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["period"] is None
+
     def test_dim2_ignores_b0(self, tmp_path):
         out = tmp_path / "c.json"
         code, _, err = run(tmp_path, "classify", "--dim", "2", "--b0", "0",
@@ -220,6 +229,14 @@ class TestIntegrateCommand:
         term = json.loads(lines[-1])["termination"]
         assert term["kind"] == "reached_t_end"
 
+    def test_rel_tol_below_the_stepper_floor_exits_2(self, tmp_path):
+        # scipy would clamp it to 100 eps with a warning and run on
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(tmp_path, "integrate", "--rel-tol", "1e-15", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: rel_tol must lie in [2.220446049250313e-14, 1)")
+        assert not out.exists()
+
     def test_blowup_exit_code(self, tmp_path):
         out = tmp_path / "t.jsonl"
         code, _, err = run(tmp_path, "integrate", "--lambda", "0", "--b1", "-1",
@@ -351,6 +368,19 @@ class TestOneLifespanPath:
             "unknown_open_case", "numerical_evidence")
         assert (probe.verdict, probe.basis) == ("finite_time_blowup", "numerical_evidence")
 
+    def test_collapse_floor_applies_everywhere(self, tmp_path):
+        cell = ["--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--eps-blow", "0.5"]
+        c_out, s_out, i_out = tmp_path / "c.json", tmp_path / "s.csv", tmp_path / "i.jsonl"
+        assert run(tmp_path, "classify", *cell, "--t-end", "30", "--out", str(c_out))[0] == 0
+        assert run(tmp_path, "sweep", *cell, "--sweep", "b1=0.2", "--sweep-t-end", "30",
+                   "--out", str(s_out))[0] == 0
+        assert run(tmp_path, "integrate", *cell, "--t-end", "30", "--out", str(i_out))[0] == 3
+        T = json.loads(c_out.read_text())["T"]
+        row = s_out.read_text().splitlines()[1].split(",")
+        last = json.loads(i_out.read_text().splitlines()[-1])["termination"]
+        # without the floor the run collapses at 1.424026719352556
+        assert T == float(row[12]) == last["t_est"] == 1.1701510518576856
+
     def test_classify_times_an_analytic_blowup_cell(self, tmp_path):
         out = tmp_path / "c.json"
         code, _, _ = run(tmp_path, "classify", "--gamma", "1", "--lambda=-1",
@@ -470,22 +500,36 @@ def run_subprocess(*argv, timeout=5.0):
          *argv], env=env, capture_output=True, text=True, timeout=timeout)
 
 
+def finite_points(doc) -> int:
+    """The number of verify points whose residual values are all finite."""
+    return sum(all(math.isfinite(v) for v in (p["mass_residual"], *p["momentum_residual"]))
+               for p in doc["points"])
+
+
 class TestVerifyStencilStep:
-    def test_huge_step_fails_promptly(self, tmp_path):
-        # each time shift would need ~1e14 fixed RK4 substeps
+    def test_huge_step_finishes_promptly(self, tmp_path):
+        # the adaptive run's steps grow with the expanding scale factors, so
+        # even a shift by 1e10 takes few of them
         out = tmp_path / "v.json"
         proc = run_subprocess("verify", "--verify-h", "1e10", "--out", str(out))
-        assert proc.returncode == 2
-        assert "MAX_STEPS" in proc.stderr
-        assert not out.exists()
+        assert proc.returncode == 0, proc.stderr
+        assert finite_points(json.loads(out.read_text())) == 20
 
-    def test_step_beyond_the_substep_budget_names_verify_h(self, tmp_path):
-        # h = 20 needs 200 000 RK4 substeps of 1e-4 per time shift
+    def test_large_step_finishes_promptly(self, tmp_path):
+        # a shift costs adaptive steps, not substeps of a fixed size
         out = tmp_path / "v.json"
-        proc = run_subprocess("verify", "--verify-h", "20", "--out", str(out))
-        assert proc.returncode == 2
-        assert "verify.h" in proc.stderr
-        assert "MAX_STEPS" in proc.stderr
+        proc = run_subprocess("verify", "--verify-h", "5", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert finite_points(json.loads(out.read_text())) == 20
+
+    def test_shift_into_a_collapse_names_the_blowup(self, tmp_path):
+        # b collapses at t ~ 0.88, inside the shift to t + h = 3
+        out = tmp_path / "v.json"
+        code, _, err = run(tmp_path, "verify", "--gamma", "1", "--lambda=-1", "--b1=-0.5",
+                           "--verify-h", "3", "--out", str(out))
+        assert code == 2
+        assert "time shift dt=3.0" in err
+        assert "blowup" in err
         assert not out.exists()
 
     def test_underflowing_step_is_a_named_error(self, tmp_path):

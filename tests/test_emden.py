@@ -8,6 +8,7 @@ import pytest
 from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, Trajectory,
                         advance, emden_rhs_2d, emden_rhs_3d, energy_2d,
                         energy_3d, integrate)
+from eulerexact.emden import MIN_REL_TOL
 
 from _oracles import rhs_2d_arrays, rhs_3d_arrays, rk4_fixed
 
@@ -90,6 +91,17 @@ class TestEnergy:
 
 
 class TestIntegrate:
+    def test_rel_tol_floor_is_the_steppers_own(self):
+        # MIN_REL_TOL runs as given (the test suite turns scipy's clamp
+        # warning into an error); anything below it is rejected
+        p = params()
+        ic = EmdenState3D(0.0, 1.0, 0.3, 1.2, -0.2)
+        assert MIN_REL_TOL == 100 * np.finfo(float).eps
+        for method in ("RK45", "DOP853"):
+            integrate(p, ic, 0.1, rel_tol=MIN_REL_TOL, method=method)
+            with pytest.raises(ValueError, match="rel_tol must lie in"):
+                integrate(p, ic, 0.1, rel_tol=np.nextafter(MIN_REL_TOL, 0.0), method=method)
+
     def test_linear_collapse_detected(self):
         # lam = 0 leaves b'' = 0, so b = 1 - t crosses the floor at T ~ 1
         p = params(gamma=1.4, lam=0.0, xi=1.0)
@@ -326,12 +338,27 @@ class TestAdvance:
 
     @pytest.mark.parametrize("dt", [10.0, -1e10, math.inf, math.nan])
     def test_shift_beyond_step_budget_rejected_before_stepping(self, dt):
+        # a finite shift of any size runs; a non-finite one is rejected
+        # before any stepping
         p = params(gamma=1.5, lam=0.9, xi=1.1)
         ic = EmdenState3D(0.0, 1.0, 0.3, 1.2, -0.2)
+        if math.isfinite(dt):
+            got = advance(p, ic, dt)
+            assert got.t == dt
+            assert all(map(math.isfinite, (got.a, got.a_dot, got.b, got.b_dot)))
+            return
         t0 = time.perf_counter()
-        with pytest.raises(ValueError, match="MAX_STEPS"):
+        with pytest.raises(ValueError, match="must be finite"):
             advance(p, ic, dt)
         assert time.perf_counter() - t0 < 0.5
+
+    def test_shift_into_a_collapse_names_the_termination(self):
+        p = params(lam=0.0)
+        ic = EmdenState3D(0.0, 1.0, 0.0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="blowup"):
+            advance(p, ic, 2.0)
+        with pytest.raises(ValueError, match="blowup"):
+            advance(p, EmdenState3D(0.0, 1.0, 0.0, 1.0, 1.0), -2.0)
 
     def test_substep_count_is_not_a_parameter(self):
         p = params()

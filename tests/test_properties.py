@@ -1,7 +1,8 @@
 """Property tests on generated parameters, states and points: the scalar
 evaluators are the 0-d case of the array ones, bit for bit, a batched
-residual stencil gives each point what a single-point call gives it, and 3D
-``classify`` gives each cell the row a one-cell ``sweep`` gives it."""
+residual stencil gives each point what a single-point call gives it, 3D
+``classify`` gives each cell the row a one-cell ``sweep`` gives it, and a
+time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways."""
 
 import contextlib
 import io
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
                         GeneralFamilySource, GeneralMassFamily, PhysParams,
-                        SnapshotFieldSource, mass_residual, navier_stokes_residual,
-                        refined_residual)
+                        SnapshotFieldSource, advance, mass_residual,
+                        navier_stokes_residual, refined_residual)
 from eulerexact.cli import main
 from eulerexact.profiles import DensityProfile
 
-from _oracles import pointwise_stencil_residuals
+from _oracles import pointwise_stencil_residuals, rhs_2d_arrays, rhs_3d_arrays, rk4_fixed
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -142,3 +143,35 @@ def test_classify_is_a_one_cell_sweep(gamma, lam, b0, b1):
             row = f.read().splitlines()[1].split(",")
     assert [doc["verdict"], doc["basis"]] == row[10:12]
     assert doc.get("T") == (float(row[12]) if row[12] else None)
+
+
+shift_params = st.builds(
+    PhysParams, K=st.just(1.0), gamma=st.one_of(st.just(1.0), real(1.0, 2.5)),
+    lam=real(-1.0, 1.0), alpha=st.just(1.0), xi=real(-1.0, 1.0))
+shift_states = st.one_of(
+    st.builds(EmdenState3D, st.just(0.0), real(0.5, 2.0), real(-1.0, 1.0),
+              real(0.5, 2.0), real(-1.0, 1.0)),
+    st.builds(EmdenState2D, st.just(0.0), real(0.5, 2.0), real(-1.0, 1.0)))
+
+
+def state_vec(state) -> np.ndarray:
+    if isinstance(state, EmdenState3D):
+        return np.array([state.a, state.a_dot, state.b, state.b_dot])
+    return np.array([state.a, state.a_dot])
+
+
+@SETTINGS
+@given(shift_params, shift_states, real(1e-4, 0.05), st.booleans())
+def test_advance_matches_fixed_step_rk4(p, state, size, backward):
+    dt = -size if backward else size
+    rhs = rhs_3d_arrays if isinstance(state, EmdenState3D) else rhs_2d_arrays
+    # the oracle steps backward in time directly, not by reversing velocities
+    want = rk4_fixed(rhs, state_vec(state), (0.0, dt), math.copysign(1e-4, dt),
+                     (p.K, p.gamma, p.lam, p.xi))
+    got = advance(p, state, dt)
+    assert got.t == dt
+    # relative to the state's size: a velocity may pass through 0
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(state_vec(got) - want)) <= 1e-12 * scale
+    back = advance(p, got, -dt)
+    assert np.max(np.abs(state_vec(back) - state_vec(state))) <= 1e-12 * scale
