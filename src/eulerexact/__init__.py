@@ -10,8 +10,7 @@ from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .emden import (EmdenState2D, EmdenState3D, Termination, Trajectory,
                     advance, emden_rhs_2d, emden_rhs_3d, energy_2d, energy_3d,
                     integrate)
-from .fields import (Field2D, Field3D, FieldSample, FieldSample2D,
-                     GeneralMassFamily)
+from .fields import Field2D, Field3D, FieldSample, GeneralMassFamily
 from .profiles import (DensityProfile, NonSmoothCutoffWarning, PhysParams,
                        similarity_eta, similarity_s)
 from .verify import (GeneralFamilySource, MassBudget, RegularityReport,
@@ -29,7 +28,7 @@ __all__ = [
     "EmdenState3D", "EmdenState2D", "Termination", "Trajectory",
     "emden_rhs_3d", "emden_rhs_2d", "energy_3d", "energy_2d",
     "integrate", "advance",
-    "Field3D", "Field2D", "FieldSample", "FieldSample2D", "GeneralMassFamily",
+    "Field3D", "Field2D", "FieldSample", "GeneralMassFamily",
     "SnapshotFieldSource", "TrajectoryFieldSource", "GeneralFamilySource",
     "ResidualReport", "MassBudget", "RegularityReport",
     "mass_residual", "euler_residual", "navier_stokes_residual",

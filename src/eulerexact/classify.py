@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .emden import (MAX_STEPS, EmdenState2D, EmdenState3D, Trajectory, _run,
-                    emden_rhs_2d, integrate)
+from .emden import (EmdenState2D, EmdenState3D, RunOptions, Trajectory, _check_span,
+                    _run, emden_rhs_2d, integrate)
 from .profiles import PhysParams
 
 __all__ = [
@@ -94,9 +94,11 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     ``horizon`` time units past ``ic.t``, by :func:`integrate` with
     ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
     ``eps_blow``): a collapse gives ``T``, and an open cell whose ``T`` was
-    found this way has basis ``numerical_evidence``."""
+    found this way has basis ``numerical_evidence``.  Bad options raise even
+    when the table needs no run."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    RunOptions(**run_options)
     table = classify_3d(p, ic)
     if table.T is not None or table.verdict == GLOBAL:
         return table
@@ -110,18 +112,17 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
 
 
 def probe_open_case(p: PhysParams, ic: EmdenState3D, t_horizon: float,
-                    tol: float = 1e-10) -> Classification:
+                    **run_options) -> Classification:
     """Numerically probe the undecided cell (gamma > 1, lam < 0, b1 > 0).
 
     A view of :func:`classify_cell`: a collapse before the horizon is reported
     as a blowup verdict with its time, otherwise the open verdict stays; the
     basis is always numerical evidence.  Never returns "global".
     """
-    if not (p.lam < 0.0 and not p.is_isothermal and ic.b_dot > 0.0):
-        raise ValueError(
-            "open-case probe requires lam < 0, gamma > 1 and b1 > 0; "
-            f"got lam={p.lam}, gamma={p.gamma}, b1={ic.b_dot}")
-    cell = classify_cell(p, ic, t_horizon, rel_tol=tol, abs_tol=tol * 1e-2)
+    if classify_3d(p, ic).verdict != OPEN_CASE:
+        raise ValueError("open-case probe requires lam < 0, gamma > 1 and b1 > 0; "
+                         f"got lam={p.lam}, gamma={p.gamma}, b1={ic.b_dot}")
+    cell = classify_cell(p, ic, t_horizon, **run_options)
     return replace(cell, verdict=OPEN_CASE if cell.T is None else BLOWUP,
                    basis="numerical_evidence", note=_NUMERIC_NOTE)
 
@@ -145,18 +146,20 @@ class PeriodEstimate:
         return asdict(self)
 
 
-def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
-                     tol: float = 1e-10, *, max_steps: int = MAX_STEPS,
-                     fixed_point_tol: float = 1e-9) -> PeriodEstimate | None:
+def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
+                     fixed_point_tol: float = 1e-9, **run_options) -> PeriodEstimate | None:
     """Detect a period of the planar dynamics via the pericenter section.
 
-    Integrates for at most ``t_max`` time units past ``ic.t`` until the
-    second upward crossing of a' = 0 (where a'' > 0).  Returns the
-    crossing-to-crossing time with its return error, or None if fewer than
-    two crossings occur (e.g. monotone escape for lam > 0, a collapse, or
-    ``max_steps`` steps taken).  An initial condition at an equilibrium is
-    reported as a fixed point with the linearized period.
+    Integrates for at most ``t_max`` time units past ``ic.t`` with the
+    ``run_options`` of :func:`classify_cell` until the second upward crossing
+    of a' = 0 (where a'' > 0).  Returns the crossing-to-crossing time with its
+    return error, or None if fewer than two crossings occur (e.g. escape for
+    lam > 0, a collapse, or ``max_steps`` steps taken).  An equilibrium start
+    is reported, once the horizon and options pass, as a fixed point with the
+    linearized period.
     """
+    run = RunOptions(**run_options)
+    _check_span(ic.t, ic.t + t_max)
     accel0 = emden_rhs_2d(ic, p)[1]
     scale = max(1.0, abs(ic.a))
     if abs(ic.a_dot) <= fixed_point_tol * scale and abs(accel0) <= fixed_point_tol * scale:
@@ -169,8 +172,7 @@ def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
         return PeriodEstimate(period=2.0 * math.pi / math.sqrt(-daccel),
                               return_error=0.0, method="fixed-point")
 
-    crossings = _run(p, 2, np.array([ic.a, ic.a_dot]), ic.t, ic.t + t_max,
-                     rel_tol=tol, abs_tol=tol * 1e-2, max_steps=max_steps,
+    crossings = _run(p, 2, np.array([ic.a, ic.a_dot]), ic.t, ic.t + t_max, run,
                      section=True)[-1]
     if len(crossings) < 2:
         return None

@@ -276,8 +276,8 @@ def run_classify(cfg: RunConfig, out: str) -> int:
         doc.update(result.to_dict())
         summary = result.verdict
     else:
-        estimate = detect_period_2d(cfg.params(), cfg.initial_state(),
-                                    cfg.t_end, tol=cfg.rel_tol, max_steps=cfg.max_steps)
+        estimate = detect_period_2d(cfg.params(), cfg.initial_state(), cfg.t_end,
+                                    **cfg.run_options())
         doc["period"] = estimate.to_dict() if estimate is not None else None
         summary = ("period {:.6g}".format(estimate.period)
                    if estimate is not None else "no period detected")

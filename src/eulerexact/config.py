@@ -9,7 +9,7 @@ times (``times = t1,t2,...``), verification controls (``verify.*``) and sweep
 axes (``sweep.<param> = v1,v2,...``).  Command-line flags override file keys.
 Every number must be finite.  The family constants and initial values (each
 sweep value included) are valid when :class:`PhysParams` and the Emden state
-accept them.
+accept them, and the run options when :class:`emden.RunOptions` does.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .emden import _METHODS, MAX_STEPS, MIN_REL_TOL, EmdenState2D, EmdenState3D
+from .emden import MAX_STEPS, EmdenState2D, EmdenState3D, RunOptions
 from .profiles import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_entries",
@@ -75,9 +75,8 @@ class RunConfig:
         return EmdenState2D(0.0, self.a0, self.a1)
 
     def run_options(self) -> dict:
-        """The keyword arguments of :func:`emden.integrate` that a config sets."""
-        return dict(rel_tol=self.rel_tol, abs_tol=self.abs_tol, max_steps=self.max_steps,
-                    eps_blow=self.eps_blow, method=self.method)
+        """The run options: the fields of :class:`emden.RunOptions`, as keywords."""
+        return {f.name: getattr(self, f.name) for f in fields(RunOptions)}
 
     @property
     def horizon(self) -> float:
@@ -206,10 +205,11 @@ _KEY_OF = {"lam": "lambda", "a": "a0", "a_dot": "a1", "b": "b0", "b_dot": "b1"}
 
 
 def _check_family(cfg: RunConfig) -> None:
-    """Build the family and initial state of ``cfg``; ConfigError names the key."""
+    """Build the family, initial state and run options; ConfigError names the key."""
     try:
         cfg.params()
         cfg.initial_state()
+        RunOptions(**cfg.run_options())
     except ValueError as exc:
         # the library's messages begin with the attribute's name
         name, _, rule = str(exc).partition(" ")
@@ -235,15 +235,6 @@ def build_config(entries: dict[str, object]) -> RunConfig:
     if cfg.dim not in (2, 3):
         err(f"dim must be 2 or 3, got {cfg.dim}")
     _check_family(cfg)
-    if not (MIN_REL_TOL <= cfg.rel_tol < 1.0):
-        # below MIN_REL_TOL the stepper would silently use MIN_REL_TOL instead
-        err(f"rel_tol must lie in [{MIN_REL_TOL!r}, 1), got {cfg.rel_tol}")
-    if not (0.0 < cfg.abs_tol < 1.0):
-        err(f"abs_tol must lie in (0, 1), got {cfg.abs_tol}")
-    if cfg.max_steps < 1:
-        err(f"max_steps must be >= 1, got {cfg.max_steps}")
-    if cfg.method not in _METHODS:
-        err(f"method must be one of {', '.join(_METHODS)}; got {cfg.method!r}")
     if cfg.verify_points < 1:
         err(f"verify.points must be >= 1, got {cfg.verify_points}")
     if not cfg.verify_h > 0:
@@ -276,9 +267,6 @@ def build_config(entries: dict[str, object]) -> RunConfig:
     if lifespan and not cfg.horizon > 0.0:
         key = "t_end" if cfg.sweep_t_end is None else "sweep.t_end"
         err(f"{key} (the lifespan horizon) must be > 0, got {cfg.horizon}")
-
-    if cfg.eps_blow is not None and not cfg.eps_blow > 0:
-        err(f"eps_blow must be > 0, got {cfg.eps_blow}")
 
     for param, values in cfg.sweep.items():
         for v in values:

@@ -42,6 +42,7 @@ __all__ = [
     "emden_rhs_2d",
     "energy_3d",
     "energy_2d",
+    "RunOptions",
     "integrate",
     "advance",
 ]
@@ -106,14 +107,11 @@ def emden_rhs_2d(state: EmdenState2D, p: PhysParams) -> tuple[float, float]:
     return tuple(_rhs_vec(p, 2)(state.t, (state.a, state.a_dot)).tolist())
 
 
-def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
-    """Conserved first integral of the 3D system.
-
-    The b-kinetic term carries weight 1/4 (not 1/2) because the b equation
-    sources the lam potential at half the strength of the a equation; with
-    that weight d/dt of the value below vanishes along exact solutions.
-    """
-    a, ad, b, bd = state.a, state.a_dot, state.b, state.b_dot
+def _energy(p: PhysParams, a: float, ad: float, b: float, bd: float) -> float:
+    """The first integral, written once.  The b-kinetic term carries weight
+    1/4 (not 1/2) because the b equation sources the lam potential at half
+    the strength of the a equation; with that weight d/dt of the value below
+    vanishes along exact solutions."""
     kinetic = 0.5 * ad * ad + 0.25 * bd * bd + p.xi * p.xi / (2.0 * a * a)
     if p.is_isothermal:
         return kinetic - p.lam * math.log(a) - 0.5 * p.lam * math.log(b)
@@ -121,14 +119,15 @@ def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
     return kinetic + p.lam / (2.0 * g - 2.0) * a ** (2.0 - 2.0 * g) * b ** (1.0 - g)
 
 
+def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
+    """Conserved first integral of the 3D system."""
+    return _energy(p, state.a, state.a_dot, state.b, state.b_dot)
+
+
 def energy_2d(state: EmdenState2D, p: PhysParams) -> float:
-    """Conserved first integral of the planar equation."""
-    a, ad = state.a, state.a_dot
-    kinetic = 0.5 * ad * ad + p.xi * p.xi / (2.0 * a * a)
-    if p.is_isothermal:
-        return kinetic - p.lam * math.log(a)
-    g = p.gamma
-    return kinetic + p.lam / (2.0 * g - 2.0) * a ** (2.0 - 2.0 * g)
+    """Conserved first integral of the planar equation: the 3D one at b = 1,
+    b' = 0, which leave every bit of the planar value unchanged."""
+    return _energy(p, state.a, state.a_dot, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -232,6 +231,38 @@ def _vec_from_state(state: EmdenState3D | EmdenState2D) -> tuple[int, np.ndarray
     raise TypeError(f"unsupported state type: {type(state)!r}")
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """The options of a run, checked here only; a message begins with the
+    option's name.  An unset ``eps_blow`` is the library's floor."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_steps: int = MAX_STEPS
+    eps_blow: float | None = None
+    method: str = "RK45"
+
+    def __post_init__(self) -> None:
+        if not MIN_REL_TOL <= self.rel_tol < 1.0:
+            # below MIN_REL_TOL the stepper would silently use MIN_REL_TOL instead
+            raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL!r}, 1), got {self.rel_tol}")
+        if not 0.0 < self.abs_tol < 1.0:
+            raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.eps_blow is not None and not 0.0 < self.eps_blow < math.inf:
+            raise ValueError(f"eps_blow must be finite and > 0, got {self.eps_blow}")
+        if self.method not in _METHODS:
+            raise ValueError(f"method must be one of {', '.join(_METHODS)}; got {self.method!r}")
+
+
+def _check_span(t0: float, t_end: float) -> None:
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not t_end > t0:
+        raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
+
+
 def _rhs_vec(p: PhysParams, dim: int):
     """The equations of motion as ``rhs(t, y)`` on (a, a'[, b, b'])."""
     g = p.gamma
@@ -307,10 +338,8 @@ def _locate(dense, t_lo, t_hi, floors, rel_tol, section_after):
     return best
 
 
-def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float, *,
-         rel_tol: float, abs_tol: float, max_steps: int = MAX_STEPS,
-         eps_blow: float | None = None, method: str = "RK45",
-         section: bool = False):
+def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float,
+         run: RunOptions, *, section: bool = False):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``.
 
     The run ends at ``t_end``, at the first floor event, after ``max_steps``
@@ -318,21 +347,12 @@ def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float, *,
     crossing, whose termination kind is ``section``.  Returns (termination,
     t_stop, step times, step interpolants, section crossings as (t, y)).
     """
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if not t_end > t0:
-        raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
-    if not (MIN_REL_TOL <= rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
-        raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL!r}, 1) and abs_tol in (0, 1); "
-                         f"got rel_tol={rel_tol}, abs_tol={abs_tol}")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
-
+    _check_span(t0, t_end)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
-    floors = [(comp, eps_blow if eps_blow is not None else 1e-10 * y0[comp])
-              for comp in comp_names]
-    solver = _METHODS[method](_rhs_vec(p, dim), t0, y0, t_end,
-                              rtol=rel_tol, atol=abs_tol)
+    # eps_blow is None or > 0, so ``or`` picks the library's floor for None only
+    floors = [(comp, run.eps_blow or 1e-10 * y0[comp]) for comp in comp_names]
+    solver = _METHODS[run.method](_rhs_vec(p, dim), t0, y0, t_end,
+                                  rtol=run.rel_tol, atol=run.abs_tol)
     ts, interpolants, crossings = [t0], [], []
     section_after = -math.inf if section else None
     termination = None
@@ -342,9 +362,9 @@ def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float, *,
         # that situation is diagnosed explicitly below
         warnings.simplefilter("ignore")
         while solver.status == "running":
-            if len(interpolants) >= max_steps:
+            if len(interpolants) >= run.max_steps:
                 termination = Termination("step_failure",
-                                          detail=f"max_steps={max_steps} exhausted")
+                                          detail=f"max_steps={run.max_steps} exhausted")
                 break
             t_prev = solver.t
             solver.step()
@@ -354,7 +374,7 @@ def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float, *,
             dense = solver.dense_output()
             interpolants.append(dense)
             ts.append(solver.t)
-            hit = _locate(dense, t_prev, solver.t, floors, rel_tol, section_after)
+            hit = _locate(dense, t_prev, solver.t, floors, run.rel_tol, section_after)
             if hit is None:
                 continue
             t_est, comp, width = hit
@@ -407,8 +427,7 @@ def integrate(
             raise ValueError("dense_times must lie within [t0, t_end]")
 
     termination, t_stop, ts, interpolants, _ = _run(
-        p, dim, y0, t0, t_end, rel_tol=rel_tol, abs_tol=abs_tol,
-        max_steps=max_steps, eps_blow=eps_blow, method=method)
+        p, dim, y0, t0, t_end, RunOptions(rel_tol, abs_tol, max_steps, eps_blow, method))
     sol = OdeSolution(ts, interpolants) if interpolants else None
 
     if dense_times is not None:
@@ -441,7 +460,7 @@ def _diagnose_failure(solver, y0, comp_names) -> Termination:
 
 # advance's run: tight enough that a shift's error stays far below the
 # residual stencil's O(h^2) truncation
-_ADVANCE_RUN = dict(rel_tol=1e-13, abs_tol=1e-15, method="DOP853")
+_ADVANCE_RUN = RunOptions(rel_tol=1e-13, abs_tol=1e-15, method="DOP853")
 
 
 def advance(
@@ -464,7 +483,7 @@ def advance(
         return state
     dim, y = _vec_from_state(state)
     y[1::2] *= math.copysign(1.0, dt)
-    termination, t_stop, _, interpolants, _ = _run(p, dim, y, 0.0, abs(dt), **_ADVANCE_RUN)
+    termination, t_stop, _, interpolants, _ = _run(p, dim, y, 0.0, abs(dt), _ADVANCE_RUN)
     if termination.kind != "reached_t_end":
         raise ValueError(f"time shift dt={dt} from t={state.t} stopped after |dt|={t_stop!r} "
                          f"in {termination.kind}: {termination.to_dict()}")

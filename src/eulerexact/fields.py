@@ -31,7 +31,6 @@ from .profiles import DensityProfile, PhysParams, similarity_s
 
 __all__ = [
     "FieldSample",
-    "FieldSample2D",
     "Field3D",
     "Field2D",
     "GeneralMassFamily",
@@ -76,7 +75,8 @@ def _sample(cls, values):
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Primitive variables at one 3D space-time point (or arrays over many)."""
+    """Primitive variables at one space-time point (or arrays over many); a
+    planar sample has ``u3 = 0.0`` and its similarity variable in ``s``."""
 
     rho: float
     u1: float
@@ -85,16 +85,10 @@ class FieldSample:
     s: float
     pressure: float
 
-
-@dataclass(frozen=True)
-class FieldSample2D:
-    """Primitive variables at one planar space-time point (or arrays over many)."""
-
-    rho: float
-    u1: float
-    u2: float
-    eta: float
-    pressure: float
+    @property
+    def eta(self) -> float:
+        """The planar name of ``s``."""
+        return self.s
 
 
 @dataclass(frozen=True)
@@ -146,9 +140,10 @@ class Field2D:
     def from_params(cls, params: PhysParams, state: EmdenState2D) -> "Field2D":
         return cls(params, DensityProfile(params), state)
 
-    def eval(self, x, y) -> FieldSample2D:
-        """:meth:`eval_grid` as a :class:`FieldSample2D` (floats for scalar input)."""
-        return _sample(FieldSample2D, self.eval_grid(x, y).values())
+    def eval(self, x, y) -> FieldSample:
+        """:meth:`eval_grid` as a :class:`FieldSample`, ``u3 = 0.0`` (floats for scalars)."""
+        g = self.eval_grid(x, y)
+        return _sample(FieldSample, (g["rho"], g["u1"], g["u2"], 0.0, g["eta"], g["p"]))
 
     def eval_grid(self, x, y) -> dict[str, np.ndarray]:
         """rho, u1, u2, eta and p: the 3D formulas at z = 0 with b = 1, b' = 0,

@@ -293,8 +293,8 @@ def test_criterion_8_periodicity():
     detail = ""
     p2 = PhysParams(K=1.0, gamma=1.5, lam=-1.0, alpha=1.0, xi=1.0)
     ic = EmdenState2D(0.0, 1.1, 0.0)
-    est = detect_period_2d(p2, ic, 50.0, tol=1e-10)
-    est_half = detect_period_2d(p2, ic, 50.0, tol=5e-11)
+    est = detect_period_2d(p2, ic, 50.0, rel_tol=1e-10, abs_tol=1e-12)
+    est_half = detect_period_2d(p2, ic, 50.0, rel_tol=5e-11, abs_tol=5e-13)
     if est is None or est.return_error >= 1e-6:
         ok = False
         detail = f"return_error={None if est is None else est.return_error}"

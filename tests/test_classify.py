@@ -190,6 +190,18 @@ class TestClassifyCell:
         with pytest.raises(ValueError, match="horizon"):
             classify_cell(params(lam=1.0), state3(), horizon)
 
+    def test_run_options_are_checked_before_the_table(self):
+        # a global cell needs no run, yet a bad option is an error all the same
+        with pytest.raises(ValueError, match="^eps_blow must"):
+            classify_cell(params(lam=1.0), state3(), 10.0, eps_blow=-1.0)
+        with pytest.raises(TypeError, match="tol"):
+            classify_cell(params(lam=1.0), state3(), 10.0, tol=1e-8)
+
+    def test_probe_forwards_the_run_options(self):
+        p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
+        assert probe_open_case(p, ic, 30.0).T == 1.424026719352556
+        assert probe_open_case(p, ic, 30.0, eps_blow=0.5).T == 1.1701510518576856
+
 
 class TestPeriodDetection:
     def test_equilibrium_reports_fixed_point(self):
@@ -204,7 +216,8 @@ class TestPeriodDetection:
 
     def test_perturbed_equilibrium_oscillates(self):
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
-        est = detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), 50.0, tol=1e-10)
+        est = detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), 50.0,
+                               rel_tol=1e-10, abs_tol=1e-12)
         assert est is not None
         assert est.method == "pericenter-section"
         assert est.return_error < 1e-6
@@ -213,8 +226,8 @@ class TestPeriodDetection:
     def test_period_stable_under_tolerance_halving(self):
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         ic = EmdenState2D(0.0, 1.1, 0.0)
-        e1 = detect_period_2d(p, ic, 50.0, tol=1e-10)
-        e2 = detect_period_2d(p, ic, 50.0, tol=5e-11)
+        e1 = detect_period_2d(p, ic, 50.0, rel_tol=1e-10, abs_tol=1e-12)
+        e2 = detect_period_2d(p, ic, 50.0, rel_tol=5e-11, abs_tol=5e-13)
         assert e1.period == pytest.approx(e2.period, rel=1e-6)
 
     def test_isothermal_oscillation(self):
@@ -237,6 +250,26 @@ class TestPeriodDetection:
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         with pytest.raises(ValueError, match="t_end"):
             detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), t_max)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_is_checked_before_the_fixed_point(self, t_max):
+        # a = 1 is the equilibrium, which needs no run
+        p = params(gamma=1.5, lam=-1.0, xi=1.0)
+        with pytest.raises(ValueError, match="t_end"):
+            detect_period_2d(p, EmdenState2D(0.0, 1.0, 0.0), t_max)
+
+    def test_run_options_are_checked_before_the_fixed_point(self):
+        p = params(gamma=1.5, lam=-1.0, xi=1.0)
+        with pytest.raises(ValueError, match="^max_steps must"):
+            detect_period_2d(p, EmdenState2D(0.0, 1.0, 0.0), 50.0, max_steps=0)
+
+    def test_collapse_floor_ends_the_search(self):
+        # a swings between about 0.92 and 1.1, below a floor of 1.05
+        p = params(gamma=1.5, lam=-1.0, xi=1.0)
+        ic = EmdenState2D(0.0, 1.1, 0.0)
+        assert detect_period_2d(p, ic, 100.0) is not None
+        assert detect_period_2d(p, ic, 100.0, eps_blow=1.05) is None
+        assert integrate(p, ic, 100.0, eps_blow=1.05).termination.kind == "blowup"
 
     @pytest.mark.parametrize("a0, a1, period", [
         (0.9, 0.0, 6.401362423544938),  # starts at a pericenter

@@ -73,6 +73,41 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out.read_text())["period"] is None
 
+    ORBIT = ["--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
+             "--t-end", "100"]
+
+    def test_dim2_period_search_keeps_the_collapse_floor(self, tmp_path):
+        # the orbit dips below a = 1.05, where integrate reports a collapse
+        c_out, i_out = tmp_path / "c.json", tmp_path / "i.jsonl"
+        assert run(tmp_path, "classify", *self.ORBIT, "--eps-blow", "1.05",
+                   "--out", str(c_out))[0] == 0
+        assert json.loads(c_out.read_text())["period"] is None
+        code, _, err = run(tmp_path, "integrate", *self.ORBIT, "--eps-blow", "1.05",
+                           "--out", str(i_out))
+        assert code == 3
+        assert json.loads(err.strip().splitlines()[-1])["termination"]["t_est"] == (
+            1.1946889082442789)
+
+    @pytest.mark.parametrize("option", [["--abs-tol", "1e-6"], ["--method", "DOP853"]])
+    def test_dim2_period_search_takes_the_run_options(self, tmp_path, option):
+        outs = [tmp_path / "default.json", tmp_path / "option.json"]
+        for extra, out in zip([[], option], outs):
+            assert run(tmp_path, "classify", *self.ORBIT, *extra, "--out", str(out))[0] == 0
+        default, changed = (json.loads(out.read_text())["period"] for out in outs)
+        assert default["period"] == 6.361888521466641
+        assert changed["period"] != default["period"]
+        assert changed["period"] == pytest.approx(default["period"], rel=1e-5)
+
+    def test_dim2_horizon_is_checked_at_an_equilibrium(self, tmp_path):
+        # a0 = 1 is a fixed point, whose period needs no run
+        out = tmp_path / "c.json"
+        code, _, err = run(tmp_path, "classify", "--dim", "2", "--gamma", "1.5",
+                           "--lambda=-1", "--xi", "1", "--a0", "1", "--t-end", "0",
+                           "--out", str(out))
+        assert code == 2
+        assert "t_end" in err
+        assert not out.exists()
+
     def test_dim2_ignores_b0(self, tmp_path):
         out = tmp_path / "c.json"
         code, _, err = run(tmp_path, "classify", "--dim", "2", "--b0", "0",

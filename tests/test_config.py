@@ -100,6 +100,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eps_blow"):
             parse_config("eps_blow = 0\n")
 
+    @pytest.mark.parametrize("key, raw, value", [
+        ("rel_tol", "1e-15", 1e-15), ("rel_tol", "1", 1.0),
+        ("abs_tol", "0", 0.0), ("abs_tol", "1", 1.0),
+        ("max_steps", "0", 0), ("max_steps", "-3", -3),
+        ("eps_blow", "0", 0.0), ("eps_blow", "-1", -1.0),
+        ("method", "EULER", "EULER"),
+    ])
+    def test_run_option_message_is_the_librarys(self, key, raw, value):
+        # one check of the run options, so one message for each bad value
+        with pytest.raises(ConfigError) as from_config:
+            parse_config(f"{key} = {raw}\n")
+        with pytest.raises(ValueError) as from_library:
+            emden.integrate(RunConfig().params(), RunConfig().initial_state(), 1.0,
+                            **{key: value})
+        assert str(from_config.value) == str(from_library.value)
+        assert str(from_config.value).startswith(f"{key} must")
+
     def test_step_budget_default_is_the_library_default(self):
         # one constant, not two literals that can drift apart
         default = inspect.signature(emden.integrate).parameters["max_steps"].default

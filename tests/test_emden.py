@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import time
@@ -5,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, Trajectory,
+from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, RunConfig, Trajectory,
                         advance, emden_rhs_2d, emden_rhs_3d, energy_2d,
                         energy_3d, integrate)
-from eulerexact.emden import MIN_REL_TOL
+from eulerexact.emden import MIN_REL_TOL, RunOptions
 
 from _oracles import rhs_2d_arrays, rhs_3d_arrays, rk4_fixed
 
@@ -250,6 +252,22 @@ class TestIntegrate:
         for t_end in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="t_end"):
                 integrate(p, ic, t_end)
+
+    @pytest.mark.parametrize("option, value", [
+        ("eps_blow", 0.0), ("eps_blow", -1.0), ("eps_blow", math.nan), ("eps_blow", math.inf),
+        ("max_steps", 0), ("max_steps", -3),
+    ])
+    def test_run_option_out_of_range_is_rejected(self, option, value):
+        # before the run: no silent floor at or below zero, no instant step_failure
+        ic = EmdenState3D(0.0, 1.0, 0.0, 1.0, -1.0)
+        with pytest.raises(ValueError, match=f"^{option} must"):
+            integrate(params(), ic, 2.0, **{option: value})
+
+    def test_run_option_defaults_are_one_set(self):
+        names = [f.name for f in dataclasses.fields(RunOptions)]
+        signature = inspect.signature(integrate).parameters
+        defaults = {name: signature[name].default for name in names}
+        assert RunOptions(**defaults) == RunOptions() == RunOptions(**RunConfig().run_options())
 
     def test_eps_blow_override(self):
         p = params(gamma=1.4, lam=0.0, xi=1.0)

@@ -1,5 +1,6 @@
 """Property tests on generated parameters, states and points: the scalar
-evaluators are the 0-d case of the array ones, bit for bit, a batched
+evaluators are the 0-d case of the array ones, bit for bit, the planar energy
+is the 3D one at b = 1, b' = 0, bit for bit, a batched
 residual stencil gives each point what a single-point call gives it, 3D
 ``classify`` gives each cell the row a one-cell ``sweep`` gives it, and a
 time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways."""
@@ -12,17 +13,19 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
                         GeneralFamilySource, GeneralMassFamily, PhysParams,
-                        SnapshotFieldSource, advance, mass_residual,
-                        navier_stokes_residual, refined_residual)
+                        SnapshotFieldSource, advance, energy_2d, energy_3d,
+                        mass_residual, navier_stokes_residual, refined_residual)
 from eulerexact.cli import main
 from eulerexact.profiles import DensityProfile
 
-from _oracles import pointwise_stencil_residuals, rhs_2d_arrays, rhs_3d_arrays, rk4_fixed
+from _oracles import (planar_potential, pointwise_stencil_residuals, rhs_2d_arrays,
+                      rhs_3d_arrays, rk4_fixed)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -71,6 +74,15 @@ def test_field2d_eval_is_the_0d_case_of_eval_grid(p, state, pts):
         smp = field.eval(*pt)
         got = (smp.rho, smp.u1, smp.u2, smp.eta, smp.pressure)
         assert [bits(v) for v in got] == [bits(grid[k][i]) for k in grid]
+
+
+@SETTINGS
+@given(params, states_2d)
+def test_energy_2d_is_energy_3d_at_unit_b(p, state):
+    planar = energy_2d(state, p)
+    assert bits(planar) == bits(energy_3d(EmdenState3D(state.t, state.a, state.a_dot, 1.0, 0.0), p))
+    want = 0.5 * state.a_dot ** 2 + planar_potential(state.a, p.gamma, p.lam, p.xi)
+    assert planar == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """The README's examples run as documented: every ``eulerexact`` command in
-its shell blocks exits 0 through ``cli.main``, and its Python block executes."""
+its shell blocks exits 0 through ``cli.main``, and its Python block executes.
+Its configuration-key table names every key of the config schema."""
 
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from eulerexact.cli import MODES, main
+from eulerexact.config import _SCHEMA
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -34,3 +36,11 @@ def test_shell_example_exits_0(tmp_path, argv):
 def test_library_example_runs():
     (block,) = _blocks("python")
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_config_key_table_names_every_schema_key():
+    section = README.split("### Config file format", 1)[1].split("\n### ", 1)[0]
+    first_cells = [row.split("|")[1] for row in section.splitlines() if row.startswith("| `")]
+    documented = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+    missing = set(_SCHEMA) - {"mode"} - documented
+    assert not missing
