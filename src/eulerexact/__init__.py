@@ -5,9 +5,10 @@ deterministic export for validating external CFD codes."""
 
 from .classify import (BLOWUP, GLOBAL, OPEN_CASE, Classification,
                        PeriodEstimate, check_no_period_3d, classify_3d,
-                       classify_cell, detect_period_2d, probe_open_case)
+                       classify_cell, detect_period_2d, probe_open_case,
+                       search_period_2d)
 from .config import ConfigError, RunConfig, parse_config, serialize_config
-from .emden import (EmdenState2D, EmdenState3D, Termination, Trajectory,
+from .emden import (EmdenState2D, EmdenState3D, RunStats, Termination, Trajectory,
                     advance, emden_rhs_2d, emden_rhs_3d, energy_2d, energy_3d,
                     integrate)
 from .fields import Field2D, Field3D, FieldSample, GeneralMassFamily
@@ -25,7 +26,7 @@ __all__ = [
     "__version__",
     "PhysParams", "DensityProfile", "NonSmoothCutoffWarning",
     "similarity_s", "similarity_eta",
-    "EmdenState3D", "EmdenState2D", "Termination", "Trajectory",
+    "EmdenState3D", "EmdenState2D", "Termination", "Trajectory", "RunStats",
     "emden_rhs_3d", "emden_rhs_2d", "energy_3d", "energy_2d",
     "integrate", "advance",
     "Field3D", "Field2D", "FieldSample", "GeneralMassFamily",
@@ -35,6 +36,7 @@ __all__ = [
     "refined_residual", "total_mass", "cutoff_regularity_check",
     "GLOBAL", "BLOWUP", "OPEN_CASE", "Classification", "PeriodEstimate",
     "classify_3d", "classify_cell", "probe_open_case", "detect_period_2d",
+    "search_period_2d",
     "check_no_period_3d",
     "RunConfig", "ConfigError", "parse_config", "serialize_config",
 ]

@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
-from .emden import (EmdenState2D, EmdenState3D, RunOptions, Trajectory, _check_span,
-                    _run, emden_rhs_2d, integrate)
+from .emden import (EmdenState2D, EmdenState3D, RunOptions, Termination, Trajectory,
+                    _check_span, _run, emden_rhs_2d, integrate)
 from .profiles import PhysParams
 
 __all__ = [
@@ -38,6 +36,7 @@ __all__ = [
     "classify_cell",
     "probe_open_case",
     "detect_period_2d",
+    "search_period_2d",
     "check_no_period_3d",
 ]
 
@@ -146,17 +145,20 @@ class PeriodEstimate:
         return asdict(self)
 
 
-def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
-                     fixed_point_tol: float = 1e-9, **run_options) -> PeriodEstimate | None:
-    """Detect a period of the planar dynamics via the pericenter section.
+def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
+                     fixed_point_tol: float = 1e-9,
+                     **run_options) -> tuple[PeriodEstimate | None, Termination | None]:
+    """Search a period of the planar dynamics via the pericenter section.
 
     Integrates for at most ``t_max`` time units past ``ic.t`` with the
     ``run_options`` of :func:`classify_cell` until the second upward crossing
     of a' = 0 (where a'' > 0).  Returns the crossing-to-crossing time with its
     return error, or None if fewer than two crossings occur (e.g. escape for
-    lam > 0, a collapse, or ``max_steps`` steps taken).  An equilibrium start
-    is reported, once the horizon and options pass, as a fixed point with the
-    linearized period.
+    lam > 0, a collapse, or ``max_steps`` steps taken), and the run's
+    termination, which says how the search ended (kind ``section`` when it
+    found the second crossing).  An equilibrium start is reported, once the
+    horizon and options pass, as a fixed point with the linearized period and
+    no termination, since it needs no run.
     """
     run = RunOptions(**run_options)
     _check_span(ic.t, ic.t + t_max)
@@ -168,18 +170,23 @@ def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
         daccel = (-3.0 * p.xi * p.xi / ic.a**4
                   + (1.0 - 2.0 * g) * p.lam / ic.a ** (2.0 * g))
         if daccel >= 0.0:
-            return None
+            return None, None
         return PeriodEstimate(period=2.0 * math.pi / math.sqrt(-daccel),
-                              return_error=0.0, method="fixed-point")
+                              return_error=0.0, method="fixed-point"), None
 
-    crossings = _run(p, 2, np.array([ic.a, ic.a_dot]), ic.t, ic.t + t_max, run,
-                     section=True)[-1]
+    termination, _, _, crossings, _ = _run(p, 2, (ic.a, ic.a_dot), ic.t, ic.t + t_max, run,
+                                           section=True)
     if len(crossings) < 2:
-        return None
+        return None, termination
     (t1, y1), (t2, y2) = crossings
-    return PeriodEstimate(period=float(t2 - t1),
-                          return_error=float(math.hypot(y2[0] - y1[0], y2[1] - y1[1])),
-                          method="pericenter-section")
+    return PeriodEstimate(period=t2 - t1, return_error=math.hypot(y2[0] - y1[0], y2[1] - y1[1]),
+                          method="pericenter-section"), termination
+
+
+def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
+                     fixed_point_tol: float = 1e-9, **run_options) -> PeriodEstimate | None:
+    """The period found by :func:`search_period_2d`, or None."""
+    return search_period_2d(p, ic, t_max, fixed_point_tol=fixed_point_tol, **run_options)[0]
 
 
 def check_no_period_3d(p: PhysParams, traj: Trajectory) -> bool:

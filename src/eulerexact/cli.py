@@ -16,8 +16,10 @@ import sys
 
 import numpy as np
 
-# classify_3d is not called here: it stays importable for bench/tracer.py
-from .classify import classify_3d, classify_cell, detect_period_2d  # noqa: F401
+# classify_3d and detect_period_2d are not called here: they stay importable
+# for bench/tracer.py
+from .classify import (classify_3d, classify_cell, detect_period_2d,  # noqa: F401
+                       search_period_2d)
 from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
 from .emden import integrate, strict_json
@@ -276,11 +278,16 @@ def run_classify(cfg: RunConfig, out: str) -> int:
         doc.update(result.to_dict())
         summary = result.verdict
     else:
-        estimate = detect_period_2d(cfg.params(), cfg.initial_state(), cfg.t_end,
-                                    **cfg.run_options())
+        estimate, termination = search_period_2d(cfg.params(), cfg.initial_state(), cfg.t_end,
+                                                 **cfg.run_options())
         doc["period"] = estimate.to_dict() if estimate is not None else None
-        summary = ("period {:.6g}".format(estimate.period)
-                   if estimate is not None else "no period detected")
+        # how the search run ended; an equilibrium start needs no run
+        doc["termination"] = termination.to_dict() if termination is not None else None
+        if estimate is not None:
+            summary = "period {:.6g}".format(estimate.period)
+        else:
+            summary = "no period detected ({})".format(
+                termination.kind if termination is not None else "equilibrium")
     _write_json(out, doc)
     print(f"wrote {out} ({summary})")
     return EXIT_OK

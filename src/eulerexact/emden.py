@@ -11,9 +11,10 @@ and in the planar case the single equation
 
 Both conserve a first integral (see :func:`energy_3d` / :func:`energy_2d`;
 the formulas are verified symbolically in the test suite).  The equations are
-written once, in ``_rhs_vec``.  Integration, the time shifts of
-:func:`advance` included, is done with an adaptive embedded Runge-Kutta pair
-driven step by step by one loop, ``_run``, so that events are
+written once, in ``_rhs``.  Integration, the time shifts of :func:`advance`
+included, is done by one step loop, ``_run``: an embedded Runge-Kutta pair
+(Dormand-Prince 5(4), or DOP853) on plain Python floats, with the tableaux
+read from the installed scipy and scipy's step-size controller.  Events are
 located by root bracketing on each step's dense output: collapse of a scale
 factor (a or b reaching a small positive floor) and, for the planar period
 search, upward crossings of the pericenter section a' = 0.
@@ -23,12 +24,15 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
+from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, OdeSolution
+# the Butcher tableaux only: the step loop is this module's own
+from scipy.integrate import RK45
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.optimize import brentq
 
 from .profiles import PhysParams
@@ -43,15 +47,15 @@ __all__ = [
     "energy_3d",
     "energy_2d",
     "RunOptions",
+    "RunStats",
     "integrate",
     "advance",
 ]
 
-_METHODS = {"RK45": RK45, "DOP853": DOP853}
-
 # default adaptive step budget of integrate and of a run configuration
 MAX_STEPS = 100_000
-# the smallest rel_tol scipy's steppers honour; below it they clamp silently
+# the smallest rel_tol a run accepts: scipy's steppers, whose controller the
+# engine follows, clamp anything below it
 MIN_REL_TOL = 100 * math.ulp(1.0)
 
 # On solver failure, a component this far below its initial value with inward
@@ -99,24 +103,32 @@ class EmdenState2D:
 
 def emden_rhs_3d(state: EmdenState3D, p: PhysParams) -> tuple[float, float, float, float]:
     """Right-hand side (a', a'', b', b'') of the 3D scale-factor system."""
-    return tuple(_rhs_vec(p, 3)(state.t, (state.a, state.a_dot, state.b, state.b_dot)).tolist())
+    return _rhs(p, 3)((state.a, state.a_dot, state.b, state.b_dot))
 
 
 def emden_rhs_2d(state: EmdenState2D, p: PhysParams) -> tuple[float, float]:
     """Right-hand side (a', a'') of the planar scale-factor equation."""
-    return tuple(_rhs_vec(p, 2)(state.t, (state.a, state.a_dot)).tolist())
+    return _rhs(p, 2)((state.a, state.a_dot))
 
 
 def _energy(p: PhysParams, a: float, ad: float, b: float, bd: float) -> float:
     """The first integral, written once.  The b-kinetic term carries weight
     1/4 (not 1/2) because the b equation sources the lam potential at half
     the strength of the a equation; with that weight d/dt of the value below
-    vanishes along exact solutions."""
-    kinetic = 0.5 * ad * ad + 0.25 * bd * bd + p.xi * p.xi / (2.0 * a * a)
-    if p.is_isothermal:
-        return kinetic - p.lam * math.log(a) - 0.5 * p.lam * math.log(b)
-    g = p.gamma
-    return kinetic + p.lam / (2.0 * g - 2.0) * a ** (2.0 - 2.0 * g) * b ** (1.0 - g)
+    vanishes along exact solutions.  A value out of float range is IEEE's inf
+    or nan, as in ``_rhs``."""
+    def terms(a, ad, b, bd):
+        kinetic = 0.5 * ad * ad + 0.25 * bd * bd + p.xi * p.xi / (2.0 * a * a)
+        if p.is_isothermal:
+            return (kinetic - p.lam * math.log(a) - 0.5 * p.lam * math.log(b),)
+        g = p.gamma
+        return (kinetic + p.lam / (2.0 * g - 2.0) * a ** (2.0 - 2.0 * g) * b ** (1.0 - g),)
+
+    try:
+        (value,) = terms(a, ad, b, bd)
+    except ArithmeticError:
+        (value,) = _ieee(terms, a, ad, b, bd)
+    return value
 
 
 def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
@@ -134,10 +146,11 @@ def energy_2d(state: EmdenState2D, p: PhysParams) -> float:
 class Termination:
     """How an integration ended.
 
-    kind is one of ``reached_t_end``, ``blowup``, ``step_failure``.  For
-    ``blowup``, ``t_est`` locates the floor crossing, ``which`` names the
-    collapsing factor and ``bracket_width`` is the width of the bracketing
-    interval used to locate it (not a rigorous error bound).
+    kind is one of ``reached_t_end``, ``blowup``, ``step_failure``, or, for
+    the planar period search, ``section`` at the second pericenter crossing
+    (``t_est``).  For ``blowup``, ``t_est`` locates the floor crossing,
+    ``which`` names the collapsing factor and ``bracket_width`` is the width
+    of the bracketing interval used to locate it (not a rigorous error bound).
     """
 
     kind: str
@@ -150,13 +163,29 @@ class Termination:
         return {k: v for k, v in asdict(self).items() if v not in (None, "")}
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """What one run of the step loop did: accepted and rejected step
+    attempts, right-hand-side evaluations (two to start, the stages of every
+    attempt, and DOP853's three dense-output stages per accepted step), and
+    the smallest and largest accepted step (None when no step was accepted).
+    """
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float | None
+    h_max: float | None
+
+
 @dataclass
 class Trajectory:
     """Integration output: ordered state samples plus a termination record.
 
     ``states`` holds samples at the caller-requested times (or at the accepted
     step points when no times were requested); :meth:`state_at` evaluates the
-    dense interpolant anywhere inside the integrated span.
+    dense output anywhere inside the integrated span.  ``stats`` counts the
+    run's steps; a hand-built trajectory has none.
     """
 
     params: PhysParams
@@ -165,7 +194,8 @@ class Trajectory:
     states: list
     termination: Termination
     t_span: tuple[float, float]
-    _dense: OdeSolution | None = field(default=None, repr=False)
+    _dense: _DenseOutput | None = field(default=None, repr=False)
+    stats: RunStats | None = None
 
     def __post_init__(self) -> None:
         ts = [st.t for st in self.states]
@@ -223,11 +253,11 @@ def _state_from_vec(dim: int, t: float, y) -> EmdenState3D | EmdenState2D:
     return EmdenState2D(t, float(y[0]), float(y[1]))
 
 
-def _vec_from_state(state: EmdenState3D | EmdenState2D) -> tuple[int, np.ndarray]:
+def _vec_from_state(state: EmdenState3D | EmdenState2D) -> tuple[int, tuple]:
     if isinstance(state, EmdenState3D):
-        return 3, np.array([state.a, state.a_dot, state.b, state.b_dot])
+        return 3, (state.a, state.a_dot, state.b, state.b_dot)
     if isinstance(state, EmdenState2D):
-        return 2, np.array([state.a, state.a_dot])
+        return 2, (state.a, state.a_dot)
     raise TypeError(f"unsupported state type: {type(state)!r}")
 
 
@@ -263,36 +293,258 @@ def _check_span(t0: float, t_end: float) -> None:
         raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
 
 
-def _rhs_vec(p: PhysParams, dim: int):
-    """The equations of motion as ``rhs(t, y)`` on (a, a'[, b, b'])."""
+def _rhs(p: PhysParams, dim: int):
+    """The equations of motion as ``rhs(y)`` on a sequence of plain floats
+    (a, a'[, b, b']), returning a tuple.
+
+    Outside the domain (a or b not > 0) every component is NaN, so the
+    controller rejects a trial step that leaves it.  Where a float power
+    overflows or a divisor underflows to zero, Python raises; the accelerations
+    are then taken on numpy scalars, which give IEEE's inf or nan instead.
+    """
     g = p.gamma
     xi2 = p.xi * p.xi
     lam = p.lam
+    e1, e2, e3 = 2.0 * g - 1.0, g - 1.0, 2.0 * g - 2.0
     if dim == 3:
-        nan = np.full(4, np.nan)
+        nan = (math.nan,) * 4
 
-        def rhs(t, y):
+        def accel(a, b):
+            return xi2 / a**3 + lam / (a**e1 * b**e2), lam / (a**e3 * b**g)
+
+        def rhs(y):
             a, ad, b, bd = y
-            # Trial evaluations outside the domain poison the step so the
-            # error controller rejects it and shrinks the step size.
             if a <= 0.0 or b <= 0.0:
                 return nan
-            return np.array([
-                ad,
-                xi2 / a**3 + lam / (a ** (2.0 * g - 1.0) * b ** (g - 1.0)),
-                bd,
-                lam / (a ** (2.0 * g - 2.0) * b**g),
-            ])
+            try:
+                add, bdd = accel(a, b)
+            except ArithmeticError:
+                add, bdd = _ieee(accel, a, b)
+            return ad, add, bd, bdd
     else:
-        nan = np.full(2, np.nan)
+        nan = (math.nan,) * 2
 
-        def rhs(t, y):
+        def accel(a):
+            return (xi2 / a**3 + lam / a**e1,)
+
+        def rhs(y):
             a, ad = y
             if a <= 0.0:
                 return nan
-            return np.array([ad, xi2 / a**3 + lam / a ** (2.0 * g - 1.0)])
+            try:
+                (add,) = accel(a)
+            except ArithmeticError:
+                (add,) = _ieee(accel, a)
+            return ad, add
 
     return rhs
+
+
+def _ieee(fn, *args) -> tuple:
+    """The floats of the tuple ``fn`` returns for ``args`` as numpy scalars."""
+    with np.errstate(all="ignore"):
+        return tuple(map(float, fn(*map(np.float64, args))))
+
+
+# scipy's step-size controller constants
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+
+# Dormand-Prince 5(4) (scipy's RK45), with its stages written out below.  The
+# autonomous system needs no stage times (C); the second stage has zero
+# weight in B, E and P, so those sums leave it out.
+if RK45.B[1] or RK45.E[1] or RK45.P[1].any():
+    raise ImportError("scipy's RK45 tableau gives its second stage a weight")
+(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65)) = [tuple(RK45.A[i, :i].tolist()) for i in range(6)]
+_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
+_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
+((_P10, _P11, _P12, _P13), _, (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43),
+ (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73)) = RK45.P.tolist()
+
+
+def _dp5_attempt(f, y, k1, h, rtol, atol):
+    """One trial step: (y_new, f(y_new), error norm, the stages the dense
+    output needs).  Each stage adds (sum of a_j k_j) * h, as scipy's
+    ``rk_step`` does."""
+    k2 = f([v + (p1 * _A21) * h for v, p1 in zip(y, k1)])
+    k3 = f([v + (p1 * _A31 + p2 * _A32) * h for v, p1, p2 in zip(y, k1, k2)])
+    k4 = f([v + (p1 * _A41 + p2 * _A42 + p3 * _A43) * h
+            for v, p1, p2, p3 in zip(y, k1, k2, k3)])
+    k5 = f([v + (p1 * _A51 + p2 * _A52 + p3 * _A53 + p4 * _A54) * h
+            for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+    k6 = f([v + (p1 * _A61 + p2 * _A62 + p3 * _A63 + p4 * _A64 + p5 * _A65) * h
+            for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (p1 * _B1 + p3 * _B3 + p4 * _B4 + p5 * _B5 + p6 * _B6)
+             for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(y_new)
+    sq = 0.0
+    for v, w, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        e = ((p1 * _E1 + p3 * _E3 + p4 * _E4 + p5 * _E5 + p6 * _E6 + p7 * _E7) * h
+             / (atol + max(abs(v), abs(w)) * rtol))
+        sq += e * e
+    return y_new, k7, math.sqrt(sq) / len(y) ** 0.5, (k1, k3, k4, k5, k6, k7)
+
+
+def _dp5_dense(f, y, y_new, stages, h):
+    """Per component, h times scipy's ``K.T @ P`` row: the quartic's
+    coefficients of x, x^2, x^3, x^4."""
+    return [((p1 * _P10 + p3 * _P30 + p4 * _P40 + p5 * _P50 + p6 * _P60 + p7 * _P70) * h,
+             (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71) * h,
+             (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72) * h,
+             (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73) * h)
+            for p1, p3, p4, p5, p6, p7 in zip(*stages)]
+
+
+# DOP853: the 12 stages, the 3 extra stages of its dense output, and the
+# error and dense-output weights, as scipy's DOP853 uses them
+_N8 = _dop853.N_STAGES
+_A8 = [tuple(_dop853.A[i, :i].tolist()) for i in range(1, _N8)]
+_A8_EXTRA = [tuple(_dop853.A[i, :i].tolist()) for i in range(_N8 + 1, _dop853.N_STAGES_EXTENDED)]
+_B8 = tuple(_dop853.B.tolist())
+_E8 = tuple(zip(_dop853.E5.tolist(), _dop853.E3.tolist()))
+_D8 = [tuple(row) for row in _dop853.D.tolist()]
+
+
+def _combine(y, weights, stages, h):
+    """y + (sum of w_j k_j) * h per component, summed in stage order."""
+    out = []
+    for i, v in enumerate(y):
+        acc = 0.0
+        for w, k in zip(weights, stages):
+            acc += k[i] * w
+        out.append(v + acc * h)
+    return out
+
+
+def _dop853_attempt(f, y, k1, h, rtol, atol):
+    stages = [k1]
+    for row in _A8:
+        stages.append(f(_combine(y, row, stages, h)))
+    y_new = _combine(y, _B8, stages, h)
+    stages.append(f(y_new))
+    sq5 = sq3 = 0.0
+    for i, (v, w) in enumerate(zip(y, y_new)):
+        e5 = e3 = 0.0
+        for (c5, c3), k in zip(_E8, stages):
+            e5 += k[i] * c5
+            e3 += k[i] * c3
+        scale = atol + max(abs(v), abs(w)) * rtol
+        e5, e3 = e5 / scale, e3 / scale
+        sq5 += e5 * e5
+        sq3 += e3 * e3
+    if sq5 == 0.0 and sq3 == 0.0:
+        err = 0.0
+    else:
+        err = abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+    return y_new, stages[-1], err, stages
+
+
+def _dop853_dense(f, y, y_new, stages, h):
+    """Per component, scipy's seven ``F`` rows of the DOP853 interpolant; the
+    three extra stages are evaluated here."""
+    stages = list(stages)
+    for row in _A8_EXTRA:
+        stages.append(f(_combine(y, row, stages, h)))
+    rows = []
+    for i, v in enumerate(y):
+        dy = y_new[i] - v
+        f_old, f_new = stages[0][i], stages[_N8][i]
+        coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
+        for d in _D8:
+            acc = 0.0
+            for w, k in zip(d, stages):
+                acc += k[i] * w
+            coeffs.append(h * acc)
+        rows.append(tuple(coeffs))
+    return rows
+
+
+class _Method(NamedTuple):
+    """An embedded pair: its trial step, its dense-output coefficients, the
+    factors of its nested dense polynomial, the order of its error estimate
+    and its right-hand-side evaluations per attempt and per dense output."""
+
+    attempt: Callable
+    dense: Callable
+    factors: Callable
+    error_order: int
+    stage_evals: int
+    dense_evals: int
+
+
+# A step's dense output is y_old + nest(c, w) with nest(c, w) the value v of
+# v = 0; for c_k, w_k in zip(reversed(c), w): v = (v + c_k) * w_k, and every
+# factor w_k in [0, 1] on the step: Horner's rule in x for RK45, alternating
+# x and 1 - x for DOP853 (scipy's Dop853DenseOutput).
+_METHODS = {
+    "RK45": _Method(_dp5_attempt, _dp5_dense, lambda x: (x, x, x, x), 4, 6, 0),
+    "DOP853": _Method(_dop853_attempt, _dop853_dense,
+                      lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
+                      7, _N8, _dop853.N_STAGES_EXTENDED - _N8 - 1),
+}
+
+
+def _nest(coeffs, factors) -> float:
+    v = 0.0
+    for c, w in zip(reversed(coeffs), factors):
+        v = (v + c) * w
+    return v
+
+
+def _floor_clear(y: float, coeffs, floor: float) -> bool:
+    """Whether the step's dense output of a component that starts at y stays
+    above ``floor`` everywhere on the step.  With every factor in [0, 1],
+    ``nest`` is at least the lower bound b of b = min(0, b + c_k) over the
+    reversed coefficients; the margin covers the rounding of evaluating it."""
+    bound, size = 0.0, abs(y)
+    for c in reversed(coeffs):
+        bound += c
+        if bound > 0.0:
+            bound = 0.0
+        size += abs(c)
+    return y + bound - floor > 1e-12 * size
+
+
+class _DenseOutput:
+    """The step table of a run, in flat float arrays: step k spans
+    [ts[k], ts[k+1]] and starts at ``state(k)``; its dense output adds to each
+    component the nested polynomial of that component's coefficients."""
+
+    __slots__ = ("factors", "n", "m", "ts", "ys", "coeffs")
+
+    def __init__(self, factors, t0: float, y0):
+        self.factors = factors
+        self.n, self.m = len(y0), len(factors(0.0))
+        self.ts, self.ys, self.coeffs = array("d", [t0]), array("d", y0), array("d")
+
+    @property
+    def steps(self) -> int:
+        return len(self.ts) - 1
+
+    def append(self, t: float, y, rows) -> None:
+        """Add a step that ends at (t, y), with one coefficient row per component."""
+        self.ts.append(t)
+        self.ys.extend(y)
+        for row in rows:
+            self.coeffs.extend(row)
+
+    def state(self, k: int):
+        """The state at step point k."""
+        return self.ys[k * self.n:(k + 1) * self.n]
+
+    def value(self, k: int, comp: int, t: float) -> float:
+        """Component ``comp`` at time t by the dense output of step k."""
+        t_lo = self.ts[k]
+        x = (t - t_lo) / (self.ts[k + 1] - t_lo)
+        i = k * self.n + comp
+        return self.ys[i] + _nest(self.coeffs[i * self.m:(i + 1) * self.m], self.factors(x))
+
+    def __call__(self, t: float) -> tuple:
+        """The state at t; a step boundary belongs to the step it ends."""
+        k = min(max(bisect_left(self.ts, t) - 1, 0), self.steps - 1)
+        return tuple(self.value(k, comp, t) for comp in range(self.n))
 
 
 # the pericenter section watches a' (component 1); its crossing time is
@@ -301,99 +553,160 @@ _SECTION = 1
 _SECTION_TOL = 4.0 * np.finfo(float).eps
 
 
-def _locate(dense, t_lo, t_hi, floors, rel_tol, section_after):
-    """Locate the earliest event in the step [t_lo, t_hi].
+def _locate(dense: _DenseOutput, y, rows, floors, rel_tol, section_after):
+    """Locate the earliest event in the last step of ``dense``, which starts
+    at state y and has the coefficient rows ``rows``.
 
     Returns (t_est, component_index, bracket_width) or None.  Floor events
-    are a component of ``floors`` falling to its floor; the step is scanned
-    at interior samples so a dip below the floor inside the step is not
+    are a component of ``floors`` falling to its floor; unless the step's
+    polynomial provably stays above the floor, the step is scanned at 9
+    evenly spaced samples so a dip below the floor inside the step is not
     missed.  Unless ``section_after`` is None, a section event is a' rising
     through 0 over the step (``a'(t_lo) <= 0 <= a'(t_hi)``, the rule of
     solve_ivp); it counts only later than ``section_after``, so a crossing on
     a step boundary is not counted twice.
     """
-    tt = np.linspace(t_lo, t_hi, 9)
-    yy = dense(tt)
+    k = dense.steps - 1
+    t_lo, t_hi = dense.ts[k], dense.ts[k + 1]
+    samples = None
     best = None
     for comp, floor in floors:
-        below = np.nonzero(yy[comp] <= floor)[0]
-        if below.size == 0:
+        if _floor_clear(y[comp], rows[comp], floor):
             continue
-        i = below[0]
+        if samples is None:
+            # np.linspace(t_lo, t_hi, 9)
+            step = (t_hi - t_lo) / 8
+            samples = [t_lo + i * step for i in range(8)] + [t_hi]
+        i = next((i for i, t in enumerate(samples) if dense.value(k, comp, t) <= floor), None)
+        if i is None:
+            continue
         if i == 0:
             # crossing happened exactly at the step start; accepted states are
             # above the floor, so treat the start as the estimate
             t_est, width = t_lo, 0.0
         else:
-            t_est = brentq(lambda q: float(dense(q)[comp]) - floor, tt[i - 1], tt[i],
-                           xtol=1e-300, rtol=rel_tol)
+            t_est = brentq(lambda q: dense.value(k, comp, q) - floor, samples[i - 1],
+                           samples[i], xtol=1e-300, rtol=rel_tol)
             width = rel_tol * abs(t_est)
         if best is None or t_est < best[0]:
             best = (t_est, comp, width)
-    if section_after is not None and yy[_SECTION, 0] <= 0.0 <= yy[_SECTION, -1]:
-        t_est = brentq(lambda q: float(dense(q)[_SECTION]), t_lo, t_hi,
+    if section_after is not None and y[_SECTION] <= 0.0 <= dense.value(k, _SECTION, t_hi):
+        t_est = brentq(lambda q: dense.value(k, _SECTION, q), t_lo, t_hi,
                        xtol=_SECTION_TOL, rtol=_SECTION_TOL)
         if t_est > section_after and (best is None or t_est < best[0]):
             best = (t_est, _SECTION, 0.0)
     return best
 
 
-def _run(p: PhysParams, dim: int, y0: np.ndarray, t0: float, t_end: float,
+def _rms(values) -> float:
+    return math.hypot(*values) / len(values) ** 0.5
+
+
+def _initial_step(f, y0, f0, interval, order, rtol, atol) -> float:
+    """scipy's ``select_initial_step`` (Hairer, Norsett and Wanner II.4) on
+    plain floats; a NaN or inf norm leaves the same step as numpy's."""
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = f([v + h0 * d for v, d in zip(y0, f0)])
+    if h0 == 0.0:
+        # d1 is inf, and the step is min(100 * h0, ...) = 0 whatever d2 is
+        return 0.0
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        top = max(d1, d2)
+        h1 = (0.01 / top) ** (1.0 / (order + 1)) if top > 0.0 else math.inf
+    return min(100.0 * h0, h1, interval)
+
+
+def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
          run: RunOptions, *, section: bool = False):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``.
 
     The run ends at ``t_end``, at the first floor event, after ``max_steps``
     steps, on a step failure, or (with ``section``) at the second section
     crossing, whose termination kind is ``section``.  Returns (termination,
-    t_stop, step times, step interpolants, section crossings as (t, y)).
+    t_stop, the step table, section crossings as (t, y), run statistics).
+
+    The controller is scipy's: the initial step of ``select_initial_step``, a
+    step never below 10 ulp of t, growth by 0.9 err^(-1/(order+1)) within
+    [0.2, 10], and no growth right after a rejection.  A trial step whose
+    error norm is not below 1 (NaN included) is rejected.
     """
     _check_span(t0, t_end)
+    method = _METHODS[run.method]
+    attempt = method.attempt
+    rtol, atol = run.rel_tol, run.abs_tol
+    exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
     # eps_blow is None or > 0, so ``or`` picks the library's floor for None only
     floors = [(comp, run.eps_blow or 1e-10 * y0[comp]) for comp in comp_names]
-    solver = _METHODS[run.method](_rhs_vec(p, dim), t0, y0, t_end,
-                                  rtol=run.rel_tol, atol=run.abs_tol)
-    ts, interpolants, crossings = [t0], [], []
+    f = _rhs(p, dim)
+    t, y, fy = t0, y0, f(y0)
+    h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
+    dense = _DenseOutput(method.factors, t0, y0)
+    crossings = []
     section_after = -math.inf if section else None
+    rejected = 0
     termination = None
 
-    with warnings.catch_warnings():
-        # scipy warns when shrinking steps hit the representable minimum;
-        # that situation is diagnosed explicitly below
-        warnings.simplefilter("ignore")
-        while solver.status == "running":
-            if len(interpolants) >= run.max_steps:
-                termination = Termination("step_failure",
-                                          detail=f"max_steps={run.max_steps} exhausted")
-                break
-            t_prev = solver.t
-            solver.step()
-            if solver.status == "failed":
-                termination = _diagnose_failure(solver, y0, comp_names)
-                break
-            dense = solver.dense_output()
-            interpolants.append(dense)
-            ts.append(solver.t)
-            hit = _locate(dense, t_prev, solver.t, floors, run.rel_tol, section_after)
-            if hit is None:
-                continue
-            t_est, comp, width = hit
-            if comp == _SECTION:
-                crossings.append((t_est, dense(t_est)))
-                section_after = t_est
-                if len(crossings) < 2:
-                    continue
-                termination = Termination("section", t_est=t_est)
-            else:
-                termination = Termination("blowup", t_est=t_est,
-                                          which=comp_names[comp],
-                                          bracket_width=width)
+    while t < t_end:
+        if dense.steps >= run.max_steps:
+            termination = Termination("step_failure",
+                                      detail=f"max_steps={run.max_steps} exhausted")
             break
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step size too
+                termination = _diagnose_failure(t, y, y0, comp_names)
+                break
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            y_new, f_new, err, stages = attempt(f, y, fy, h, rtol, atol)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**exponent)
+                h_abs = h * (min(1.0, factor) if step_rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err**exponent)
+            step_rejected = True
+            rejected += 1
+        if termination is not None:
+            break
+        rows = method.dense(f, y, y_new, stages, h)
+        dense.append(t_new, y_new, rows)
+        hit = _locate(dense, y, rows, floors, rtol, section_after)
+        t, y, fy = t_new, y_new, f_new
+        if hit is None:
+            continue
+        t_est, comp, width = hit
+        if comp == _SECTION:
+            k = dense.steps - 1
+            crossings.append((t_est, tuple(dense.value(k, i, t_est) for i in range(dense.n))))
+            section_after = t_est
+            if len(crossings) < 2:
+                continue
+            termination = Termination("section", t_est=t_est)
+        else:
+            termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
+                                      bracket_width=width)
+        break
 
     if termination is None:
         termination = Termination("reached_t_end")
-    t_stop = termination.t_est if termination.kind == "blowup" else solver.t
-    return termination, t_stop, ts, interpolants, crossings
+    t_stop = termination.t_est if termination.kind == "blowup" else t
+    accepted = dense.steps
+    steps = [b - a for a, b in zip(dense.ts, dense.ts[1:])]
+    stats = RunStats(accepted=accepted, rejected=rejected,
+                     rhs_evals=2 + method.stage_evals * (accepted + rejected)
+                     + method.dense_evals * accepted,
+                     h_min=min(steps, default=None), h_max=max(steps, default=None))
+    return termination, t_stop, dense, crossings, stats
 
 
 def integrate(
@@ -426,36 +739,35 @@ def integrate(
         if dense_times and (dense_times[0] < t0 or dense_times[-1] > t_end):
             raise ValueError("dense_times must lie within [t0, t_end]")
 
-    termination, t_stop, ts, interpolants, _ = _run(
+    termination, t_stop, dense, _, stats = _run(
         p, dim, y0, t0, t_end, RunOptions(rel_tol, abs_tol, max_steps, eps_blow, method))
-    sol = OdeSolution(ts, interpolants) if interpolants else None
 
     if dense_times is not None:
-        sample_times = [t for t in dense_times if t0 <= t <= t_stop]
+        states = [initial_state if t == t0 else _state_from_vec(dim, t, dense(t))
+                  for t in dense_times if t <= t_stop]
     else:
-        sample_times = [t for t in ts if t <= t_stop]
-        if termination.kind == "blowup" and (not sample_times or sample_times[-1] < t_stop):
-            sample_times.append(t_stop)
-
-    states = [initial_state if t == t0 else _state_from_vec(dim, t, sol(t))
-              for t in sample_times]
+        # the accepted step points, then the collapse point on blowup
+        states = [initial_state] + [_state_from_vec(dim, dense.ts[k], dense.state(k))
+                                    for k in range(1, dense.steps + 1) if dense.ts[k] <= t_stop]
+        if termination.kind == "blowup" and states[-1].t < t_stop:
+            states.append(_state_from_vec(dim, t_stop, dense(t_stop)))
 
     return Trajectory(params=p, dim=dim, initial_state=initial_state,
-                      states=states, termination=termination,
-                      t_span=(t0, t_stop), _dense=sol)
+                      states=states, termination=termination, t_span=(t0, t_stop),
+                      _dense=dense if dense.steps else None, stats=stats)
 
 
-def _diagnose_failure(solver, y0, comp_names) -> Termination:
-    y = solver.y
+def _diagnose_failure(t: float, y, y0, comp_names) -> Termination:
+    """The termination of a run whose step size fell below 10 ulp of t at
+    state y."""
     for comp, name in comp_names.items():
         value, velocity = y[comp], y[comp + 1]
         if value < _COLLAPSE_RATIO * y0[comp] and velocity < 0.0:
             # time scale left before reaching zero bounds the location error
-            return Termination("blowup", t_est=solver.t, which=name,
+            return Termination("blowup", t_est=t, which=name,
                                bracket_width=abs(value / velocity),
                                detail="step size underflow during collapse")
-    return Termination("step_failure", t_est=solver.t,
-                       detail="adaptive step size underflow")
+    return Termination("step_failure", t_est=t, detail="adaptive step size underflow")
 
 
 # advance's run: tight enough that a shift's error stays far below the
@@ -482,11 +794,14 @@ def advance(
     if dt == 0.0:
         return state
     dim, y = _vec_from_state(state)
-    y[1::2] *= math.copysign(1.0, dt)
-    termination, t_stop, _, interpolants, _ = _run(p, dim, y, 0.0, abs(dt), _ADVANCE_RUN)
+    sign = math.copysign(1.0, dt)
+    termination, t_stop, dense, _, _ = _run(p, dim, _turn(y, sign), 0.0, abs(dt), _ADVANCE_RUN)
     if termination.kind != "reached_t_end":
         raise ValueError(f"time shift dt={dt} from t={state.t} stopped after |dt|={t_stop!r} "
                          f"in {termination.kind}: {termination.to_dict()}")
-    y = interpolants[-1](abs(dt))
-    y[1::2] *= math.copysign(1.0, dt)
-    return _state_from_vec(dim, state.t + dt, y)
+    return _state_from_vec(dim, state.t + dt, _turn(dense.state(dense.steps), sign))
+
+
+def _turn(y, sign: float) -> tuple:
+    """y with the velocities (a', b') multiplied by ``sign``."""
+    return tuple(v * sign if i % 2 else v for i, v in enumerate(y))

@@ -2,17 +2,20 @@
 
 Everything here is deliberately written against the raw equations, not
 against the library code paths it checks: a fixed-step classic RK4 stepper
-(scalar and vectorized over parameter batches), plain finite-difference
-helpers, the planar period from the first integral by quadrature, and the
-residual stencil written point by point over scalar samples.
+(scalar and vectorized over parameter batches), scipy's own RK45/DOP853
+stepping with the library's event rule, the Ermakov-Pinney closed forms,
+plain finite-difference helpers, the planar period from the first integral
+by quadrature, and the residual stencil written point by point over scalar
+samples.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import DOP853, RK45, quad
 from scipy.optimize import brentq
 
 
@@ -42,6 +45,71 @@ def rk4_fixed(rhs, y0, t_span, dt, params):
         k4 = rhs(y + h * k3, *params)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def scipy_run(rhs, y0, t_end, params, *, method, rel_tol, abs_tol, floors):
+    """scipy's RK45 or DOP853 stepped from t = 0 towards ``t_end``, with the
+    library's collapse rule: each step's dense output is sampled at 9 evenly
+    spaced times, and the first sample at or below a component's floor is
+    refined by brentq to ``rel_tol``.  ``floors`` is [(component, floor)].
+
+    Returns ("blowup", t_est, None), ("reached_t_end", t_end, y(t_end)) or
+    ("step_failure", t, None).
+    """
+    def fun(t, y):
+        if y[0] <= 0.0 or (len(y) == 4 and y[2] <= 0.0):
+            return np.full(len(y), np.nan)
+        with np.errstate(all="ignore"):
+            return rhs(y, *params)
+
+    solver = {"RK45": RK45, "DOP853": DOP853}[method](
+        fun, 0.0, np.array(y0, dtype=float), t_end, rtol=rel_tol, atol=abs_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while solver.status == "running":
+            t_lo = solver.t
+            solver.step()
+            if solver.status == "failed":
+                return "step_failure", solver.t, None
+            dense = solver.dense_output()
+            tt = np.linspace(t_lo, solver.t, 9)
+            yy = dense(tt)
+            hits = []
+            for comp, floor in floors:
+                below = np.nonzero(yy[comp] <= floor)[0]
+                if below.size:
+                    i = below[0]
+                    hits.append(t_lo if i == 0 else brentq(
+                        lambda q: float(dense(q)[comp]) - floor, tt[i - 1], tt[i],
+                        xtol=1e-300, rtol=rel_tol))
+            if hits:
+                return "blowup", min(hits), None
+    return "reached_t_end", t_end, dense(t_end)
+
+
+def ermakov_pinney(a0, a1, c, t):
+    """(a, a') at t of a'' = c / a^3 from (a0, a1) at t = 0:
+    a(t)^2 = (a0 + a1 t)^2 + c t^2 / a0^2."""
+    u = a0 + a1 * t
+    a = math.sqrt(u * u + c * t * t / (a0 * a0))
+    return a, (a1 * u + c * t / (a0 * a0)) / a
+
+
+def ermakov_pinney_collapse(a0, a1, c, floor):
+    """The first t > 0 with a(t) = floor (0 < floor < a0) on the
+    Ermakov-Pinney solution, or None: the smallest positive root of
+    (a1^2 + c/a0^2) t^2 + 2 a0 a1 t + a0^2 - floor^2 = 0."""
+    qa = a1 * a1 + c / (a0 * a0)
+    qb = 2.0 * a0 * a1
+    qc = a0 * a0 - floor * floor
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return None
+    # the product of the roots is qc / qa; the cancellation-free one first
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    roots = [r for r in (q / qa if qa else math.inf, qc / q if q else math.inf)
+             if 0.0 < r < math.inf]
+    return min(roots, default=None)
 
 
 def central_diff(fun, x, h):

@@ -51,7 +51,7 @@ class TestClassifyCommand:
                 env=env, capture_output=True, timeout=5.0)
             assert proc.returncode == 0, proc.stderr
             periods.append(json.loads(out.read_text())["period"]["period"])
-        assert periods == [6.361888521466641, 6.361888521466641]
+        assert periods == [6.361888521466634, 6.361888521466634]
 
     def test_dim2_reports_period(self, tmp_path):
         out = tmp_path / "c.json"
@@ -86,7 +86,26 @@ class TestClassifyCommand:
                            "--out", str(i_out))
         assert code == 3
         assert json.loads(err.strip().splitlines()[-1])["termination"]["t_est"] == (
-            1.1946889082442789)
+            1.194688908244276)
+
+    def test_dim2_without_a_period_reports_how_the_run_ended(self, tmp_path):
+        # the collapse below the floor, the step budget, and the horizon each
+        # end the search differently; the report names the termination
+        c_out, i_out = tmp_path / "c.json", tmp_path / "i.jsonl"
+        assert run(tmp_path, "classify", *self.ORBIT, "--eps-blow", "1.05",
+                   "--out", str(c_out))[0] == 0
+        doc = json.loads(c_out.read_text())
+        assert run(tmp_path, "integrate", *self.ORBIT, "--eps-blow", "1.05",
+                   "--out", str(i_out))[0] == 3
+        last = json.loads(i_out.read_text().splitlines()[-1])["termination"]
+        assert doc["period"] is None
+        assert (doc["termination"]["kind"], doc["termination"]["t_est"]) == (
+            "blowup", last["t_est"])
+        for extra, kind in ((["--max-steps", "3"], "step_failure"),
+                            (["--lambda", "1"], "reached_t_end")):
+            assert run(tmp_path, "classify", *self.ORBIT, *extra, "--out", str(c_out))[0] == 0
+            doc = json.loads(c_out.read_text())
+            assert (doc["period"], doc["termination"]["kind"]) == (None, kind)
 
     @pytest.mark.parametrize("option", [["--abs-tol", "1e-6"], ["--method", "DOP853"]])
     def test_dim2_period_search_takes_the_run_options(self, tmp_path, option):
@@ -94,7 +113,7 @@ class TestClassifyCommand:
         for extra, out in zip([[], option], outs):
             assert run(tmp_path, "classify", *self.ORBIT, *extra, "--out", str(out))[0] == 0
         default, changed = (json.loads(out.read_text())["period"] for out in outs)
-        assert default["period"] == 6.361888521466641
+        assert default["period"] == 6.361888521466634
         assert changed["period"] != default["period"]
         assert changed["period"] == pytest.approx(default["period"], rel=1e-5)
 
@@ -209,18 +228,18 @@ GOLDEN_SAMPLES = {
         ["--gamma", "1.5", "--lambda", "1", "--xi", "1.3", "--a1", "0.2", "--b1", "-0.3",
          "--grid-x=-3:3:7", "--grid-y=-2.5:2.5:6", "--grid-z=-2:2:5", "--times", "0,0.3"],
         1 + 7 * 6 * 5 * 2,
-        "096c8958419b1ae5ad8229771cc37e1589cdb338b13165f4f5a8a3eb31288468"),
+        "68373c4df7654b48583b02ca1067dacf0aa1c3d9d0e48e1129fd588cfde9e0f7"),
     "gaussian_3d": (
         ["--gamma", "1", "--lambda", "0.7", "--xi", "0.9", "--a1", "-0.1", "--b1", "0.4",
          "--grid-x=-2:2:7", "--grid-y=-1.5:1.5:6", "--grid-z=-1:1.5:5",
          "--times", "0,0.25,1.1"],
         1 + 7 * 6 * 5 * 3,
-        "1e51ed29b3fa26a9c83473cee80bdf8d3863de22eec52972701d29bcf582c390"),
+        "fd1ac19e622493e98e9d358770fc99d1539f909e6a021e435c46f53c3bc3f1c2"),
     "planar_2d_lambda_negative": (
         ["--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
          "--a1", "0.3", "--grid-x=-2:2:7", "--grid-y=-1.5:1.5:6", "--times", "0,0.4,2.5"],
         1 + 7 * 6 * 3,
-        "d16cbfd48ba349f6b96184fd546e1f861ae16e4224d4d0ab5fa45ba4755d9e7e"),
+        "8195884a5eae973c1a08ba0007a898ee78f90e785eb2feb9cc9d18b8791ef203"),
 }
 
 
@@ -398,7 +417,7 @@ class TestOneLifespanPath:
         row = s_out.read_text().splitlines()[1].split(",")
         probe = probe_open_case(PhysParams(K=1.0, gamma=1.4, lam=-1.0, alpha=1.0, xi=1.0),
                                 EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2), 30.0)
-        assert doc["T"] == float(row[12]) == probe.T == 1.424026719352556
+        assert doc["T"] == float(row[12]) == probe.T == 1.4240267193525549
         assert (doc["verdict"], doc["basis"]) == tuple(row[10:12]) == (
             "unknown_open_case", "numerical_evidence")
         assert (probe.verdict, probe.basis) == ("finite_time_blowup", "numerical_evidence")
@@ -413,8 +432,8 @@ class TestOneLifespanPath:
         T = json.loads(c_out.read_text())["T"]
         row = s_out.read_text().splitlines()[1].split(",")
         last = json.loads(i_out.read_text().splitlines()[-1])["termination"]
-        # without the floor the run collapses at 1.424026719352556
-        assert T == float(row[12]) == last["t_est"] == 1.1701510518576856
+        # without the floor the run collapses at 1.4240267193525549
+        assert T == float(row[12]) == last["t_est"] == 1.1701510518576843
 
     def test_classify_times_an_analytic_blowup_cell(self, tmp_path):
         out = tmp_path / "c.json"
@@ -628,4 +647,20 @@ class TestStrictJson:
                            "--out", str(out))
         assert code == 2
         assert "non-finite" in err
+        assert not out.exists()
+
+    def test_unrepresentable_start_ends_promptly_with_a_named_error(self, tmp_path):
+        # at a0 = 1e-200 the accelerations are inf - inf = nan and the energy
+        # is inf: a NaN first step size must end the run, not loop, and the
+        # energy's float division by zero must give inf, not raise
+        out = tmp_path / "t.jsonl"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from eulerexact.cli import main; sys.exit(main())",
+             "integrate", "--a0", "1e-200", "--lambda=-1", "--t-end", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=20.0)
+        assert proc.returncode == 2, proc.stderr
+        assert "non-finite" in proc.stderr
         assert not out.exists()

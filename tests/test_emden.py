@@ -10,9 +10,11 @@ import pytest
 from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, RunConfig, Trajectory,
                         advance, emden_rhs_2d, emden_rhs_3d, energy_2d,
                         energy_3d, integrate)
+from eulerexact import emden
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
-from _oracles import rhs_2d_arrays, rhs_3d_arrays, rk4_fixed
+from _oracles import (ermakov_pinney, ermakov_pinney_collapse, rhs_2d_arrays,
+                      rhs_3d_arrays, rk4_fixed, scipy_run)
 
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0, mu=0.0):
@@ -394,3 +396,168 @@ class TestStrictJsonl:
         with pytest.raises(ValueError, match="non-finite"):
             traj.write_jsonl(out)
         assert not out.exists()
+
+
+class TestRunStats:
+    @pytest.mark.parametrize("method, per_attempt, per_dense", [("RK45", 6, 0), ("DOP853", 12, 3)])
+    def test_counters_are_exact(self, monkeypatch, method, per_attempt, per_dense):
+        calls = 0
+        real = emden._rhs
+
+        def counting(p, dim):
+            f = real(p, dim)
+
+            def rhs(y):
+                nonlocal calls
+                calls += 1
+                return f(y)
+
+            return rhs
+
+        monkeypatch.setattr(emden, "_rhs", counting)
+        rejected = 0
+        # the steep collapse rejects steps
+        for p, ic, t_end in [
+            (params(gamma=2.0, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0), 10.0),
+            (params(gamma=1.5, lam=0.8), EmdenState3D(0.0, 1.0, 0.2, 1.1, -0.3), 6.0),
+            (params(gamma=1.5, lam=-1.0), EmdenState2D(0.0, 1.1, 0.0), 10.0),
+        ]:
+            calls = 0
+            traj = integrate(p, ic, t_end, method=method)
+            s = traj.stats
+            # FSAL: an attempt's last stage is the next step's first
+            assert s.rhs_evals == calls == (2 + per_attempt * (s.accepted + s.rejected)
+                                            + per_dense * s.accepted)
+            rejected += s.rejected
+            if traj.termination.kind == "blowup":
+                continue
+            # without a collapse point, the samples are the step points
+            ts = [st.t for st in traj.states]
+            assert s.accepted == len(ts) - 1
+            steps = [t2 - t1 for t1, t2 in zip(ts, ts[1:])]
+            assert (s.h_min, s.h_max) == (min(steps), max(steps))
+        assert rejected > 0
+
+    def test_step_budget_and_hand_built_trajectory(self):
+        traj = integrate(params(), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0), 1.0, max_steps=1)
+        assert (traj.termination.kind, traj.stats.accepted) == ("step_failure", 1)
+        assert traj.stats.h_min == traj.stats.h_max == traj.states[-1].t
+        # a NaN first step accepts no step
+        traj = integrate(params(lam=-1.0), EmdenState3D(0.0, 1e-200, 0.0, 1.0, 0.0), 1.0)
+        assert (traj.termination.kind, traj.termination.t_est) == ("step_failure", 0.0)
+        assert (traj.stats.accepted, traj.stats.h_min, traj.stats.h_max) == (0, None, None)
+        hand_built = Trajectory(params=params(), dim=3, initial_state=traj.initial_state,
+                                states=[traj.initial_state], termination=traj.termination,
+                                t_span=(0.0, 0.0))
+        assert hand_built.stats is None
+
+
+class TestClosedForms:
+    """integrate against a'' = c / a^3 (Ermakov-Pinney): 3D with lam = 0
+    (c = xi^2, b linear) and 2D with gamma = 2 (c = xi^2 + lam)."""
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_3d_lam_zero(self, method):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            gamma, xi = float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.3, 2.0))
+            a0, a1, b0, b1 = (float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0)),
+                              float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 1.0)))
+            times = sorted(float(t) for t in rng.uniform(0.0, 10.0, 5))
+            traj = integrate(params(gamma=gamma, lam=0.0, xi=xi), EmdenState3D(0.0, a0, a1, b0, b1),
+                             10.0, dense_times=times, method=method)
+            assert traj.termination.kind == "reached_t_end"
+            for st in traj.states:
+                a, ad = ermakov_pinney(a0, a1, xi * xi, st.t)
+                assert st.a == pytest.approx(a, rel=1e-8)
+                assert st.a_dot == pytest.approx(ad, rel=1e-8, abs=1e-8 * max(1.0, abs(a1)))
+                assert st.b == pytest.approx(b0 + b1 * st.t, rel=1e-8)
+                assert st.b_dot == pytest.approx(b1, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_2d_gamma_two(self, method):
+        rng = np.random.default_rng(32)
+        collapses = 0
+        for _ in range(40):
+            xi, lam = float(rng.uniform(0.3, 1.5)), float(rng.uniform(-3.0, 2.0))
+            a0, a1 = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0))
+            c = xi * xi + lam
+            traj = integrate(params(gamma=2.0, lam=lam, xi=xi), EmdenState2D(0.0, a0, a1), 10.0,
+                             dense_times=[1.0, 10.0], method=method)
+            T = ermakov_pinney_collapse(a0, a1, c, 1e-10 * a0)
+            if T is not None and T < 10.0:
+                collapses += 1
+                assert traj.termination.kind == "blowup"
+                assert traj.termination.t_est == pytest.approx(T, rel=1e-8)
+            else:
+                assert traj.termination.kind == "reached_t_end"
+            for st in traj.states:
+                a, ad = ermakov_pinney(a0, a1, c, st.t)
+                assert st.a == pytest.approx(a, rel=1e-8)
+                assert st.a_dot == pytest.approx(ad, rel=1e-8, abs=1e-8 * max(1.0, abs(a1)))
+        assert 5 <= collapses <= 35
+
+
+def _engine_draws(n):
+    """n seeded runs over both dims and methods: 3D collapse, 3D escape, planar
+    orbit, planar collapse and planar escape, as (params, y0, t_end, method)."""
+    rng = np.random.default_rng(2026)
+    draws = []
+    for i in range(n):
+        u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+        kind = i // 2 % 5
+        if kind == 0:
+            p, y0 = params(gamma=u(1.0, 2.5), lam=u(-2.0, -0.3), xi=u(0.5, 1.5)), (
+                u(0.7, 1.5), u(-0.3, 0.3), u(0.7, 1.5), u(-0.5, 0.0))
+        elif kind == 1:
+            p, y0 = params(gamma=u(1.0, 2.5), lam=u(0.3, 2.0), xi=u(0.5, 1.5)), (
+                u(0.7, 1.5), u(-0.3, 0.3), u(0.7, 1.5), u(-0.3, 0.3))
+        elif kind == 2:
+            # the equilibrium a_eq = (xi^2 / -lam)^(1 / (4 - 2 gamma)) near 1
+            gamma, lam = u(1.0, 1.8), u(-2.0, -0.5)
+            xi = math.sqrt(-lam * u(0.7, 1.4))
+            a_eq = (xi * xi / -lam) ** (1.0 / (4.0 - 2.0 * gamma))
+            p, y0 = params(gamma=gamma, lam=lam, xi=xi), (a_eq * u(0.8, 1.25), u(-0.2, 0.2))
+        elif kind == 3:
+            xi = u(0.5, 1.5)
+            p, y0 = params(gamma=u(2.0, 2.5), lam=-xi * xi - u(0.2, 1.0), xi=xi), (
+                u(0.7, 1.5), u(-0.3, 0.0))
+        else:
+            p, y0 = params(gamma=u(1.0, 3.0), lam=u(0.3, 2.0), xi=u(0.5, 1.5)), (
+                u(0.7, 1.5), u(-0.3, 0.3))
+        draws.append((p, y0, 3.0, ("RK45", "DOP853")[i % 2]))
+    return draws
+
+
+class TestAgainstScipy:
+    def test_engine_matches_scipys_steppers(self):
+        # the engine follows scipy's tableaux and controller, so it takes
+        # (nearly always) the same steps: states agree to 1e-10 relative and
+        # collapse times to 1e-12
+        kinds = set()
+        for p, y0, t_end, method in _engine_draws(300):
+            dim = 3 if len(y0) == 4 else 2
+            rhs = rhs_3d_arrays if dim == 3 else rhs_2d_arrays
+            # a floor far above the library's keeps the collapses short
+            floors = [(comp, 1e-2) for comp in ((0, 2) if dim == 3 else (0,))]
+            kind, t_ref, y_ref = scipy_run(rhs, y0, t_end, (p.K, p.gamma, p.lam, p.xi),
+                                           method=method, rel_tol=1e-10, abs_tol=1e-12,
+                                           floors=floors)
+            ic = EmdenState3D(0.0, *y0) if dim == 3 else EmdenState2D(0.0, *y0)
+            traj = integrate(p, ic, t_end, dense_times=[t_end], method=method, eps_blow=1e-2)
+            term = traj.termination
+            assert term.kind == kind, (p, y0, method)
+            kinds.add((dim, method, kind, p.lam > 0))
+            if kind == "blowup":
+                assert term.t_est == pytest.approx(t_ref, rel=1e-12, abs=0.0), (p, y0, method)
+            else:
+                st = traj.states[-1]
+                got = [st.a, st.a_dot] + ([st.b, st.b_dot] if dim == 3 else [])
+                # relative, with velocities near 0 measured against 1
+                scale = np.maximum(np.abs(y_ref), 1.0)
+                assert np.all(np.abs(np.array(got) - y_ref) <= 1e-10 * scale), (p, y0, method)
+        # collapse and escape runs in both dims and planar orbits, with both methods
+        for m in ("RK45", "DOP853"):
+            assert {(3, m, "blowup", False), (3, m, "reached_t_end", True),
+                    (2, m, "blowup", False), (2, m, "reached_t_end", True),
+                    (2, m, "reached_t_end", False)} <= kinds
