@@ -20,7 +20,7 @@ monotonicity on a trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .emden import (EmdenState2D, EmdenState3D, RunOptions, Termination, Trajectory,
                     _check_span, _run, emden_rhs_2d, integrate)
@@ -65,7 +65,7 @@ class Classification:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v not in (None, "")}
+        return {k: v for k, v in vars(self).items() if v not in (None, "")}
 
 
 def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
@@ -142,7 +142,7 @@ class PeriodEstimate:
     method: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,

@@ -1,6 +1,6 @@
 """Batch front end.
 
-Subcommands: ``integrate`` (trajectory JSONL), ``sample`` (field CSV),
+Modes: ``integrate`` (trajectory JSONL), ``sample`` (field CSV),
 ``verify`` (residual report JSON), ``classify`` (verdict JSON; in 2D the
 periodicity report), ``sweep`` (classification summary CSV over a Cartesian
 parameter grid).  Configuration comes from an optional ``--config`` file with
@@ -44,17 +44,18 @@ def _flag(key: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every mode: all modes take the same flags, before or
+    after the mode."""
     parser = argparse.ArgumentParser(
         prog="eulerexact",
         description="Exact rotational reference solutions of the compressible "
                     "Euler equations: integrate, sample, verify, classify, sweep.")
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, (_, _, help_line) in MODES.items():
-        sp = sub.add_parser(mode, help=help_line)
-        sp.add_argument("--config", metavar="PATH", help="key=value config file")
-        for key in _FLAG_KEYS:
-            sp.add_argument(_flag(key), dest=key, metavar="VALUE", default=None)
-        sp.add_argument("--sweep", action="append", default=[], metavar="PARAM=V1,V2,...",
+    parser.add_argument("mode", choices=list(MODES), help="; ".join(
+        f"{mode}: {help_line}" for mode, (_, _, help_line) in MODES.items()))
+    parser.add_argument("--config", metavar="PATH", help="key=value config file")
+    for key in _FLAG_KEYS:
+        parser.add_argument(_flag(key), dest=key, metavar="VALUE", default=None)
+    parser.add_argument("--sweep", action="append", default=[], metavar="PARAM=V1,V2,...",
                         help="sweep axis (repeatable)")
     return parser
 

@@ -26,7 +26,7 @@ import json
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -160,7 +160,7 @@ class Termination:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v not in (None, "")}
+        return {k: v for k, v in vars(self).items() if v not in (None, "")}
 
 
 @dataclass(frozen=True)

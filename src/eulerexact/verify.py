@@ -11,7 +11,7 @@ support boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -119,7 +119,7 @@ class ResidualReport:
     kink_crossing: bool = False
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = dict(vars(self))
         d["momentum_residual"] = list(self.momentum_residual)
         if self.ns_momentum_residual is not None:
             d["ns_momentum_residual"] = list(self.ns_momentum_residual)
@@ -284,7 +284,7 @@ class MassBudget:
     richardson: bool = False
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = dict(vars(self))
         if self.domain_radius is not None:
             d["domain_radius"] = list(self.domain_radius)
         return d
@@ -395,7 +395,7 @@ class RegularityReport:
     numeric_slope: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def cutoff_regularity_check(profile: DensityProfile) -> RegularityReport:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eulerexact.cli import FIELD_CSV_HEADER, main
+from eulerexact.cli import FIELD_CSV_HEADER, MODES, _load_config, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -241,6 +241,76 @@ GOLDEN_SAMPLES = {
         1 + 7 * 6 * 3,
         "8195884a5eae973c1a08ba0007a898ee78f90e785eb2feb9cc9d18b8791ef203"),
 }
+
+
+# sha256 of the JSON reports; together they reach every to_dict behind a CLI
+# mode: residual points with and without a viscosity, both 3D classify forms
+# (a table cell and an integrated open cell) and a 2D period and collapse
+GOLDEN_JSON = {
+    "verify_t0": (
+        ["verify", "--gamma", "1.5", "--lambda", "1", "--xi", "1.2", "--a1", "0.2",
+         "--b1", "-0.1", "--verify-points", "8"],
+        "871a0485c222f26ce707f1ab41581cee5fff91d18dc7863d48f6f12610cb283e"),
+    "verify_later_mu": (
+        ["verify", "--gamma", "1", "--lambda", "2", "--verify-time", "0.8", "--mu", "0.05",
+         "--verify-points", "6"],
+        "b068f5af9e92a9a6497b60871805273e5adce3f7a0eba470b9605333df56b2f5"),
+    "classify_3d_table": (
+        ["classify", "--lambda", "0", "--b0", "1", "--b1", "-1"],
+        "f1abf113149995a360b5ca632492253b14f23ca1678846b3bf2121d61e93cc00"),
+    "classify_3d_open_cell": (
+        ["classify", "--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
+        "05ccf9fabf8dec852b35042035e39df5c560be05333f56525c5adc26f99856f6"),
+    "classify_2d_period": (
+        ["classify", "--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
+         "--t-end", "50"],
+        "704e9fc30f812429565d4d5222617fb794385fbd9ac7db96e93cfc6457ac39a3"),
+    "classify_2d_collapse": (
+        ["classify", "--dim", "2", "--gamma", "2", "--lambda=-3", "--t-end", "5"],
+        "4d53ee3cde8057c9670e66de19e1fc7e7abcb5567d80ea11617b9bb18484a0ed"),
+}
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+    def test_output_bytes_pinned(self, tmp_path, name):
+        argv, digest = GOLDEN_JSON[name]
+        out = tmp_path / "r.json"
+        code, _, _ = run(tmp_path, *argv, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestParser:
+    def test_help_names_every_mode_with_its_help_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        # the help column wraps lines, also at hyphens
+        text = "".join(capsys.readouterr().out.split())
+        for mode, (_, _, help_line) in MODES.items():
+            assert "".join(f"{mode}: {help_line}".split()) in text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["integrat", "--gamma", "1"], "argument mode: invalid choice: 'integrat'"),
+        (["--gamma", "1"], "the following arguments are required: mode"),
+    ])
+    def test_bad_or_missing_mode_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "1.5"],
+        ["--lambda=-1", "--sweep", "b1=0.1,0.2", "--sweep-t-end", "20"],
+        ["--verify-points", "7", "--mu", "0.01"],
+    ])
+    def test_flag_before_the_mode_is_the_same_flag(self, flags):
+        def cfg(argv):
+            return _load_config(build_parser().parse_args(argv))
+
+        assert cfg([*flags, "sweep"]) == cfg(["sweep", *flags]) != cfg(["sweep"])
 
 
 class TestSampleWriter:

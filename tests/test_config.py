@@ -1,4 +1,3 @@
-import argparse
 import inspect
 
 import numpy as np
@@ -213,10 +212,6 @@ class TestFlagsMatchFileKeys:
             assert cli._load_config(args) == parse_config(text)
 
     def test_one_flag_per_key_except_mode(self):
-        parser = cli.build_parser()
-        (modes,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        expected = [flag(key) for key in _SCHEMA if key != "mode"]
-        for sub in modes.choices.values():
-            flags = [opt for a in sub._actions for opt in a.option_strings
-                     if opt not in ("-h", "--help", "--config", "--sweep")]
-            assert flags == expected
+        flags = [opt for a in cli.build_parser()._actions for opt in a.option_strings
+                 if opt not in ("-h", "--help", "--config", "--sweep")]
+        assert flags == [flag(key) for key in _SCHEMA if key != "mode"]

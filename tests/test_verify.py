@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 
 from eulerexact import (EmdenState3D, Field3D, GeneralFamilySource,
-                        GeneralMassFamily, PhysParams, SnapshotFieldSource,
+                        GeneralMassFamily, MassBudget, PhysParams,
+                        RegularityReport, ResidualReport, SnapshotFieldSource,
                         TrajectoryFieldSource, cutoff_regularity_check,
                         euler_residual, integrate, mass_residual,
                         navier_stokes_residual, refined_residual, total_mass)
+from eulerexact.emden import strict_json
 from eulerexact.profiles import DensityProfile
 
 
@@ -358,3 +361,39 @@ class TestBatchedStencil:
                      lambda: refined_residual(source, 0.0, 0.1, 0.1, 0.1, h)):
             with pytest.raises(ValueError, match="stencil step"):
                 call()
+
+
+class TestReportDicts:
+    """``to_dict`` gives the ``dataclasses.asdict`` form, tuples as lists."""
+
+    @staticmethod
+    def asdict_form(report, tuple_fields):
+        d = dataclasses.asdict(report)
+        for name in tuple_fields:
+            if d[name] is not None:
+                d[name] = list(d[name])
+        return d
+
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_residual_report(self, viscous):
+        extra = dict(ns_momentum_residual=(1e-7, -2e-7, 3e-7), mu=0.05) if viscous else {}
+        report = ResidualReport(0.5, 0.1, -0.2, 0.3, 1e-3, 4e-7, (1e-7, -2.5e-7, 0.0),
+                                observed_order=1.9999, **extra)
+        old = self.asdict_form(report, ["momentum_residual", "ns_momentum_residual"])
+        # a tuple never equals a list, and the JSON text also fixes the key order
+        assert report.to_dict() == old
+        assert strict_json(report.to_dict()) == strict_json(old)
+
+    def test_non_finite_residual_is_rejected(self):
+        report = ResidualReport(0.0, 0.1, 0.2, 0.3, 1e-3, math.nan, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            strict_json(report.to_dict())
+
+    @pytest.mark.parametrize("radius", [None, (1.0, 2.0, 3.0)])
+    def test_mass_budget(self, radius):
+        budget = MassBudget(0.0, 2.5, "box", 32, domain_radius=radius)
+        assert budget.to_dict() == self.asdict_form(budget, ["domain_radius"])
+
+    def test_regularity_report(self):
+        report = RegularityReport(True, True, -0.5, -0.49)
+        assert report.to_dict() == self.asdict_form(report, [])
