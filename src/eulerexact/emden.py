@@ -13,11 +13,12 @@ Both conserve a first integral (see :func:`energy_3d` / :func:`energy_2d`;
 the formulas are verified symbolically in the test suite).  The equations are
 written once, in ``_rhs``.  Integration, the time shifts of :func:`advance`
 included, is done by one step loop, ``_run``: an embedded Runge-Kutta pair
-(Dormand-Prince 5(4), or DOP853) on plain Python floats, with the tableaux
-read from the installed scipy and scipy's step-size controller.  Events are
-located by root bracketing on each step's dense output: collapse of a scale
-factor (a or b reaching a small positive floor) and, for the planar period
-search, upward crossings of the pericenter section a' = 0.
+(Dormand-Prince 5(4), or DOP853) on plain Python floats, with scipy's
+tableaux written out as literals in ``_tableaux`` and scipy's step-size
+controller.  Events are located by root bracketing on each step's dense
+output, with a port of scipy's ``brentq``: collapse of a scale factor (a or b
+reaching a small positive floor) and, for the planar period search, upward
+crossings of the pericenter section a' = 0.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-# the Butcher tableaux only: the step loop is this module's own
-from scipy.integrate import RK45
-from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.optimize import brentq
 
+from ._tableaux import (DOP853_A, DOP853_B, DOP853_D, DOP853_E3, DOP853_E5,
+                        DOP853_STAGES, DOP853_STAGES_EXTENDED, RK45_A, RK45_B, RK45_E, RK45_P)
 from .profiles import PhysParams
 
 __all__ = [
@@ -354,14 +353,14 @@ _MAX_FACTOR = 10.0
 # Dormand-Prince 5(4) (scipy's RK45), with its stages written out below.  The
 # autonomous system needs no stage times (C); the second stage has zero
 # weight in B, E and P, so those sums leave it out.
-if RK45.B[1] or RK45.E[1] or RK45.P[1].any():
-    raise ImportError("scipy's RK45 tableau gives its second stage a weight")
+if RK45_B[1] or RK45_E[1] or any(RK45_P[1]):
+    raise ImportError("the RK45 tableau gives its second stage a weight")
 (_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65)) = [tuple(RK45.A[i, :i].tolist()) for i in range(6)]
-_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
-_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
+ (_A61, _A62, _A63, _A64, _A65)) = RK45_A
+_B1, _, _B3, _B4, _B5, _B6 = RK45_B
+_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45_E
 ((_P10, _P11, _P12, _P13), _, (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43),
- (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73)) = RK45.P.tolist()
+ (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73)) = RK45_P
 
 
 def _dp5_attempt(f, y, k1, h, rtol, atol):
@@ -399,12 +398,9 @@ def _dp5_dense(f, y, y_new, stages, h):
 
 # DOP853: the 12 stages, the 3 extra stages of its dense output, and the
 # error and dense-output weights, as scipy's DOP853 uses them
-_N8 = _dop853.N_STAGES
-_A8 = [tuple(_dop853.A[i, :i].tolist()) for i in range(1, _N8)]
-_A8_EXTRA = [tuple(_dop853.A[i, :i].tolist()) for i in range(_N8 + 1, _dop853.N_STAGES_EXTENDED)]
-_B8 = tuple(_dop853.B.tolist())
-_E8 = tuple(zip(_dop853.E5.tolist(), _dop853.E3.tolist()))
-_D8 = [tuple(row) for row in _dop853.D.tolist()]
+_A8 = DOP853_A[1:DOP853_STAGES]
+_A8_EXTRA = DOP853_A[DOP853_STAGES + 1:]
+_E8 = tuple(zip(DOP853_E5, DOP853_E3))
 
 
 def _combine(y, weights, stages, h):
@@ -422,7 +418,7 @@ def _dop853_attempt(f, y, k1, h, rtol, atol):
     stages = [k1]
     for row in _A8:
         stages.append(f(_combine(y, row, stages, h)))
-    y_new = _combine(y, _B8, stages, h)
+    y_new = _combine(y, DOP853_B, stages, h)
     stages.append(f(y_new))
     sq5 = sq3 = 0.0
     for i, (v, w) in enumerate(zip(y, y_new)):
@@ -450,9 +446,9 @@ def _dop853_dense(f, y, y_new, stages, h):
     rows = []
     for i, v in enumerate(y):
         dy = y_new[i] - v
-        f_old, f_new = stages[0][i], stages[_N8][i]
+        f_old, f_new = stages[0][i], stages[DOP853_STAGES][i]
         coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
-        for d in _D8:
+        for d in DOP853_D:
             acc = 0.0
             for w, k in zip(d, stages):
                 acc += k[i] * w
@@ -482,7 +478,7 @@ _METHODS = {
     "RK45": _Method(_dp5_attempt, _dp5_dense, lambda x: (x, x, x, x), 4, 6, 0),
     "DOP853": _Method(_dop853_attempt, _dop853_dense,
                       lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
-                      7, _N8, _dop853.N_STAGES_EXTENDED - _N8 - 1),
+                      7, DOP853_STAGES, DOP853_STAGES_EXTENDED - DOP853_STAGES - 1),
 }
 
 
@@ -547,10 +543,88 @@ class _DenseOutput:
         return tuple(self.value(k, comp, t) for comp in range(self.n))
 
 
-# the pericenter section watches a' (component 1); its crossing time is
-# refined to the tolerance scipy's solve_ivp uses for events
+# the smallest rtol brentq accepts; section crossings are refined to it as
+# xtol and rtol, the tolerance scipy's solve_ivp uses for events
+_BRENTQ_RTOL = 4.0 * math.ulp(1.0)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f bracketed by [xa, xb]: a line-by-line port of scipy's
+    ``brentq`` (its Python wrapper and the C loop of
+    ``scipy/optimize/Zeros/brentq.c``), so it returns scipy's root bit for bit.
+
+    As in scipy, ``xtol <= 0``, an ``rtol`` below 4 eps, a NaN value of f
+    and ends where f has one sign raise ValueError; an end where f is exactly
+    0 is returned at once, and ``maxiter`` iterations without convergence
+    raise RuntimeError.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
+
+    def fx(x):
+        value = f(x)
+        if math.isnan(value):
+            raise ValueError(f"the function value at x={x} is NaN; brentq cannot continue")
+        return value
+
+    # f's values are neither NaN nor, past the end checks, 0 where the C code
+    # compares their sign bits, so ``v < 0.0`` is the sign bit
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's quotient is then inf or nan, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
+
+
+# the pericenter section watches a' (component 1)
 _SECTION = 1
-_SECTION_TOL = 4.0 * np.finfo(float).eps
 
 
 def _locate(dense: _DenseOutput, y, rows, floors, rel_tol, section_after):
@@ -585,14 +659,14 @@ def _locate(dense: _DenseOutput, y, rows, floors, rel_tol, section_after):
             # above the floor, so treat the start as the estimate
             t_est, width = t_lo, 0.0
         else:
-            t_est = brentq(lambda q: dense.value(k, comp, q) - floor, samples[i - 1],
-                           samples[i], xtol=1e-300, rtol=rel_tol)
+            t_est = _brentq(lambda q: dense.value(k, comp, q) - floor, samples[i - 1],
+                            samples[i], 1e-300, rel_tol)
             width = rel_tol * abs(t_est)
         if best is None or t_est < best[0]:
             best = (t_est, comp, width)
     if section_after is not None and y[_SECTION] <= 0.0 <= dense.value(k, _SECTION, t_hi):
-        t_est = brentq(lambda q: dense.value(k, _SECTION, q), t_lo, t_hi,
-                       xtol=_SECTION_TOL, rtol=_SECTION_TOL)
+        t_est = _brentq(lambda q: dense.value(k, _SECTION, q), t_lo, t_hi,
+                        _BRENTQ_RTOL, _BRENTQ_RTOL)
         if t_est > section_after and (best is None or t_est < best[0]):
             best = (t_est, _SECTION, 0.0)
     return best
@@ -763,7 +837,9 @@ def _diagnose_failure(t: float, y, y0, comp_names) -> Termination:
     for comp, name in comp_names.items():
         value, velocity = y[comp], y[comp + 1]
         if value < _COLLAPSE_RATIO * y0[comp] and velocity < 0.0:
-            # time scale left before reaching zero bounds the location error
+            # the width is value / |velocity|, the time left before zero at the
+            # current speed: a scale, not a bound on the error of t_est (near a
+            # collapse the speed diverges, and the error can be far larger)
             return Termination("blowup", t_est=t, which=name,
                                bracket_width=abs(value / velocity),
                                detail="step size underflow during collapse")

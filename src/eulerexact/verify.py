@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .emden import Trajectory, advance
 from .fields import Field3D, GeneralMassFamily
@@ -339,6 +338,10 @@ def total_mass(field: Field3D, *, scheme: str = "auto", n: int = 96,
     if scheme == "ellipsoid":
         if sstar is None:
             raise ValueError("ellipsoid scheme requires compact support (gamma > 1, lam > 0)")
+        # the one use of scipy at run time, imported here so that no other
+        # path pays for importing it
+        from scipy.integrate import quad
+
         val, _, info = quad(lambda r: field.profile.value(sstar * r * r) * r * r,
                             0.0, 1.0, epsabs=1e-14, epsrel=1e-12, full_output=True)
         mass = 4.0 * math.pi * sstar**1.5 * val

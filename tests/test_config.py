@@ -2,9 +2,11 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerexact import ConfigError, RunConfig, cli, emden, parse_config, serialize_config
-from eulerexact.config import _SCHEMA
+from eulerexact.config import _SCHEMA, SWEEPABLE, build_config
 
 
 class TestParse:
@@ -176,6 +178,56 @@ def random_config(rng) -> RunConfig:
     return parse_config(random_config_text(rng))
 
 
+def real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def positive(hi):
+    return st.floats(0.0, hi, exclude_min=True)
+
+
+# a valid value of each family parameter, by config key
+FAMILY = {
+    "gamma": st.one_of(st.just(1.0), real(1.0, 3.0)), "K": positive(5.0),
+    "lambda": real(-2.0, 2.0), "alpha": real(0.0, 3.0), "xi": real(-2.0, 2.0),
+    "mu": real(0.0, 2.0), "a0": positive(3.0), "a1": real(-2.0, 2.0),
+    "b0": positive(3.0), "b1": real(-2.0, 2.0),
+}
+grids = st.one_of(st.none(), st.builds(lambda lo, width, count: (lo, lo + width, count),
+                                       real(-10.0, 10.0), real(1e-3, 10.0),
+                                       st.integers(2, 10_000)))
+
+
+@st.composite
+def run_configs(draw) -> RunConfig:
+    """A valid configuration: every key drawn from its valid range."""
+    entries = {attr: draw(FAMILY[key]) for key, (attr, _) in _SCHEMA.items() if key in FAMILY}
+    t_end = draw(real(1e-3, 1e3))
+    entries.update(
+        mode=draw(st.sampled_from(["", *cli.MODES])),
+        dim=draw(st.sampled_from([2, 3])),
+        t_end=t_end,
+        times=sorted(draw(st.lists(real(0.0, t_end), max_size=4, unique=True))),
+        grid_x=draw(grids), grid_y=draw(grids), grid_z=draw(grids),
+        rel_tol=draw(st.one_of(st.just(emden.MIN_REL_TOL),
+                               st.floats(emden.MIN_REL_TOL, 1.0, exclude_max=True))),
+        abs_tol=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        max_steps=draw(st.integers(1, 10**9)),
+        eps_blow=draw(st.one_of(st.none(), positive(1e3))),
+        method=draw(st.sampled_from(["RK45", "DOP853"])),
+        out=draw(st.one_of(st.none(), st.text("abc_-./0123456789", min_size=1, max_size=12))),
+        verify_points=draw(st.integers(1, 10**6)),
+        verify_seed=draw(st.integers(0, 2**32)),
+        verify_h=draw(positive(10.0)),
+        verify_time=draw(real(0.0, 100.0)),
+        sweep_t_end=draw(st.one_of(st.none(), real(1e-3, 1e3))),
+    )
+    axes = draw(st.lists(st.sampled_from(SWEEPABLE), unique=True, max_size=3))
+    entries["sweep"] = {param: draw(st.lists(FAMILY[param], min_size=1, max_size=4))
+                        for param in axes}
+    return build_config(entries)
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self):
         rng = np.random.default_rng(12345)
@@ -183,6 +235,15 @@ class TestRoundTrip:
             cfg = random_config(rng)
             again = parse_config(serialize_config(cfg))
             assert again == cfg
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(run_configs())
+    def test_generated_configs_round_trip(self, cfg):
+        text = serialize_config(cfg)
+        again = parse_config(text)
+        assert again == cfg
+        # the text is a fixed point too, which also pins the sign of every zero
+        assert serialize_config(again) == text
 
 
 def flag(key):
