@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -191,19 +192,23 @@ def run_sample(cfg: RunConfig, out: str) -> int:
 
 
 def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
-    """Random points inside (and away from) the density support."""
+    """Random points inside (and away from) the density support: per point,
+    a normal draw of a direction, then a uniform draw of its similarity
+    variable s."""
     st = field.state
     sstar = field.profile.cutoff_s
     s_hi = 0.7 * sstar if sstar is not None else 2.0
     points = []
     for _ in range(count):
         direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
+        # np.linalg.norm of a 1-D array is sqrt(x.dot(x))
+        norm = math.sqrt(direction.dot(direction))
+        dx, dy, dz = direction.tolist()
+        vx, vy, vz = dx / norm, dy / norm, dz / norm
         s_target = rng.uniform(0.05, 1.0) * s_hi
-        vx, vy, vz = direction
         denom = (vx * vx + vy * vy) / (st.a * st.a) + vz * vz / (st.b * st.b)
-        scale = float(np.sqrt(s_target / denom))
-        points.append((float(scale * vx), float(scale * vy), float(scale * vz)))
+        scale = math.sqrt(s_target / denom)
+        points.append((scale * vx, scale * vy, scale * vz))
     return points
 
 

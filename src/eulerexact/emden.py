@@ -116,7 +116,8 @@ def _energy(p: PhysParams, a: float, ad: float, b: float, bd: float) -> float:
     the strength of the a equation; with that weight d/dt of the value below
     vanishes along exact solutions.  A value out of float range is IEEE's inf
     or nan, as in ``_rhs``."""
-    def terms(a, ad, b, bd):
+    def terms(y):
+        a, ad, b, bd = y
         kinetic = 0.5 * ad * ad + 0.25 * bd * bd + p.xi * p.xi / (2.0 * a * a)
         if p.is_isothermal:
             return (kinetic - p.lam * math.log(a) - 0.5 * p.lam * math.log(b),)
@@ -124,9 +125,9 @@ def _energy(p: PhysParams, a: float, ad: float, b: float, bd: float) -> float:
         return (kinetic + p.lam / (2.0 * g - 2.0) * a ** (2.0 - 2.0 * g) * b ** (1.0 - g),)
 
     try:
-        (value,) = terms(a, ad, b, bd)
+        (value,) = terms((a, ad, b, bd))
     except ArithmeticError:
-        (value,) = _ieee(terms, a, ad, b, bd)
+        (value,) = _ieee(terms, (a, ad, b, bd))
     return value
 
 
@@ -298,8 +299,8 @@ def _rhs(p: PhysParams, dim: int):
 
     Outside the domain (a or b not > 0) every component is NaN, so the
     controller rejects a trial step that leaves it.  Where a float power
-    overflows or a divisor underflows to zero, Python raises; the accelerations
-    are then taken on numpy scalars, which give IEEE's inf or nan instead.
+    overflows or a divisor underflows to zero, Python raises; ``rhs`` is then
+    evaluated again on numpy scalars, which give IEEE's inf or nan instead.
     """
     g = p.gamma
     xi2 = p.xi * p.xi
@@ -308,41 +309,34 @@ def _rhs(p: PhysParams, dim: int):
     if dim == 3:
         nan = (math.nan,) * 4
 
-        def accel(a, b):
-            return xi2 / a**3 + lam / (a**e1 * b**e2), lam / (a**e3 * b**g)
-
         def rhs(y):
             a, ad, b, bd = y
             if a <= 0.0 or b <= 0.0:
                 return nan
             try:
-                add, bdd = accel(a, b)
+                return ad, xi2 / a**3 + lam / (a**e1 * b**e2), bd, lam / (a**e3 * b**g)
             except ArithmeticError:
-                add, bdd = _ieee(accel, a, b)
-            return ad, add, bd, bdd
+                return _ieee(rhs, y)
     else:
         nan = (math.nan,) * 2
-
-        def accel(a):
-            return (xi2 / a**3 + lam / a**e1,)
 
         def rhs(y):
             a, ad = y
             if a <= 0.0:
                 return nan
             try:
-                (add,) = accel(a)
+                return ad, xi2 / a**3 + lam / a**e1
             except ArithmeticError:
-                (add,) = _ieee(accel, a)
-            return ad, add
+                return _ieee(rhs, y)
 
     return rhs
 
 
-def _ieee(fn, *args) -> tuple:
-    """The floats of the tuple ``fn`` returns for ``args`` as numpy scalars."""
+def _ieee(fn, y) -> tuple:
+    """The floats of the tuple ``fn`` returns for the components of y taken
+    as numpy scalars, which overflow and divide by zero without raising."""
     with np.errstate(all="ignore"):
-        return tuple(map(float, fn(*map(np.float64, args))))
+        return tuple(map(float, fn(tuple(map(np.float64, y)))))
 
 
 # scipy's step-size controller constants
@@ -350,9 +344,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
-# Dormand-Prince 5(4) (scipy's RK45), with its stages written out below.  The
-# autonomous system needs no stage times (C); the second stage has zero
-# weight in B, E and P, so those sums leave it out.
+# Dormand-Prince 5(4) (scipy's RK45), with its stages written out below, one
+# kernel per dimension.  The autonomous system needs no stage times (C); the
+# second stage has zero weight in B, E and P, so those sums leave it out.
 if RK45_B[1] or RK45_E[1] or any(RK45_P[1]):
     raise ImportError("the RK45 tableau gives its second stage a weight")
 (_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
@@ -363,37 +357,97 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = RK45_E
  (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73)) = RK45_P
 
 
-def _dp5_attempt(f, y, k1, h, rtol, atol):
-    """One trial step: (y_new, f(y_new), error norm, the stages the dense
-    output needs).  Each stage adds (sum of a_j k_j) * h, as scipy's
-    ``rk_step`` does."""
-    k2 = f([v + (p1 * _A21) * h for v, p1 in zip(y, k1)])
-    k3 = f([v + (p1 * _A31 + p2 * _A32) * h for v, p1, p2 in zip(y, k1, k2)])
-    k4 = f([v + (p1 * _A41 + p2 * _A42 + p3 * _A43) * h
-            for v, p1, p2, p3 in zip(y, k1, k2, k3)])
-    k5 = f([v + (p1 * _A51 + p2 * _A52 + p3 * _A53 + p4 * _A54) * h
-            for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-    k6 = f([v + (p1 * _A61 + p2 * _A62 + p3 * _A63 + p4 * _A64 + p5 * _A65) * h
-            for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [v + h * (p1 * _B1 + p3 * _B3 + p4 * _B4 + p5 * _B5 + p6 * _B6)
-             for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = f(y_new)
-    sq = 0.0
-    for v, w, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-        e = ((p1 * _E1 + p3 * _E3 + p4 * _E4 + p5 * _E5 + p6 * _E6 + p7 * _E7) * h
-             / (atol + max(abs(v), abs(w)) * rtol))
-        sq += e * e
-    return y_new, k7, math.sqrt(sq) / len(y) ** 0.5, (k1, k3, k4, k5, k6, k7)
+def _dp5_attempt_3d(f, y, k1, h, rtol, atol):
+    """One trial step of the 3D system from y = (a, u, b, v), u = a' and
+    v = b': (y_new, f(y_new), error norm, the stages the dense output needs).
+    Stage j is k_j, and kc_j its component c.  Each stage adds
+    (sum of a_j k_j) * h, as scipy's ``rk_step`` does, and each error term is
+    divided by its own scale before the root mean square."""
+    a, u, b, v = y
+    ka1, ku1, kb1, kv1 = k1
+    ka2, ku2, kb2, kv2 = f((a + (ka1 * _A21) * h, u + (ku1 * _A21) * h,
+                            b + (kb1 * _A21) * h, v + (kv1 * _A21) * h))
+    k3 = ka3, ku3, kb3, kv3 = f((
+        a + (ka1 * _A31 + ka2 * _A32) * h, u + (ku1 * _A31 + ku2 * _A32) * h,
+        b + (kb1 * _A31 + kb2 * _A32) * h, v + (kv1 * _A31 + kv2 * _A32) * h))
+    k4 = ka4, ku4, kb4, kv4 = f((
+        a + (ka1 * _A41 + ka2 * _A42 + ka3 * _A43) * h,
+        u + (ku1 * _A41 + ku2 * _A42 + ku3 * _A43) * h,
+        b + (kb1 * _A41 + kb2 * _A42 + kb3 * _A43) * h,
+        v + (kv1 * _A41 + kv2 * _A42 + kv3 * _A43) * h))
+    k5 = ka5, ku5, kb5, kv5 = f((
+        a + (ka1 * _A51 + ka2 * _A52 + ka3 * _A53 + ka4 * _A54) * h,
+        u + (ku1 * _A51 + ku2 * _A52 + ku3 * _A53 + ku4 * _A54) * h,
+        b + (kb1 * _A51 + kb2 * _A52 + kb3 * _A53 + kb4 * _A54) * h,
+        v + (kv1 * _A51 + kv2 * _A52 + kv3 * _A53 + kv4 * _A54) * h))
+    k6 = ka6, ku6, kb6, kv6 = f((
+        a + (ka1 * _A61 + ka2 * _A62 + ka3 * _A63 + ka4 * _A64 + ka5 * _A65) * h,
+        u + (ku1 * _A61 + ku2 * _A62 + ku3 * _A63 + ku4 * _A64 + ku5 * _A65) * h,
+        b + (kb1 * _A61 + kb2 * _A62 + kb3 * _A63 + kb4 * _A64 + kb5 * _A65) * h,
+        v + (kv1 * _A61 + kv2 * _A62 + kv3 * _A63 + kv4 * _A64 + kv5 * _A65) * h))
+    y_new = (a + h * (ka1 * _B1 + ka3 * _B3 + ka4 * _B4 + ka5 * _B5 + ka6 * _B6),
+             u + h * (ku1 * _B1 + ku3 * _B3 + ku4 * _B4 + ku5 * _B5 + ku6 * _B6),
+             b + h * (kb1 * _B1 + kb3 * _B3 + kb4 * _B4 + kb5 * _B5 + kb6 * _B6),
+             v + h * (kv1 * _B1 + kv3 * _B3 + kv4 * _B4 + kv5 * _B5 + kv6 * _B6))
+    na, nu, nb, nv = y_new
+    k7 = ka7, ku7, kb7, kv7 = f(y_new)
+    ea = ((ka1 * _E1 + ka3 * _E3 + ka4 * _E4 + ka5 * _E5 + ka6 * _E6 + ka7 * _E7) * h
+          / (atol + max(abs(a), abs(na)) * rtol))
+    eu = ((ku1 * _E1 + ku3 * _E3 + ku4 * _E4 + ku5 * _E5 + ku6 * _E6 + ku7 * _E7) * h
+          / (atol + max(abs(u), abs(nu)) * rtol))
+    eb = ((kb1 * _E1 + kb3 * _E3 + kb4 * _E4 + kb5 * _E5 + kb6 * _E6 + kb7 * _E7) * h
+          / (atol + max(abs(b), abs(nb)) * rtol))
+    ev = ((kv1 * _E1 + kv3 * _E3 + kv4 * _E4 + kv5 * _E5 + kv6 * _E6 + kv7 * _E7) * h
+          / (atol + max(abs(v), abs(nv)) * rtol))
+    # 0.0 + e * e is e * e, so the sum starts at the first term
+    sq = ea * ea + eu * eu + eb * eb + ev * ev
+    return y_new, k7, math.sqrt(sq) / 4 ** 0.5, (k1, k3, k4, k5, k6, k7)
 
 
-def _dp5_dense(f, y, y_new, stages, h):
-    """Per component, h times scipy's ``K.T @ P`` row: the quartic's
-    coefficients of x, x^2, x^3, x^4."""
-    return [((p1 * _P10 + p3 * _P30 + p4 * _P40 + p5 * _P50 + p6 * _P60 + p7 * _P70) * h,
-             (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71) * h,
-             (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72) * h,
-             (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73) * h)
-            for p1, p3, p4, p5, p6, p7 in zip(*stages)]
+def _dp5_dense_3d(f, y, y_new, stages, h):
+    """The step's dense-output rows, one per component of the 3D state."""
+    (ka1, ku1, kb1, kv1), (ka3, ku3, kb3, kv3), (ka4, ku4, kb4, kv4), \
+        (ka5, ku5, kb5, kv5), (ka6, ku6, kb6, kv6), (ka7, ku7, kb7, kv7) = stages
+    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h),
+            _dp5_row(kb1, kb3, kb4, kb5, kb6, kb7, h), _dp5_row(kv1, kv3, kv4, kv5, kv6, kv7, h))
+
+
+def _dp5_attempt_2d(f, y, k1, h, rtol, atol):
+    """``_dp5_attempt_3d`` for the planar state y = (a, u), u = a'."""
+    a, u = y
+    ka1, ku1 = k1
+    ka2, ku2 = f((a + (ka1 * _A21) * h, u + (ku1 * _A21) * h))
+    k3 = ka3, ku3 = f((a + (ka1 * _A31 + ka2 * _A32) * h, u + (ku1 * _A31 + ku2 * _A32) * h))
+    k4 = ka4, ku4 = f((a + (ka1 * _A41 + ka2 * _A42 + ka3 * _A43) * h,
+                       u + (ku1 * _A41 + ku2 * _A42 + ku3 * _A43) * h))
+    k5 = ka5, ku5 = f((a + (ka1 * _A51 + ka2 * _A52 + ka3 * _A53 + ka4 * _A54) * h,
+                       u + (ku1 * _A51 + ku2 * _A52 + ku3 * _A53 + ku4 * _A54) * h))
+    k6 = ka6, ku6 = f((
+        a + (ka1 * _A61 + ka2 * _A62 + ka3 * _A63 + ka4 * _A64 + ka5 * _A65) * h,
+        u + (ku1 * _A61 + ku2 * _A62 + ku3 * _A63 + ku4 * _A64 + ku5 * _A65) * h))
+    y_new = na, nu = (a + h * (ka1 * _B1 + ka3 * _B3 + ka4 * _B4 + ka5 * _B5 + ka6 * _B6),
+                      u + h * (ku1 * _B1 + ku3 * _B3 + ku4 * _B4 + ku5 * _B5 + ku6 * _B6))
+    k7 = ka7, ku7 = f(y_new)
+    ea = ((ka1 * _E1 + ka3 * _E3 + ka4 * _E4 + ka5 * _E5 + ka6 * _E6 + ka7 * _E7) * h
+          / (atol + max(abs(a), abs(na)) * rtol))
+    eu = ((ku1 * _E1 + ku3 * _E3 + ku4 * _E4 + ku5 * _E5 + ku6 * _E6 + ku7 * _E7) * h
+          / (atol + max(abs(u), abs(nu)) * rtol))
+    return y_new, k7, math.sqrt(ea * ea + eu * eu) / 2 ** 0.5, (k1, k3, k4, k5, k6, k7)
+
+
+def _dp5_dense_2d(f, y, y_new, stages, h):
+    """The step's dense-output rows, one per component of the planar state."""
+    (ka1, ku1), (ka3, ku3), (ka4, ku4), (ka5, ku5), (ka6, ku6), (ka7, ku7) = stages
+    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h))
+
+
+def _dp5_row(p1, p3, p4, p5, p6, p7, h):
+    """One component's dense-output row: h times scipy's ``K.T @ P`` row, the
+    quartic's coefficients of x, x^2, x^3, x^4."""
+    return ((p1 * _P10 + p3 * _P30 + p4 * _P40 + p5 * _P50 + p6 * _P60 + p7 * _P70) * h,
+            (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71) * h,
+            (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72) * h,
+            (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73) * h)
 
 
 # DOP853: the 12 stages, the 3 extra stages of its dense output, and the
@@ -458,12 +512,12 @@ def _dop853_dense(f, y, y_new, stages, h):
 
 
 class _Method(NamedTuple):
-    """An embedded pair: its trial step, its dense-output coefficients, the
-    factors of its nested dense polynomial, the order of its error estimate
-    and its right-hand-side evaluations per attempt and per dense output."""
+    """An embedded pair: its trial step and dense-output coefficients per
+    dimension (``kernels[dim]``), the factors of its nested dense polynomial,
+    the order of its error estimate and its right-hand-side evaluations per
+    attempt and per dense output."""
 
-    attempt: Callable
-    dense: Callable
+    kernels: dict[int, tuple[Callable, Callable]]
     factors: Callable
     error_order: int
     stage_evals: int
@@ -475,8 +529,9 @@ class _Method(NamedTuple):
 # factor w_k in [0, 1] on the step: Horner's rule in x for RK45, alternating
 # x and 1 - x for DOP853 (scipy's Dop853DenseOutput).
 _METHODS = {
-    "RK45": _Method(_dp5_attempt, _dp5_dense, lambda x: (x, x, x, x), 4, 6, 0),
-    "DOP853": _Method(_dop853_attempt, _dop853_dense,
+    "RK45": _Method({2: (_dp5_attempt_2d, _dp5_dense_2d), 3: (_dp5_attempt_3d, _dp5_dense_3d)},
+                    lambda x: (x, x, x, x), 4, 6, 0),
+    "DOP853": _Method(dict.fromkeys((2, 3), (_dop853_attempt, _dop853_dense)),
                       lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
                       7, DOP853_STAGES, DOP853_STAGES_EXTENDED - DOP853_STAGES - 1),
 }
@@ -713,7 +768,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     """
     _check_span(t0, t_end)
     method = _METHODS[run.method]
-    attempt = method.attempt
+    attempt, dense_rows = method.kernels[dim]
     rtol, atol = run.rel_tol, run.abs_tol
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
@@ -752,7 +807,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             rejected += 1
         if termination is not None:
             break
-        rows = method.dense(f, y, y_new, stages, h)
+        rows = dense_rows(f, y, y_new, stages, h)
         dense.append(t_new, y_new, rows)
         hit = _locate(dense, y, rows, floors, rtol, section_after)
         t, y, fy = t_new, y_new, f_new

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written against the raw equations, not
 against the library code paths it checks: a fixed-step classic RK4 stepper
-(scalar and vectorized over parameter batches), scipy's own RK45/DOP853
-stepping with the library's event rule, the Ermakov-Pinney closed forms,
-plain finite-difference helpers, the planar period from the first integral
-by quadrature, and the residual stencil written point by point over scalar
-samples.
+(on plain floats, or vectorized over parameter batches), scipy's own
+RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
+trial step and dense rows as component loops over scipy's tableau, the
+Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
+period from the first integral by quadrature, and the residual stencil
+written point by point over scalar samples.
 """
 
 from __future__ import annotations
@@ -32,12 +33,40 @@ def rhs_2d_arrays(y, K, gamma, lam, xi):
     return np.stack([ad, xi * xi / a**3 + lam / a ** (2.0 * gamma - 1.0)])
 
 
+def rhs_3d_floats(y, K, gamma, lam, xi):
+    """``rhs_3d_arrays`` on a sequence of plain floats, returning a tuple."""
+    a, ad, b, bd = y
+    return (ad, xi * xi / a**3 + lam / (a ** (2.0 * gamma - 1.0) * b ** (gamma - 1.0)),
+            bd, lam / (a ** (2.0 * gamma - 2.0) * b**gamma))
+
+
+def rhs_2d_floats(y, K, gamma, lam, xi):
+    a, ad = y
+    return ad, xi * xi / a**3 + lam / a ** (2.0 * gamma - 1.0)
+
+
 def rk4_fixed(rhs, y0, t_span, dt, params):
-    """Classic RK4 with fixed step; returns the final state vector."""
+    """Classic RK4 with fixed step; returns the final state vector.
+
+    With a tuple ``y0`` and a float RHS (``rhs_3d_floats``) it steps plain
+    floats, several times faster than numpy on one state; otherwise ``y0``
+    is an array of shape (n,) or (n, m) for an array RHS (``rhs_3d_arrays``).
+    Each component takes the same operations either way.
+    """
     t0, t1 = t_span
     n = int(round((t1 - t0) / dt))
-    y = np.array(y0, dtype=float)
     h = (t1 - t0) / n
+    if isinstance(y0, tuple):
+        y = [float(v) for v in y0]
+        for _ in range(n):
+            k1 = rhs(y, *params)
+            k2 = rhs([v + 0.5 * h * k for v, k in zip(y, k1)], *params)
+            k3 = rhs([v + 0.5 * h * k for v, k in zip(y, k2)], *params)
+            k4 = rhs([v + h * k for v, k in zip(y, k3)], *params)
+            y = [v + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                 for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]
+        return np.array(y)
+    y = np.array(y0, dtype=float)
     for _ in range(n):
         k1 = rhs(y, *params)
         k2 = rhs(y + 0.5 * h * k1, *params)
@@ -85,6 +114,49 @@ def scipy_run(rhs, y0, t_end, params, *, method, rel_tol, abs_tol, floors):
             if hits:
                 return "blowup", min(hits), None
     return "reached_t_end", t_end, dense(t_end)
+
+
+# scipy's Dormand-Prince 5(4) tableau (RK45) as Python floats
+_DP5_A, _DP5_B, _DP5_E, _DP5_P = (RK45.A.tolist(), RK45.B.tolist(), RK45.E.tolist(),
+                                  RK45.P.tolist())
+
+
+def dp5_step(f, y, k1, h, rtol, atol):
+    """One Dormand-Prince 5(4) trial step from y with first stage k1, as
+    loops over the components: (y_new, f(y_new), error norm, the stages
+    (k1, k3, k4, k5, k6, k7)).  Each stage adds (sum of a_j k_j) * h as
+    scipy's ``rk_step`` does; the second stage, which has zero weight in B,
+    E and P, is left out of those sums.  The error terms are divided by
+    their scales, squared and summed from 0.0 in component order."""
+    A, B, E = _DP5_A, _DP5_B, _DP5_E
+    k2 = f([v + (p1 * A[1][0]) * h for v, p1 in zip(y, k1)])
+    k3 = f([v + (p1 * A[2][0] + p2 * A[2][1]) * h for v, p1, p2 in zip(y, k1, k2)])
+    k4 = f([v + (p1 * A[3][0] + p2 * A[3][1] + p3 * A[3][2]) * h
+            for v, p1, p2, p3 in zip(y, k1, k2, k3)])
+    k5 = f([v + (p1 * A[4][0] + p2 * A[4][1] + p3 * A[4][2] + p4 * A[4][3]) * h
+            for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+    k6 = f([v + (p1 * A[5][0] + p2 * A[5][1] + p3 * A[5][2] + p4 * A[5][3]
+                 + p5 * A[5][4]) * h
+            for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (p1 * B[0] + p3 * B[2] + p4 * B[3] + p5 * B[4] + p6 * B[5])
+             for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(y_new)
+    sq = 0.0
+    for v, w, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        e = ((p1 * E[0] + p3 * E[2] + p4 * E[3] + p5 * E[4] + p6 * E[5] + p7 * E[6]) * h
+             / (atol + max(abs(v), abs(w)) * rtol))
+        sq += e * e
+    return y_new, k7, math.sqrt(sq) / len(y) ** 0.5, (k1, k3, k4, k5, k6, k7)
+
+
+def dp5_dense_rows(stages, h):
+    """Per component, h times scipy's ``K.T @ P`` row for the stages
+    ``dp5_step`` returns: the coefficients of x, x^2, x^3, x^4 of the step's
+    quartic."""
+    P = _DP5_P
+    return [tuple((p1 * P[0][j] + p3 * P[2][j] + p4 * P[3][j] + p5 * P[4][j]
+                   + p6 * P[5][j] + p7 * P[6][j]) * h for j in range(4))
+            for p1, p3, p4, p5, p6, p7 in zip(*stages)]
 
 
 def ermakov_pinney(a0, a1, c, t):

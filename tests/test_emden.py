@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, RunConfig, Trajectory,
                         advance, emden_rhs_2d, emden_rhs_3d, energy_2d,
@@ -13,8 +15,9 @@ from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, RunConfig, Traje
 from eulerexact import emden
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
-from _oracles import (ermakov_pinney, ermakov_pinney_collapse, rhs_2d_arrays,
-                      rhs_3d_arrays, rk4_fixed, scipy_run)
+from _oracles import (dp5_dense_rows, dp5_step, ermakov_pinney, ermakov_pinney_collapse,
+                      rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays, rhs_3d_floats, rk4_fixed,
+                      scipy_run)
 
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0, mu=0.0):
@@ -132,7 +135,7 @@ class TestIntegrate:
         assert traj.termination.kind == "reached_t_end"
         final = traj.states[-1]
         assert final.a > 1.0 and final.b > 1.0
-        oracle = rk4_fixed(rhs_3d_arrays, [1.0, 0.0, 1.0, 0.0], (0.0, 1.0), 1e-5,
+        oracle = rk4_fixed(rhs_3d_floats, (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 1e-5,
                            (p.K, p.gamma, p.lam, p.xi))
         st1 = traj.states[0]
         got = np.array([st1.a, st1.a_dot, st1.b, st1.b_dot])
@@ -227,7 +230,7 @@ class TestIntegrate:
         assert traj.termination.kind == "reached_t_end"
         e0 = energy_2d(ic, p)
         assert max(abs(e - e0) for e in traj.energies()) <= 1e-8 * max(1.0, abs(e0))
-        oracle = rk4_fixed(rhs_2d_arrays, [1.1, 0.0], (0.0, 1.0), 1e-5,
+        oracle = rk4_fixed(rhs_2d_floats, (1.1, 0.0), (0.0, 1.0), 1e-5,
                            (p.K, p.gamma, p.lam, p.xi))
         st = traj.state_at(1.0)
         assert st.a == pytest.approx(float(oracle[0]), rel=1e-8)
@@ -561,3 +564,80 @@ class TestAgainstScipy:
             assert {(3, m, "blowup", False), (3, m, "reached_t_end", True),
                     (2, m, "blowup", False), (2, m, "reached_t_end", True),
                     (2, m, "reached_t_end", False)} <= kinds
+
+
+def bits(obj) -> list[bytes]:
+    """The bit patterns of the floats in a nested tuple or list, in order."""
+    if isinstance(obj, (tuple, list)):
+        return [b for item in obj for b in bits(item)]
+    return [np.float64(obj).tobytes()]
+
+
+def _kernel_and_reference(p, state, h, rtol, atol):
+    dim, y = emden._vec_from_state(state)
+    f = emden._rhs(p, dim)
+    k1 = f(y)
+    attempt, dense = emden._METHODS["RK45"].kernels[dim]
+    got = attempt(f, y, k1, h, rtol, atol)
+    want = dp5_step(f, y, k1, h, rtol, atol)
+    assert bits(got) == bits(want)
+    assert bits(dense(f, y, got[0], got[3], h)) == bits(dp5_dense_rows(want[3], h))
+    return got
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+kernel_params = st.builds(params, gamma=st.one_of(st.just(1.0), _real(1.0, 3.0)),
+                          lam=_real(-2.0, 2.0), xi=_real(-2.0, 2.0))
+kernel_states = st.one_of(
+    st.builds(EmdenState3D, st.just(0.0), _real(0.3, 3.0), _real(-2.0, 2.0),
+              _real(0.3, 3.0), _real(-2.0, 2.0)),
+    st.builds(EmdenState2D, st.just(0.0), _real(0.3, 3.0), _real(-2.0, 2.0)))
+
+
+class TestKernels:
+    """The written-out RK45 kernels against the component-loop reference
+    step (``_oracles.dp5_step``), bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kernel_params, kernel_states, _real(1e-8, 3.0), _real(MIN_REL_TOL, 1e-2),
+           _real(1e-15, 1e-3))
+    def test_rk45_kernels_are_the_reference_step(self, p, state, h, rtol, atol):
+        _kernel_and_reference(p, state, h, rtol, atol)
+
+    @pytest.mark.parametrize("p, state, h, leaves_domain", [
+        # a stage with a or b < 0: the stage is NaN and so is the error norm
+        (params(), EmdenState3D(0.0, 0.2, -2.0, 1.0, 0.0), 1.0, True),
+        (params(), EmdenState3D(0.0, 1.0, 0.0, 0.2, -2.0), 1.0, True),
+        (params(), EmdenState2D(0.0, 0.2, -2.0), 1.0, True),
+        # a**3 underflows to 0, so xi^2 / a^3 divides by zero
+        (params(lam=-1.0), EmdenState3D(0.0, 1e-110, 0.0, 1.0, 0.0), 1e-3, False),
+        (params(lam=-1.0), EmdenState2D(0.0, 1e-110, 0.0), 1e-3, False),
+        # a^(2 gamma - 1) overflows
+        (params(gamma=3.0, lam=1.0), EmdenState3D(0.0, 1e100, 1.0, 1.0, 0.0), 1e-3, False),
+        (params(gamma=3.0, lam=1.0), EmdenState2D(0.0, 1e100, 1.0), 1e-3, False),
+    ])
+    def test_rejected_and_ieee_steps(self, monkeypatch, p, state, h, leaves_domain):
+        calls = 0
+        real = emden._ieee
+
+        def counting(fn, y):
+            nonlocal calls
+            calls += 1
+            return real(fn, y)
+
+        monkeypatch.setattr(emden, "_ieee", counting)
+        _, _, err, stages = _kernel_and_reference(p, state, h, 1e-10, 1e-12)
+        if leaves_domain:
+            assert math.isnan(err) and not err < 1.0
+            assert any(math.isnan(v) for k in stages for v in k)
+        else:
+            assert calls > 0
+            # the fallback gives numpy's IEEE values of the raw equations
+            dim, y = emden._vec_from_state(state)
+            rhs = rhs_3d_arrays if dim == 3 else rhs_2d_arrays
+            with np.errstate(all="ignore"):
+                want = rhs(tuple(map(np.float64, y)), p.K, p.gamma, p.lam, p.xi)
+            assert bits(emden._rhs(p, dim)(y)) == bits(want.tolist())

@@ -2,8 +2,9 @@
 evaluators are the 0-d case of the array ones, bit for bit, the planar energy
 is the 3D one at b = 1, b' = 0, bit for bit, a batched
 residual stencil gives each point what a single-point call gives it, 3D
-``classify`` gives each cell the row a one-cell ``sweep`` gives it, and a
-time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways."""
+``classify`` gives each cell the row a one-cell ``sweep`` gives it, a
+time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways, and
+runs that do not collapse conserve the energy."""
 
 import contextlib
 import io
@@ -14,12 +15,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
                         GeneralFamilySource, GeneralMassFamily, PhysParams,
-                        SnapshotFieldSource, advance, energy_2d, energy_3d,
+                        SnapshotFieldSource, advance, energy_2d, energy_3d, integrate,
                         mass_residual, navier_stokes_residual, refined_residual)
 from eulerexact.cli import main
 from eulerexact.profiles import DensityProfile
@@ -187,3 +188,37 @@ def test_advance_matches_fixed_step_rk4(p, state, size, backward):
     assert np.max(np.abs(state_vec(got) - want)) <= 1e-12 * scale
     back = advance(p, got, -dt)
     assert np.max(np.abs(state_vec(back) - state_vec(state))) <= 1e-12 * scale
+
+
+# lam > 0: the potential grows without bound as a or b falls to 0
+repulsive_runs = st.tuples(
+    st.builds(PhysParams, K=st.just(1.0), gamma=st.one_of(st.just(1.0), real(1.0, 3.0)),
+              lam=real(0.1, 2.0), alpha=st.just(1.0), xi=real(-2.0, 2.0)),
+    st.one_of(states_3d, states_2d))
+
+
+@st.composite
+def bound_planar_runs(draw):
+    """A bound planar orbit: lam < 0, 1 <= gamma < 2 and xi != 0 (the xi^2
+    barrier keeps a from 0), with the energy below V's limit at infinity,
+    which is 0 for gamma > 1 and infinite at gamma = 1.  lam is set by the
+    equilibrium radius a_eq, drawn of order 1 so that t = 5 spans a few
+    orbits (lam drawn directly puts a_eq near 1e-7 as gamma nears 2, where
+    t = 5 holds millions of orbits)."""
+    gamma = draw(st.one_of(st.just(1.0), real(1.0, 1.9)))
+    xi, a_eq = draw(real(0.3, 2.0)), draw(real(0.5, 2.0))
+    lam = -xi * xi * a_eq ** (2.0 * gamma - 4.0)
+    a0, a1 = a_eq * draw(real(0.6, 1.6)), draw(real(-0.5, 0.5))
+    assume(gamma == 1.0 or 0.5 * a1 * a1 + planar_potential(a0, gamma, lam, xi) < 0.0)
+    return PhysParams(K=1.0, gamma=gamma, lam=lam, alpha=1.0, xi=xi), EmdenState2D(0.0, a0, a1)
+
+
+@SETTINGS
+@given(st.one_of(repulsive_runs, bound_planar_runs()))
+def test_energy_drift_is_small_on_runs_that_do_not_collapse(run):
+    # the bound of TestIntegrate.test_energy_drift_small, at every step point
+    p, state = run
+    traj = integrate(p, state, 5.0)
+    assert traj.termination.kind == "reached_t_end"
+    e0 = (energy_3d if isinstance(state, EmdenState3D) else energy_2d)(state, p)
+    assert max(abs(e - e0) for e in traj.energies()) <= 1e-8 * max(1.0, abs(e0))
