@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .emden import (EmdenState2D, EmdenState3D, RunOptions, Termination, Trajectory,
-                    _check_span, _run, emden_rhs_2d, integrate)
+# integrate is not called here: it stays importable for bench/tracer.py
+from .emden import (EmdenState2D, EmdenState3D, RunOptions, Termination,  # noqa: F401
+                    Trajectory, _check_span, _run, _vec_from_state, emden_rhs_2d, integrate)
 from .profiles import PhysParams
 
 __all__ = [
@@ -90,22 +91,23 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     """Lifespan verdict of one 3D cell: the table's verdict and case, and ``T``.
 
     A cell that is not global and has no closed-form ``T`` is integrated once,
-    ``horizon`` time units past ``ic.t``, by :func:`integrate` with
+    ``horizon`` time units past ``ic.t``, by the step loop with
     ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
-    ``eps_blow``): a collapse gives ``T``, and an open cell whose ``T`` was
-    found this way has basis ``numerical_evidence``.  Bad options raise even
-    when the table needs no run."""
+    ``eps_blow``) and no step table: a collapse gives ``T``, and an open cell
+    whose ``T`` was found this way has basis ``numerical_evidence``.  Bad
+    options raise even when the table needs no run."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    RunOptions(**run_options)
+    run = RunOptions(**run_options)
     table = classify_3d(p, ic)
     if table.T is not None or table.verdict == GLOBAL:
         return table
-    traj = integrate(p, ic, ic.t + horizon, dense_times=[], **run_options)
-    T = traj.termination.t_est if traj.termination.kind == "blowup" else None
+    dim, y0 = _vec_from_state(ic)
+    termination, t_stop, _, _, _ = _run(p, dim, y0, ic.t, ic.t + horizon, run)
+    T = termination.t_est if termination.kind == "blowup" else None
     # the table leaves an open cell undecided; only the run saw its collapse
     evidence = T is not None and table.verdict == OPEN_CASE
-    return replace(table, T=T, t_horizon=traj.t_span[1] - ic.t,
+    return replace(table, T=T, t_horizon=t_stop - ic.t,
                    basis="numerical_evidence" if evidence else table.basis,
                    note=_NUMERIC_NOTE if evidence else "")
 

@@ -184,8 +184,9 @@ class Trajectory:
 
     ``states`` holds samples at the caller-requested times (or at the accepted
     step points when no times were requested); :meth:`state_at` evaluates the
-    dense output anywhere inside the integrated span.  ``stats`` counts the
-    run's steps; a hand-built trajectory has none.
+    dense output anywhere inside the integrated span, from the step table
+    that :func:`integrate` keeps for it.  ``stats`` counts the run's steps; a
+    hand-built trajectory has none.
     """
 
     params: PhysParams
@@ -404,10 +405,14 @@ def _dp5_attempt_3d(f, y, k1, h, rtol, atol):
     return y_new, k7, math.sqrt(sq) / 4 ** 0.5, (k1, k3, k4, k5, k6, k7)
 
 
-def _dp5_dense_3d(f, y, y_new, stages, h):
-    """The step's dense-output rows, one per component of the 3D state."""
+def _dp5_dense_3d(f, y, y_new, stages, h, velocities=True):
+    """The step's dense-output rows, one per component of the 3D state; the
+    rows of a' and b' are None unless ``velocities``."""
     (ka1, ku1, kb1, kv1), (ka3, ku3, kb3, kv3), (ka4, ku4, kb4, kv4), \
         (ka5, ku5, kb5, kv5), (ka6, ku6, kb6, kv6), (ka7, ku7, kb7, kv7) = stages
+    if not velocities:
+        return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), None,
+                _dp5_row(kb1, kb3, kb4, kb5, kb6, kb7, h), None)
     return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h),
             _dp5_row(kb1, kb3, kb4, kb5, kb6, kb7, h), _dp5_row(kv1, kv3, kv4, kv5, kv6, kv7, h))
 
@@ -435,10 +440,11 @@ def _dp5_attempt_2d(f, y, k1, h, rtol, atol):
     return y_new, k7, math.sqrt(ea * ea + eu * eu) / 2 ** 0.5, (k1, k3, k4, k5, k6, k7)
 
 
-def _dp5_dense_2d(f, y, y_new, stages, h):
-    """The step's dense-output rows, one per component of the planar state."""
+def _dp5_dense_2d(f, y, y_new, stages, h, velocities=True):
+    """``_dp5_dense_3d`` for the planar state."""
     (ka1, ku1), (ka3, ku3), (ka4, ku4), (ka5, ku5), (ka6, ku6), (ka7, ku7) = stages
-    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h))
+    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h),
+            _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h) if velocities else None)
 
 
 def _dp5_row(p1, p3, p4, p5, p6, p7, h):
@@ -491,14 +497,18 @@ def _dop853_attempt(f, y, k1, h, rtol, atol):
     return y_new, stages[-1], err, stages
 
 
-def _dop853_dense(f, y, y_new, stages, h):
-    """Per component, scipy's seven ``F`` rows of the DOP853 interpolant; the
-    three extra stages are evaluated here."""
+def _dop853_dense(f, y, y_new, stages, h, velocities=True):
+    """Per component, scipy's seven ``F`` rows of the DOP853 interpolant, the
+    velocities' rows None unless ``velocities``; the three extra stages are
+    evaluated here."""
     stages = list(stages)
     for row in _A8_EXTRA:
         stages.append(f(_combine(y, row, stages, h)))
     rows = []
     for i, v in enumerate(y):
+        if i % 2 and not velocities:
+            rows.append(None)
+            continue
         dy = y_new[i] - v
         f_old, f_new = stages[0][i], stages[DOP853_STAGES][i]
         coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
@@ -558,10 +568,18 @@ def _floor_clear(y: float, coeffs, floor: float) -> bool:
     return y + bound - floor > 1e-12 * size
 
 
+def _dense_value(t_lo: float, t_hi: float, y: float, row, factors, t: float) -> float:
+    """At time t, a component that starts the step [t_lo, t_hi] at y: y plus
+    the nested polynomial of its coefficient row."""
+    return y + _nest(row, factors((t - t_lo) / (t_hi - t_lo)))
+
+
 class _DenseOutput:
     """The step table of a run, in flat float arrays: step k spans
     [ts[k], ts[k+1]] and starts at ``state(k)``; its dense output adds to each
-    component the nested polynomial of that component's coefficients."""
+    component the nested polynomial of that component's coefficients.  Only
+    :func:`integrate` keeps one, for :meth:`Trajectory.state_at` and its
+    sample times."""
 
     __slots__ = ("factors", "n", "m", "ts", "ys", "coeffs")
 
@@ -587,10 +605,9 @@ class _DenseOutput:
 
     def value(self, k: int, comp: int, t: float) -> float:
         """Component ``comp`` at time t by the dense output of step k."""
-        t_lo = self.ts[k]
-        x = (t - t_lo) / (self.ts[k + 1] - t_lo)
         i = k * self.n + comp
-        return self.ys[i] + _nest(self.coeffs[i * self.m:(i + 1) * self.m], self.factors(x))
+        return _dense_value(self.ts[k], self.ts[k + 1], self.ys[i],
+                            self.coeffs[i * self.m:(i + 1) * self.m], self.factors, t)
 
     def __call__(self, t: float) -> tuple:
         """The state at t; a step boundary belongs to the step it ends."""
@@ -682,9 +699,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
 _SECTION = 1
 
 
-def _locate(dense: _DenseOutput, y, rows, floors, rel_tol, section_after):
-    """Locate the earliest event in the last step of ``dense``, which starts
-    at state y and has the coefficient rows ``rows``.
+def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol, section_after):
+    """Locate the earliest event in the step [t_lo, t_hi], which starts at
+    state y and whose dense output has the coefficient rows ``rows`` and the
+    method's ``factors``.
 
     Returns (t_est, component_index, bracket_width) or None.  Floor events
     are a component of ``floors`` falling to its floor; unless the step's
@@ -695,18 +713,18 @@ def _locate(dense: _DenseOutput, y, rows, floors, rel_tol, section_after):
     solve_ivp); it counts only later than ``section_after``, so a crossing on
     a step boundary is not counted twice.
     """
-    k = dense.steps - 1
-    t_lo, t_hi = dense.ts[k], dense.ts[k + 1]
     samples = None
     best = None
     for comp, floor in floors:
-        if _floor_clear(y[comp], rows[comp], floor):
+        y_c, row = y[comp], rows[comp]
+        if _floor_clear(y_c, row, floor):
             continue
         if samples is None:
             # np.linspace(t_lo, t_hi, 9)
             step = (t_hi - t_lo) / 8
             samples = [t_lo + i * step for i in range(8)] + [t_hi]
-        i = next((i for i, t in enumerate(samples) if dense.value(k, comp, t) <= floor), None)
+        i = next((i for i, t in enumerate(samples)
+                  if _dense_value(t_lo, t_hi, y_c, row, factors, t) <= floor), None)
         if i is None:
             continue
         if i == 0:
@@ -714,13 +732,16 @@ def _locate(dense: _DenseOutput, y, rows, floors, rel_tol, section_after):
             # above the floor, so treat the start as the estimate
             t_est, width = t_lo, 0.0
         else:
-            t_est = _brentq(lambda q: dense.value(k, comp, q) - floor, samples[i - 1],
-                            samples[i], 1e-300, rel_tol)
+            t_est = _brentq(lambda q: _dense_value(t_lo, t_hi, y_c, row, factors, q) - floor,
+                            samples[i - 1], samples[i], 1e-300, rel_tol)
             width = rel_tol * abs(t_est)
         if best is None or t_est < best[0]:
             best = (t_est, comp, width)
-    if section_after is not None and y[_SECTION] <= 0.0 <= dense.value(k, _SECTION, t_hi):
-        t_est = _brentq(lambda q: dense.value(k, _SECTION, q), t_lo, t_hi,
+    if section_after is None:
+        return best
+    y_c, row = y[_SECTION], rows[_SECTION]
+    if y_c <= 0.0 <= _dense_value(t_lo, t_hi, y_c, row, factors, t_hi):
+        t_est = _brentq(lambda q: _dense_value(t_lo, t_hi, y_c, row, factors, q), t_lo, t_hi,
                         _BRENTQ_RTOL, _BRENTQ_RTOL)
         if t_est > section_after and (best is None or t_est < best[0]):
             best = (t_est, _SECTION, 0.0)
@@ -753,13 +774,17 @@ def _initial_step(f, y0, f0, interval, order, rtol, atol) -> float:
 
 
 def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
-         run: RunOptions, *, section: bool = False):
+         run: RunOptions, *, section: bool = False, table: _DenseOutput | None = None):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``.
 
     The run ends at ``t_end``, at the first floor event, after ``max_steps``
     steps, on a step failure, or (with ``section``) at the second section
     crossing, whose termination kind is ``section``.  Returns (termination,
-    t_stop, the step table, section crossings as (t, y), run statistics).
+    t_stop, the last accepted state, section crossings as (t, y), run
+    statistics).  Events read only the current step, so a run keeps a step
+    table only when the caller passes an empty one in as ``table``, which
+    then gains every accepted step.  Without a table or a section, the dense
+    output of a' and b' is not evaluated: no event reads it.
 
     The controller is scipy's: the initial step of ``select_initial_step``, a
     step never below 10 ulp of t, growth by 0.9 err^(-1/(order+1)) within
@@ -769,6 +794,8 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     _check_span(t0, t_end)
     method = _METHODS[run.method]
     attempt, dense_rows = method.kernels[dim]
+    factors = method.factors
+    velocities = table is not None or section
     rtol, atol = run.rel_tol, run.abs_tol
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
@@ -777,14 +804,14 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     f = _rhs(p, dim)
     t, y, fy = t0, y0, f(y0)
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
-    dense = _DenseOutput(method.factors, t0, y0)
     crossings = []
     section_after = -math.inf if section else None
-    rejected = 0
+    accepted = rejected = 0
+    h_min, h_max = math.inf, -math.inf
     termination = None
 
     while t < t_end:
-        if dense.steps >= run.max_steps:
+        if accepted >= run.max_steps:
             termination = Termination("step_failure",
                                       detail=f"max_steps={run.max_steps} exhausted")
             break
@@ -807,35 +834,38 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             rejected += 1
         if termination is not None:
             break
-        rows = dense_rows(f, y, y_new, stages, h)
-        dense.append(t_new, y_new, rows)
-        hit = _locate(dense, y, rows, floors, rtol, section_after)
+        rows = dense_rows(f, y, y_new, stages, h, velocities)
+        if table is not None:
+            table.append(t_new, y_new, rows)
+        accepted += 1
+        if h < h_min:
+            h_min = h
+        if h > h_max:
+            h_max = h
+        hit = _locate(t, t_new, y, rows, factors, floors, rtol, section_after)
+        if hit is not None:
+            t_est, comp, width = hit
+            if comp != _SECTION:
+                termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
+                                          bracket_width=width)
+            else:
+                crossings.append((t_est, tuple(_dense_value(t, t_new, v, row, factors, t_est)
+                                               for v, row in zip(y, rows))))
+                section_after = t_est
+                if len(crossings) == 2:
+                    termination = Termination("section", t_est=t_est)
         t, y, fy = t_new, y_new, f_new
-        if hit is None:
-            continue
-        t_est, comp, width = hit
-        if comp == _SECTION:
-            k = dense.steps - 1
-            crossings.append((t_est, tuple(dense.value(k, i, t_est) for i in range(dense.n))))
-            section_after = t_est
-            if len(crossings) < 2:
-                continue
-            termination = Termination("section", t_est=t_est)
-        else:
-            termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
-                                      bracket_width=width)
-        break
+        if termination is not None:
+            break
 
     if termination is None:
         termination = Termination("reached_t_end")
     t_stop = termination.t_est if termination.kind == "blowup" else t
-    accepted = dense.steps
-    steps = [b - a for a, b in zip(dense.ts, dense.ts[1:])]
     stats = RunStats(accepted=accepted, rejected=rejected,
                      rhs_evals=2 + method.stage_evals * (accepted + rejected)
                      + method.dense_evals * accepted,
-                     h_min=min(steps, default=None), h_max=max(steps, default=None))
-    return termination, t_stop, dense, crossings, stats
+                     h_min=h_min if accepted else None, h_max=h_max if accepted else None)
+    return termination, t_stop, y, crossings, stats
 
 
 def integrate(
@@ -868,8 +898,9 @@ def integrate(
         if dense_times and (dense_times[0] < t0 or dense_times[-1] > t_end):
             raise ValueError("dense_times must lie within [t0, t_end]")
 
-    termination, t_stop, dense, _, stats = _run(
-        p, dim, y0, t0, t_end, RunOptions(rel_tol, abs_tol, max_steps, eps_blow, method))
+    run = RunOptions(rel_tol, abs_tol, max_steps, eps_blow, method)
+    dense = _DenseOutput(_METHODS[method].factors, t0, y0)
+    termination, t_stop, _, _, stats = _run(p, dim, y0, t0, t_end, run, table=dense)
 
     if dense_times is not None:
         states = [initial_state if t == t0 else _state_from_vec(dim, t, dense(t))
@@ -926,11 +957,11 @@ def advance(
         return state
     dim, y = _vec_from_state(state)
     sign = math.copysign(1.0, dt)
-    termination, t_stop, dense, _, _ = _run(p, dim, _turn(y, sign), 0.0, abs(dt), _ADVANCE_RUN)
+    termination, t_stop, y_end, _, _ = _run(p, dim, _turn(y, sign), 0.0, abs(dt), _ADVANCE_RUN)
     if termination.kind != "reached_t_end":
         raise ValueError(f"time shift dt={dt} from t={state.t} stopped after |dt|={t_stop!r} "
                          f"in {termination.kind}: {termination.to_dict()}")
-    return _state_from_vec(dim, state.t + dt, _turn(dense.state(dense.steps), sign))
+    return _state_from_vec(dim, state.t + dt, _turn(y_end, sign))
 
 
 def _turn(y, sign: float) -> tuple:

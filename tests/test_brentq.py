@@ -75,12 +75,12 @@ def test_quartic_roots_match_scipy(coeffs, lo, width, frac, tol):
     assert ours == scipys
 
 
-def dense_step(method, t0, h, y0, coeffs):
-    """A one-step table of ``method``'s dense output for one component."""
+def step_output(method, t_lo, t_hi, y0, coeffs):
+    """One component's dense output on one ``method`` step, evaluated as
+    ``emden._locate`` evaluates it."""
     factors = emden._METHODS[method].factors
-    dense = emden._DenseOutput(factors, t0, (y0,))
-    dense.append(t0 + h, (y0 + sum(coeffs),), [coeffs[:len(factors(0.0))]])
-    return dense
+    row = tuple(coeffs[:len(factors(0.0))])
+    return lambda q: emden._dense_value(t_lo, t_hi, y0, row, factors, q)
 
 
 @SETTINGS
@@ -88,13 +88,13 @@ def dense_step(method, t0, h, y0, coeffs):
        real(-1.0, 1.0), st.lists(real(-1.0, 1.0), min_size=7, max_size=7), real(0.0, 1.0),
        tolerances)
 def test_dense_output_crossings_match_scipy(method, t0, h, y0, coeffs, frac, tol):
-    dense = dense_step(method, t0, h, y0, coeffs)
-    t_lo, t_hi = dense.ts[0], dense.ts[1]
+    t_lo, t_hi = t0, t0 + h
+    value = step_output(method, t_lo, t_hi, y0, coeffs)
     # a level the step's polynomial takes inside the step
-    level = dense.value(0, 0, t_lo + frac * (t_hi - t_lo))
+    level = value(t_lo + frac * (t_hi - t_lo))
 
     def f(q):
-        return dense.value(0, 0, q) - level
+        return value(q) - level
     assume(t_hi > t_lo and f(t_lo) * f(t_hi) < 0.0)
     ours, scipys = both(f, t_lo, t_hi, *tol)
     assert ours == scipys

@@ -147,13 +147,16 @@ class TestClassifyCell:
         import eulerexact.classify
 
         def no_run(*args, **kwargs):
-            raise AssertionError("integrate called")
+            raise AssertionError("_run called")
 
-        monkeypatch.setattr(eulerexact.classify, "integrate", no_run)
+        monkeypatch.setattr(eulerexact.classify, "_run", no_run)
         for p, ic in [(params(lam=0.5), state3(b1=-1.0)),
                       (params(lam=0.0), state3(b1=0.5)),
                       (params(lam=0.0), state3(b0=1.0, b1=-0.5))]:
             assert classify_cell(p, ic, 10.0) == classify_3d(p, ic)
+        # the patched name is the one a cell that needs a run goes through
+        with pytest.raises(AssertionError, match="_run called"):
+            classify_cell(params(gamma=1.4, lam=-1.0), state3(b1=0.2), 10.0)
 
     def test_analytic_blowup_cell_gets_the_runs_collapse_time(self):
         p, ic = params(gamma=1.0, lam=-1.0), state3(b1=0.5)
