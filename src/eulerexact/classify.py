@@ -55,6 +55,8 @@ class Classification:
     Table verdicts cite the decision-table cell (``case``).  ``t_horizon`` is
     set when the cell was integrated: the time the run reached (the horizon,
     the collapse time ``T``, or less if the step budget or step size gave out).
+    A run that stopped short in that way keeps its ``termination`` record;
+    runs that reached the horizon or collapsed leave it None.
     ``numerical_evidence`` verdicts carry the evidence disclaimer in ``note``.
     """
 
@@ -64,9 +66,13 @@ class Classification:
     T: float | None = None
     t_horizon: float | None = None
     note: str = ""
+    termination: Termination | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v not in (None, "")}
+        d = {k: v for k, v in vars(self).items() if v not in (None, "")}
+        if self.termination is not None:
+            d["termination"] = self.termination.to_dict()
+        return d
 
 
 def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
@@ -94,8 +100,10 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     ``horizon`` time units past ``ic.t``, by the step loop with
     ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
     ``eps_blow``) and no step table: a collapse gives ``T``, and an open cell
-    whose ``T`` was found this way has basis ``numerical_evidence``.  Bad
-    options raise even when the table needs no run."""
+    whose ``T`` was found this way has basis ``numerical_evidence``.  A run
+    that ran out of steps or step size before the horizon leaves its
+    ``termination`` in the result.  Bad options raise even when the table
+    needs no run."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     run = RunOptions(**run_options)
@@ -107,9 +115,11 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     T = termination.t_est if termination.kind == "blowup" else None
     # the table leaves an open cell undecided; only the run saw its collapse
     evidence = T is not None and table.verdict == OPEN_CASE
+    stopped_short = termination.kind not in ("reached_t_end", "blowup")
     return replace(table, T=T, t_horizon=t_stop - ic.t,
                    basis="numerical_evidence" if evidence else table.basis,
-                   note=_NUMERIC_NOTE if evidence else "")
+                   note=_NUMERIC_NOTE if evidence else "",
+                   termination=termination if stopped_short else None)
 
 
 def probe_open_case(p: PhysParams, ic: EmdenState3D, t_horizon: float,

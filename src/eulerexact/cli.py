@@ -116,12 +116,18 @@ def _csv_float(v) -> str:
 
 
 def _csv_lines(values: np.ndarray) -> list[list[str]]:
-    """``_csv_float`` of an (nx, ny) slab as ny y-lines of nx strings.
+    """``repr`` of the floats of an (nx, ny) slab as ny y-lines of nx strings.
 
-    ``repr`` of the Python floats from ``tolist`` equals ``_csv_float`` of the
-    numpy scalars, at a fraction of the cost.
+    Each distinct value is formatted once.  Values are keyed by their IEEE
+    bit pattern, which keeps -0.0 and 0.0 apart, and the strings are gathered
+    back to the cells through the inverse index.  Grids symmetric about the
+    origin repeat ``s`` (and ``rho`` and ``p``, which are functions of it) at
+    mirrored points, and vacuum cells are all 0.0.
     """
-    return [list(map(repr, line)) for line in values.T.tolist()]
+    lines = np.ascontiguousarray(values.T, dtype=np.float64)
+    keys, cell_key = np.unique(lines.view(np.int64).ravel(), return_inverse=True)
+    strs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return strs[cell_key].reshape(lines.shape).tolist()
 
 
 def run_sample(cfg: RunConfig, out: str) -> int:
@@ -178,13 +184,12 @@ def run_sample(cfg: RunConfig, out: str) -> int:
                 if iz == 0:
                     u1, u2 = _csv_lines(g["u1"]), _csv_lines(g["u2"])
                 z_str = repr(z)
-                # rho, s and p are formatted one y-line (nx rows) at a time
-                for iy, (rho, sim_y, p) in enumerate(zip(g["rho"].T, sim.T, g["p"].T)):
+                for iy, (rho, sim_y, p) in enumerate(zip(
+                        _csv_lines(g["rho"]), _csv_lines(sim), _csv_lines(g["p"]))):
                     yzt = f"{y_strs[iy]},{z_str},{t_str}"
                     f.write("\n".join(map(",".join, zip(
-                        x_strs, itertools.repeat(yzt), map(repr, rho.tolist()),
-                        u1[iy], u2[iy], itertools.repeat(u3),
-                        map(repr, sim_y.tolist()), map(repr, p.tolist())))) + "\n")
+                        x_strs, itertools.repeat(yzt), rho, u1[iy], u2[iy],
+                        itertools.repeat(u3), sim_y, p))) + "\n")
                 rows += xs.size * ys.size
     print(f"wrote {out} ({rows} rows)")
     # a run that reached t_max sampled every requested time
@@ -279,10 +284,13 @@ def _classify_cell(cfg: RunConfig):
 
 def run_classify(cfg: RunConfig, out: str) -> int:
     doc = {"params": _params_dict(cfg), "ic": _ic_dict(cfg)}
+    stopped_short = None
     if cfg.dim == 3:
         result = _classify_cell(cfg)
         doc.update(result.to_dict())
         summary = result.verdict
+        # a run that stopped short of the horizon decided nothing past t_horizon
+        stopped_short = result.termination
     else:
         estimate, termination = search_period_2d(cfg.params(), cfg.initial_state(), cfg.t_end,
                                                  **cfg.run_options())
@@ -296,7 +304,7 @@ def run_classify(cfg: RunConfig, out: str) -> int:
                 termination.kind if termination is not None else "equilibrium")
     _write_json(out, doc)
     print(f"wrote {out} ({summary})")
-    return EXIT_OK
+    return EXIT_OK if stopped_short is None else _exit_code(stopped_short)
 
 
 def run_sweep(cfg: RunConfig, out: str) -> int:

@@ -187,6 +187,19 @@ class TestClassifyCell:
         assert traj.termination.kind == "step_failure"
         assert c.verdict == OPEN_CASE and c.T is None
         assert c.t_horizon == traj.t_span[1] < 30.0
+        # the run that stopped short says why
+        assert c.termination == traj.termination
+        assert c.to_dict()["termination"] == {"kind": "step_failure",
+                                              "detail": "max_steps=3 exhausted"}
+
+    @pytest.mark.parametrize("p, ic, horizon", [
+        (params(gamma=1.4, lam=-1.0), state3(b1=0.2), 30.0),   # collapses
+        (params(gamma=2.0, lam=-1.0), state3(b1=1e6), 0.01),   # reaches the horizon
+    ])
+    def test_runs_that_end_as_asked_carry_no_termination(self, p, ic, horizon):
+        c = classify_cell(p, ic, horizon)
+        assert c.termination is None
+        assert "termination" not in c.to_dict()
 
     @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.inf, math.nan])
     def test_horizon_is_checked_before_the_table(self, horizon):

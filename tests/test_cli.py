@@ -9,8 +9,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eulerexact.cli import FIELD_CSV_HEADER, MODES, _load_config, build_parser, main
+from eulerexact.cli import FIELD_CSV_HEADER, MODES, _csv_lines, _load_config, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -134,6 +136,23 @@ class TestClassifyCommand:
         assert code == 0, err
         assert "b0" not in json.loads(out.read_text())["ic"]
 
+    def test_3d_run_that_stops_short_exits_4_with_its_termination(self, tmp_path):
+        # a generated open cell whose run spends its steps on the xi^2 barrier of
+        # a; with 50 steps it stops long before the horizon, in milliseconds
+        out = tmp_path / "c.json"
+        code, _, err = run(tmp_path, "classify", "--gamma", "1.8641336260446142",
+                           "--lambda=-0.9397816851774112", "--xi", "0.32717873014713794",
+                           "--a0", "1.2887742179428374", "--a1", "0.015415315682622",
+                           "--b0", "1.6683944051603645", "--b1", "0.4435381031118337",
+                           "--t-end", "13.6", "--max-steps", "50", "--out", str(out))
+        assert code == 4
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "unknown_open_case"
+        assert doc["t_horizon"] < 13.6
+        assert doc["termination"] == {"kind": "step_failure",
+                                      "detail": "max_steps=50 exhausted"}
+        assert json.loads(err.strip().splitlines()[-1]) == {"termination": doc["termination"]}
+
 
 class TestSampleCommand:
     def test_vacuum_grid(self, tmp_path):
@@ -240,6 +259,24 @@ GOLDEN_SAMPLES = {
          "--a1", "0.3", "--grid-x=-2:2:7", "--grid-y=-1.5:1.5:6", "--times", "0,0.4,2.5"],
         1 + 7 * 6 * 3,
         "8195884a5eae973c1a08ba0007a898ee78f90e785eb2feb9cc9d18b8791ef203"),
+    # odd counts on ranges symmetric about 0: most values of s, rho and p recur
+    # at mirrored points, and 692 of the 1386 rows are vacuum
+    "mirrored_odd_3d": (
+        ["--gamma", "1.5", "--lambda", "1", "--xi", "0.8", "--a1", "0.1", "--b1", "-0.2",
+         "--grid-x=-2.5:2.5:9", "--grid-y=-2.5:2.5:11", "--grid-z=-2:2:7", "--times", "0,0.4"],
+        1 + 9 * 11 * 7 * 2,
+        "45c5b7d8932e1059aa25439c377fb5b404035da9db9e7fcc15700b04b8383213"),
+    # gamma = 2: the profile's exponent 1 / (gamma - 1) is 1
+    "gamma_2_3d": (
+        ["--gamma", "2", "--lambda", "1.5", "--xi", "0.6", "--a1", "-0.2", "--b1", "0.3",
+         "--grid-x=-2:2:9", "--grid-y=-1.5:1.5:8", "--grid-z=-1.5:1.5:5", "--times", "0,0.6"],
+        1 + 9 * 8 * 5 * 2,
+        "096ac81ce5479e3270c1648ea1540c1df9f7adc58f62c28d1b9d9772cafdf014"),
+    "planar_2d_41x43": (
+        ["--dim", "2", "--gamma", "1.4", "--lambda", "1", "--xi", "0.7", "--a1", "0.2",
+         "--grid-x=-2:2:41", "--grid-y=-2:2:43", "--times", "0,0.5"],
+        1 + 41 * 43 * 2,
+        "5ae1212e2cbe661ea12db5e42fd2f6055885ee70c9eb536e073114bc787b3b99"),
 }
 
 
@@ -338,6 +375,49 @@ class TestSampleWriter:
             return peak
 
         assert peak_bytes(32) < 2 * peak_bytes(4)
+
+
+def per_cell_repr(values: np.ndarray) -> list[list[str]]:
+    """The reference formatter: ``repr`` of every cell, one y-line at a time."""
+    return [list(map(repr, line)) for line in values.T.tolist()]
+
+
+TINY = 5e-324  # the smallest subnormal
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@st.composite
+def slabs(draw):
+    """(nx, ny) slabs drawn from a small pool of values, so that values recur;
+    the pool holds +-0.0, subnormals and the ulp neighbours of a drawn value.
+    Some slabs are Fortran-ordered or strided views, not C-contiguous."""
+    base = draw(st.floats(width=64))
+    pool = [base, float(np.nextafter(base, math.inf)), float(np.nextafter(base, -math.inf)),
+            0.0, -0.0, TINY, -TINY, SMALLEST_NORMAL, float(np.nextafter(SMALLEST_NORMAL, 0.0)),
+            *draw(st.lists(st.floats(width=64), max_size=4))]
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=nx * ny, max_size=nx * ny))
+    values = np.array(pool)[picks].reshape(nx, ny)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        wide = np.zeros((nx, 2 * ny))
+        wide[:, ::2] = values
+        values = wide[:, ::2]
+    return values
+
+
+class TestCsvLines:
+    # the examples: +-0.0 side by side, a 1 x n and an n x 1 slab, a strided view
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(slabs())
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    @example(np.array([[1.5, TINY, -TINY, 0.0, -0.0, 1.5]]))
+    @example(np.array([[1.5], [TINY], [-TINY], [0.0], [-0.0], [1.5]]))
+    @example(np.arange(12.0).reshape(3, 4)[:, ::2])
+    def test_equals_a_repr_of_every_cell(self, values):
+        assert _csv_lines(values) == per_cell_repr(values)
 
 
 class TestIntegrateCommand:

@@ -3,6 +3,7 @@ evaluators are the 0-d case of the array ones, bit for bit, the planar energy
 is the 3D one at b = 1, b' = 0, bit for bit, a batched
 residual stencil gives each point what a single-point call gives it, 3D
 ``classify`` gives each cell the row a one-cell ``sweep`` gives it, a
+``sample`` CSV reads back to the evaluated field bit for bit, a
 time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways, and
 runs that do not collapse conserve the energy."""
 
@@ -22,7 +23,7 @@ from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
                         GeneralFamilySource, GeneralMassFamily, PhysParams,
                         SnapshotFieldSource, advance, energy_2d, energy_3d, integrate,
                         mass_residual, navier_stokes_residual, refined_residual)
-from eulerexact.cli import main
+from eulerexact.cli import _load_config, build_parser, main
 from eulerexact.profiles import DensityProfile
 
 from _oracles import (planar_potential, pointwise_stencil_residuals, rhs_2d_arrays,
@@ -156,6 +157,57 @@ def test_classify_is_a_one_cell_sweep(gamma, lam, b0, b1):
             row = f.read().splitlines()[1].split(",")
     assert [doc["verdict"], doc["basis"]] == row[10:12]
     assert doc.get("T") == (float(row[12]) if row[12] else None)
+
+
+# lam > 0 keeps both scale factors growing, so every requested time is sampled
+sample_params = st.builds(
+    PhysParams, K=real(0.2, 3.0), gamma=st.one_of(st.just(1.0), st.just(2.0), real(1.0, 3.0)),
+    lam=real(0.1, 2.0), alpha=st.one_of(st.just(0.0), real(0.1, 2.0)), xi=real(-2.0, 2.0))
+axes = st.tuples(real(-3.0, 0.0), real(0.1, 3.0), st.integers(2, 4))
+sample_times = st.lists(st.one_of(st.just(0.0), real(0.01, 1.0)), min_size=1, max_size=3,
+                        unique=True).map(sorted)
+
+
+@SETTINGS
+@given(sample_params, states_3d, st.sampled_from([2, 3]), axes, axes, axes, sample_times)
+def test_sample_csv_reads_back_to_eval_grid(p, ic, dim, ax, ay, az, times):
+    argv = ["sample", f"--dim={dim}", f"--K={p.K!r}", f"--gamma={p.gamma!r}",
+            f"--lambda={p.lam!r}", f"--alpha={p.alpha!r}", f"--xi={p.xi!r}",
+            f"--a0={ic.a!r}", f"--a1={ic.a_dot!r}", f"--b0={ic.b!r}", f"--b1={ic.b_dot!r}",
+            "--times=" + ",".join(map(repr, times))]
+    argv += [f"--grid-{name}={lo!r}:{hi!r}:{n}"
+             for name, (lo, hi, n) in zip("xyz", (ax, ay, az)[:dim])]
+    cfg = _load_config(build_parser().parse_args(argv))
+    start = cfg.initial_state()
+    states = {0.0: start}
+    if times[-1] > 0.0:
+        traj = integrate(p, start, times[-1], dense_times=times, **cfg.run_options())
+        states.update((s.t, s) for s in traj.states if s.t > 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "f.csv")
+        _quiet_main([*argv, "--out", out])
+        with open(out, encoding="utf-8") as f:
+            lines = f.read().splitlines()[1:]
+
+    xs, ys = np.linspace(*ax), np.linspace(*ay)
+    zs = np.linspace(*az) if dim == 3 else np.array([0.0])
+    nx, ny, nz = xs.size, ys.size, zs.size
+    assert len(lines) == nx * ny * nz * len(times)
+    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij", sparse=True)
+    for it, t in enumerate(times):
+        if dim == 3:
+            g = Field3D.from_params(p, states[t]).eval_grid(X, Y, Z)
+        else:
+            g = Field2D.from_params(p, states[t]).eval_grid(X, Y)
+            g.update(u3=0.0, s=g["eta"])
+        cells = [np.broadcast_to(g[k], (nx, ny, nz)) for k in ("rho", "u1", "u2", "u3", "s", "p")]
+        for iz in range(nz):
+            for iy in range(ny):
+                for ix in range(nx):
+                    cols = lines[ix + nx * (iy + ny * (iz + nz * it))].split(",")
+                    assert [float(c) for c in cols[:4]] == [xs[ix], ys[iy], zs[iz], t]
+                    assert [bits(float(c)) for c in cols[4:]] == \
+                        [bits(c[ix, iy, iz]) for c in cells]
 
 
 shift_params = st.builds(
