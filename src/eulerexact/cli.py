@@ -11,6 +11,7 @@ per-key flag overrides.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -44,9 +45,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace(".", "-").replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every mode: all modes take the same flags, before or
-    after the mode."""
+    after the mode.  It is built once per process: parsing leaves it, and
+    the ``--sweep`` default, which argparse copies before appending,
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="eulerexact",
         description="Exact rotational reference solutions of the compressible "
@@ -88,12 +92,13 @@ def _integrate(cfg: RunConfig, t_end: float, dense_times=None):
                      **cfg.run_options())
 
 
-def _exit_code(termination) -> int:
+def _exit_code(termination, **context) -> int:
     """EXIT_OK for a run that reached its end; otherwise the termination
-    record goes to stderr and its exit code is returned."""
+    record, with the ``context`` keys beside it, goes to stderr and its exit
+    code is returned."""
     if termination.kind == "reached_t_end":
         return EXIT_OK
-    print(strict_json({"termination": termination.to_dict()}), file=sys.stderr)
+    print(strict_json({"termination": termination.to_dict(), **context}), file=sys.stderr)
     return EXIT_BLOWUP if termination.kind == "blowup" else EXIT_NUMERIC
 
 
@@ -315,10 +320,12 @@ def run_sweep(cfg: RunConfig, out: str) -> int:
     names = list(cfg.sweep)
     columns = [_SCHEMA[key][0] for key in SWEEPABLE]
     count = 0
+    code = EXIT_OK
     with open(out, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(SWEEPABLE) + ",verdict,basis,T_est\n")
         for combo in itertools.product(*(cfg.sweep[n] for n in names)):
-            cell = cfg.with_keys(dict(zip(names, combo)))
+            swept = dict(zip(names, combo))
+            cell = cfg.with_keys(swept)
             result = _classify_cell(cell)
             f.write(",".join([
                 *(_csv_float(getattr(cell, attr)) for attr in columns),
@@ -326,8 +333,11 @@ def run_sweep(cfg: RunConfig, out: str) -> int:
                 "" if result.T is None else _csv_float(result.T),
             ]) + "\n")
             count += 1
+            # the row cannot say that its run stopped short of the horizon
+            if result.termination is not None:
+                code = _exit_code(result.termination, cell=swept)
     print(f"wrote {out} ({count} parameter points)")
-    return EXIT_OK
+    return code
 
 
 # subcommand -> (runner, default output file, help line)

@@ -238,14 +238,79 @@ class Trajectory:
             f.write(text)
 
 
-def strict_json(obj, **kwargs) -> str:
-    """``json.dumps`` of an output record with no NaN or Infinity: a
-    non-finite number raises a ValueError that shows the record."""
+def strict_json(obj, indent: int | None = None) -> str:
+    """``json.dumps(obj, allow_nan=False, indent=indent)`` of an output record.
+
+    A non-finite number raises a ValueError that names its path in the record
+    (``points[17].mass_residual``) and shows the record.  The compact form is
+    the C encoder's; the indented form is written by ``_indented``, because
+    with ``indent`` set ``json`` falls back to its pure-Python encoder.
+    """
     try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
+        if indent is None:
+            return json.dumps(obj, allow_nan=False)
+        return _indented(obj, "\n", " " * indent)
     except ValueError:
+        path = _nonfinite_path(obj)
+        where = path.removeprefix(".") if path else "the top level"
         raise ValueError("non-finite number in an output record (strict JSON has "
-                         f"no NaN or Infinity): {str(obj)[:300]}") from None
+                         f"no NaN or Infinity) at {where}: {str(obj)[:300]}") from None
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _indented(obj, newline: str, step: str) -> str:
+    """``json.dumps(obj, allow_nan=False, indent=len(step))`` of a tree of
+    dicts with str keys, lists, tuples, str, None, bool, int and float
+    (subclasses as ``json`` treats them); ``newline`` is the line break and
+    indentation of the level ``obj`` sits at.  A non-finite float raises
+    ValueError and any other type TypeError, as in ``json``."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + step
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_indented(v, inner, step) for v in obj])
+                + newline + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join([_escape(k) + ": " + _indented(v, inner, step)
+                                                  for k, v in obj.items()])
+                + newline + "}")
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _nonfinite_path(obj) -> str | None:
+    """Where the first NaN or infinity in ``obj`` sits: ``.key`` and ``[index]``
+    steps, "" for ``obj`` itself, or None when there is none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else ""
+    if isinstance(obj, dict):
+        items = ((f".{k}", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for step, value in items:
+        rest = _nonfinite_path(value)
+        if rest is not None:
+            return step + rest
+    return None
 
 
 def _state_from_vec(dim: int, t: float, y) -> EmdenState3D | EmdenState2D:

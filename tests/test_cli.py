@@ -318,15 +318,20 @@ class TestJsonWriter:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def assert_help_names_every_mode(capsys):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # the help column wraps lines, also at hyphens
+    text = "".join(capsys.readouterr().out.split())
+    for mode, (_, _, help_line) in MODES.items():
+        assert "".join(f"{mode}: {help_line}".split()) in text
+
+
 class TestParser:
     def test_help_names_every_mode_with_its_help_line(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        # the help column wraps lines, also at hyphens
-        text = "".join(capsys.readouterr().out.split())
-        for mode, (_, _, help_line) in MODES.items():
-            assert "".join(f"{mode}: {help_line}".split()) in text
+        assert_help_names_every_mode(capsys)
 
     @pytest.mark.parametrize("argv, message", [
         (["integrat", "--gamma", "1"], "argument mode: invalid choice: 'integrat'"),
@@ -337,6 +342,25 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # argparse copies the --sweep default before appending to it, so a
+        # call's axes do not leak into the next call on the shared parser
+        first = ["sweep", "--gamma", "1.5", "--sweep", "lambda=-1,0", "--sweep", "b1=0.1,-0.3"]
+        second = ["sweep", "--sweep", "gamma=1,2", "--sweep-t-end", "20"]
+        assert build_parser() is build_parser()
+        shared = [tmp_path / "shared1.csv", tmp_path / "shared2.csv"]
+        assert main([*first, "--out", str(shared[0])]) == 0
+        assert main([*second, "--out", str(shared[1])]) == 0
+        alone = []
+        for argv in (first, second):
+            build_parser.cache_clear()
+            alone.append(tmp_path / f"alone{len(alone)}.csv")
+            assert main([*argv, "--out", str(alone[-1])]) == 0
+        assert [p.read_bytes() for p in shared] == [p.read_bytes() for p in alone]
+        assert shared[0].read_bytes() != shared[1].read_bytes()
+        assert build_parser().get_default("sweep") == []
+        assert_help_names_every_mode(capsys)
 
     @pytest.mark.parametrize("flags", [
         ["--gamma", "1.5"],
@@ -540,6 +564,26 @@ class TestSweepCommand:
             ("0.5", "unknown_open_case", "numerical_evidence", True),
             ("3.0", "unknown_open_case", "analytic", False),
         ]
+
+    def test_cell_whose_run_stopped_short_exits_4_with_its_termination(self, tmp_path):
+        # both cells run out of steps on the xi^2 barrier of a before the
+        # horizon; the rows cannot say so, so each gets a stderr record
+        out = tmp_path / "s.csv"
+        code, _, err = run(
+            tmp_path, "sweep", "--gamma", "1.8641336260446142", "--lambda=-0.9397816851774112",
+            "--xi", "0.32717873014713794", "--a0", "1.2887742179428374",
+            "--a1", "0.015415315682622", "--b0", "1.6683944051603645",
+            "--sweep", "b1=0.4435381031118337,0.2", "--t-end", "13.6", "--max-steps", "50",
+            "--out", str(out))
+        assert code == 4
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[9], r[10:]) for r in rows] == [
+            ("0.4435381031118337", ["unknown_open_case", "analytic", ""]),
+            ("0.2", ["unknown_open_case", "analytic", ""]),
+        ]
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"termination": {"kind": "step_failure", "detail": "max_steps=50 exhausted"},
+             "cell": {"b1": b1}} for b1 in (0.4435381031118337, 0.2)]
 
     def test_requires_axis(self, tmp_path):
         code, _, err = run(tmp_path, "sweep")

@@ -4,8 +4,10 @@ is the 3D one at b = 1, b' = 0, bit for bit, a batched
 residual stencil gives each point what a single-point call gives it, 3D
 ``classify`` gives each cell the row a one-cell ``sweep`` gives it, a
 ``sample`` CSV reads back to the evaluated field bit for bit, a
-time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways, and
-runs that do not collapse conserve the energy."""
+time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways,
+runs that do not collapse conserve the energy, and the 3D field is
+self-similar: scaling x, y by a and z by b maps the unit state onto the
+state (a, b)."""
 
 import contextlib
 import io
@@ -64,6 +66,27 @@ def test_field3d_eval_is_the_0d_case_of_eval_grid(p, state, pts):
         got = (smp.rho, smp.u1, smp.u2, smp.u3, smp.s, smp.pressure)
         assert all(isinstance(v, float) for v in got)
         assert [bits(v) for v in got] == [bits(grid[k][i]) for k in grid]
+
+
+@SETTINGS
+@given(params, states_3d, points(3))
+def test_field3d_is_self_similar(p, state, pts):
+    # the state (a, b) at (aX, aY, bZ) has the unit state's s at (X, Y, Z),
+    # and its density times a^2 b is the unit state's density there
+    a, b = state.a, state.b
+    field = Field3D.from_params(p, state)
+    unit = Field3D.from_params(p, EmdenState3D(state.t, 1.0, state.a_dot, 1.0, state.b_dot))
+    eps = np.finfo(float).eps
+    for x, y, z in pts:
+        got, want = field.eval(a * x, a * y, b * z), unit.eval(x, y, z)
+        assert math.isclose(got.s, want.s, rel_tol=4 * eps, abs_tol=0.0)
+        # where s differs in its last bits, f(s) differs by f's condition
+        # number times that, which is large near a compact support's edge
+        # when 1/(gamma - 1) is large; with equal s only the a^2 b factor
+        # differs (abs_tol: a subnormal density keeps fewer bits)
+        if got.s == want.s:
+            assert math.isclose(got.rho * (a * a * b), want.rho, rel_tol=4 * eps,
+                                abs_tol=a * a * b * math.ulp(0.0))
 
 
 @SETTINGS
