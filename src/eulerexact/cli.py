@@ -15,8 +15,7 @@ import functools
 import itertools
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # classify_3d and detect_period_2d are not called here: they stay importable
 # for bench/tracer.py
@@ -25,8 +24,13 @@ from .classify import (classify_3d, classify_cell, detect_period_2d,  # noqa: F4
 from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
 from .emden import integrate, strict_json
-from .fields import Field2D, Field3D
-from .verify import SnapshotFieldSource, refined_residual
+
+# numpy, fields and verify are imported inside the modes that use them, sample
+# and verify, so that integrate, classify and sweep start without numpy
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fields import Field3D
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,6 +133,8 @@ def _csv_lines(values: np.ndarray) -> list[list[str]]:
     origin repeat ``s`` (and ``rho`` and ``p``, which are functions of it) at
     mirrored points, and vacuum cells are all 0.0.
     """
+    import numpy as np
+
     lines = np.ascontiguousarray(values.T, dtype=np.float64)
     keys, cell_key = np.unique(lines.view(np.int64).ravel(), return_inverse=True)
     strs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
@@ -136,6 +142,10 @@ def _csv_lines(values: np.ndarray) -> list[list[str]]:
 
 
 def run_sample(cfg: RunConfig, out: str) -> int:
+    import numpy as np
+
+    from .fields import Field2D, Field3D
+
     for name, axis in (("grid.x", cfg.grid_x), ("grid.y", cfg.grid_y)):
         if axis is None:
             raise ConfigError(f"missing required key: {name}")
@@ -222,7 +232,21 @@ def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
     return points
 
 
+def refined_residual(*args, **kwargs):
+    """``verify.refined_residual``, with ``verify`` (and numpy) imported on the
+    first call.  ``run_verify`` calls it through this module, where it can be
+    wrapped."""
+    from . import verify
+
+    return verify.refined_residual(*args, **kwargs)
+
+
 def run_verify(cfg: RunConfig, out: str) -> int:
+    import numpy as np
+
+    from .fields import Field3D
+    from .verify import SnapshotFieldSource
+
     if cfg.dim != 3:
         raise ConfigError("verify supports dim = 3 only")
     t = cfg.verify_time

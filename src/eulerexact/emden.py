@@ -18,7 +18,9 @@ tableaux written out as literals in ``_tableaux`` and scipy's step-size
 controller.  Events are located by root bracketing on each step's dense
 output, with a port of scipy's ``brentq``: collapse of a scale factor (a or b
 reaching a small positive floor) and, for the planar period search, upward
-crossings of the pericenter section a' = 0.  The module needs numpy only.
+crossings of the pericenter section a' = 0.  The module runs on the standard
+library; only ``_ieee``, the overflow fallback of the right-hand side, imports
+numpy.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from ._tableaux import (DOP853_A, DOP853_B, DOP853_D, DOP853_E3, DOP853_E5,
                         DOP853_STAGES, DOP853_STAGES_EXTENDED, RK45_A, RK45_B, RK45_E, RK45_P)
@@ -401,6 +401,8 @@ def _rhs(p: PhysParams, dim: int):
 def _ieee(fn, y) -> tuple:
     """The floats of the tuple ``fn`` returns for the components of y taken
     as numpy scalars, which overflow and divide by zero without raising."""
+    import numpy as np
+
     with np.errstate(all="ignore"):
         return tuple(map(float, fn(tuple(map(np.float64, y)))))
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ISOTHERMAL_GAMMA_TOL",
@@ -122,6 +124,8 @@ class DensityProfile:
 
     def value_many(self, s) -> np.ndarray:
         """f(s) over an array of s >= 0; nonnegative, alpha at s = 0."""
+        import numpy as np
+
         s = np.asarray(s, dtype=float)
         if not (s >= 0.0).all():
             raise ValueError(f"similarity variable must be >= 0, got {np.min(s)}")
