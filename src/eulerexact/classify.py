@@ -102,15 +102,16 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     ``eps_blow``) and no step table: a collapse gives ``T``, and an open cell
     whose ``T`` was found this way has basis ``numerical_evidence``.  A run
     that ran out of steps or step size before the horizon leaves its
-    ``termination`` in the result.  Bad options raise even when the table
-    needs no run."""
+    ``termination`` in the result.  Bad options, a collapse floor at or above
+    ``ic.a`` or ``ic.b`` included, raise even when the table needs no run."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     run = RunOptions(**run_options)
+    dim, y0 = _vec_from_state(ic)
+    run.floors(y0)
     table = classify_3d(p, ic)
     if table.T is not None or table.verdict == GLOBAL:
         return table
-    dim, y0 = _vec_from_state(ic)
     termination, t_stop, _, _, _ = _run(p, dim, y0, ic.t, ic.t + horizon, run)
     T = termination.t_est if termination.kind == "blowup" else None
     # the table leaves an open cell undecided; only the run saw its collapse
@@ -169,11 +170,13 @@ def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
     lam > 0, a collapse, or ``max_steps`` steps taken), and the run's
     termination, which says how the search ended (kind ``section`` when it
     found the second crossing).  An equilibrium start is reported, once the
-    horizon and options pass, as a fixed point with the linearized period and
-    no termination, since it needs no run.
+    horizon and options (a floor below ``ic.a`` included) pass, as a fixed
+    point with the linearized period and no termination, since it needs no
+    run.
     """
     run = RunOptions(**run_options)
     _check_span(ic.t, ic.t + t_max)
+    run.floors((ic.a, ic.a_dot))
     accel0 = emden_rhs_2d(ic, p)[1]
     scale = max(1.0, abs(ic.a))
     if abs(ic.a_dot) <= fixed_point_tol * scale and abs(accel0) <= fixed_point_tol * scale:

@@ -343,24 +343,25 @@ def run_sweep(cfg: RunConfig, out: str) -> int:
         raise ConfigError("missing required key: sweep.<param> (at least one axis)")
     names = list(cfg.sweep)
     columns = [_SCHEMA[key][0] for key in SWEEPABLE]
-    count = 0
     code = EXIT_OK
+    # every row is made before the file is opened, so a cell that raises
+    # (say, a collapse floor above its b0) leaves no file behind
+    lines = [",".join(SWEEPABLE) + ",verdict,basis,T_est\n"]
+    for combo in itertools.product(*(cfg.sweep[n] for n in names)):
+        swept = dict(zip(names, combo))
+        cell = cfg.with_keys(swept)
+        result = _classify_cell(cell)
+        lines.append(",".join([
+            *(_csv_float(getattr(cell, attr)) for attr in columns),
+            result.verdict, result.basis,
+            "" if result.T is None else _csv_float(result.T),
+        ]) + "\n")
+        # the row cannot say that its run stopped short of the horizon
+        if result.termination is not None:
+            code = _exit_code(result.termination, cell=swept)
     with open(out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(SWEEPABLE) + ",verdict,basis,T_est\n")
-        for combo in itertools.product(*(cfg.sweep[n] for n in names)):
-            swept = dict(zip(names, combo))
-            cell = cfg.with_keys(swept)
-            result = _classify_cell(cell)
-            f.write(",".join([
-                *(_csv_float(getattr(cell, attr)) for attr in columns),
-                result.verdict, result.basis,
-                "" if result.T is None else _csv_float(result.T),
-            ]) + "\n")
-            count += 1
-            # the row cannot say that its run stopped short of the horizon
-            if result.termination is not None:
-                code = _exit_code(result.termination, cell=swept)
-    print(f"wrote {out} ({count} parameter points)")
+        f.write("".join(lines))
+    print(f"wrote {out} ({len(lines) - 1} parameter points)")
     return code
 
 

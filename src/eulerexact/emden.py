@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from ._tableaux import (DOP853_A, DOP853_B, DOP853_D, DOP853_E3, DOP853_E5,
-                        DOP853_STAGES, DOP853_STAGES_EXTENDED, RK45_A, RK45_B, RK45_E, RK45_P)
+                        DOP853_STAGES, DOP853_STAGES_EXTENDED, RK45_A, RK45_B, RK45_E, RK45_P,
+                        RK45_P_BOUND)
 from .profiles import PhysParams
 
 __all__ = [
@@ -351,6 +352,21 @@ class RunOptions:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {', '.join(_METHODS)}; got {self.method!r}")
 
+    def floors(self, y0) -> list[tuple[int, float]]:
+        """(component, collapse floor) of each scale factor of a run from
+        y0 = (a, a'[, b, b']): ``eps_blow``, or 1e-10 times the factor's
+        value in y0 when it is unset.  A floor at or above that value would
+        report a collapse at the start, so it raises ValueError."""
+        floors = []
+        for comp, name in ((0, "a"), (2, "b"))[:len(y0) // 2]:
+            # eps_blow is None or > 0, so ``or`` picks the library's floor for None only
+            floor = self.eps_blow or 1e-10 * y0[comp]
+            if not floor < y0[comp]:
+                raise ValueError(f"eps_blow must lie below the initial value {y0[comp]!r} "
+                                 f"of {name}, got {self.eps_blow!r}")
+            floors.append((comp, floor))
+        return floors
+
 
 def _check_span(t0: float, t_end: float) -> None:
     if not math.isfinite(t_end):
@@ -459,14 +475,20 @@ def _dp5_attempt_3d(f, y, k1, h, rtol, atol):
              v + h * (kv1 * _B1 + kv3 * _B3 + kv4 * _B4 + kv5 * _B5 + kv6 * _B6))
     na, nu, nb, nv = y_new
     k7 = ka7, ku7, kb7, kv7 = f(y_new)
+    # each scale is max(abs(old), abs(new)), written ``n if n > o else o``:
+    # max's result, NaN included, without the call
+    o, n = abs(a), abs(na)
     ea = ((ka1 * _E1 + ka3 * _E3 + ka4 * _E4 + ka5 * _E5 + ka6 * _E6 + ka7 * _E7) * h
-          / (atol + max(abs(a), abs(na)) * rtol))
+          / (atol + (n if n > o else o) * rtol))
+    o, n = abs(u), abs(nu)
     eu = ((ku1 * _E1 + ku3 * _E3 + ku4 * _E4 + ku5 * _E5 + ku6 * _E6 + ku7 * _E7) * h
-          / (atol + max(abs(u), abs(nu)) * rtol))
+          / (atol + (n if n > o else o) * rtol))
+    o, n = abs(b), abs(nb)
     eb = ((kb1 * _E1 + kb3 * _E3 + kb4 * _E4 + kb5 * _E5 + kb6 * _E6 + kb7 * _E7) * h
-          / (atol + max(abs(b), abs(nb)) * rtol))
+          / (atol + (n if n > o else o) * rtol))
+    o, n = abs(v), abs(nv)
     ev = ((kv1 * _E1 + kv3 * _E3 + kv4 * _E4 + kv5 * _E5 + kv6 * _E6 + kv7 * _E7) * h
-          / (atol + max(abs(v), abs(nv)) * rtol))
+          / (atol + (n if n > o else o) * rtol))
     # 0.0 + e * e is e * e, so the sum starts at the first term
     sq = ea * ea + eu * eu + eb * eb + ev * ev
     return y_new, k7, math.sqrt(sq) / 4 ** 0.5, (k1, k3, k4, k5, k6, k7)
@@ -500,10 +522,12 @@ def _dp5_attempt_2d(f, y, k1, h, rtol, atol):
     y_new = na, nu = (a + h * (ka1 * _B1 + ka3 * _B3 + ka4 * _B4 + ka5 * _B5 + ka6 * _B6),
                       u + h * (ku1 * _B1 + ku3 * _B3 + ku4 * _B4 + ku5 * _B5 + ku6 * _B6))
     k7 = ka7, ku7 = f(y_new)
+    o, n = abs(a), abs(na)
     ea = ((ka1 * _E1 + ka3 * _E3 + ka4 * _E4 + ka5 * _E5 + ka6 * _E6 + ka7 * _E7) * h
-          / (atol + max(abs(a), abs(na)) * rtol))
+          / (atol + (n if n > o else o) * rtol))
+    o, n = abs(u), abs(nu)
     eu = ((ku1 * _E1 + ku3 * _E3 + ku4 * _E4 + ku5 * _E5 + ku6 * _E6 + ku7 * _E7) * h
-          / (atol + max(abs(u), abs(nu)) * rtol))
+          / (atol + (n if n > o else o) * rtol))
     return y_new, k7, math.sqrt(ea * ea + eu * eu) / 2 ** 0.5, (k1, k3, k4, k5, k6, k7)
 
 
@@ -521,6 +545,27 @@ def _dp5_row(p1, p3, p4, p5, p6, p7, h):
             (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71) * h,
             (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72) * h,
             (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73) * h)
+
+
+_M1, _M3, _M4, _M5, _M6, _M7 = RK45_P_BOUND
+
+
+def _dp5_far(y, stages, h, floors) -> bool:
+    """Whether the step's dense output provably stays clear of every floor,
+    so that ``_locate`` would find no floor event on it.  A component's
+    output is y_c + h * sum_j k_j[c] * w_j(x) with each weight |w_j| <= M_j
+    on the step (``RK45_P_BOUND``), so it moves at most
+    reach_c = h * sum_j |k_j[c]| * M_j from y_c; a floor f is far when
+    y_c - f > 2 reach_c + 1e-12 |y_c|, a margin that covers the rounding
+    of the rows and of their evaluation.  A NaN reach is never far."""
+    k1, k3, k4, k5, k6, k7 = stages
+    for c, floor in floors:
+        y_c = y[c]
+        reach = h * (abs(k1[c]) * _M1 + abs(k3[c]) * _M3 + abs(k4[c]) * _M4
+                     + abs(k5[c]) * _M5 + abs(k6[c]) * _M6 + abs(k7[c]) * _M7)
+        if not y_c - floor > 2.0 * reach + 1e-12 * abs(y_c):
+            return False
+    return True
 
 
 # DOP853: the 12 stages, the 3 extra stages of its dense output, and the
@@ -591,14 +636,16 @@ def _dop853_dense(f, y, y_new, stages, h, velocities=True):
 class _Method(NamedTuple):
     """An embedded pair: its trial step and dense-output coefficients per
     dimension (``kernels[dim]``), the factors of its nested dense polynomial,
-    the order of its error estimate and its right-hand-side evaluations per
-    attempt and per dense output."""
+    the order of its error estimate, its right-hand-side evaluations per
+    attempt and per dense output, and its test that an accepted step stays
+    clear of the floors without its dense output (None: no such test)."""
 
     kernels: dict[int, tuple[Callable, Callable]]
     factors: Callable
     error_order: int
     stage_evals: int
     dense_evals: int
+    far: Callable | None
 
 
 # A step's dense output is y_old + nest(c, w) with nest(c, w) the value v of
@@ -607,10 +654,10 @@ class _Method(NamedTuple):
 # x and 1 - x for DOP853 (scipy's Dop853DenseOutput).
 _METHODS = {
     "RK45": _Method({2: (_dp5_attempt_2d, _dp5_dense_2d), 3: (_dp5_attempt_3d, _dp5_dense_3d)},
-                    lambda x: (x, x, x, x), 4, 6, 0),
+                    lambda x: (x, x, x, x), 4, 6, 0, _dp5_far),
     "DOP853": _Method(dict.fromkeys((2, 3), (_dop853_attempt, _dop853_dense)),
                       lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
-                      7, DOP853_STAGES, DOP853_STAGES_EXTENDED - DOP853_STAGES - 1),
+                      7, DOP853_STAGES, DOP853_STAGES_EXTENDED - DOP853_STAGES - 1, None),
 }
 
 
@@ -773,9 +820,11 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol, section
 
     Returns (t_est, component_index, bracket_width) or None.  Floor events
     are a component of ``floors`` falling to its floor; unless the step's
-    polynomial provably stays above the floor, the step is scanned at 9
-    evenly spaced samples so a dip below the floor inside the step is not
-    missed.  Unless ``section_after`` is None, a section event is a' rising
+    polynomial provably stays above the floor (``_floor_clear`` on its
+    coefficients), the step is scanned at 9 evenly spaced samples so a dip
+    below the floor inside the step is not missed.  A lifespan run calls it
+    only for a step that ``_dp5_far`` could not clear.  Unless
+    ``section_after`` is None, a section event is a' rising
     through 0 over the step (``a'(t_lo) <= 0 <= a'(t_hi)``, the rule of
     solve_ivp); it counts only later than ``section_after``, so a crossing on
     a step boundary is not counted twice.
@@ -795,8 +844,9 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol, section
         if i is None:
             continue
         if i == 0:
-            # crossing happened exactly at the step start; accepted states are
-            # above the floor, so treat the start as the estimate
+            # the step start is at or below the floor only by rounding: a run
+            # starts above its floors and this start ended a step whose scan
+            # stayed above them; treat the start as the estimate
             t_est, width = t_lo, 0.0
         else:
             t_est = _brentq(lambda q: _dense_value(t_lo, t_hi, y_c, row, factors, q) - floor,
@@ -851,7 +901,11 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     statistics).  Events read only the current step, so a run keeps a step
     table only when the caller passes an empty one in as ``table``, which
     then gains every accepted step.  Without a table or a section, the dense
-    output of a' and b' is not evaluated: no event reads it.
+    output of a' and b' is not evaluated: no event reads it.  Such a run of
+    RK45 (a lifespan run) builds a step's rows and calls ``_locate`` only when
+    ``_dp5_far`` cannot show from the step's stages that no floor is within
+    reach; every floor time is the one a run that keeps a table finds.  A
+    floor (``RunOptions.floors``) at or above its start raises ValueError.
 
     The controller is scipy's: the initial step of ``select_initial_step``, a
     step never below 10 ulp of t, growth by 0.9 err^(-1/(order+1)) within
@@ -863,11 +917,13 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     attempt, dense_rows = method.kernels[dim]
     factors = method.factors
     velocities = table is not None or section
+    # with no table or section, only floors read a step's rows: a step whose
+    # floors the method shows to be out of reach needs none
+    far = None if velocities else method.far
     rtol, atol = run.rel_tol, run.abs_tol
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
-    # eps_blow is None or > 0, so ``or`` picks the library's floor for None only
-    floors = [(comp, run.eps_blow or 1e-10 * y0[comp]) for comp in comp_names]
+    floors = run.floors(y0)
     f = _rhs(p, dim)
     t, y, fy = t0, y0, f(y0)
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
@@ -901,15 +957,18 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             rejected += 1
         if termination is not None:
             break
-        rows = dense_rows(f, y, y_new, stages, h, velocities)
-        if table is not None:
-            table.append(t_new, y_new, rows)
         accepted += 1
         if h < h_min:
             h_min = h
         if h > h_max:
             h_max = h
-        hit = _locate(t, t_new, y, rows, factors, floors, rtol, section_after)
+        if far is not None and far(y, stages, h, floors):
+            hit = None
+        else:
+            rows = dense_rows(f, y, y_new, stages, h, velocities)
+            if table is not None:
+                table.append(t_new, y_new, rows)
+            hit = _locate(t, t_new, y, rows, factors, floors, rtol, section_after)
         if hit is not None:
             t_est, comp, width = hit
             if comp != _SECTION:

@@ -213,6 +213,12 @@ class TestClassifyCell:
         with pytest.raises(TypeError, match="tol"):
             classify_cell(params(lam=1.0), state3(), 10.0, tol=1e-8)
 
+    @pytest.mark.parametrize("lam, b1", [(1.0, 0.0), (-1.0, -0.5), (-1.0, 0.2)])
+    def test_a_floor_above_the_start_raises_before_the_table(self, lam, b1):
+        # a global cell, a closed-form T and an open cell alike
+        with pytest.raises(ValueError, match=r"^eps_blow must lie below .* of b, got 0\.6$"):
+            classify_cell(params(gamma=1.4, lam=lam), state3(b0=0.5, b1=b1), 10.0, eps_blow=0.6)
+
     def test_probe_forwards_the_run_options(self):
         p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
         assert probe_open_case(p, ic, 30.0).T == 1.4240267193525549

@@ -640,6 +640,47 @@ class TestOneLifespanPath:
         assert 0.0 < doc["T"] == doc["t_horizon"] < 30.0
 
 
+class TestFloorAboveTheStart:
+    """A collapse floor at or above a factor's start is an error (exit 2, no
+    file), not a collapse at t = 0, in every mode that integrates."""
+
+    @pytest.mark.parametrize("argv, name, start", [
+        (["integrate", "--lambda=-1", "--gamma=1.5", "--b1=0.3", "--eps-blow=1.5",
+          "--t-end", "3"], "a", "1.0"),
+        # b0 alone is below the floor; an equal floor is not below either
+        (["integrate", "--lambda=-1", "--gamma=1.5", "--a0=2", "--b0=0.5", "--eps-blow=0.5"],
+         "b", "0.5"),
+        (["classify", "--lambda=-1", "--gamma=1.5", "--b1=0.3", "--eps-blow=1.0"], "a", "1.0"),
+        (["classify", "--lambda=-1", "--gamma=1.5", "--a0=2", "--b0=0.3", "--eps-blow=1.0"],
+         "b", "0.3"),
+        # the table needs no run for a global cell, yet the floor is checked
+        (["classify", "--lambda=1", "--a0=2", "--b0=0.3", "--eps-blow=1.0"], "b", "0.3"),
+        # planar: an equilibrium start needs no run either
+        (["classify", "--dim=2", "--lambda=-1", "--gamma=1.5", "--eps-blow=1.0"], "a", "1.0"),
+        (["classify", "--dim=2", "--lambda=-1", "--gamma=1.5", "--a0=1.1", "--eps-blow=2"],
+         "a", "1.1"),
+        # no row is written before the cell that raises
+        (["sweep", "--lambda=-1", "--gamma=1.5", "--a0=2", "--eps-blow=0.5",
+          "--sweep", "b0=1,0.4"], "b", "0.4"),
+    ])
+    def test_exits_2_naming_eps_blow_and_the_factor(self, tmp_path, argv, name, start):
+        out = tmp_path / "out"
+        code, _, err = run(tmp_path, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: eps_blow must lie below the initial value {start} "
+                              f"of {name}, got ")
+        assert not out.exists()
+
+    def test_a_floor_just_below_the_start_collapses_at_once(self, tmp_path):
+        out = tmp_path / "i.jsonl"
+        code, _, _ = run(tmp_path, "integrate", "--lambda=-1", "--gamma=1.5", "--b1=-0.3",
+                         "--b0=0.5", "--eps-blow=0.4999", "--out", str(out))
+        assert code == 3
+        last = json.loads(out.read_text().splitlines()[-1])["termination"]
+        assert (last["kind"], last["which"]) == ("blowup", "b")
+        assert 0.0 < last["t_est"] < 1e-3
+
+
 class TestLifespanHorizon:
     @pytest.mark.parametrize("argv, key", [
         (["sweep", "--sweep", "lambda=-1", "--sweep-t-end=-1"], "sweep.t_end"),

@@ -6,13 +6,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, RunConfig, Trajectory,
                         advance, emden_rhs_2d, emden_rhs_3d, energy_2d,
                         energy_3d, integrate)
 from eulerexact import emden
+from eulerexact._tableaux import RK45_P_BOUND
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
 from _oracles import (dp5_dense_rows, dp5_step, ermakov_pinney, ermakov_pinney_collapse,
@@ -282,6 +283,17 @@ class TestIntegrate:
         assert traj.termination.kind == "blowup"
         assert traj.termination.t_est == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("ic, eps_blow, name", [
+        (EmdenState3D(0.0, 1.0, 0.0, 2.0, 0.3), 1.5, "a"),
+        (EmdenState3D(0.0, 2.0, 0.0, 0.3, 0.3), 0.3, "b"),
+        (EmdenState2D(0.0, 0.7, 0.0), 0.7, "a"),
+    ])
+    def test_floor_at_or_above_the_start_is_rejected(self, method, ic, eps_blow, name):
+        # not a collapse at t = 0, which is where the floor would put it
+        with pytest.raises(ValueError, match=f"^eps_blow must lie below .* of {name}, got "):
+            integrate(params(gamma=1.5, lam=-1.0), ic, 3.0, eps_blow=eps_blow, method=method)
+
     def test_dop853_method(self):
         p = params(gamma=1.5, lam=1.0, xi=1.0)
         ic = EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0)
@@ -470,7 +482,8 @@ class TestTableFree:
                        lam=float(rng.uniform(-2.0, 2.0)), xi=float(rng.uniform(0.0, 1.5)))
             y0 = tuple(float(v) for v in (rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
                                           rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))[:2 * dim - 2])
-            eps_blow = None if rng.random() < 0.5 else float(rng.uniform(1e-3, 0.9)) * y0[0]
+            # below every factor's start: a floor at or above one raises
+            eps_blow = None if rng.random() < 0.5 else float(rng.uniform(1e-3, 0.9)) * min(y0[::2])
             max_steps = int(rng.integers(1, 30)) if rng.random() < 0.25 else 5000
             run = RunOptions(max_steps=max_steps, eps_blow=eps_blow, method=method)
             t_end = float(rng.uniform(1.0, 20.0))
@@ -680,3 +693,61 @@ class TestKernels:
             with np.errstate(all="ignore"):
                 want = rhs(tuple(map(np.float64, y)), p.K, p.gamma, p.lam, p.xi)
             assert bits(emden._rhs(p, dim)(y)) == bits(want.tolist())
+
+
+collapse_params = st.builds(params, gamma=st.one_of(st.just(1.0), _real(1.0, 2.5)),
+                            lam=_real(-2.0, -0.1), xi=_real(0.0, 1.5))
+
+
+class TestFarSteps:
+    """A lifespan run skips the dense output of a step that ``_dp5_far``
+    clears.  Such a step has no floor event: ``_locate`` finds none on its
+    rows and its dense output stays above the floor.  And a lifespan run
+    that never trusts the bound is the shipped run, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(collapse_params, st.sampled_from([2, 3]), _real(0.01, 2.0), _real(-2.0, 2.0),
+           _real(0.01, 2.0), _real(-2.0, 2.0), _real(-7.0, -0.5), st.sampled_from([0, 2]),
+           _real(0.5, 6.0))
+    def test_a_far_step_has_no_floor_event(self, p, dim, a, u, b, v, log_h, comp, reaches):
+        y = (a, u, b, v)[:2 * dim - 2]
+        comp = comp if dim == 3 else 0
+        h = 10.0 ** log_h
+        f = emden._rhs(p, dim)
+        attempt, dense = emden._METHODS["RK45"].kernels[dim]
+        # whether or not the controller would accept the step: the bound
+        # does not read its error
+        y_new, _, _, stages = attempt(f, y, f(y), h, 1e-10, 1e-12)
+        ks = [k[comp] for k in stages]
+        assume(all(map(math.isfinite, ks)))
+        reach = h * sum(abs(k) * m for k, m in zip(ks, RK45_P_BOUND))
+        floor = y[comp] - reaches * reach
+        assume(floor > 0.0)
+        floors = [(comp, floor)]
+        far = emden._dp5_far(y, stages, h, floors)
+        assert far == (y[comp] - floor > 2.0 * reach + 1e-12 * y[comp])
+        if not far:
+            return
+        rows = dense(f, y, y_new, stages, h, velocities=False)
+        factors = emden._METHODS["RK45"].factors
+        assert emden._locate(0.0, h, y, rows, factors, floors, 1e-10, None) is None
+        assert min(emden._dense_value(0.0, h, y[comp], rows[comp], factors, t)
+                   for t in np.linspace(0.0, h, 1000).tolist()) > floor
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(collapse_params, st.sampled_from([2, 3]), _real(0.3, 2.0), _real(-1.0, 1.0),
+           _real(0.3, 2.0), _real(-1.0, 1.0), _real(1.0, 10.0),
+           st.one_of(st.none(), _real(0.05, 0.9)))
+    def test_lifespan_run_is_the_run_that_never_trusts_the_bound(
+            self, p, dim, a0, a1, b0, b1, horizon, floor_share):
+        y0 = (a0, a1, b0, b1)[:2 * dim - 2]
+        # the library's floors, or a large one below every factor's start
+        eps_blow = None if floor_share is None else floor_share * min(y0[::2])
+        run = RunOptions(max_steps=5000, eps_blow=eps_blow)
+        shipped = emden._run(p, dim, y0, 0.0, horizon, run)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(emden._METHODS, "RK45",
+                       emden._METHODS["RK45"]._replace(far=lambda *args: False))
+            near = emden._run(p, dim, y0, 0.0, horizon, run)
+        # repr writes every float exactly, -0.0 included
+        assert repr(shipped) == repr(near)

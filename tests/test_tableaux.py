@@ -55,3 +55,24 @@ class TestDOP853:
 
     def test_D(self):
         assert_rows(T.DOP853_D, dop853.D)
+
+
+class TestRK45DenseWeightBounds:
+    """``RK45_P_BOUND`` bounds each dense-output weight
+    w_j(x) = sum_k P[j][k] x^(k+1) of the stages 1 and 3-7 on x in [0, 1]
+    from above, and within 2 % of its sup, so the bound stays useful."""
+
+    STAGES = (0, 2, 3, 4, 5, 6)
+    GRID = 1_000_001
+
+    @pytest.mark.parametrize("j, bound", list(zip(STAGES, T.RK45_P_BOUND)))
+    def test_bound_is_a_tight_upper_bound(self, j, bound):
+        row = np.array(T.RK45_P[j])
+        x = np.linspace(0.0, 1.0, self.GRID)
+        w = np.polyval(np.concatenate([row[::-1], [0.0]]), x)
+        # between grid points |w| grows by at most its Lipschitz constant
+        # sum_k (k + 1) |P[j][k]| times half the spacing
+        lipschitz = sum((k + 1) * abs(c) for k, c in enumerate(row))
+        sup = np.abs(w).max() + lipschitz / (self.GRID - 1) / 2
+        assert bound >= sup
+        assert bound <= 1.02 * np.abs(w).max()
