@@ -9,13 +9,14 @@ times (``times = t1,t2,...``), verification controls (``verify.*``) and sweep
 axes (``sweep.<param> = v1,v2,...``).  Command-line flags override file keys.
 Every number must be finite.  The family constants and initial values (each
 sweep value included) are valid when :class:`PhysParams` and the Emden state
-accept them, and the run options when :class:`emden.RunOptions` does.
+accept them, the run options when :class:`emden.RunOptions` does, and
+``eps_blow`` when ``RunOptions.floors`` accepts it for every start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 from .emden import MAX_STEPS, EmdenState2D, EmdenState3D, RunOptions
 from .profiles import PhysParams
@@ -274,6 +275,13 @@ def build_config(entries: dict[str, object]) -> RunConfig:
                 _check_family(cfg.with_keys({param: v}))
             except ConfigError as exc:
                 raise ConfigError(f"sweep.{param}: invalid value {v} ({exc})") from None
+    # the collapse floors, in every mode, of every start a run may begin from
+    # (a, a'[, b, b']); the message names eps_blow and the start's value
+    for cell in (cfg, *(cfg.with_keys({k: v}) for k, vs in cfg.sweep.items() for v in vs)):
+        try:
+            RunOptions(**cell.run_options()).floors(astuple(cell.initial_state())[1:])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     return cfg
 

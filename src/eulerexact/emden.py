@@ -494,14 +494,10 @@ def _dp5_attempt_3d(f, y, k1, h, rtol, atol):
     return y_new, k7, math.sqrt(sq) / 4 ** 0.5, (k1, k3, k4, k5, k6, k7)
 
 
-def _dp5_dense_3d(f, y, y_new, stages, h, velocities=True):
-    """The step's dense-output rows, one per component of the 3D state; the
-    rows of a' and b' are None unless ``velocities``."""
+def _dp5_dense_3d(f, y, y_new, stages, h):
+    """The step's dense-output rows, one per component of the 3D state."""
     (ka1, ku1, kb1, kv1), (ka3, ku3, kb3, kv3), (ka4, ku4, kb4, kv4), \
         (ka5, ku5, kb5, kv5), (ka6, ku6, kb6, kv6), (ka7, ku7, kb7, kv7) = stages
-    if not velocities:
-        return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), None,
-                _dp5_row(kb1, kb3, kb4, kb5, kb6, kb7, h), None)
     return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h),
             _dp5_row(kb1, kb3, kb4, kb5, kb6, kb7, h), _dp5_row(kv1, kv3, kv4, kv5, kv6, kv7, h))
 
@@ -531,11 +527,10 @@ def _dp5_attempt_2d(f, y, k1, h, rtol, atol):
     return y_new, k7, math.sqrt(ea * ea + eu * eu) / 2 ** 0.5, (k1, k3, k4, k5, k6, k7)
 
 
-def _dp5_dense_2d(f, y, y_new, stages, h, velocities=True):
+def _dp5_dense_2d(f, y, y_new, stages, h):
     """``_dp5_dense_3d`` for the planar state."""
     (ka1, ku1), (ka3, ku3), (ka4, ku4), (ka5, ku5), (ka6, ku6), (ka7, ku7) = stages
-    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h),
-            _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h) if velocities else None)
+    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h))
 
 
 def _dp5_row(p1, p3, p4, p5, p6, p7, h):
@@ -609,18 +604,14 @@ def _dop853_attempt(f, y, k1, h, rtol, atol):
     return y_new, stages[-1], err, stages
 
 
-def _dop853_dense(f, y, y_new, stages, h, velocities=True):
-    """Per component, scipy's seven ``F`` rows of the DOP853 interpolant, the
-    velocities' rows None unless ``velocities``; the three extra stages are
-    evaluated here."""
+def _dop853_dense(f, y, y_new, stages, h):
+    """Per component, scipy's seven ``F`` rows of the DOP853 interpolant; the
+    three extra stages are evaluated here."""
     stages = list(stages)
     for row in _A8_EXTRA:
         stages.append(f(_combine(y, row, stages, h)))
     rows = []
     for i, v in enumerate(y):
-        if i % 2 and not velocities:
-            rows.append(None)
-            continue
         dy = y_new[i] - v
         f_old, f_new = stages[0][i], stages[DOP853_STAGES][i]
         coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
@@ -900,8 +891,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     t_stop, the last accepted state, section crossings as (t, y), run
     statistics).  Events read only the current step, so a run keeps a step
     table only when the caller passes an empty one in as ``table``, which
-    then gains every accepted step.  Without a table or a section, the dense
-    output of a' and b' is not evaluated: no event reads it.  Such a run of
+    then gains every accepted step.  Without a table or a section, a run of
     RK45 (a lifespan run) builds a step's rows and calls ``_locate`` only when
     ``_dp5_far`` cannot show from the step's stages that no floor is within
     reach; every floor time is the one a run that keeps a table finds.  A
@@ -916,10 +906,9 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     method = _METHODS[run.method]
     attempt, dense_rows = method.kernels[dim]
     factors = method.factors
-    velocities = table is not None or section
     # with no table or section, only floors read a step's rows: a step whose
     # floors the method shows to be out of reach needs none
-    far = None if velocities else method.far
+    far = method.far if table is None and not section else None
     rtol, atol = run.rel_tol, run.abs_tol
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
@@ -965,7 +954,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
         if far is not None and far(y, stages, h, floors):
             hit = None
         else:
-            rows = dense_rows(f, y, y_new, stages, h, velocities)
+            rows = dense_rows(f, y, y_new, stages, h)
             if table is not None:
                 table.append(t_new, y_new, rows)
             hit = _locate(t, t_new, y, rows, factors, floors, rtol, section_after)

@@ -1,11 +1,11 @@
 """Numerical certification of fields against the governing equations.
 
-Every check here is finite-difference or quadrature based and independent of
-the algebra that produced the fields: second-order central stencils for the
-continuity and momentum residuals (which must vanish as O(h^2) on exact
-fields), midpoint-with-Richardson or support-mapped quadrature for the total
-mass, and one-sided difference quotients for the regularity of the compact
-support boundary.
+The residual and regularity checks are finite-difference based and
+independent of the algebra that produced the fields: second-order central
+stencils for the continuity and momentum residuals (which must vanish as
+O(h^2) on exact fields) and one-sided difference quotients at the compact
+support boundary.  The total mass is a midpoint-with-Richardson box
+quadrature, or the exact Beta-function integral over a compact support.
 """
 
 from __future__ import annotations
@@ -273,12 +273,13 @@ def refined_residual(source, t: float, x, y, z, h: float, mu: float | None = Non
 
 @dataclass
 class MassBudget:
-    """Total mass at one instant with the quadrature provenance echoed."""
+    """Total mass at one instant with its provenance: the scheme, and the box's
+    points per axis in ``resolution`` (None for the exact ``ellipsoid`` mass)."""
 
     t: float
     total_mass: float
     scheme: str
-    resolution: int
+    resolution: int | None
     domain_radius: tuple[float, float, float] | None = None
     richardson: bool = False
 
@@ -308,18 +309,44 @@ def _box_midpoint(field: Field3D, radius, n: int) -> float:
     return total / (a2 * st.b) * hx * hy * hz
 
 
+def _ellipsoid_mass(alpha: float, m: float, sstar: float) -> float:
+    """2 pi s*^(3/2) alpha^m B(3/2, m+1): the exact integral of f(s) = alpha^m
+    (1 - s/s*)^m, m = 1/(gamma-1), over its support in similarity coordinates;
+    0.0 for alpha = 0 or an underflow, inf for an overflow.  From m = 20 on,
+    ln Gamma(m+1) - ln Gamma(m+5/2) is Stirling's series, not a difference of
+    two large, cancelling ``lgamma`` values."""
+    if alpha == 0.0:
+        return 0.0
+    if m < 20.0:
+        log_ratio = math.lgamma(m + 1.0) - math.lgamma(m + 2.5)
+    else:
+        x = 1.5 / (m + 1.0)
+        l1p = math.log1p(x)
+        log_ratio = (-1.5 * (l1p / x - 1.0) + 0.5 * l1p - 1.5 * math.log(m + 2.5)
+                     + _stirling_tail(m + 1.0) - _stirling_tail(m + 2.5))
+    try:
+        return 2.0 * math.pi * math.exp(1.5 * math.log(sstar) + m * math.log(alpha)
+                                        + math.lgamma(1.5) + log_ratio)
+    except OverflowError:
+        return math.inf
+
+
+def _stirling_tail(z: float) -> float:
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi)/2), to O(z^-9)."""
+    return 1.0 / (12.0 * z) - 1.0 / (360.0 * z**3) + 1.0 / (1260.0 * z**5) - 1.0 / (1680.0 * z**7)
+
+
 def total_mass(field: Field3D, *, scheme: str = "auto", n: int = 96,
                richardson: bool = True, radius=None) -> MassBudget:
-    """Quadrature of rho over the domain at the field's snapshot time.
+    """Total mass of rho over the domain at the field's snapshot time.
 
     Schemes
     -------
     ``ellipsoid``
-        Adaptive radial quadrature after mapping the support ellipsoid to the
-        unit ball; only available for compact support (gamma > 1, lam > 0).
-        In these coordinates the scale factors cancel, so the result is
-        manifestly time-invariant; use the box scheme to test conservation in
-        fixed physical coordinates.
+        The exact mass over the support ellipsoid, for compact support only
+        (gamma > 1, lam > 0); ``resolution`` is None.  The scale factors
+        cancel from it, so it is time-invariant by construction; use the box
+        scheme to test conservation in fixed physical coordinates.
     ``box``
         Tensor midpoint over a physical box (optionally Richardson
         extrapolated from n and 2n points per axis).  The box is sized from
@@ -330,7 +357,7 @@ def total_mass(field: Field3D, *, scheme: str = "auto", n: int = 96,
     A configuration with unbounded mass (no cutoff and lam <= 0) requires an
     explicit truncation ``radius``.
     """
-    p = field.params
+    p, st = field.params, field.state
     sstar = field.profile.cutoff_s
     if scheme == "auto":
         scheme = "ellipsoid" if sstar is not None else "box"
@@ -338,24 +365,14 @@ def total_mass(field: Field3D, *, scheme: str = "auto", n: int = 96,
     if scheme == "ellipsoid":
         if sstar is None:
             raise ValueError("ellipsoid scheme requires compact support (gamma > 1, lam > 0)")
-        # the one use of scipy at run time, imported here so that no other
-        # path pays for importing it
-        from scipy.integrate import quad
-
-        val, _, info = quad(lambda r: field.profile.value(sstar * r * r) * r * r,
-                            0.0, 1.0, epsabs=1e-14, epsrel=1e-12, full_output=True)
-        mass = 4.0 * math.pi * sstar**1.5 * val
-        st = field.state
-        return MassBudget(t=st.t, total_mass=mass, scheme="ellipsoid",
-                          resolution=int(info["neval"]),
-                          domain_radius=(st.a * math.sqrt(sstar),
-                                         st.a * math.sqrt(sstar),
-                                         st.b * math.sqrt(sstar)))
+        r, m = math.sqrt(sstar), 1.0 / (p.gamma - 1.0)
+        return MassBudget(t=st.t, total_mass=_ellipsoid_mass(p.alpha, m, sstar),
+                          scheme="ellipsoid", resolution=None,
+                          domain_radius=(st.a * r, st.a * r, st.b * r))
 
     if scheme != "box":
         raise ValueError(f"unknown quadrature scheme {scheme!r}")
 
-    st = field.state
     if radius is None:
         if sstar is not None:
             r_sim = math.sqrt(sstar)

@@ -642,7 +642,7 @@ class TestOneLifespanPath:
 
 class TestFloorAboveTheStart:
     """A collapse floor at or above a factor's start is an error (exit 2, no
-    file), not a collapse at t = 0, in every mode that integrates."""
+    file), not a collapse at t = 0, in every mode: the config checks it."""
 
     @pytest.mark.parametrize("argv, name, start", [
         (["integrate", "--lambda=-1", "--gamma=1.5", "--b1=0.3", "--eps-blow=1.5",
@@ -662,6 +662,10 @@ class TestFloorAboveTheStart:
         # no row is written before the cell that raises
         (["sweep", "--lambda=-1", "--gamma=1.5", "--a0=2", "--eps-blow=0.5",
           "--sweep", "b0=1,0.4"], "b", "0.4"),
+        # modes that run nothing at t = 0 check the floor all the same
+        (["sample", "--eps-blow", "5", "--times", "0", "--grid-x=-1:1:2", "--grid-y=-1:1:2",
+          "--grid-z=-1:1:2"], "a", "1.0"),
+        (["verify", "--eps-blow", "5", "--verify-points", "3"], "a", "1.0"),
     ])
     def test_exits_2_naming_eps_blow_and_the_factor(self, tmp_path, argv, name, start):
         out = tmp_path / "out"

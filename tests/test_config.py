@@ -213,7 +213,6 @@ def run_configs(draw) -> RunConfig:
                                st.floats(emden.MIN_REL_TOL, 1.0, exclude_max=True))),
         abs_tol=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         max_steps=draw(st.integers(1, 10**9)),
-        eps_blow=draw(st.one_of(st.none(), positive(1e3))),
         method=draw(st.sampled_from(["RK45", "DOP853"])),
         out=draw(st.one_of(st.none(), st.text("abc_-./0123456789", min_size=1, max_size=12))),
         verify_points=draw(st.integers(1, 10**6)),
@@ -225,6 +224,12 @@ def run_configs(draw) -> RunConfig:
     axes = draw(st.lists(st.sampled_from(SWEEPABLE), unique=True, max_size=3))
     entries["sweep"] = {param: draw(st.lists(FAMILY[param], min_size=1, max_size=4))
                         for param in axes}
+    # a collapse floor below every start a run may begin from
+    starts = [entries["a0"], entries["b0"], *entries["sweep"].get("a0", ()),
+              *entries["sweep"].get("b0", ())]
+    entries["eps_blow"] = draw(st.one_of(
+        st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+            lambda share: share * min(starts)).filter(lambda floor: 0.0 < floor < min(starts))))
     return build_config(entries)
 
 

@@ -728,7 +728,7 @@ class TestFarSteps:
         assert far == (y[comp] - floor > 2.0 * reach + 1e-12 * y[comp])
         if not far:
             return
-        rows = dense(f, y, y_new, stages, h, velocities=False)
+        rows = dense(f, y, y_new, stages, h)
         factors = emden._METHODS["RK45"].factors
         assert emden._locate(0.0, h, y, rows, factors, floors, 1e-10, None) is None
         assert min(emden._dense_value(0.0, h, y[comp], rows[comp], factors, t)

@@ -1,9 +1,11 @@
 """What a fresh interpreter imports.
 
-The CLI and the library run on numpy alone: a fresh interpreter that imports
-``eulerexact`` and ``eulerexact.cli`` and runs every mode once has loaded no
-``scipy`` module.  (scipy stays a test dependency: the oracles in
-``tests/_oracles.py`` use it, so that they share no code with the library.)
+The CLI and the library run on numpy alone: no module of the package imports
+``scipy``, and a fresh interpreter that imports ``eulerexact`` and
+``eulerexact.cli``, runs every mode once and computes a total mass by each
+scheme has loaded no ``scipy`` module.  (scipy is a test dependency only: the
+oracles in ``tests/_oracles.py`` use it, so that they share no code with the
+library.)
 
 The dynamics modes, ``integrate``, ``classify`` (2D and 3D) and ``sweep``, run
 on the standard library.  numpy is imported only by ``sample`` and ``verify``,
@@ -12,18 +14,29 @@ by the package's ``fields`` and ``verify`` names on first access, by
 the right-hand side.
 """
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SCRIPT = """
 import json, sys
 import eulerexact
 from eulerexact import cli
-out, runs = sys.argv[1], json.loads(sys.argv[2])
+out, runs, schemes = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 codes = [cli.main([*argv, "--out", f"{out}/{i}"]) for i, argv in enumerate(runs)]
-print(json.dumps({"codes": codes, "modules": {
+masses = []
+if schemes:
+    # total_mass of one compact-support field by each scheme
+    from eulerexact import EmdenState3D, Field3D, PhysParams, total_mass
+    fld = Field3D.from_params(PhysParams(K=1.0, gamma=1.5, lam=1.0, alpha=1.0, xi=1.0),
+                              EmdenState3D(0.0, 1.3, 0.0, 0.8, 0.0))
+    masses = [total_mass(fld, scheme=scheme).total_mass for scheme in schemes]
+print(json.dumps({"codes": codes, "masses": masses, "modules": {
     top: sorted(m for m in sys.modules if m.split(".")[0] == top)
     for top in ("scipy", "numpy")}}))
 """
@@ -76,13 +89,32 @@ def _fresh(script: str, *args: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _run_modes(tmp_path, runs) -> dict:
-    return _fresh(SCRIPT, str(tmp_path), json.dumps(runs))
+def _run_modes(tmp_path, runs, schemes=()) -> dict:
+    return _fresh(SCRIPT, str(tmp_path), json.dumps(runs), json.dumps(list(schemes)))
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "eulerexact"
+
+
+def test_no_module_of_the_package_imports_scipy():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
 
 
 def test_every_mode_runs_without_scipy(tmp_path):
-    result = _run_modes(tmp_path, RUNS)
+    result = _run_modes(tmp_path, RUNS, schemes=("ellipsoid", "box"))
     assert result["codes"] == [0] * len(RUNS)
+    ellipsoid, box = result["masses"]
+    assert box == pytest.approx(ellipsoid, rel=2e-7)
     assert result["modules"]["scipy"] == []
 
 

@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eulerexact import (EmdenState3D, Field3D, GeneralFamilySource,
                         GeneralMassFamily, MassBudget, PhysParams,
@@ -17,6 +21,17 @@ from eulerexact.profiles import DensityProfile
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0, mu=0.0):
     return PhysParams(K=K, gamma=gamma, lam=lam, alpha=alpha, xi=xi, mu=mu)
+
+
+def mpmath_mass(p):
+    """2 pi s*^(3/2) alpha^m B(3/2, m+1) at 50 digits, with m = 1/(gamma-1)
+    and s* = alpha 2 K gamma / (lam (gamma-1)) rebuilt from the float
+    parameters: an oracle that shares no float arithmetic with the library."""
+    with mpmath.workdps(50):
+        K, gamma, lam, alpha = map(mpmath.mpf, (p.K, p.gamma, p.lam, p.alpha))
+        m = 1 / (gamma - 1)
+        sstar = alpha * 2 * K * gamma / (lam * (gamma - 1))
+        return 2 * mpmath.pi * sstar**1.5 * alpha**m * mpmath.beta(1.5, m + 1)
 
 
 def snapshot_source(p, a=1.1, ad=0.3, b=0.9, bd=-0.2):
@@ -216,6 +231,20 @@ class TestGeneralFamilyMass:
         assert mass_residual(GeneralFamilySource(fam), 0.5, 0.3, 0.2, 0.1, 1e-3) == 0.0
 
 
+@st.composite
+def compact_params(draw):
+    """gamma - 1 log-uniform in [1e-11, 3], K and lam log-uniform in
+    [1e-3, 1e3], and alpha in [0.1, 3]: uniform, or for half the draws
+    exp(x/m) with |x| <= 700, m = 1/(gamma-1), so that alpha^m stays within
+    the float range as m grows."""
+    gamma = 1.0 + math.exp(draw(st.floats(math.log(1e-11), math.log(3.0))))
+    m = 1.0 / (gamma - 1.0)
+    alpha = draw(st.one_of(st.floats(0.1, 3.0), st.floats(-700.0, 700.0).map(
+        lambda x: math.exp(min(math.log(3.0), max(math.log(0.1), x / m))))))
+    K, lam = (math.exp(draw(st.floats(math.log(1e-3), math.log(1e3)))) for _ in range(2))
+    return params(gamma=gamma, K=K, lam=lam, alpha=alpha)
+
+
 class TestTotalMass:
     def test_gaussian_oracle(self):
         # closed form alpha (2 pi K / lam)^(3/2) = 1 at lam = 2 pi K
@@ -293,6 +322,42 @@ class TestTotalMass:
         fld2 = Field3D.from_params(p2, EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0))
         with pytest.raises(ValueError):
             total_mass(fld2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(compact_params(), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+    def test_ellipsoid_mass_matches_mpmath(self, p, a, b):
+        fld = Field3D.from_params(p, EmdenState3D(0.0, a, 0.1, b, -0.1))
+        budget = total_mass(fld, scheme="ellipsoid")
+        # a mass beyond the range of normal floats (inf, or 0.0 and
+        # subnormals, which carry no relative accuracy) is the edge cases' test
+        assume(sys.float_info.min <= budget.total_mass < math.inf)
+        want = mpmath_mass(p)
+        assert abs(budget.total_mass - want) <= 1e-12 * want
+        assert budget.resolution is None
+
+    def test_near_isothermal_mass_is_not_lost(self):
+        # m = 1e9: the peak of (1 - u)^m u^(1/2) is about 1/sqrt(m) wide;
+        # the mass is close to the Gaussian's (2 pi K / lam)^(3/2) = 15.75
+        p = params(gamma=1.0 + 1e-9, K=1.0, lam=1.0, alpha=1.0)
+        fld = Field3D.from_params(p, EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0))
+        want = mpmath_mass(p)
+        assert abs(total_mass(fld).total_mass - want) <= 1e-6 * want
+        assert float(want) == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0])
+    def test_ellipsoid_mass_of_vacuum_is_zero(self, alpha):
+        p = params(gamma=1.5, lam=1.0, alpha=alpha)
+        fld = Field3D.from_params(p, EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0))
+        budget = total_mass(fld, scheme="ellipsoid")
+        assert budget.total_mass == 0.0
+        assert budget.resolution is None
+
+    @pytest.mark.parametrize("alpha, want", [(2.0, math.inf), (0.9, 0.0)])
+    def test_ellipsoid_mass_beyond_the_float_range(self, alpha, want):
+        # m = 1e4: alpha^m is 2^10000 or 0.9^10000
+        p = params(gamma=1.0001, lam=1.0, alpha=alpha)
+        fld = Field3D.from_params(p, EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0))
+        assert total_mass(fld, scheme="ellipsoid").total_mass == want
 
     def test_ellipsoid_scheme_rejected_without_cutoff(self):
         p = params(gamma=1.0, lam=1.0)
