@@ -23,7 +23,7 @@ from .classify import (classify_3d, classify_cell, detect_period_2d,  # noqa: F4
                        search_period_2d)
 from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
-from .emden import integrate, strict_json
+from .emden import _nonfinite_error, integrate, strict_json
 
 # numpy, fields and verify are imported inside the modes that use them, sample
 # and verify, so that integrate, classify and sweep start without numpy
@@ -108,9 +108,12 @@ def _exit_code(termination, **context) -> int:
 
 def _write_json(out: str, doc: dict) -> None:
     """Strict, indented JSON, serialized before the file is opened."""
-    text = strict_json(doc, indent=2) + "\n"
+    _write_text(out, strict_json(doc, indent=2))
+
+
+def _write_text(out: str, text: str) -> None:
     with open(out, "w", encoding="utf-8") as f:
-        f.write(text)
+        f.write(text + "\n")
 
 
 def run_integrate(cfg: RunConfig, out: str) -> int:
@@ -233,12 +236,12 @@ def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
 
 
 def refined_residual(*args, **kwargs):
-    """``verify.refined_residual``, with ``verify`` (and numpy) imported on the
-    first call.  ``run_verify`` calls it through this module, where it can be
-    wrapped."""
+    """``verify.refined_table``, with ``verify`` (and numpy) imported on the
+    first call: the residual columns ``run_verify`` summarizes and writes.
+    ``run_verify`` calls it through this module, where it can be wrapped."""
     from . import verify
 
-    return verify.refined_residual(*args, **kwargs)
+    return verify.refined_table(*args, **kwargs)
 
 
 def run_verify(cfg: RunConfig, out: str) -> int:
@@ -261,14 +264,21 @@ def run_verify(cfg: RunConfig, out: str) -> int:
     source = SnapshotFieldSource(field)
     rng = np.random.default_rng(cfg.verify_seed)
     x, y, z = np.array(_interior_points(field, rng, cfg.verify_points)).T
-    reports = refined_residual(source, t, x, y, z, cfg.verify_h, mu=cfg.mu)
+    table = refined_residual(source, t, x, y, z, cfg.verify_h, mu=cfg.mu)
 
-    mass = np.array([abs(r.mass_residual) for r in reports])
-    mom = np.array([max(abs(m) for m in r.momentum_residual) for r in reports])
-    orders = np.array([r.observed_order for r in reports if r.observed_order is not None])
+    mass = np.abs(table.mass_residual)
+    # each point's max(abs(m) for m in momentum_residual) as Python's max
+    # takes it: a later row replaces the kept value only where it is greater,
+    # so a NaN past the first row is passed over, and the document names it
+    # under points[...] rather than in the summary
+    rows = np.abs(table.momentum_residual)
+    mom = rows[0]
+    for row in rows[1:]:
+        mom = np.where(row > mom, row, mom)
+    orders = np.array([o for o in table.observed_order if o is not None])
     summary = {
-        "points": len(reports),
-        "kink_points": sum(r.kink_crossing for r in reports),
+        "points": mass.size,
+        "kink_points": int(table.kink_crossing.sum()),
         "mass_abs": {"p50": float(np.percentile(mass, 50)),
                      "p90": float(np.percentile(mass, 90)),
                      "max": float(mass.max())},
@@ -279,16 +289,23 @@ def run_verify(cfg: RunConfig, out: str) -> int:
                            "min": float(orders.min()) if orders.size else None,
                            "max": float(orders.max()) if orders.size else None},
     }
-    doc = {
+    # the document is this head with "points" last, written from the columns
+    head = {
         "time": t,
         "stencil_h": cfg.verify_h,
         "mu": cfg.mu,
         "state": {"a": state.a, "a_dot": state.a_dot, "b": state.b, "b_dot": state.b_dot},
         "summary": summary,
-        "points": [r.to_dict() for r in reports],
     }
-    _write_json(out, doc)
-    print(f"wrote {out} ({len(reports)} points, "
+    text = strict_json(head, indent=2)
+    try:
+        points = table.to_json("\n  ", "  ")
+    except ValueError:
+        # the head's repr is longer than strict_json's 300-character preview,
+        # so the error reads as it would for the whole document
+        raise _nonfinite_error(head, ".points" + table.nonfinite_path()) from None
+    _write_text(out, text[:-2] + ',\n  "points": ' + points + "\n}")
+    print(f"wrote {out} ({mass.size} points, "
           f"median order {summary['observed_order']['p50']})")
     return EXIT_OK
 

@@ -4,12 +4,16 @@ The residual and regularity checks are finite-difference based and
 independent of the algebra that produced the fields: second-order central
 stencils for the continuity and momentum residuals (which must vanish as
 O(h^2) on exact fields) and one-sided difference quotients at the compact
-support boundary.  The total mass is a midpoint-with-Richardson box
+support boundary.  A residual pass computes a :class:`ResidualTable`, one
+column per value over all its points; the per-point
+:class:`ResidualReport` objects and the ``verify`` mode's JSON records are
+both read from it.  The total mass is a midpoint-with-Richardson box
 quadrature, or the exact Beta-function integral over a compact support.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -24,12 +28,14 @@ __all__ = [
     "TrajectoryFieldSource",
     "GeneralFamilySource",
     "ResidualReport",
+    "ResidualTable",
     "MassBudget",
     "RegularityReport",
     "mass_residual",
     "euler_residual",
     "navier_stokes_residual",
     "refined_residual",
+    "refined_table",
     "total_mass",
     "cutoff_regularity_check",
 ]
@@ -126,8 +132,12 @@ class ResidualReport:
 
     def magnitude(self) -> float:
         """RMS over the four equation residuals."""
-        m = self.momentum_residual
-        return math.sqrt((self.mass_residual**2 + m[0] ** 2 + m[1] ** 2 + m[2] ** 2) / 4.0)
+        return _rms(self.mass_residual, *self.momentum_residual)
+
+
+def _rms(mass, m0, m1, m2) -> float:
+    """RMS of one point's four equation residuals: mass and three momentum rows."""
+    return math.sqrt((mass**2 + m0 ** 2 + m1 ** 2 + m2 ** 2) / 4.0)
 
 
 # rows of a stencil array: the sample's fields, in this order
@@ -198,24 +208,122 @@ def _laplacian_from_stencil(st, h):
     return d2[:, 0] + d2[:, 1] + d2[:, 2]
 
 
-def _reports(source, t, x, y, z, h, mu=None) -> tuple[list[ResidualReport], bool]:
-    """One stencil pass: a report per broadcast point in C order, and whether
-    the coordinates were scalars."""
+@dataclass
+class ResidualTable:
+    """The residuals of one stencil pass at n points, one flat column per
+    value, in C order of the broadcast points: what a residual pass computes.
+
+    The reports (:meth:`reports`) and their JSON records (:meth:`to_json`)
+    are both read from it.  ``shape`` is the broadcast shape of the
+    coordinates, ``()`` for scalars; ``observed_order`` is None until
+    :func:`refined_table` fills it in.
+    """
+
+    t: float
+    stencil_h: float
+    mu: float | None
+    shape: tuple[int, ...]
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    mass_residual: np.ndarray  # (n,)
+    momentum_residual: np.ndarray  # (3, n)
+    ns_momentum_residual: np.ndarray | None  # (3, n), None without mu
+    kink_crossing: np.ndarray  # (n,) bool
+    observed_order: list[float | None] | None = None
+
+    def magnitudes(self):
+        """:meth:`ResidualReport.magnitude` of each point, lazily, in C order."""
+        return map(_rms, self.mass_residual.tolist(), *self.momentum_residual.tolist())
+
+    def reports(self):
+        """One :class:`ResidualReport` for scalar coordinates, else a list of
+        them in C order."""
+        n = self.x.size
+        ns = self.ns_momentum_residual
+        reports = [ResidualReport(self.t, x, y, z, self.stencil_h, mass, mom, visc, self.mu,
+                                  order, kink)
+                   for x, y, z, mass, mom, visc, order, kink in zip(
+                       self.x.tolist(), self.y.tolist(), self.z.tolist(),
+                       self.mass_residual.tolist(), map(tuple, self.momentum_residual.T.tolist()),
+                       [None] * n if ns is None else map(tuple, ns.T.tolist()),
+                       self.observed_order or [None] * n, self.kink_crossing.tolist())]
+        return reports[0] if self.shape == () else reports
+
+    def _numbers(self):
+        """(path step, the n values) for each number of a record, in the
+        records' key order."""
+        n = self.x.size
+        rows = [(".t", [self.t] * n), (".x", self.x), (".y", self.y), (".z", self.z),
+                (".stencil_h", [self.stencil_h] * n), (".mass_residual", self.mass_residual)]
+        rows += [(f".momentum_residual[{i}]", r) for i, r in enumerate(self.momentum_residual)]
+        if self.ns_momentum_residual is not None:
+            rows += [(f".ns_momentum_residual[{i}]", r)
+                     for i, r in enumerate(self.ns_momentum_residual)]
+        return rows + [(".mu", [self.mu] * n), (".observed_order", self.observed_order or [])]
+
+    def nonfinite_path(self) -> str | None:
+        """Where the first NaN or infinity of the records sits, as
+        ``emden._nonfinite_path`` names it in the list of the reports'
+        ``to_dict`` forms (``[17].momentum_residual[1]``), or None."""
+        first = None
+        for step, values in self._numbers():
+            i = next((i for i, v in enumerate(values)
+                      if v is not None and not math.isfinite(v)), None)
+            if i is not None and (first is None or i < first[0]):
+                first = (i, step)
+        return None if first is None else f"[{first[0]}]{first[1]}"
+
+    def to_json(self, newline: str = "\n", step: str = "  ") -> str:
+        """``json.dumps(records, allow_nan=False, indent=len(step))`` of the
+        list of the reports' ``to_dict`` forms, byte for byte, with
+        ``newline`` the line break and indentation of the level the list
+        sits at.  A NaN or infinity raises ValueError naming its path.
+
+        Each float column is formatted with one ``map(float.__repr__, ...)``
+        after one finiteness check, and each record fills one template whose
+        keys and constant values (``t``, ``stencil_h``, ``mu``) are written
+        once.
+        """
+        n = self.x.size
+        if n == 0:
+            return "[]"
+        ns, orders = self.ns_momentum_residual, self.observed_order
+        floats = [self.x, self.y, self.z, self.mass_residual, *self.momentum_residual,
+                  *(() if ns is None else ns)]
+        constants = [self.t, self.stencil_h, *(() if self.mu is None else (self.mu,))]
+        if not (np.isfinite(floats).all() and np.isfinite(constants).all()
+                and all(o is None or math.isfinite(o) for o in orders or ())):
+            raise ValueError(f"non-finite number in a residual record at {self.nonfinite_path()}")
+        record = newline + step
+        key = record + step
+        triple = "[" + key + step + ("," + key + step).join(["%s"] * 3) + key + "]"
+        fields = [("t", json.dumps(self.t)), ("x", "%s"), ("y", "%s"), ("z", "%s"),
+                  ("stencil_h", json.dumps(self.stencil_h)), ("mass_residual", "%s"),
+                  ("momentum_residual", triple),
+                  ("ns_momentum_residual", "null" if ns is None else triple),
+                  ("mu", json.dumps(self.mu)),
+                  ("observed_order", "null" if orders is None else "%s"),
+                  ("kink_crossing", "%s")]
+        template = "{" + key + ("," + key).join(f'"{k}": {v}' for k, v in fields) + record + "}"
+        cells = [map(float.__repr__, c.tolist()) for c in floats]
+        if orders is not None:
+            cells.append(["null" if o is None else float.__repr__(o) for o in orders])
+        cells.append(map(("false", "true").__getitem__, self.kink_crossing.tolist()))
+        return ("[" + record + ("," + record).join(map(template.__mod__, zip(*cells)))
+                + newline + "]")
+
+
+def _table(source, t, x, y, z, h, mu=None) -> ResidualTable:
+    """One stencil pass over the broadcast points."""
     if mu is not None and not mu >= 0.0:
         raise ValueError(f"viscosity must be >= 0, got {mu}")
     (x, y, z), st = _stencil(source, t, x, y, z, h)
-    mom = _momentum_from_stencil(st, h)
-    ns = [None] * x.size
-    if mu is not None:
-        ns = map(tuple, (mom - mu * _laplacian_from_stencil(st, h)).reshape(3, -1).T.tolist())
-    return [ResidualReport(t=t, x=xi, y=yi, z=zi, stencil_h=h, mass_residual=m,
-                           momentum_residual=tuple(mo), ns_momentum_residual=n,
-                           mu=mu, kink_crossing=k)
-            for xi, yi, zi, m, mo, n, k in zip(
-                x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist(),
-                _mass_from_stencil(st, h).ravel().tolist(),
-                mom.reshape(3, -1).T.tolist(), ns,
-                _kink_flag(source, st).ravel().tolist())], x.ndim == 0
+    mom = _momentum_from_stencil(st, h).reshape(3, -1)
+    ns = None if mu is None else mom - mu * _laplacian_from_stencil(st, h).reshape(3, -1)
+    return ResidualTable(t, h, mu, x.shape, x.ravel(), y.ravel(), z.ravel(),
+                         _mass_from_stencil(st, h).ravel(), mom, ns,
+                         _kink_flag(source, st).ravel())
 
 
 def mass_residual(source, t: float, x, y, z, h: float):
@@ -237,8 +345,7 @@ def euler_residual(source, t: float, x, y, z, h: float):
     (``kink_crossing``) and reported anyway rather than rejected.  A step
     ``h`` whose square underflows to 0 is rejected.
     """
-    reports, scalar = _reports(source, t, x, y, z, h)
-    return reports[0] if scalar else reports
+    return _table(source, t, x, y, z, h).reports()
 
 
 def navier_stokes_residual(source, t: float, x, y, z, h: float, mu: float):
@@ -249,8 +356,19 @@ def navier_stokes_residual(source, t: float, x, y, z, h: float, mu: float):
     differ only by mu times finite-difference rounding noise.  Coordinates
     and ``h`` are handled as in :func:`euler_residual`.
     """
-    reports, scalar = _reports(source, t, x, y, z, h, mu)
-    return reports[0] if scalar else reports
+    return _table(source, t, x, y, z, h, mu).reports()
+
+
+def refined_table(source, t: float, x, y, z, h: float, mu: float | None = None) -> ResidualTable:
+    """The :class:`ResidualTable` of :func:`refined_residual`: the residuals
+    at h, with ``observed_order`` from an h/2 rerun and ``kink_crossing``
+    set where either level's stencil straddles the support boundary."""
+    table = _table(source, t, x, y, z, h, mu)
+    fine = _table(source, t, x, y, z, h / 2.0, mu)
+    table.observed_order = [math.log2(rc / rf) if rf > 0.0 and rc > 0.0 else None
+                            for rc, rf in zip(table.magnitudes(), fine.magnitudes())]
+    table.kink_crossing = table.kink_crossing | fine.kink_crossing
+    return table
 
 
 def refined_residual(source, t: float, x, y, z, h: float, mu: float | None = None):
@@ -261,14 +379,10 @@ def refined_residual(source, t: float, x, y, z, h: float, mu: float | None = Non
     reach the rounding floor.  Coordinates are handled as in
     :func:`euler_residual`, with one stencil pass per level for all points;
     an ``h`` whose half step has a square that underflows to 0 is rejected.
+    The reports are read from :func:`refined_table`, whose columns the
+    ``verify`` mode writes as its ``points`` without building them.
     """
-    reports, scalar = _reports(source, t, x, y, z, h, mu)
-    fine, _ = _reports(source, t, x, y, z, h / 2.0, mu)
-    for coarse, f in zip(reports, fine):
-        rc, rf = coarse.magnitude(), f.magnitude()
-        coarse.observed_order = math.log2(rc / rf) if rf > 0.0 and rc > 0.0 else None
-        coarse.kink_crossing = coarse.kink_crossing or f.kink_crossing
-    return reports[0] if scalar else reports
+    return refined_table(source, t, x, y, z, h, mu).reports()
 
 
 @dataclass

@@ -7,11 +7,14 @@ RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
 trial step and dense rows as component loops over scipy's tableau, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
 period from the first integral by quadrature, and the residual stencil
-written point by point over scalar samples.
+written point by point over scalar samples.  The one exception is
+``verify_document``, a serialization reference: it takes the library's
+residual reports and writes the ``verify`` document from per-point dicts.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -252,3 +255,52 @@ def pointwise_stencil_residuals(source, t, x, y, z, h):
         laplacian.append(sum(((getattr(pl, comp) - 2.0 * getattr(c, comp) + getattr(mi, comp))
                               / (h * h) for pl, mi in shifts), start=-0.0))
     return mass, tuple(momentum), tuple(laplacian)
+
+
+def verify_document(cfg) -> str:
+    """The ``verify`` mode's JSON text for the config ``cfg``, built as a
+    document of dicts: the reports of ``refined_residual``, their ``to_dict``
+    forms, a summary read report by report, and ``json.dumps(indent=2)``.
+
+    A non-finite value raises ``strict_json``'s ValueError, which names its
+    path in the dict form.
+    """
+    from eulerexact.cli import _integrate, _interior_points
+    from eulerexact.emden import strict_json
+    from eulerexact.fields import Field3D
+    from eulerexact.verify import SnapshotFieldSource, refined_residual
+
+    t = cfg.verify_time
+    state = _integrate(cfg, t).state_at(t) if t > 0.0 else cfg.initial_state()
+    field = Field3D.from_params(cfg.params(), state)
+    rng = np.random.default_rng(cfg.verify_seed)
+    x, y, z = np.array(_interior_points(field, rng, cfg.verify_points)).T
+    reports = refined_residual(SnapshotFieldSource(field), t, x, y, z, cfg.verify_h, mu=cfg.mu)
+
+    mass = np.array([abs(r.mass_residual) for r in reports])
+    mom = np.array([max(abs(m) for m in r.momentum_residual) for r in reports])
+    orders = np.array([r.observed_order for r in reports if r.observed_order is not None])
+    doc = {
+        "time": t,
+        "stencil_h": cfg.verify_h,
+        "mu": cfg.mu,
+        "state": {"a": state.a, "a_dot": state.a_dot, "b": state.b, "b_dot": state.b_dot},
+        "summary": {
+            "points": len(reports),
+            "kink_points": sum(r.kink_crossing for r in reports),
+            "mass_abs": {"p50": float(np.percentile(mass, 50)),
+                         "p90": float(np.percentile(mass, 90)), "max": float(mass.max())},
+            "momentum_abs": {"p50": float(np.percentile(mom, 50)),
+                             "p90": float(np.percentile(mom, 90)), "max": float(mom.max())},
+            "observed_order": {
+                "p50": float(np.percentile(orders, 50)) if orders.size else None,
+                "min": float(orders.min()) if orders.size else None,
+                "max": float(orders.max()) if orders.size else None},
+        },
+        "points": [r.to_dict() for r in reports],
+    }
+    try:
+        return json.dumps(doc, allow_nan=False, indent=2) + "\n"
+    except ValueError:
+        strict_json(doc, indent=2)
+        raise

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from eulerexact.cli import FIELD_CSV_HEADER, MODES, _csv_lines, _load_config, build_parser, main
 
+from _oracles import verify_document
+
 
 def run(tmp_path, *argv):
     import contextlib
@@ -887,6 +889,42 @@ class TestStrictJson:
         assert code == 2
         assert "non-finite" in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_verify_summary_leaves_no_file(self, tmp_path):
+        # alpha^m overflows the density, so every residual is NaN
+        out = tmp_path / "v.json"
+        code, _, err = run(tmp_path, "verify", "--alpha", "1e300", "--verify-points", "3",
+                           "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: non-finite number in an output record (strict JSON "
+                              "has no NaN or Infinity) at summary.mass_abs.p50: {'time': 0.0, ")
+        assert not out.exists()
+
+    def test_non_finite_verify_point_is_named_as_in_the_dict_form(self, tmp_path, monkeypatch):
+        # Python's max passes over a NaN in a point's second momentum row, so
+        # the summary stays finite; no summary reads the viscous rows, so the
+        # first non-finite value of the document is point 1's viscous one
+        import eulerexact.verify
+
+        refined = eulerexact.verify.refined_table
+
+        def poisoned(*args, **kwargs):
+            table = refined(*args, **kwargs)
+            table.momentum_residual[1, 2] = math.nan
+            table.ns_momentum_residual[2, 1] = math.inf
+            return table
+
+        monkeypatch.setattr(eulerexact.verify, "refined_table", poisoned)
+        argv = ["verify", "--mu", "0.3", "--verify-points", "6"]
+        with pytest.raises(ValueError) as want:
+            verify_document(_load_config(build_parser().parse_args(argv)))
+        out = tmp_path / "v.json"
+        code, _, err = run(tmp_path, *argv, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert " at points[1].ns_momentum_residual[2]: {'time': 0.0, " in err
+        assert err == f"error: {want.value}\n"
 
     def test_unrepresentable_start_ends_promptly_with_a_named_error(self, tmp_path):
         # at a0 = 1e-200 the accelerations are inf - inf = nan and the energy

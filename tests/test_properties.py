@@ -3,7 +3,8 @@ evaluators are the 0-d case of the array ones, bit for bit, the planar energy
 is the 3D one at b = 1, b' = 0, bit for bit, a batched
 residual stencil gives each point what a single-point call gives it, 3D
 ``classify`` gives each cell the row a one-cell ``sweep`` gives it, a
-``sample`` CSV reads back to the evaluated field bit for bit, a
+``sample`` CSV reads back to the evaluated field bit for bit, the ``verify``
+document is the one built from per-point reports and dicts, byte for byte, a
 time shift by ``advance`` agrees with a fixed-step RK4 oracle both ways,
 runs that do not collapse conserve the energy, and the 3D field is
 self-similar: scaling x, y by a and z by b maps the unit state onto the
@@ -18,7 +19,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
@@ -29,7 +30,7 @@ from eulerexact.cli import _load_config, build_parser, main
 from eulerexact.profiles import DensityProfile
 
 from _oracles import (planar_potential, pointwise_stencil_residuals, rhs_2d_arrays,
-                      rhs_3d_arrays, rk4_fixed)
+                      rhs_3d_arrays, rk4_fixed, verify_document)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -231,6 +232,36 @@ def test_sample_csv_reads_back_to_eval_grid(p, ic, dim, ax, ay, az, times):
                     assert [float(c) for c in cols[:4]] == [xs[ix], ys[iy], zs[iz], t]
                     assert [bits(float(c)) for c in cols[4:]] == \
                         [bits(c[ix, iy, iz]) for c in cells]
+
+
+# compact support (gamma > 1, lam > 0) with a 0.2 step gives kink rows, and
+# mu = 0 a viscous row equal to the inviscid one
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(st.just(1.0), real(1.1, 2.5)), real(-1.0, 1.5), real(0.1, 1.5), real(-1.0, 1.0),
+       real(-0.3, 0.3), real(-0.3, 0.3), st.one_of(st.just(0.0), real(0.0, 1.0)),
+       st.sampled_from(["1e-3", "0.05", "0.2"]), st.one_of(st.just(0.0), real(0.0, 0.3)),
+       st.integers(1, 12), st.integers(0, 2**31 - 1))
+@example(1.5, 1.0, 0.1, 0.0, 0.0, 0.0, 0.0, "0.2", 0.0, 12, 0)
+def test_verify_document_is_the_per_report_reference(gamma, lam, alpha, xi, a1, b1, mu, h, t,
+                                                     count, seed):
+    argv = ["verify", f"--gamma={gamma!r}", f"--lambda={lam!r}", f"--alpha={alpha!r}",
+            f"--xi={xi!r}", f"--a1={a1!r}", f"--b1={b1!r}", f"--mu={mu!r}", f"--verify-h={h}",
+            f"--verify-time={t!r}", f"--verify-points={count}", f"--verify-seed={seed}"]
+    try:
+        want = verify_document(_load_config(build_parser().parse_args(argv)))
+    except ValueError as exc:
+        want = exc
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = os.path.join(tmp, "v.json"), io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        if isinstance(want, ValueError):
+            assert (code, err.getvalue()) == (2, f"error: {want}\n")
+            assert not os.path.exists(out)
+        else:
+            assert code == 0
+            with open(out, "rb") as f:
+                assert f.read() == want.encode()
 
 
 shift_params = st.builds(

@@ -1,6 +1,6 @@
-"""``emden.strict_json``: the indented writer gives ``json.dumps(indent=...)``'s
-bytes, and a non-finite number is refused, on either path, with its path in
-the record named."""
+"""``emden.strict_json`` and ``verify.ResidualTable.to_json``: the indented
+writers give ``json.dumps(indent=...)``'s bytes, and a non-finite number is
+refused, on every path, with its path in the record named."""
 
 import enum
 import json
@@ -101,3 +101,97 @@ def test_other_types_raise_type_error_as_json_does(value, indent):
             json.dumps(obj, allow_nan=False, indent=indent)
         with pytest.raises(TypeError):
             strict_json(obj, indent=indent)
+
+
+# ------------------------------------------- the residual table's records
+
+def residual_dicts(table):
+    return [r.to_dict() for r in table.reports()]
+
+
+def as_document(points_text):
+    """The ``points`` array text at the depth the ``verify`` document holds it."""
+    return '{\n  "points": ' + points_text + "\n}"
+
+
+@st.composite
+def residual_tables(draw):
+    """A ResidualTable of 1 to 4 points, with edge floats in any cell and, as
+    the library gives them, a viscous row exactly when mu is set."""
+    from eulerexact.verify import ResidualTable
+
+    n = draw(st.integers(1, 4))
+    cell = finite | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1e308, -1e308, 1.7976931348623157e308])
+
+    def column():
+        return np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+
+    mu = draw(st.none() | cell)
+    orders = draw(st.none() | st.lists(st.none() | cell, min_size=n, max_size=n))
+    return ResidualTable(
+        draw(cell), draw(cell), mu, (n,), column(), column(), column(), column(),
+        np.array([column() for _ in range(3)]),
+        None if mu is None else np.array([column() for _ in range(3)]),
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool), orders)
+
+
+@SETTINGS
+@given(residual_tables())
+def test_residual_table_writes_the_dicts_json_bytes(table):
+    dicts = residual_dicts(table)
+    assert as_document(table.to_json("\n  ", "  ")) == json.dumps(
+        {"points": dicts}, allow_nan=False, indent=2)
+    assert table.to_json() == json.dumps(dicts, allow_nan=False, indent=2)
+    assert table.nonfinite_path() is None
+
+
+@SETTINGS
+@given(residual_tables(), st.data())
+def test_residual_table_refuses_a_non_finite_cell_by_its_path(table, data):
+    # one to three cells are poisoned, so two can share a record
+    from eulerexact.emden import _nonfinite_path
+
+    n = table.x.size
+    names = ["t", "x", "y", "z", "stencil_h", "mass_residual", "momentum_residual",
+             "ns_momentum_residual", "mu", "observed_order"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        name = data.draw(st.sampled_from(names))
+        i = data.draw(st.integers(0, n - 1))
+        if name in ("t", "stencil_h", "mu"):
+            setattr(table, name, bad)
+        elif name == "observed_order":
+            table.observed_order = list(table.observed_order or [None] * n)
+            table.observed_order[i] = bad
+        elif name in ("momentum_residual", "ns_momentum_residual"):
+            if getattr(table, name) is None:
+                table.ns_momentum_residual = np.zeros((3, n))
+            getattr(table, name)[data.draw(st.integers(0, 2)), i] = bad
+        else:
+            getattr(table, name)[i] = bad
+    path = _nonfinite_path(residual_dicts(table))
+    assert path is not None
+    assert table.nonfinite_path() == path
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        table.to_json("\n  ", "  ")
+    assert str(exc.value).endswith(f" at {path}")
+
+
+def test_residual_table_from_a_library_call():
+    # without mu there is no viscous row; a step of 0.05 takes the outer
+    # points' stencils across the support boundary
+    from eulerexact import EmdenState3D, Field3D, PhysParams
+    from eulerexact.verify import SnapshotFieldSource, refined_table
+
+    source = SnapshotFieldSource(Field3D.from_params(
+        PhysParams(K=1.0, gamma=1.5, lam=1.0, alpha=1.0, xi=0.0),
+        EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0)))
+    near = math.sqrt(0.999 * source.cutoff_s)
+    xs = np.array([near, 0.1, -near, 0.0])
+    table = refined_table(source, 0.0, xs, 0.0, -0.0, 0.05)
+    dicts = residual_dicts(table)
+    assert [d["kink_crossing"] for d in dicts] == [True, False, True, False]
+    assert {d["ns_momentum_residual"] for d in dicts} == {d["mu"] for d in dicts} == {None}
+    assert as_document(table.to_json("\n  ", "  ")) == json.dumps(
+        {"points": dicts}, allow_nan=False, indent=2)
