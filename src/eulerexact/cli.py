@@ -23,7 +23,7 @@ from .classify import (classify_3d, classify_cell, detect_period_2d,  # noqa: F4
                        search_period_2d)
 from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
-from .emden import _nonfinite_error, integrate, strict_json
+from .emden import integrate, strict_json
 
 # numpy, fields and verify are imported inside the modes that use them, sample
 # and verify, so that integrate, classify and sweep start without numpy
@@ -236,12 +236,12 @@ def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
 
 
 def refined_residual(*args, **kwargs):
-    """``verify.refined_table``, with ``verify`` (and numpy) imported on the
+    """``verify._refined_table``, with ``verify`` (and numpy) imported on the
     first call: the residual columns ``run_verify`` summarizes and writes.
     ``run_verify`` calls it through this module, where it can be wrapped."""
     from . import verify
 
-    return verify.refined_table(*args, **kwargs)
+    return verify._refined_table(*args, **kwargs)
 
 
 def run_verify(cfg: RunConfig, out: str) -> int:
@@ -297,14 +297,13 @@ def run_verify(cfg: RunConfig, out: str) -> int:
         "state": {"a": state.a, "a_dot": state.a_dot, "b": state.b, "b_dot": state.b_dot},
         "summary": summary,
     }
-    text = strict_json(head, indent=2)
     try:
-        points = table.to_json("\n  ", "  ")
+        text = strict_json(head, indent=2)[:-2] + ',\n  "points": ' + table.to_json() + "\n}"
     except ValueError:
-        # the head's repr is longer than strict_json's 300-character preview,
-        # so the error reads as it would for the whole document
-        raise _nonfinite_error(head, ".points" + table.nonfinite_path()) from None
-    _write_text(out, text[:-2] + ',\n  "points": ' + points + "\n}")
+        # a NaN or infinity: strict_json of the whole document raises, naming
+        # the first one in document order
+        text = strict_json({**head, "points": [r.to_dict() for r in table.reports()]}, indent=2)
+    _write_text(out, text)
     print(f"wrote {out} ({mass.size} points, "
           f"median order {summary['observed_order']['p50']})")
     return EXIT_OK

@@ -252,15 +252,10 @@ def strict_json(obj, indent: int | None = None) -> str:
             return json.dumps(obj, allow_nan=False)
         return _indented(obj, "\n", " " * indent)
     except ValueError:
-        raise _nonfinite_error(obj, _nonfinite_path(obj)) from None
-
-
-def _nonfinite_error(obj, path: str | None) -> ValueError:
-    """``strict_json``'s error for a NaN or infinity at ``path`` in ``obj``, in
-    ``_nonfinite_path``'s notation, with the start of ``obj`` shown."""
-    where = path.removeprefix(".") if path else "the top level"
-    return ValueError("non-finite number in an output record (strict JSON has "
-                      f"no NaN or Infinity) at {where}: {str(obj)[:300]}")
+        path = _nonfinite_path(obj)
+        where = path.removeprefix(".") if path else "the top level"
+        raise ValueError("non-finite number in an output record (strict JSON has "
+                         f"no NaN or Infinity) at {where}: {str(obj)[:300]}") from None
 
 
 _escape = json.encoder.encode_basestring_ascii

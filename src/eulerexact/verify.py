@@ -4,10 +4,10 @@ The residual and regularity checks are finite-difference based and
 independent of the algebra that produced the fields: second-order central
 stencils for the continuity and momentum residuals (which must vanish as
 O(h^2) on exact fields) and one-sided difference quotients at the compact
-support boundary.  A residual pass computes a :class:`ResidualTable`, one
-column per value over all its points; the per-point
-:class:`ResidualReport` objects and the ``verify`` mode's JSON records are
-both read from it.  The total mass is a midpoint-with-Richardson box
+support boundary.  A residual pass computes a ``ResidualTable``, one column
+per value over all its points; the per-point :class:`ResidualReport`
+objects and the ``verify`` mode's JSON records are both read from it.  The
+total mass is a midpoint-with-Richardson box
 quadrature, or the exact Beta-function integral over a compact support.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import Trajectory, advance
+from .emden import Trajectory, _nonfinite_path, advance
 from .fields import Field3D, GeneralMassFamily
 from .profiles import DensityProfile
 
@@ -28,14 +28,12 @@ __all__ = [
     "TrajectoryFieldSource",
     "GeneralFamilySource",
     "ResidualReport",
-    "ResidualTable",
     "MassBudget",
     "RegularityReport",
     "mass_residual",
     "euler_residual",
     "navier_stokes_residual",
     "refined_residual",
-    "refined_table",
     "total_mass",
     "cutoff_regularity_check",
 ]
@@ -208,15 +206,15 @@ def _laplacian_from_stencil(st, h):
     return d2[:, 0] + d2[:, 1] + d2[:, 2]
 
 
-@dataclass
+@dataclass(eq=False)
 class ResidualTable:
     """The residuals of one stencil pass at n points, one flat column per
     value, in C order of the broadcast points: what a residual pass computes.
 
-    The reports (:meth:`reports`) and their JSON records (:meth:`to_json`)
-    are both read from it.  ``shape`` is the broadcast shape of the
-    coordinates, ``()`` for scalars; ``observed_order`` is None until
-    :func:`refined_table` fills it in.
+    The reports (:meth:`reports`) and the ``verify`` mode's JSON records
+    (:meth:`to_json`) are both read from it.  ``shape`` is the broadcast
+    shape of the coordinates, ``()`` for scalars; ``observed_order`` is None
+    until :func:`_refined_table` fills it in.
     """
 
     t: float
@@ -236,49 +234,29 @@ class ResidualTable:
         """:meth:`ResidualReport.magnitude` of each point, lazily, in C order."""
         return map(_rms, self.mass_residual.tolist(), *self.momentum_residual.tolist())
 
-    def reports(self):
-        """One :class:`ResidualReport` for scalar coordinates, else a list of
-        them in C order."""
+    def reports(self) -> list[ResidualReport]:
+        """One :class:`ResidualReport` per point, in C order."""
         n = self.x.size
         ns = self.ns_momentum_residual
-        reports = [ResidualReport(self.t, x, y, z, self.stencil_h, mass, mom, visc, self.mu,
-                                  order, kink)
-                   for x, y, z, mass, mom, visc, order, kink in zip(
-                       self.x.tolist(), self.y.tolist(), self.z.tolist(),
-                       self.mass_residual.tolist(), map(tuple, self.momentum_residual.T.tolist()),
-                       [None] * n if ns is None else map(tuple, ns.T.tolist()),
-                       self.observed_order or [None] * n, self.kink_crossing.tolist())]
+        return [ResidualReport(self.t, x, y, z, self.stencil_h, mass, mom, visc, self.mu,
+                               order, kink)
+                for x, y, z, mass, mom, visc, order, kink in zip(
+                    self.x.tolist(), self.y.tolist(), self.z.tolist(),
+                    self.mass_residual.tolist(), map(tuple, self.momentum_residual.T.tolist()),
+                    [None] * n if ns is None else map(tuple, ns.T.tolist()),
+                    self.observed_order or [None] * n, self.kink_crossing.tolist())]
+
+    def result(self):
+        """What the residual functions return: one report for scalar
+        coordinates, else the list of :meth:`reports`."""
+        reports = self.reports()
         return reports[0] if self.shape == () else reports
 
-    def _numbers(self):
-        """(path step, the n values) for each number of a record, in the
-        records' key order."""
-        n = self.x.size
-        rows = [(".t", [self.t] * n), (".x", self.x), (".y", self.y), (".z", self.z),
-                (".stencil_h", [self.stencil_h] * n), (".mass_residual", self.mass_residual)]
-        rows += [(f".momentum_residual[{i}]", r) for i, r in enumerate(self.momentum_residual)]
-        if self.ns_momentum_residual is not None:
-            rows += [(f".ns_momentum_residual[{i}]", r)
-                     for i, r in enumerate(self.ns_momentum_residual)]
-        return rows + [(".mu", [self.mu] * n), (".observed_order", self.observed_order or [])]
-
-    def nonfinite_path(self) -> str | None:
-        """Where the first NaN or infinity of the records sits, as
-        ``emden._nonfinite_path`` names it in the list of the reports'
-        ``to_dict`` forms (``[17].momentum_residual[1]``), or None."""
-        first = None
-        for step, values in self._numbers():
-            i = next((i for i, v in enumerate(values)
-                      if v is not None and not math.isfinite(v)), None)
-            if i is not None and (first is None or i < first[0]):
-                first = (i, step)
-        return None if first is None else f"[{first[0]}]{first[1]}"
-
-    def to_json(self, newline: str = "\n", step: str = "  ") -> str:
-        """``json.dumps(records, allow_nan=False, indent=len(step))`` of the
-        list of the reports' ``to_dict`` forms, byte for byte, with
-        ``newline`` the line break and indentation of the level the list
-        sits at.  A NaN or infinity raises ValueError naming its path.
+    def to_json(self) -> str:
+        """The ``points`` array of the ``verify`` document: the list of the
+        reports' ``to_dict`` forms as ``json.dumps(allow_nan=False, indent=2)``
+        writes it one level deep, byte for byte.  A NaN or infinity raises
+        ValueError naming its path as ``emden._nonfinite_path`` does.
 
         Each float column is formatted with one ``map(float.__repr__, ...)``
         after one finiteness check, and each record fills one template whose
@@ -294,10 +272,11 @@ class ResidualTable:
         constants = [self.t, self.stencil_h, *(() if self.mu is None else (self.mu,))]
         if not (np.isfinite(floats).all() and np.isfinite(constants).all()
                 and all(o is None or math.isfinite(o) for o in orders or ())):
-            raise ValueError(f"non-finite number in a residual record at {self.nonfinite_path()}")
-        record = newline + step
-        key = record + step
-        triple = "[" + key + step + ("," + key + step).join(["%s"] * 3) + key + "]"
+            path = _nonfinite_path([r.to_dict() for r in self.reports()])
+            raise ValueError(f"non-finite number in a residual record at {path}")
+        # a record sits two levels deep in the document, its keys three
+        record, key, item = "\n    ", "\n      ", "\n        "
+        triple = "[" + item + ("," + item).join(["%s"] * 3) + key + "]"
         fields = [("t", json.dumps(self.t)), ("x", "%s"), ("y", "%s"), ("z", "%s"),
                   ("stencil_h", json.dumps(self.stencil_h)), ("mass_residual", "%s"),
                   ("momentum_residual", triple),
@@ -310,8 +289,7 @@ class ResidualTable:
         if orders is not None:
             cells.append(["null" if o is None else float.__repr__(o) for o in orders])
         cells.append(map(("false", "true").__getitem__, self.kink_crossing.tolist()))
-        return ("[" + record + ("," + record).join(map(template.__mod__, zip(*cells)))
-                + newline + "]")
+        return "[" + record + ("," + record).join(map(template.__mod__, zip(*cells))) + "\n  ]"
 
 
 def _table(source, t, x, y, z, h, mu=None) -> ResidualTable:
@@ -345,7 +323,7 @@ def euler_residual(source, t: float, x, y, z, h: float):
     (``kink_crossing``) and reported anyway rather than rejected.  A step
     ``h`` whose square underflows to 0 is rejected.
     """
-    return _table(source, t, x, y, z, h).reports()
+    return _table(source, t, x, y, z, h).result()
 
 
 def navier_stokes_residual(source, t: float, x, y, z, h: float, mu: float):
@@ -356,11 +334,11 @@ def navier_stokes_residual(source, t: float, x, y, z, h: float, mu: float):
     differ only by mu times finite-difference rounding noise.  Coordinates
     and ``h`` are handled as in :func:`euler_residual`.
     """
-    return _table(source, t, x, y, z, h, mu).reports()
+    return _table(source, t, x, y, z, h, mu).result()
 
 
-def refined_table(source, t: float, x, y, z, h: float, mu: float | None = None) -> ResidualTable:
-    """The :class:`ResidualTable` of :func:`refined_residual`: the residuals
+def _refined_table(source, t: float, x, y, z, h: float, mu: float | None = None) -> ResidualTable:
+    """The ``ResidualTable`` of :func:`refined_residual`: the residuals
     at h, with ``observed_order`` from an h/2 rerun and ``kink_crossing``
     set where either level's stencil straddles the support boundary."""
     table = _table(source, t, x, y, z, h, mu)
@@ -379,10 +357,10 @@ def refined_residual(source, t: float, x, y, z, h: float, mu: float | None = Non
     reach the rounding floor.  Coordinates are handled as in
     :func:`euler_residual`, with one stencil pass per level for all points;
     an ``h`` whose half step has a square that underflows to 0 is rejected.
-    The reports are read from :func:`refined_table`, whose columns the
-    ``verify`` mode writes as its ``points`` without building them.
+    The reports are read from the same residual columns that the ``verify``
+    mode writes as its ``points`` without building them.
     """
-    return refined_table(source, t, x, y, z, h, mu).reports()
+    return _refined_table(source, t, x, y, z, h, mu).result()
 
 
 @dataclass

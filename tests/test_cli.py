@@ -907,7 +907,7 @@ class TestStrictJson:
         # first non-finite value of the document is point 1's viscous one
         import eulerexact.verify
 
-        refined = eulerexact.verify.refined_table
+        refined = eulerexact.verify._refined_table
 
         def poisoned(*args, **kwargs):
             table = refined(*args, **kwargs)
@@ -915,7 +915,7 @@ class TestStrictJson:
             table.ns_momentum_residual[2, 1] = math.inf
             return table
 
-        monkeypatch.setattr(eulerexact.verify, "refined_table", poisoned)
+        monkeypatch.setattr(eulerexact.verify, "_refined_table", poisoned)
         argv = ["verify", "--mu", "0.3", "--verify-points", "6"]
         with pytest.raises(ValueError) as want:
             verify_document(_load_config(build_parser().parse_args(argv)))
