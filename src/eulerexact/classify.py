@@ -10,9 +10,9 @@ never upgrades to "global": surviving a horizon does not prove global existence.
 
 Planar dynamics with lam < 0 and 1 <= gamma < 2 admits periodic orbits; they
 are detected by the first two upward crossings of the pericenter section
-{a' = 0, a'' > 0}, found as events of the integrator's step loop, which
-stops at the second one (a start exactly at a pericenter counts as the
-first).  In 3D no periodic solution exists when lam < 0 because
+{a' = 0, a'' > 0}, found by a step sink of the integrator's step loop,
+which stops the run at the second one (a start exactly at a pericenter counts
+as the first).  In 3D no periodic solution exists when lam < 0 because
 b'' < 0 makes b' strictly decreasing; :func:`check_no_period_3d` verifies that
 monotonicity on a trajectory.
 """
@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 # integrate is not called here: it stays importable for bench/tracer.py
 from .emden import (EmdenState2D, EmdenState3D, RunOptions, Termination,  # noqa: F401
-                    Trajectory, _check_span, _run, _vec_from_state, emden_rhs_2d, integrate)
+                    Trajectory, _check_span, _run, _section, _vec_from_state, emden_rhs_2d,
+                    integrate)
 from .profiles import PhysParams
 
 __all__ = [
@@ -112,7 +113,7 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     table = classify_3d(p, ic)
     if table.T is not None or table.verdict == GLOBAL:
         return table
-    termination, t_stop, _, _, _ = _run(p, dim, y0, ic.t, ic.t + horizon, run)
+    termination, t_stop, _, _ = _run(p, dim, y0, ic.t, ic.t + horizon, run)
     T = termination.t_est if termination.kind == "blowup" else None
     # the table leaves an open cell undecided; only the run saw its collapse
     evidence = T is not None and table.verdict == OPEN_CASE
@@ -189,9 +190,9 @@ def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
         return PeriodEstimate(period=2.0 * math.pi / math.sqrt(-daccel),
                               return_error=0.0, method="fixed-point"), None
 
-    termination, _, _, crossings, _ = _run(p, 2, (ic.a, ic.a_dot), ic.t, ic.t + t_max, run,
-                                           section=True)
-    if len(crossings) < 2:
+    section, crossings = _section(run.method)
+    termination, _, _, _ = _run(p, 2, (ic.a, ic.a_dot), ic.t, ic.t + t_max, run, section)
+    if termination.kind != "section":
         return None, termination
     (t1, y1), (t2, y2) = crossings
     return PeriodEstimate(period=t2 - t1, return_error=math.hypot(y2[0] - y1[0], y2[1] - y1[1]),

@@ -15,12 +15,14 @@ written once, in ``_rhs``.  Integration, the time shifts of :func:`advance`
 included, is done by one step loop, ``_run``: an embedded Runge-Kutta pair
 (Dormand-Prince 5(4), or DOP853) on plain Python floats, with scipy's
 tableaux written out as literals in ``_tableaux`` and scipy's step-size
-controller.  Events are located by root bracketing on each step's dense
-output, with a port of scipy's ``brentq``: collapse of a scale factor (a or b
-reaching a small positive floor) and, for the planar period search, upward
-crossings of the pericenter section a' = 0.  The module runs on the standard
-library; only ``_ieee``, the overflow fallback of the right-hand side, imports
-numpy.
+controller.  Collapse of a scale factor (a or b reaching a small positive
+floor) is located by root bracketing on each step's dense output, with a port
+of scipy's ``brentq``.  A caller reads a run through one step sink, which sees
+each step's dense output and may end the run: the step table of
+:func:`integrate`, or the pericenter section of the planar period search
+(``_section``), whose upward crossings of a' = 0 are located the same way.
+The module runs on the standard library; only ``_ieee``, the overflow
+fallback of the right-hand side, imports numpy.
 """
 
 from __future__ import annotations
@@ -243,57 +245,15 @@ def strict_json(obj, indent: int | None = None) -> str:
     """``json.dumps(obj, allow_nan=False, indent=indent)`` of an output record.
 
     A non-finite number raises a ValueError that names its path in the record
-    (``points[17].mass_residual``) and shows the record.  The compact form is
-    the C encoder's; the indented form is written by ``_indented``, because
-    with ``indent`` set ``json`` falls back to its pure-Python encoder.
+    (``points[17].mass_residual``) and shows the record.
     """
     try:
-        if indent is None:
-            return json.dumps(obj, allow_nan=False)
-        return _indented(obj, "\n", " " * indent)
+        return json.dumps(obj, allow_nan=False, indent=indent)
     except ValueError:
         path = _nonfinite_path(obj)
         where = path.removeprefix(".") if path else "the top level"
         raise ValueError("non-finite number in an output record (strict JSON has "
                          f"no NaN or Infinity) at {where}: {str(obj)[:300]}") from None
-
-
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _indented(obj, newline: str, step: str) -> str:
-    """``json.dumps(obj, allow_nan=False, indent=len(step))`` of a tree of
-    dicts with str keys, lists, tuples, str, None, bool, int and float
-    (subclasses as ``json`` treats them); ``newline`` is the line break and
-    indentation of the level ``obj`` sits at.  A non-finite float raises
-    ValueError and any other type TypeError, as in ``json``."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + step
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return ("[" + inner + ("," + inner).join([_indented(v, inner, step) for v in obj])
-                + newline + "]")
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return ("{" + inner + ("," + inner).join([_escape(k) + ": " + _indented(v, inner, step)
-                                                  for k, v in obj.items()])
-                + newline + "}")
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _nonfinite_path(obj) -> str | None:
@@ -684,7 +644,7 @@ class _DenseOutput:
     [ts[k], ts[k+1]] and starts at ``state(k)``; its dense output adds to each
     component the nested polynomial of that component's coefficients.  Only
     :func:`integrate` keeps one, for :meth:`Trajectory.state_at` and its
-    sample times."""
+    sample times: its :meth:`append` is the run's step sink."""
 
     __slots__ = ("factors", "n", "m", "ts", "ys", "coeffs")
 
@@ -697,10 +657,11 @@ class _DenseOutput:
     def steps(self) -> int:
         return len(self.ts) - 1
 
-    def append(self, t: float, y, rows) -> None:
-        """Add a step that ends at (t, y), with one coefficient row per component."""
-        self.ts.append(t)
-        self.ys.extend(y)
+    def append(self, t: float, t_new: float, y, y_new, rows) -> None:
+        """Add the step [t, t_new] from y to y_new, with one coefficient row
+        per component: a step sink of ``_run``."""
+        self.ts.append(t_new)
+        self.ys.extend(y_new)
         for row in rows:
             self.coeffs.extend(row)
 
@@ -800,25 +761,17 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
 
 
-# the pericenter section watches a' (component 1)
-_SECTION = 1
+def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
+    """Locate the earliest floor event in the step [t_lo, t_hi], which starts
+    at state y and whose dense output has the coefficient rows ``rows`` and
+    the method's ``factors``.
 
-
-def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol, section_after):
-    """Locate the earliest event in the step [t_lo, t_hi], which starts at
-    state y and whose dense output has the coefficient rows ``rows`` and the
-    method's ``factors``.
-
-    Returns (t_est, component_index, bracket_width) or None.  Floor events
-    are a component of ``floors`` falling to its floor; unless the step's
+    Returns (t_est, component_index, bracket_width) or None.  A floor event
+    is a component of ``floors`` falling to its floor; unless the step's
     polynomial provably stays above the floor (``_floor_clear`` on its
     coefficients), the step is scanned at 9 evenly spaced samples so a dip
     below the floor inside the step is not missed.  A lifespan run calls it
-    only for a step that ``_dp5_far`` could not clear.  Unless
-    ``section_after`` is None, a section event is a' rising
-    through 0 over the step (``a'(t_lo) <= 0 <= a'(t_hi)``, the rule of
-    solve_ivp); it counts only later than ``section_after``, so a crossing on
-    a step boundary is not counted twice.
+    only for a step that ``_dp5_far`` could not clear.
     """
     samples = None
     best = None
@@ -845,15 +798,32 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol, section
             width = rel_tol * abs(t_est)
         if best is None or t_est < best[0]:
             best = (t_est, comp, width)
-    if section_after is None:
-        return best
-    y_c, row = y[_SECTION], rows[_SECTION]
-    if y_c <= 0.0 <= _dense_value(t_lo, t_hi, y_c, row, factors, t_hi):
-        t_est = _brentq(lambda q: _dense_value(t_lo, t_hi, y_c, row, factors, q), t_lo, t_hi,
-                        _BRENTQ_RTOL, _BRENTQ_RTOL)
-        if t_est > section_after and (best is None or t_est < best[0]):
-            best = (t_est, _SECTION, 0.0)
     return best
+
+
+def _section(method: str):
+    """The pericenter section of the planar period search, as a step sink of
+    a ``method`` run: (sink, crossings).  A crossing is a' rising through 0
+    over a step (``a'(t_lo) <= 0 <= a'(t_hi)``, the rule of solve_ivp),
+    refined by ``_brentq`` to 4 eps; ``crossings`` gains its (t, state), and
+    a crossing on a step boundary is counted once.  The second one ends the
+    run as ``section``."""
+    factors = _METHODS[method].factors
+    crossings = []
+
+    def sink(t_lo, t_hi, y, y_new, rows):
+        u, row = y[1], rows[1]
+        if not u <= 0.0 <= _dense_value(t_lo, t_hi, u, row, factors, t_hi):
+            return None
+        t_est = _brentq(lambda q: _dense_value(t_lo, t_hi, u, row, factors, q), t_lo, t_hi,
+                        _BRENTQ_RTOL, _BRENTQ_RTOL)
+        if crossings and not t_est > crossings[-1][0]:
+            return None
+        crossings.append((t_est, tuple(_dense_value(t_lo, t_hi, v, r, factors, t_est)
+                                       for v, r in zip(y, rows))))
+        return Termination("section", t_est=t_est) if len(crossings) == 2 else None
+
+    return sink, crossings
 
 
 def _rms(values) -> float:
@@ -882,19 +852,23 @@ def _initial_step(f, y0, f0, interval, order, rtol, atol) -> float:
 
 
 def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
-         run: RunOptions, *, section: bool = False, table: _DenseOutput | None = None):
+         run: RunOptions, sink: Callable | None = None):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``.
 
     The run ends at ``t_end``, at the first floor event, after ``max_steps``
-    steps, on a step failure, or (with ``section``) at the second section
-    crossing, whose termination kind is ``section``.  Returns (termination,
-    t_stop, the last accepted state, section crossings as (t, y), run
-    statistics).  Events read only the current step, so a run keeps a step
-    table only when the caller passes an empty one in as ``table``, which
-    then gains every accepted step.  Without a table or a section, a run of
-    RK45 (a lifespan run) builds a step's rows and calls ``_locate`` only when
-    ``_dp5_far`` cannot show from the step's stages that no floor is within
-    reach; every floor time is the one a run that keeps a table finds.  A
+    steps, on a step failure, or where ``sink`` ends it.  Returns
+    (termination, t_stop, the last accepted state, run statistics).
+
+    A step sink is how a caller reads the run: ``sink(t, t_new, y, y_new,
+    rows)`` is called once per accepted step [t, t_new] from y to y_new,
+    with the step's dense-output rows, and may return the ``Termination``
+    that ends the run there; when a floor event falls in the same step, the
+    earlier ``t_est`` ends the run, and the floor wins a tie.  Events read
+    only the current step, so a run keeps a step table only through a sink
+    (``_DenseOutput.append``).  Without a sink, a run of RK45 (a lifespan
+    run) builds a step's rows and calls ``_locate`` only when ``_dp5_far``
+    cannot show from the step's stages that no floor is within reach; every
+    floor time is the one a run that builds every step's rows finds.  A
     floor (``RunOptions.floors``) at or above its start raises ValueError.
 
     The controller is scipy's: the initial step of ``select_initial_step``, a
@@ -906,9 +880,9 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     method = _METHODS[run.method]
     attempt, dense_rows = method.kernels[dim]
     factors = method.factors
-    # with no table or section, only floors read a step's rows: a step whose
-    # floors the method shows to be out of reach needs none
-    far = method.far if table is None and not section else None
+    # with no sink, only floors read a step's rows: a step whose floors the
+    # method shows to be out of reach needs none
+    far = method.far if sink is None else None
     rtol, atol = run.rel_tol, run.abs_tol
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
@@ -916,8 +890,6 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     f = _rhs(p, dim)
     t, y, fy = t0, y0, f(y0)
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
-    crossings = []
-    section_after = -math.inf if section else None
     accepted = rejected = 0
     h_min, h_max = math.inf, -math.inf
     termination = None
@@ -951,24 +923,17 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             h_min = h
         if h > h_max:
             h_max = h
-        if far is not None and far(y, stages, h, floors):
-            hit = None
-        else:
+        if far is None or not far(y, stages, h, floors):
             rows = dense_rows(f, y, y_new, stages, h)
-            if table is not None:
-                table.append(t_new, y_new, rows)
-            hit = _locate(t, t_new, y, rows, factors, floors, rtol, section_after)
-        if hit is not None:
-            t_est, comp, width = hit
-            if comp != _SECTION:
+            hit = _locate(t, t_new, y, rows, factors, floors, rtol)
+            if sink is not None:
+                termination = sink(t, t_new, y, y_new, rows)
+            # a sink's record without a time ends the run at the step's end
+            if hit is not None and (termination is None or termination.t_est is None
+                                    or hit[0] <= termination.t_est):
+                t_est, comp, width = hit
                 termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
                                           bracket_width=width)
-            else:
-                crossings.append((t_est, tuple(_dense_value(t, t_new, v, row, factors, t_est)
-                                               for v, row in zip(y, rows))))
-                section_after = t_est
-                if len(crossings) == 2:
-                    termination = Termination("section", t_est=t_est)
         t, y, fy = t_new, y_new, f_new
         if termination is not None:
             break
@@ -980,7 +945,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
                      rhs_evals=2 + method.stage_evals * (accepted + rejected)
                      + method.dense_evals * accepted,
                      h_min=h_min if accepted else None, h_max=h_max if accepted else None)
-    return termination, t_stop, y, crossings, stats
+    return termination, t_stop, y, stats
 
 
 def integrate(
@@ -1015,7 +980,7 @@ def integrate(
 
     run = RunOptions(rel_tol, abs_tol, max_steps, eps_blow, method)
     dense = _DenseOutput(_METHODS[method].factors, t0, y0)
-    termination, t_stop, _, _, stats = _run(p, dim, y0, t0, t_end, run, table=dense)
+    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, dense.append)
 
     if dense_times is not None:
         states = [initial_state if t == t0 else _state_from_vec(dim, t, dense(t))
@@ -1072,7 +1037,7 @@ def advance(
         return state
     dim, y = _vec_from_state(state)
     sign = math.copysign(1.0, dt)
-    termination, t_stop, y_end, _, _ = _run(p, dim, _turn(y, sign), 0.0, abs(dt), _ADVANCE_RUN)
+    termination, t_stop, y_end, _ = _run(p, dim, _turn(y, sign), 0.0, abs(dt), _ADVANCE_RUN)
     if termination.kind != "reached_t_end":
         raise ValueError(f"time shift dt={dt} from t={state.t} stopped after |dt|={t_stop!r} "
                          f"in {termination.kind}: {termination.to_dict()}")

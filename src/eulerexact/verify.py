@@ -135,7 +135,14 @@ class ResidualReport:
 
 def _rms(mass, m0, m1, m2) -> float:
     """RMS of one point's four equation residuals: mass and three momentum rows."""
-    return math.sqrt((mass**2 + m0 ** 2 + m1 ** 2 + m2 ** 2) / 4.0)
+    try:
+        square = mass**2 + m0 ** 2 + m1 ** 2 + m2 ** 2
+    except OverflowError:
+        square = math.inf
+    if square == math.inf:
+        # a square past the float range: the same RMS without squaring
+        return math.hypot(mass, m0, m1, m2) / 2.0
+    return math.sqrt(square / 4.0)
 
 
 # rows of a stencil array: the sample's fields, in this order

@@ -901,6 +901,17 @@ class TestStrictJson:
                               "has no NaN or Infinity) at summary.mass_abs.p50: {'time': 0.0, ")
         assert not out.exists()
 
+    def test_residuals_past_the_range_of_a_square_are_written(self, tmp_path):
+        # alpha = 1e200 puts every residual above 1.3e154, where its square
+        # overflows a float; the observed order still reads their RMS
+        out = tmp_path / "v.json"
+        code, _, err = run(tmp_path, "verify", "--gamma", "1", "--lambda", "1",
+                           "--alpha", "1e200", "--verify-points", "3", "--out", str(out))
+        assert (code, err) == (0, "")
+        doc = json.loads(out.read_text())
+        assert doc["summary"]["mass_abs"]["max"] > 1e154
+        assert doc["summary"]["observed_order"]["p50"] == pytest.approx(2.0, abs=1e-4)
+
     def test_non_finite_verify_point_is_named_as_in_the_dict_form(self, tmp_path, monkeypatch):
         # Python's max passes over a NaN in a point's second momentum row, so
         # the summary stays finite; no summary reads the viscous rows, so the

@@ -470,8 +470,9 @@ class TestRunStats:
 
 
 class TestTableFree:
-    """A run that keeps no step table (and skips the velocity rows no event
-    reads) is the run that keeps one, bit for bit."""
+    """A run through no sink (which skips the dense output of steps whose
+    floors are out of reach) or through the section sink alone is the run
+    that also keeps a step table, bit for bit."""
 
     def test_runs_with_and_without_a_table_agree(self):
         rng = np.random.default_rng(13)
@@ -488,23 +489,106 @@ class TestTableFree:
             run = RunOptions(max_steps=max_steps, eps_blow=eps_blow, method=method)
             t_end = float(rng.uniform(1.0, 20.0))
 
-            free = emden._run(p, dim, y0, 0.0, t_end, run, section=section)
             table = emden._DenseOutput(emden._METHODS[method].factors, 0.0, y0)
-            kept = emden._run(p, dim, y0, 0.0, t_end, run, section=section, table=table)
+            if section:
+                alone, crossings = emden._section(method)
+                free = emden._run(p, dim, y0, 0.0, t_end, run, alone)
+                watched, kept_crossings = emden._section(method)
+
+                def both(*step):
+                    table.append(*step)
+                    return watched(*step)
+                kept = emden._run(p, dim, y0, 0.0, t_end, run, both)
+                assert repr(crossings) == repr(kept_crossings), i
+            else:
+                free = emden._run(p, dim, y0, 0.0, t_end, run)
+                kept = emden._run(p, dim, y0, 0.0, t_end, run, table.append)
             # repr writes every float exactly, -0.0 included
             assert repr(free) == repr(kept), i
-            termination, _, y_end, _, stats = free
+            termination, _, y_end, stats = free
             steps = [t2 - t1 for t1, t2 in zip(table.ts, table.ts[1:])]
             assert stats.accepted == table.steps
             assert (stats.h_min, stats.h_max) == (min(steps, default=None),
                                                   max(steps, default=None))
             assert repr(list(y_end)) == repr(list(table.state(table.steps)))
+            if termination.kind == "section":
+                assert len(crossings) == 2 and termination.t_est == crossings[1][0]
             kinds.add((termination.kind, eps_blow is not None and termination.kind == "blowup",
                        "max_steps" in termination.detail))
         # every way a run ends was drawn: floors hit at the default and at an
         # explicit eps_blow, the second section crossing, the step budget
         assert {("blowup", False, False), ("blowup", True, False), ("section", False, False),
                 ("step_failure", False, True), ("reached_t_end", False, False)} <= kinds
+
+
+class TestSink:
+    """A step sink sees every accepted step and may end the run; a floor
+    event in the same step ends it instead when it comes first or ties."""
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 7, 25])
+    def test_a_sink_ends_the_run_with_its_record(self, method, dim, k):
+        p = params(gamma=1.5, lam=1.0, xi=0.5)
+        y0 = (1.0, 0.1, 1.2, -0.2)[:2 * dim - 2]
+        stop = emden.Termination("stopped", detail="by the sink")
+        seen = []
+
+        def sink(t, t_new, y, y_new, rows):
+            seen.append((t, t_new, y, y_new))
+            return stop if len(seen) == k else None
+        termination, t_stop, y_end, stats = emden._run(
+            p, dim, y0, 0.0, 50.0, RunOptions(method=method), sink)
+        assert termination is stop
+        assert stats.accepted == len(seen) == k
+        assert (seen[0][0], seen[0][2]) == (0.0, y0)
+        # the steps chain, and the run stops at the end of the sink's step
+        assert all(a[1] == b[0] and a[3] == b[2] for a, b in zip(seen, seen[1:]))
+        assert (t_stop, y_end) == seen[-1][1::2]
+        # the steps are the sink-free run's: its step budget stops it there
+        budget = emden._run(p, dim, y0, 0.0, 50.0, RunOptions(method=method, max_steps=k))
+        assert repr((budget[1], budget[2])) == repr((t_stop, y_end))
+
+    def test_the_section_counts_a_crossing_on_a_step_boundary_once(self):
+        sink, crossings = emden._section("RK45")
+
+        def rows(c):
+            # RK45's row (c, 0, 0, 0) adds c * x to a' over the step
+            return (0.0,) * 4, (c, 0.0, 0.0, 0.0)
+        # a' rises to 0 at the end of one step and on from it in the next
+        assert sink(0.0, 1.0, (1.0, -1.0), (1.0, 0.0), rows(1.0)) is None
+        assert sink(1.0, 2.0, (1.0, 0.0), (1.0, 1.0), rows(1.0)) is None
+        assert crossings == [(1.0, (1.0, 0.0))]
+        # falling through 0 is no crossing; rising again is the second
+        assert sink(2.0, 3.0, (1.0, 1.0), (1.0, -1.0), rows(-2.0)) is None
+        end = sink(3.0, 4.0, (1.0, -1.0), (1.0, 1.0), rows(2.0))
+        assert crossings == [(1.0, (1.0, 0.0)), (3.5, (1.0, 0.0))]
+        assert (end.kind, end.t_est) == ("section", 3.5)
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("when, kind", [("before", "early"), ("tie", "blowup"),
+                                            ("step_end", "blowup"), ("no_time", "blowup")])
+    def test_a_floor_in_the_sinks_step(self, method, when, kind):
+        # planar gamma = 2 with xi^2 + lam < 0 collapses; a falls to the floor
+        # at a = 0.5 inside a step, long before the step size gives out
+        p, y0 = params(gamma=2.0, lam=-3.0), (1.0, 0.0)
+        run = RunOptions(method=method, eps_blow=0.5)
+        reference = emden._run(p, 2, y0, 0.0, 5.0, run)[0]
+        assert (reference.kind, reference.detail) == ("blowup", "")
+        T = reference.t_est
+
+        def sink(t, t_new, y, y_new, rows):
+            if not t < T <= t_new:
+                return None
+            t_est = {"before": math.nextafter(T, -math.inf), "tie": T, "step_end": t_new,
+                     "no_time": None}[when]
+            return emden.Termination("early", t_est=t_est)
+        termination, t_stop, _, _ = emden._run(p, 2, y0, 0.0, 5.0, run, sink)
+        assert termination.kind == kind
+        if kind == "blowup":
+            assert repr(termination) == repr(reference) and t_stop == T
+        else:
+            assert termination.t_est < T < t_stop
 
 
 class TestClosedForms:
@@ -730,7 +814,7 @@ class TestFarSteps:
             return
         rows = dense(f, y, y_new, stages, h)
         factors = emden._METHODS["RK45"].factors
-        assert emden._locate(0.0, h, y, rows, factors, floors, 1e-10, None) is None
+        assert emden._locate(0.0, h, y, rows, factors, floors, 1e-10) is None
         assert min(emden._dense_value(0.0, h, y[comp], rows[comp], factors, t)
                    for t in np.linspace(0.0, h, 1000).tolist()) > floor
 

@@ -110,6 +110,30 @@ def test_no_module_of_the_package_imports_scipy():
             assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
 
 
+# imported but not called: bench/tracer.py wraps these names where the
+# modules look them up, so they stay importable from these modules
+TRACED_IMPORTS = {("cli", "classify_3d"), ("cli", "detect_period_2d"), ("classify", "integrate")}
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        # ``import a.b`` binds ``a``
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        unused |= {(path.stem, name) for name in imported - used - exported}
+    assert unused == TRACED_IMPORTS
+
+
 def test_every_mode_runs_without_scipy(tmp_path):
     result = _run_modes(tmp_path, RUNS, schemes=("ellipsoid", "box"))
     assert result["codes"] == [0] * len(RUNS)

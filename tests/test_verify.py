@@ -159,6 +159,17 @@ class TestEulerResidual:
         assert rep.magnitude() < 1e-4
         assert rep.observed_order == pytest.approx(2.0, abs=0.5)
 
+    def test_magnitude_past_the_range_of_a_square(self):
+        # squares that overflow alone, and finite squares whose sum overflows
+        from eulerexact.verify import _rms
+        assert _rms(1.0, 2.0, -3.0, 4.0) == math.sqrt(30.0 / 4.0)
+        assert _rms(3e200, -4e200, 0.0, 0.0) == pytest.approx(2.5e200, rel=1e-15)
+        assert _rms(1.2e154, 1.2e154, -1.2e154, 1.2e154) == pytest.approx(1.2e154, rel=1e-15)
+        rep = ResidualReport(0.0, 0.0, 0.0, 0.0, 1e-3, 1e300, (0.0, 0.0, 0.0))
+        assert rep.magnitude() == pytest.approx(5e299, rel=1e-15)
+        assert _rms(math.inf, 1.0, 0.0, 0.0) == math.inf
+        assert math.isnan(_rms(math.inf, math.nan, 0.0, 0.0))
+
     def test_invalid_h(self):
         p = params()
         source = snapshot_source(p)
