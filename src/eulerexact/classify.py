@@ -1,12 +1,16 @@
 """Lifespan classification and periodicity detection.
 
 The 3D decision table is a pure function of (sign of lam, gamma = 1 or > 1,
-sign of b1): positive lam forces both scale factors outward (global); lam = 0
-leaves b exactly linear so the verdict follows the sign of b1; negative lam
+sign of b1, and for lam = 0 whether xi = 0 with a1 < 0): positive lam forces
+both scale factors outward (global); lam = 0 leaves b exactly linear, and a
+too when xi = 0, so the verdict follows the signs of the slopes; negative lam
 with gamma = 1, or with gamma > 1 and nonexpanding b, collapses b in finite
-time.  The remaining cell (gamma > 1, lam < 0, b1 > 0) is undecided
-analytically and can only be probed numerically (:func:`classify_cell`), which
-never upgrades to "global": surviving a horizon does not prove global existence.
+time.  At gamma = 1 exactly the system decouples (b'' = lam / b), and the
+first integral b'^2 / 2 - lam ln b gives b's collapse time through erf
+(:func:`classify_3d`).  The remaining cell (gamma > 1, lam < 0, b1 > 0) is
+undecided analytically and can only be probed numerically
+(:func:`classify_cell`), which never upgrades to "global": surviving a horizon
+does not prove global existence.
 
 Planar dynamics with lam < 0 and 1 <= gamma < 2 admits periodic orbits; they
 are detected by the first two upward crossings of the pericenter section
@@ -53,9 +57,11 @@ _NUMERIC_NOTE = "numerical evidence, not proof"
 class Classification:
     """Verdict plus its basis.
 
-    Table verdicts cite the decision-table cell (``case``).  ``t_horizon`` is
-    set when the cell was integrated: the time the run reached (the horizon,
-    the collapse time ``T``, or less if the step budget or step size gave out).
+    Table verdicts cite the decision-table cell (``case``).  ``T`` is an
+    absolute time, the exact zero from the table or the collapse a run
+    located.  ``t_horizon`` is set when the cell was integrated: how far past
+    ``ic.t`` the run reached (the horizon, ``T - ic.t``, or less if the step
+    budget or step size gave out).
     A run that stopped short in that way keeps its ``termination`` record;
     runs that reached the horizon or collapsed leave it None.
     ``numerical_evidence`` verdicts carry the evidence disclaimer in ``note``.
@@ -76,18 +82,62 @@ class Classification:
         return d
 
 
+# above this w0 = x1^2 / (2k), e^w0 is near float overflow: the cell is run instead
+_MAX_EXP_ARG = 700.0
+
+
+def _isothermal_zero(x0: float, x1: float, k: float) -> float | None:
+    """Time for x'' = -k / x (k > 0) to reach 0 from x = x0, x' = x1, or None
+    when e^w0 is out of reach (see ``_MAX_EXP_ARG``) or the time overflows.
+
+    The first integral x'^2 / 2 + k ln x puts the top of the orbit at
+    x_max = x0 e^w0 with w0 = x1^2 / (2k); below it x' = -sqrt(2k ln(x_max / x))
+    on the way down, so from any x the fall takes C erfc(sqrt(ln(x_max / x)))
+    with C = x_max sqrt(pi / (2k)).  A rising start first climbs to x_max in
+    C erf(sqrt(w0)).
+    """
+    w0 = x1 * x1 / (2.0 * k)
+    if not w0 <= _MAX_EXP_ARG:
+        return None
+    root = math.sqrt(w0)
+    c = x0 * math.exp(w0) * math.sqrt(math.pi / (2.0 * k))
+    tau = c * (math.erfc(root) if x1 < 0.0 else 1.0 + math.erf(root))
+    return tau if math.isfinite(tau) else None
+
+
 def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
-    """Analytic lifespan verdict for the 3D system from the decision table."""
+    """Analytic lifespan verdict for the 3D system from the decision table.
+
+    ``T`` is set where the table has the exact collapse time in closed form,
+    as an absolute time (``ic.t`` plus the time to the first zero):
+    - lam = 0: b'' = 0, so b = b0 + b1 t, and with xi = 0 also a'' = 0 and
+      a = a0 + a1 t; the cell collapses iff a slope is negative, at the
+      smallest -x0/x1 among those;
+    - lam < 0 at gamma == 1.0 exactly: b'' = lam / b, whose zero time comes
+      from its first integral (``_isothermal_zero``); with xi = 0, a'' = lam / a
+      collapses too and ``T`` is the earlier zero, while xi != 0 keeps a > 0
+      behind the xi^2 / a^3 barrier.  ``T`` is None where e^w0 would
+      overflow and for a near-isothermal gamma != 1, which do not decouple
+      exactly: those cells are run.
+    """
     if p.lam > 0.0:
         return Classification(GLOBAL, "analytic", case="lam_positive")
+    # the factors that feel no xi^2 / a^3 barrier
+    free = [(ic.b, ic.b_dot)] + ([(ic.a, ic.a_dot)] if p.xi == 0.0 else [])
     if p.lam == 0.0:
-        if ic.b_dot >= 0.0:
+        falls = [-x0 / x1 for x0, x1 in free if x1 < 0.0]
+        if not falls:
             return Classification(GLOBAL, "analytic", case="lam_zero_b1_nonnegative")
-        # b'' = 0, so b = b0 + b1 t hits zero exactly at -b0/b1
-        return Classification(BLOWUP, "analytic", case="lam_zero_b1_negative",
-                              T=-ic.b / ic.b_dot)
+        case = ("lam_zero_xi_zero_a1_negative" if p.xi == 0.0 and ic.a_dot < 0.0
+                else "lam_zero_b1_negative")
+        return Classification(BLOWUP, "analytic", case=case, T=ic.t + min(falls))
     if p.is_isothermal:
-        return Classification(BLOWUP, "analytic", case="lam_negative_isothermal")
+        T = None
+        if p.gamma == 1.0:
+            zeros = [_isothermal_zero(x0, x1, -p.lam) for x0, x1 in free]
+            if None not in zeros:
+                T = ic.t + min(zeros)
+        return Classification(BLOWUP, "analytic", case="lam_negative_isothermal", T=T)
     if ic.b_dot <= 0.0:
         return Classification(BLOWUP, "analytic", case="lam_negative_b1_nonpositive")
     return Classification(OPEN_CASE, "analytic", case="lam_negative_b1_positive_open")
@@ -97,9 +147,10 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
                   **run_options) -> Classification:
     """Lifespan verdict of one 3D cell: the table's verdict and case, and ``T``.
 
-    A cell that is not global and has no closed-form ``T`` is integrated once,
-    ``horizon`` time units past ``ic.t``, by the step loop with
-    ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
+    A closed-form ``T`` (:func:`classify_3d`) is the exact zero, whatever the
+    horizon and the collapse floor.  A cell that is not global and has none is
+    integrated once, ``horizon`` time units past ``ic.t``, by the step loop
+    with ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
     ``eps_blow``) and no step table: a collapse gives ``T``, and an open cell
     whose ``T`` was found this way has basis ``numerical_evidence``.  A run
     that ran out of steps or step size before the horizon leaves its

@@ -6,10 +6,11 @@ against the library code paths it checks: a fixed-step classic RK4 stepper
 RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
 trial step and dense rows as component loops over scipy's tableau, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
-period from the first integral by quadrature, and the residual stencil
-written point by point over scalar samples.  The one exception is
-``verify_document``, a serialization reference: it takes the library's
-residual reports and writes the ``verify`` document from per-point dicts.
+period and the isothermal fall time from the first integral by quadrature,
+and the residual stencil written point by point over scalar samples.  The one
+exception is ``verify_document``, a serialization reference: it takes the
+library's residual reports and writes the ``verify`` document from per-point
+dicts.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import DOP853, RK45, quad
 from scipy.optimize import brentq
@@ -185,6 +187,24 @@ def ermakov_pinney_collapse(a0, a1, c, floor):
     roots = [r for r in (q / qa if qa else math.inf, qc / q if q else math.inf)
              if 0.0 < r < math.inf]
     return min(roots, default=None)
+
+
+def isothermal_fall_time(x0, x1, k):
+    """Time for x'' = -k / x (k > 0) to reach zero from (x0, x1), by mpmath
+    quadrature of dt = dx / sqrt(2k ln(x_max / x)) along the first integral
+    x'^2 / 2 + k ln x, whose top is x_max = x0 exp(x1^2 / (2k)).  A rising
+    start climbs from x0 to x_max before it falls from x_max to zero.  The
+    integral is taken in the depth y = x_max - x below the top, so that nodes
+    near the top's inverse square-root singularity keep their precision."""
+    with mpmath.workdps(30):
+        x0, x1, k = mpmath.mpf(x0), mpmath.mpf(x1), mpmath.mpf(k)
+        depth = x0 * mpmath.expm1(x1 * x1 / (2 * k))
+        x_max = x0 + depth
+        speed = lambda y: 1 / mpmath.sqrt(-2 * k * mpmath.log1p(-y / x_max))  # noqa: E731
+        time = mpmath.quad(speed, [depth, x_max])
+        if x1 >= 0:
+            time += 2 * mpmath.quad(speed, [0, depth])
+        return float(time)
 
 
 def central_diff(fun, x, h):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulerexact import (BLOWUP, GLOBAL, OPEN_CASE, EmdenState2D, EmdenState3D,
                         PhysParams, Trajectory, check_no_period_3d,
@@ -9,15 +11,22 @@ from eulerexact import (BLOWUP, GLOBAL, OPEN_CASE, EmdenState2D, EmdenState3D,
                         probe_open_case)
 from eulerexact.emden import Termination
 
-from _oracles import first_integral_period, planar_potential
+from _oracles import first_integral_period, isothermal_fall_time, planar_potential
 
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0):
     return PhysParams(K=K, gamma=gamma, lam=lam, alpha=alpha, xi=xi)
 
 
-def state3(a0=1.0, a1=0.0, b0=1.0, b1=0.0):
-    return EmdenState3D(0.0, a0, a1, b0, b1)
+def state3(a0=1.0, a1=0.0, b0=1.0, b1=0.0, t=0.0):
+    return EmdenState3D(t, a0, a1, b0, b1)
+
+
+def isothermal_T(p, ic):
+    """Collapse time of a gamma = 1, lam < 0 cell from the quadrature oracle:
+    b's zero, or a's when xi = 0 leaves a no barrier and it comes first."""
+    factors = [(ic.b, ic.b_dot)] + ([(ic.a, ic.a_dot)] if p.xi == 0.0 else [])
+    return ic.t + min(isothermal_fall_time(x0, x1, -p.lam) for x0, x1 in factors)
 
 
 class TestDecisionTable:
@@ -39,7 +48,41 @@ class TestDecisionTable:
         for b1 in (-1.0, 0.0, 1.0):
             c = classify_3d(params(gamma=1.0, lam=-1.0), state3(b1=b1))
             assert c.verdict == BLOWUP
-            assert c.T is None
+            # the exact zero of b'' = lam / b, in closed form
+            assert c.T == pytest.approx(isothermal_fall_time(1.0, b1, 1.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("b1, T", [(0.3, 2.0), (-0.25, 2.0), (-1.0, 1.0)])
+    def test_lam_zero_xi_zero_a_is_linear_too(self, b1, T):
+        # xi = 0 and lam = 0 leave a'' = 0: a = 1 - 0.5 t collapses at t = 2
+        p, ic = params(lam=0.0, xi=0.0), state3(a1=-0.5, b1=b1)
+        c = classify_cell(p, ic, 10.0)
+        assert (c.verdict, c.basis, c.T) == (BLOWUP, "analytic", T)
+        assert c.case == "lam_zero_xi_zero_a1_negative"
+        end = integrate(p, ic, 10.0).termination
+        assert (end.kind, end.which) == ("blowup", "a" if b1 > -0.5 else "b")
+        assert end.t_est == pytest.approx(T, rel=1e-8)
+
+    def test_lam_zero_xi_zero_without_a_falling_follows_b(self):
+        p = params(lam=0.0, xi=0.0)
+        assert classify_3d(p, state3(a1=0.0, b1=0.0)).verdict == GLOBAL
+        c = classify_3d(p, state3(a1=0.5, b1=-0.5))
+        assert (c.verdict, c.case, c.T) == (BLOWUP, "lam_zero_b1_negative", 2.0)
+
+    @pytest.mark.parametrize("p, b1, table", [
+        (params(lam=0.0), -0.5, True),
+        (params(gamma=1.0, lam=-1.0), 0.5, True),
+        (params(gamma=1.4, lam=-1.0), 0.2, False),  # an open cell: its T is the run's
+    ])
+    def test_T_is_an_absolute_time(self, p, b1, table):
+        at_0 = classify_cell(p, state3(b1=b1), 30.0)
+        at_5 = classify_cell(p, state3(b1=b1, t=5.0), 30.0)
+        end = integrate(p, state3(b1=b1, t=5.0), 35.0).termination
+        assert (at_5.t_horizon is None) == table
+        if table:
+            assert at_5.T == 5.0 + at_0.T
+        assert at_5.T == pytest.approx(5.0 + at_0.T, rel=1e-9)
+        assert end.t_est == pytest.approx(at_5.T, rel=1e-8)
+        assert 6.0 < at_5.T < 8.0
 
     def test_lam_negative_polytropic_split(self):
         for b1 in (-0.4, 0.0):
@@ -108,6 +151,64 @@ class TestDecisionTable:
             checked += 1
 
 
+isothermal_cells = st.builds(
+    lambda lam, xi, a0, a1, b0, b1: (params(gamma=1.0, lam=lam, xi=xi),
+                                     state3(a0=a0, a1=a1, b0=b0, b1=b1)),
+    st.floats(-2.0, -0.5), st.one_of(st.just(0.0), st.floats(0.3, 2.0)),
+    st.floats(0.3, 2.0), st.floats(-1.5, 1.5), st.floats(0.3, 2.0), st.floats(-1.5, 1.5))
+ISOTHERMAL = [
+    (params(gamma=1.0, lam=-1.0, xi=0.0), state3(a1=-1.0, b1=0.5)),  # a falls first
+    (params(gamma=1.0, lam=-1.0, xi=0.0), state3(a1=0.5, b1=-1.0)),
+    (params(gamma=1.0, lam=-0.5, xi=1.0), state3(a1=-1.5, b1=1.5)),  # a bounces
+    (params(gamma=1.0, lam=-2.0, xi=1.0), state3(a1=0.0, b1=-1.5)),
+]
+
+
+def _examples(test):
+    for cell in ISOTHERMAL:
+        test = example(cell)(test)
+    return test
+
+
+class TestIsothermalClosedForm:
+    """gamma = 1, lam < 0: the table's erf zero against quadrature of the
+    first integral and against both integrators, on generated cells."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(isothermal_cells)
+    @_examples
+    def test_T_is_the_quadrature_of_the_first_integral(self, cell):
+        p, ic = cell
+        c = classify_cell(p, ic, 1.0)
+        assert (c.verdict, c.basis, c.case) == (BLOWUP, "analytic", "lam_negative_isothermal")
+        assert c.T == pytest.approx(isothermal_T(p, ic), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(isothermal_cells)
+    @_examples
+    def test_T_agrees_with_the_default_run(self, cell):
+        p, ic = cell
+        T = classify_cell(p, ic, 1.0).T
+        end = integrate(p, ic, 2.0 * T).termination
+        assert end.kind == "blowup"
+        if p.xi != 0.0:
+            # the xi^2 / a^3 barrier keeps a from its floor
+            assert end.which == "b"
+        assert end.t_est == pytest.approx(T, rel=1e-8, abs=0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(isothermal_cells)
+    @_examples
+    def test_T_agrees_with_a_tight_dop853_run(self, cell):
+        # a floor of 1e-15 puts the floor crossing within about 1e-15 of the zero
+        p, ic = cell
+        T = classify_cell(p, ic, 1.0).T
+        end = integrate(p, ic, 2.0 * T, method="DOP853", rel_tol=1e-13, abs_tol=1e-15,
+                        eps_blow=1e-15).termination
+        assert end.kind == "blowup"
+        assert end.t_est == pytest.approx(T, rel=1e-12, abs=0.0)
+
+
 class TestProbeOpenCase:
     def test_requires_open_case_parameters(self):
         with pytest.raises(ValueError):
@@ -152,20 +253,44 @@ class TestClassifyCell:
         monkeypatch.setattr(eulerexact.classify, "_run", no_run)
         for p, ic in [(params(lam=0.5), state3(b1=-1.0)),
                       (params(lam=0.0), state3(b1=0.5)),
-                      (params(lam=0.0), state3(b0=1.0, b1=-0.5))]:
+                      (params(lam=0.0), state3(b0=1.0, b1=-0.5)),
+                      (params(lam=0.0, xi=0.0), state3(a1=-0.5, b1=0.3)),
+                      (params(gamma=1.0, lam=-1.0), state3(b1=0.5)),
+                      (params(gamma=1.0, lam=-1.0), state3(b1=-0.5)),
+                      (params(gamma=1.0, lam=-0.3, xi=0.0), state3(a1=-0.2, b1=0.4)),
+                      (params(gamma=1.0, lam=-2.0), state3(b1=-37.0))]:
             assert classify_cell(p, ic, 10.0) == classify_3d(p, ic)
-        # the patched name is the one a cell that needs a run goes through
-        with pytest.raises(AssertionError, match="_run called"):
-            classify_cell(params(gamma=1.4, lam=-1.0), state3(b1=0.2), 10.0)
+        # the patched name is the one a cell that needs a run goes through: an
+        # open cell, a near-isothermal gamma, and a b1 or (xi = 0) a1 whose
+        # e^w0 is out of reach
+        for p, ic in [(params(gamma=1.4, lam=-1.0), state3(b1=0.2)),
+                      (params(gamma=1.0 + 1e-13, lam=-1.0), state3(b1=0.5)),
+                      (params(gamma=1.0, lam=-1.0), state3(b1=40.0)),
+                      (params(gamma=1.0, lam=-1.0), state3(b1=-40.0)),
+                      (params(gamma=1.0, lam=-1.0, xi=0.0), state3(a1=40.0))]:
+            with pytest.raises(AssertionError, match="_run called"):
+                classify_cell(p, ic, 10.0)
 
     def test_analytic_blowup_cell_gets_the_runs_collapse_time(self):
         p, ic = params(gamma=1.0, lam=-1.0), state3(b1=0.5)
         c = classify_cell(p, ic, 30.0)
         traj = integrate(p, ic, 30.0)
         assert (c.verdict, c.basis, c.case) == (BLOWUP, "analytic", "lam_negative_isothermal")
-        assert c.T == traj.termination.t_est
-        assert c.t_horizon == c.T
+        # the closed form is the exact zero; the run crosses its floor a hair
+        # before it
+        assert c.T == pytest.approx(isothermal_fall_time(1.0, 0.5, 1.0), rel=1e-12, abs=0.0)
+        assert c.T == pytest.approx(traj.termination.t_est, rel=1e-8, abs=0.0)
+        # no run was made, so nothing is read from one, whatever the horizon
+        assert (c.t_horizon, c.termination) == (None, None)
+        assert classify_cell(p, ic, 0.1) == c
         assert c.note == ""
+
+    def test_near_isothermal_and_overflowing_cells_still_run(self):
+        for p, ic in [(params(gamma=1.0 + 1e-13, lam=-1.0), state3(b1=0.5)),
+                      (params(gamma=1.0, lam=-1.0), state3(b1=-40.0))]:
+            c = classify_cell(p, ic, 30.0)
+            assert (c.verdict, c.basis, c.case) == (BLOWUP, "analytic", "lam_negative_isothermal")
+            assert c.T == c.t_horizon == integrate(p, ic, 30.0).termination.t_est
 
     def test_open_cell_collapse_is_numerical_evidence(self):
         p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)

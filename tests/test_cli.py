@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from eulerexact.cli import FIELD_CSV_HEADER, MODES, _csv_lines, _load_config, build_parser, main
 
-from _oracles import verify_document
+from _oracles import isothermal_fall_time, verify_document
 
 
 def run(tmp_path, *argv):
@@ -632,14 +632,22 @@ class TestOneLifespanPath:
         assert T == float(row[12]) == last["t_est"] == 1.1701510518576843
 
     def test_classify_times_an_analytic_blowup_cell(self, tmp_path):
-        out = tmp_path / "c.json"
-        code, _, _ = run(tmp_path, "classify", "--gamma", "1", "--lambda=-1",
-                         "--sweep-t-end", "30", "--out", str(out))
-        assert code == 0
-        doc = json.loads(out.read_text())
+        docs = []
+        for horizon in ("30", "0.5"):
+            out = tmp_path / f"c{horizon}.json"
+            code, _, _ = run(tmp_path, "classify", "--gamma", "1", "--lambda=-1",
+                             "--sweep-t-end", horizon, "--out", str(out))
+            assert code == 0
+            docs.append(json.loads(out.read_text()))
+        doc = docs[0]
         assert (doc["verdict"], doc["basis"]) == ("finite_time_blowup", "analytic")
         assert doc["case"] == "lam_negative_isothermal"
-        assert 0.0 < doc["T"] == doc["t_horizon"] < 30.0
+        # the closed-form zero, not a run's: no t_horizon, the same T past a
+        # horizon that ends before it
+        assert "t_horizon" not in doc and "termination" not in doc
+        assert 0.0 < doc["T"] < 30.0
+        assert doc["T"] == pytest.approx(isothermal_fall_time(1.0, 0.0, 1.0), rel=1e-12, abs=0.0)
+        assert docs[1] == doc
 
 
 class TestFloorAboveTheStart:
