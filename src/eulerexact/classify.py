@@ -60,8 +60,9 @@ class Classification:
     Table verdicts cite the decision-table cell (``case``).  ``T`` is an
     absolute time, the exact zero from the table or the collapse a run
     located.  ``t_horizon`` is set when the cell was integrated: how far past
-    ``ic.t`` the run reached (the horizon, ``T - ic.t``, or less if the step
-    budget or step size gave out).
+    ``ic.t`` the run reached (the horizon; ``T - ic.t`` for a floor crossing;
+    for a concavity stop the last step, at most ``rel_tol`` max(1, T) short
+    of ``T - ic.t``; or less if the step budget or step size gave out).
     A run that stopped short in that way keeps its ``termination`` record;
     runs that reached the horizon or collapsed leave it None.
     ``numerical_evidence`` verdicts carry the evidence disclaimer in ``note``.
@@ -152,7 +153,10 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     integrated once, ``horizon`` time units past ``ic.t``, by the step loop
     with ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
     ``eps_blow``) and no step table: a collapse gives ``T``, and an open cell
-    whose ``T`` was found this way has basis ``numerical_evidence``.  A run
+    whose ``T`` was found this way has basis ``numerical_evidence``.  A floor
+    crossing ends the run at ``T``; the concavity stop of b (lam < 0) ends it
+    at its last step, ``t_horizon`` past ``ic.t``, with ``T`` the bound one
+    bracket width later.  A run
     that ran out of steps or step size before the horizon leaves its
     ``termination`` in the result.  Bad options, a collapse floor at or above
     ``ic.a`` or ``ic.b`` included, raise even when the table needs no run."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -214,25 +213,21 @@ def run_sample(cfg: RunConfig, out: str) -> int:
     return _exit_code(termination) if truncated else EXIT_OK
 
 
-def _interior_points(field: Field3D, rng: np.random.Generator, count: int):
-    """Random points inside (and away from) the density support: per point,
-    a normal draw of a direction, then a uniform draw of its similarity
-    variable s."""
+def _interior_points(field: Field3D, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` random points inside (and away from) the density support, as
+    a (count, 3) array: one normal draw of ``count`` directions, then one
+    uniform draw of their similarity variables s."""
+    import numpy as np
+
     st = field.state
     sstar = field.profile.cutoff_s
     s_hi = 0.7 * sstar if sstar is not None else 2.0
-    points = []
-    for _ in range(count):
-        direction = rng.normal(size=3)
-        # np.linalg.norm of a 1-D array is sqrt(x.dot(x))
-        norm = math.sqrt(direction.dot(direction))
-        dx, dy, dz = direction.tolist()
-        vx, vy, vz = dx / norm, dy / norm, dz / norm
-        s_target = rng.uniform(0.05, 1.0) * s_hi
-        denom = (vx * vx + vy * vy) / (st.a * st.a) + vz * vz / (st.b * st.b)
-        scale = math.sqrt(s_target / denom)
-        points.append((scale * vx, scale * vy, scale * vz))
-    return points
+    v = rng.normal(size=(count, 3))
+    v /= np.sqrt((v * v).sum(axis=1))[:, None]
+    s_target = rng.uniform(0.05, 1.0, size=count) * s_hi
+    vx, vy, vz = v.T
+    denom = (vx * vx + vy * vy) / (st.a * st.a) + vz * vz / (st.b * st.b)
+    return np.sqrt(s_target / denom)[:, None] * v
 
 
 def refined_residual(*args, **kwargs):
@@ -263,7 +258,7 @@ def run_verify(cfg: RunConfig, out: str) -> int:
     field = Field3D.from_params(cfg.params(), state)
     source = SnapshotFieldSource(field)
     rng = np.random.default_rng(cfg.verify_seed)
-    x, y, z = np.array(_interior_points(field, rng, cfg.verify_points)).T
+    x, y, z = _interior_points(field, rng, cfg.verify_points).T
     table = refined_residual(source, t, x, y, z, cfg.verify_h, mu=cfg.mu)
 
     mass = np.abs(table.mass_residual)

@@ -17,7 +17,9 @@ included, is done by one step loop, ``_run``: an embedded Runge-Kutta pair
 tableaux written out as literals in ``_tableaux`` and scipy's step-size
 controller.  Collapse of a scale factor (a or b reaching a small positive
 floor) is located by root bracketing on each step's dense output, with a port
-of scipy's ``brentq``.  A caller reads a run through one step sink, which sees
+of scipy's ``brentq``; a 3D run with lam < 0, where b is concave, also ends
+once b's zero is bracketed to ``rel_tol`` from the state alone.  A caller
+reads a run through one step sink, which sees
 each step's dense output and may end the run: the step table of
 :func:`integrate`, or the pericenter section of the planar period search
 (``_section``), whose upward crossings of a' = 0 are located the same way.
@@ -151,9 +153,18 @@ class Termination:
 
     kind is one of ``reached_t_end``, ``blowup``, ``step_failure``, or, for
     the planar period search, ``section`` at the second pericenter crossing
-    (``t_est``).  For ``blowup``, ``t_est`` locates the floor crossing,
-    ``which`` names the collapsing factor and ``bracket_width`` is the width
-    of the bracketing interval used to locate it (not a rigorous error bound).
+    (``t_est``).  For ``blowup``, ``which`` names the collapsing factor, and
+    ``t_est`` and ``bracket_width`` depend on how the run saw the collapse:
+    - a floor crossing located on a step's dense output: ``t_est`` is the
+      crossing and ``bracket_width`` is ``rel_tol * |t_est|``, the root
+      finder's tolerance (not a rigorous error bound);
+    - the concavity stop of a 3D run with lam < 0 (b'' < 0): the run's last
+      step ends at ``t_est - bracket_width``, where ``bracket_width`` is
+      b / |b'|, so the zero of b through that state lies in
+      [t_est - bracket_width, t_est]; the exact solution from the start
+      differs from that state by the run's integration error;
+    - a step-size underflow during a collapse: ``t_est`` is where the run
+      stopped and ``bracket_width`` the time scale value / |velocity| there.
     """
 
     kind: str
@@ -855,9 +866,19 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
          run: RunOptions, sink: Callable | None = None):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``.
 
-    The run ends at ``t_end``, at the first floor event, after ``max_steps``
-    steps, on a step failure, or where ``sink`` ends it.  Returns
-    (termination, t_stop, the last accepted state, run statistics).
+    The run ends at ``t_end``, at the first floor event, at the concavity
+    stop, after ``max_steps`` steps, on a step failure, or where ``sink`` ends
+    it.  Returns (termination, t_stop, the last accepted state, run
+    statistics); t_stop is the floor crossing of a floor event and otherwise
+    the end of the last accepted step.
+
+    The concavity stop holds in every 3D run with lam < 0, whatever its
+    caller: there b'' < 0, so from a state with b' < 0 the exact b reaches 0
+    by t + w, w = b / |b'|.  After an accepted step to (t_new, y_new) with
+    b' < 0, w <= ``rel_tol`` max(1, t_new) and t_new + w <= ``t_end``, the run
+    ends as a ``blowup`` of b with ``t_est`` t_new + w and ``bracket_width``
+    w.  It reads only (t_new, y_new), so far steps stay skipped; a floor
+    event or a sink's record in the same step comes first.
 
     A step sink is how a caller reads the run: ``sink(t, t_new, y, y_new,
     rows)`` is called once per accepted step [t, t_new] from y to y_new,
@@ -886,6 +907,8 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     rtol, atol = run.rel_tol, run.abs_tol
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
+    # b'' = lam a^(2 - 2 gamma) b^(-gamma) < 0 for lam < 0
+    concave = dim == 3 and p.lam < 0.0
     floors = run.floors(y0)
     f = _rhs(p, dim)
     t, y, fy = t0, y0, f(y0)
@@ -934,13 +957,21 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
                 t_est, comp, width = hit
                 termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
                                           bracket_width=width)
+        if concave and termination is None and y_new[3] < 0.0:
+            # b is concave, so it reaches 0 by t_new + w
+            w = y_new[2] / -y_new[3]
+            if w <= rtol * max(1.0, t_new) and t_new + w <= t_end:
+                termination = Termination("blowup", t_est=t_new + w, which="b",
+                                          bracket_width=w)
         t, y, fy = t_new, y_new, f_new
         if termination is not None:
             break
 
     if termination is None:
         termination = Termination("reached_t_end")
-    t_stop = termination.t_est if termination.kind == "blowup" else t
+    # a floor event ends the run at its crossing, and a concavity stop, whose
+    # t_est lies past the last step, at that step
+    t_stop = min(t, termination.t_est) if termination.kind == "blowup" else t
     stats = RunStats(accepted=accepted, rejected=rejected,
                      rhs_evals=2 + method.stage_evals * (accepted + rejected)
                      + method.dense_evals * accepted,
@@ -965,9 +996,13 @@ def integrate(
     Terminates early with a ``blowup`` record when a scale factor crosses the
     collapse floor (``eps_blow`` absolute, default ``1e-10`` times the
     component's initial value); the crossing time is located by root
-    bracketing on the dense output to within ``rel_tol * |t|``.  A step-size
-    underflow while a component is collapsing is also reported as blowup; any
-    other failure (including ``max_steps`` exhaustion) is a ``step_failure``.
+    bracketing on the dense output to within ``rel_tol * |t|``.  A 3D run with
+    lam < 0 also ends as a blowup of b at its concavity stop (see ``_run``):
+    the record brackets b's zero in [t_est - bracket_width, t_est], and the
+    trajectory ends at the last accepted step, t_est - bracket_width, so no
+    sample lies past it.  A step-size underflow while a component is
+    collapsing is also reported as blowup; any other failure (including
+    ``max_steps`` exhaustion) is a ``step_failure``.
     """
     dim, y0 = _vec_from_state(initial_state)
     t0 = initial_state.t

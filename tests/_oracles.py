@@ -294,7 +294,7 @@ def verify_document(cfg) -> str:
     state = _integrate(cfg, t).state_at(t) if t > 0.0 else cfg.initial_state()
     field = Field3D.from_params(cfg.params(), state)
     rng = np.random.default_rng(cfg.verify_seed)
-    x, y, z = np.array(_interior_points(field, rng, cfg.verify_points)).T
+    x, y, z = _interior_points(field, rng, cfg.verify_points).T
     reports = refined_residual(SnapshotFieldSource(field), t, x, y, z, cfg.verify_h, mu=cfg.mu)
 
     mass = np.array([abs(r.mass_residual) for r in reports])

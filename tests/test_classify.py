@@ -290,14 +290,19 @@ class TestClassifyCell:
                       (params(gamma=1.0, lam=-1.0), state3(b1=-40.0))]:
             c = classify_cell(p, ic, 30.0)
             assert (c.verdict, c.basis, c.case) == (BLOWUP, "analytic", "lam_negative_isothermal")
-            assert c.T == c.t_horizon == integrate(p, ic, 30.0).termination.t_est
+            traj = integrate(p, ic, 30.0)
+            assert c.T == traj.termination.t_est
+            # the run ends at the concavity bound: its last step is the
+            # horizon reached, and T lies one bracket width past it
+            assert c.t_horizon == traj.t_span[1]
+            assert c.t_horizon <= c.T <= c.t_horizon + traj.termination.bracket_width
 
     def test_open_cell_collapse_is_numerical_evidence(self):
         p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
         c = classify_cell(p, ic, 30.0)
         assert (c.verdict, c.basis) == (OPEN_CASE, "numerical_evidence")
         assert c.note == "numerical evidence, not proof"
-        assert c.T == probe_open_case(p, ic, 30.0).T == 1.4240267193525549
+        assert c.T == probe_open_case(p, ic, 30.0).T == 1.4240267193753302
 
     def test_open_cell_surviving_the_horizon_keeps_the_table_label(self):
         c = classify_cell(params(gamma=2.0, lam=-1.0), state3(b1=1e6), 0.01)
@@ -346,7 +351,7 @@ class TestClassifyCell:
 
     def test_probe_forwards_the_run_options(self):
         p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
-        assert probe_open_case(p, ic, 30.0).T == 1.4240267193525549
+        assert probe_open_case(p, ic, 30.0).T == 1.4240267193753302
         assert probe_open_case(p, ic, 30.0, eps_blow=0.5).T == 1.1701510518576843
 
 

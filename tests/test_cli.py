@@ -289,17 +289,17 @@ GOLDEN_JSON = {
     "verify_t0": (
         ["verify", "--gamma", "1.5", "--lambda", "1", "--xi", "1.2", "--a1", "0.2",
          "--b1", "-0.1", "--verify-points", "8"],
-        "871a0485c222f26ce707f1ab41581cee5fff91d18dc7863d48f6f12610cb283e"),
+        "4cb3af2469a402f408c4e7478e196a54388dfb88c690911002b970c71987bd46"),
     "verify_later_mu": (
         ["verify", "--gamma", "1", "--lambda", "2", "--verify-time", "0.8", "--mu", "0.05",
          "--verify-points", "6"],
-        "b068f5af9e92a9a6497b60871805273e5adce3f7a0eba470b9605333df56b2f5"),
+        "1febf9796329be8c28e7f00ec3564941bb8e5831ce58fb9b945cc385b9f286d3"),
     "classify_3d_table": (
         ["classify", "--lambda", "0", "--b0", "1", "--b1", "-1"],
         "f1abf113149995a360b5ca632492253b14f23ca1678846b3bf2121d61e93cc00"),
     "classify_3d_open_cell": (
         ["classify", "--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
-        "05ccf9fabf8dec852b35042035e39df5c560be05333f56525c5adc26f99856f6"),
+        "c86276abd3899b1dedee8151f4c545db91b839ec610710c30e523ad5285dcd44"),
     "classify_2d_period": (
         ["classify", "--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
          "--t-end", "50"],
@@ -613,7 +613,7 @@ class TestOneLifespanPath:
         row = s_out.read_text().splitlines()[1].split(",")
         probe = probe_open_case(PhysParams(K=1.0, gamma=1.4, lam=-1.0, alpha=1.0, xi=1.0),
                                 EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2), 30.0)
-        assert doc["T"] == float(row[12]) == probe.T == 1.4240267193525549
+        assert doc["T"] == float(row[12]) == probe.T == 1.4240267193753302
         assert (doc["verdict"], doc["basis"]) == tuple(row[10:12]) == (
             "unknown_open_case", "numerical_evidence")
         assert (probe.verdict, probe.basis) == ("finite_time_blowup", "numerical_evidence")
@@ -628,8 +628,10 @@ class TestOneLifespanPath:
         T = json.loads(c_out.read_text())["T"]
         row = s_out.read_text().splitlines()[1].split(",")
         last = json.loads(i_out.read_text().splitlines()[-1])["termination"]
-        # without the floor the run collapses at 1.4240267193525549
+        # without the floor the run stops at the concavity bound 1.4240267193753302;
+        # the floor at 0.5 is crossed first, and located to rel_tol
         assert T == float(row[12]) == last["t_est"] == 1.1701510518576843
+        assert last["bracket_width"] == 1e-10 * T
 
     def test_classify_times_an_analytic_blowup_cell(self, tmp_path):
         docs = []

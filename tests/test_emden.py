@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -17,8 +18,8 @@ from eulerexact._tableaux import RK45_P_BOUND
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
 from _oracles import (dp5_dense_rows, dp5_step, ermakov_pinney, ermakov_pinney_collapse,
-                      rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays, rhs_3d_floats, rk4_fixed,
-                      scipy_run)
+                      isothermal_fall_time, rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays,
+                      rhs_3d_floats, rk4_fixed, scipy_run)
 
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0, mu=0.0):
@@ -835,3 +836,173 @@ class TestFarSteps:
             near = emden._run(p, dim, y0, 0.0, horizon, run)
         # repr writes every float exactly, -0.0 included
         assert repr(shipped) == repr(near)
+
+
+def _concavity_stop(traj):
+    """(t_stop, w, stop state) of a run that ended at the concavity bound:
+    its last step ends at t_stop and its record is ``blowup`` of b at
+    t_stop + w, with width w."""
+    term, last = traj.termination, traj.states[-1]
+    assert (term.kind, term.which, term.detail) == ("blowup", "b", "")
+    assert last.t == traj.t_span[1] < term.t_est
+    assert term.t_est == last.t + term.bracket_width
+    assert term.bracket_width <= 1e-10 * max(1.0, last.t)
+    return last.t, term.bracket_width, last
+
+
+class TestConcavityStop:
+    """A 3D run with lam < 0 has b'' < 0, so from a state with b' < 0 the
+    exact b reaches 0 by t + b / |b'|; the run ends as a ``blowup`` of b once
+    that width is below ``rel_tol`` max(1, t) and the bound is not past
+    ``t_end``."""
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_isothermal_collapse_lies_in_the_bracket(self, method):
+        # gamma = 1 decouples b'' = lam / b, whose zero time the oracle gives
+        # from any state; integrate runs these cells (only classify_cell
+        # takes the closed form).  The bracket is exact for the state the run
+        # stopped at; T from the start differs from that state's zero time by
+        # the run's state error delta: at most 1.0e-11 T on these draws, and
+        # 3.9e-10 T on 300 wider ones with T up to 5600; asserted below
+        # rel_tol T here.
+        rng = np.random.default_rng(22)
+        for _ in range(8):
+            u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+            k = u(0.3, 2.0)
+            p = params(gamma=1.0, lam=-k, xi=u(0.3, 1.5))
+            b0, b1 = u(0.5, 2.0), u(-1.0, 0.5)
+            T = isothermal_fall_time(b0, b1, k)
+            traj = integrate(p, EmdenState3D(0.0, u(0.5, 2.0), u(-0.5, 0.5), b0, b1), T + 5.0,
+                             method=method)
+            t_stop, w, last = _concavity_stop(traj)
+            tau = isothermal_fall_time(last.b, last.b_dot, k)
+            assert 0.0 < tau <= w
+            delta = t_stop + tau - T
+            assert abs(delta) <= 1e-10 * T
+            t_est = traj.termination.t_est
+            assert t_est - w - abs(delta) <= T <= t_est + abs(delta)
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_a_finer_run_lands_in_the_open_cells_bracket(self, method):
+        # gamma > 1, lam < 0, b1 > 0: a run at rel_tol / 100 from the state the
+        # coarse run stopped at collapses inside the coarse bracket, with no
+        # slack.  From the start, the fine run (which reaches its floor before
+        # its own, narrower bound) differs from the coarse one by the coarse
+        # run's state error: it lands inside the bracket on these draws, and
+        # at most 4e-11 T outside it on 169 wider ones; the slack is rel_tol T
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+            p = params(gamma=u(1.1, 1.9), lam=-u(0.5, 2.0), xi=u(0.3, 1.2))
+            ic = EmdenState3D(0.0, u(0.8, 1.5), u(-0.3, 0.3), u(0.5, 1.5), u(0.0, 0.4))
+            coarse = integrate(p, ic, 30.0, method=method)
+            t_stop, w, last = _concavity_stop(coarse)
+            t_est = coarse.termination.t_est
+            for start, slack in ((last, 0.0), (ic, 1e-10 * t_est)):
+                fine = integrate(p, start, 30.0, rel_tol=1e-12, method=method).termination
+                assert (fine.kind, fine.which) == ("blowup", "b")
+                assert t_stop - slack < fine.t_est <= t_est + slack
+
+    def test_no_rule_fires_past_the_horizon(self):
+        # horizons around the collapse of the gamma = 1.4 open cell: each run
+        # reaches its horizon or collapses by it
+        p, ic = params(gamma=1.4, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2)
+        t_stop, w, _ = _concavity_stop(integrate(p, ic, 30.0))
+        for share in (-1.0, -0.5, 0.25, 0.5, 0.9, 1.0, 1.5):
+            horizon = t_stop + share * w
+            traj = integrate(p, ic, horizon)
+            term = traj.termination
+            if term.kind == "reached_t_end":
+                assert traj.t_span[1] == horizon
+            else:
+                assert term.kind == "blowup" and term.t_est <= horizon
+        # just short of the collapse the run reaches its horizon
+        for share in (-0.5, 0.25, 0.5):
+            traj = integrate(p, ic, t_stop + share * w)
+            assert traj.termination.kind == "reached_t_end"
+
+    @pytest.mark.parametrize("eps_blow", [None, 0.5])
+    def test_only_steps_the_bound_cannot_clear_build_rows(self, monkeypatch, eps_blow):
+        # the lifespan run of the gamma = 1.4 open cell: the stop rule reads the
+        # step's end state alone, so the far-step skip stays on.  With the
+        # library's floor the run stops before the floor is in reach of a
+        # step; the floor at 0.5 is reached first, by steps the bound cannot
+        # clear
+        p, y0 = params(gamma=1.4, lam=-1.0), (1.0, 0.0, 1.0, 0.2)
+        run = RunOptions(eps_blow=eps_blow)
+        method = emden._METHODS["RK45"]
+        attempt, dense = method.kernels[3]
+        locate_rows = emden._locate
+        calls = []
+
+        def far(*args):
+            calls.append(("far", method.far(*args)))
+            return calls[-1][1]
+
+        def rows(*args):
+            calls.append(("rows",))
+            return dense(*args)
+
+        def locate(*args):
+            calls.append(("locate",))
+            return locate_rows(*args)
+        shipped = emden._run(p, 3, y0, 0.0, 30.0, run)
+        monkeypatch.setitem(emden._METHODS, "RK45",
+                            method._replace(far=far, kernels={3: (attempt, rows)}))
+        monkeypatch.setattr(emden, "_locate", locate)
+        watched = emden._run(p, 3, y0, 0.0, 30.0, run)
+        assert repr(watched) == repr(shipped)
+        termination, t_stop, _, stats = watched
+        # the concavity stop ends past its last step, a floor event inside it
+        assert (t_stop < termination.t_est) == (eps_blow is None)
+        assert sum(c[0] == "far" for c in calls) == stats.accepted
+        near = [i for i, c in enumerate(calls) if c == ("far", False)]
+        assert (len(near) == 0) == (eps_blow is None) and len(near) < stats.accepted // 10
+        # each rows and locate call follows a step the bound could not clear
+        assert [c for c in calls if c[0] != "far"] == [("rows",), ("locate",)] * len(near)
+        assert all(calls[i + 1:i + 3] == [("rows",), ("locate",)] for i in near)
+
+
+# sha256 of each run's lifespan result, trajectory records and RunStats,
+# pinned before the concavity stop: lam >= 0 and planar runs do not see it
+_UNCHANGED_RUNS = {
+    "3d_lam_zero_collapse": ((1.4, 0.0, 1.0), (1.0, 0.1, 1.0, -0.5), 5.0),
+    "3d_lam_positive": ((1.67, 1.0, 0.5), (1.0, -0.2, 1.2, 0.3), 10.0),
+    "3d_isothermal_lam_positive": ((1.0, 0.5, 1.0), (0.8, 0.1, 1.1, -0.2), 10.0),
+    "2d_orbit": ((1.5, -1.0, 1.0), (1.1, 0.0), 20.0),
+    "2d_collapse": ((2.0, -3.0, 1.0), (1.0, 0.0), 5.0),
+}
+_UNCHANGED_DIGESTS = {
+    ("2d_collapse", "DOP853"):
+        "1a0da1e3ee4b8438be5fdb35d4b093084d9aef9f13233cf7dc2f64a2095236f4",
+    ("2d_collapse", "RK45"):
+        "b5a185401c83089b6c5abc9c8848a640aa7e69aa695fa0b7c27d87c915ab3737",
+    ("2d_orbit", "DOP853"):
+        "04e53e2ada9601b339457e9cd2bbafec01a8798b7436aa3fcb1e76f351d1e7df",
+    ("2d_orbit", "RK45"):
+        "94efdb5f9cdf207b62c9fdb3b296db8eef6d5004cc0ef18cdfd686dab01f8f08",
+    ("3d_isothermal_lam_positive", "DOP853"):
+        "fd414dab1ab48002139e083d4560213116e489c025f708878c80772a60a36411",
+    ("3d_isothermal_lam_positive", "RK45"):
+        "81bf5d13e6b5fa4e96bd61585a20defa5a84b568edcdc9d08e9da318fdc135be",
+    ("3d_lam_positive", "DOP853"):
+        "70ec6266918fe60483f467769f71577e6764ca8c56cc00d4a1798998319289d1",
+    ("3d_lam_positive", "RK45"):
+        "c74cc6add1399ff7bf4f83097fbc6813bbb42f757c362685e4656cf7fdfea45d",
+    ("3d_lam_zero_collapse", "DOP853"):
+        "cc032e2c419aa0b3e440f09366ebd3773d9a793e2be0d8a85fca7902bc39d1a5",
+    ("3d_lam_zero_collapse", "RK45"):
+        "4f3789f834a27beca1fe5b2ed436a58be5289988df7c37727322356416d61852",
+}
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("name", sorted(_UNCHANGED_RUNS))
+def test_runs_without_a_concave_b_are_unchanged(name, method):
+    (gamma, lam, xi), y0, t_end = _UNCHANGED_RUNS[name]
+    p = params(gamma=gamma, lam=lam, xi=xi)
+    dim = 3 if len(y0) == 4 else 2
+    lifespan = emden._run(p, dim, y0, 0.0, t_end, RunOptions(method=method))
+    traj = integrate(p, emden._state_from_vec(dim, 0.0, y0), t_end, method=method)
+    text = repr(lifespan) + "\n".join(traj.jsonl_lines()) + repr(traj.stats)
+    assert hashlib.sha256(text.encode()).hexdigest() == _UNCHANGED_DIGESTS[name, method]

@@ -1,6 +1,8 @@
-"""``emden.strict_json`` and ``verify.ResidualTable.to_json``: the indented
-writers give ``json.dumps(indent=...)``'s bytes, and a non-finite number is
-refused, on every path, with its path in the record named."""
+"""``emden.strict_json`` and ``verify.ResidualTable.to_json``: ``strict_json``
+writes ``json.dumps(indent=...)``'s bytes, the residual table's template
+writer the bytes ``json.dumps(indent=2)`` gives its records, and a
+non-finite number is refused, on every path, with its path in the record
+named."""
 
 import enum
 import json
