@@ -11,26 +11,31 @@ and in the planar case the single equation
 
 Both conserve a first integral (see :func:`energy_3d` / :func:`energy_2d`;
 the formulas are verified symbolically in the test suite).  The equations are
-written once, in ``_rhs``.  Integration, the time shifts of :func:`advance`
-included, is done by one step loop, ``_run``: an embedded Runge-Kutta pair
-(Dormand-Prince 5(4), or DOP853) on plain Python floats, with scipy's
-tableaux written out as literals in ``_tableaux`` and scipy's step-size
-controller.  Collapse of a scale factor (a or b reaching a small positive
-floor) is located by root bracketing on each step's dense output, with a port
-of scipy's ``brentq``; a 3D run with lam < 0, where b is concave, also ends
-once b's zero is bracketed to ``rel_tol`` from the state alone.  A caller
-reads a run through one step sink, which sees
-each step's dense output and may end the run: the step table of
-:func:`integrate`, or the pericenter section of the planar period search
-(``_section``), whose upward crossings of a' = 0 are located the same way.
+written once, as expressions in ``_EQUATIONS``; the right-hand side ``_rhs``
+and the RK45 kernels, which evaluate them in place at every stage, are
+generated from that table and compiled once per state size.  Integration,
+the time shifts of :func:`advance` included, is done by one step loop,
+``_run``: an embedded Runge-Kutta pair (Dormand-Prince 5(4), or DOP853) on
+plain Python floats, with scipy's tableaux written out as literals in
+``_tableaux`` and scipy's step-size controller.  Collapse of a scale factor
+(a or b reaching a small positive floor) is located by root bracketing on
+each step's dense output, with a port of scipy's ``brentq``; a 3D run with
+lam < 0, where b is concave, also ends once b's zero is bracketed to
+``rel_tol`` from the state alone.  A caller reads a run through one step
+sink, which sees each step's dense output and may end the run: the step
+table of :func:`integrate`, or the pericenter section of the planar period
+search (``_section``), whose upward crossings of a' = 0 are located the same
+way.
 The module runs on the standard library; only ``_ieee``, the overflow
 fallback of the right-hand side, imports numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -346,43 +351,33 @@ def _check_span(t0: float, t_end: float) -> None:
         raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
 
 
+# The equations of motion, written once: per state size, the names of the
+# state's components, whose even ones are the scale factors (which must stay
+# > 0), and each component's derivative as an expression of those names and
+# of the family's constants (``_CONSTANTS``, as ``_constants`` gives them).
+_EQUATIONS = {
+    4: (("a", "ad", "b", "bd"),
+        ("ad", "xi2 / a**3 + lam / (a**e1 * b**e2)", "bd", "lam / (a**e3 * b**g)")),
+    2: (("a", "ad"), ("ad", "xi2 / a**3 + lam / a**e1")),
+}
+_CONSTANTS = "g, xi2, lam, e1, e2, e3"
+
+
+def _constants(p: PhysParams) -> tuple:
+    g = p.gamma
+    return g, p.xi * p.xi, p.lam, 2.0 * g - 1.0, g - 1.0, 2.0 * g - 2.0
+
+
 def _rhs(p: PhysParams, dim: int):
-    """The equations of motion as ``rhs(y)`` on a sequence of plain floats
-    (a, a'[, b, b']), returning a tuple.
+    """The equations of motion (``_EQUATIONS``) as ``rhs(y)`` on a sequence
+    of plain floats (a, a'[, b, b']), returning a tuple.
 
     Outside the domain (a or b not > 0) every component is NaN, so the
     controller rejects a trial step that leaves it.  Where a float power
     overflows or a divisor underflows to zero, Python raises; ``rhs`` is then
     evaluated again on numpy scalars, which give IEEE's inf or nan instead.
     """
-    g = p.gamma
-    xi2 = p.xi * p.xi
-    lam = p.lam
-    e1, e2, e3 = 2.0 * g - 1.0, g - 1.0, 2.0 * g - 2.0
-    if dim == 3:
-        nan = (math.nan,) * 4
-
-        def rhs(y):
-            a, ad, b, bd = y
-            if a <= 0.0 or b <= 0.0:
-                return nan
-            try:
-                return ad, xi2 / a**3 + lam / (a**e1 * b**e2), bd, lam / (a**e3 * b**g)
-            except ArithmeticError:
-                return _ieee(rhs, y)
-    else:
-        nan = (math.nan,) * 2
-
-        def rhs(y):
-            a, ad = y
-            if a <= 0.0:
-                return nan
-            try:
-                return ad, xi2 / a**3 + lam / a**e1
-            except ArithmeticError:
-                return _ieee(rhs, y)
-
-    return rhs
+    return _generated(2 * dim - 2)["equations"](*_constants(p))[0]
 
 
 def _ieee(fn, y) -> tuple:
@@ -399,139 +394,120 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
-# Dormand-Prince 5(4) (scipy's RK45), with its stages written out below, one
-# kernel per dimension.  The autonomous system needs no stage times (C); the
-# second stage has zero weight in B, E and P, so those sums leave it out.
-if RK45_B[1] or RK45_E[1] or any(RK45_P[1]):
-    raise ImportError("the RK45 tableau gives its second stage a weight")
-(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65)) = RK45_A
-_B1, _, _B3, _B4, _B5, _B6 = RK45_B
-_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45_E
-((_P10, _P11, _P12, _P13), _, (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43),
- (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73)) = RK45_P
+
+def _rk45_source(size: int) -> str:
+    """The source of the right-hand side and the Dormand-Prince 5(4) kernels
+    (scipy's RK45) of one state size, from ``_EQUATIONS`` and the tableau:
+    ``equations(constants)`` makes (rhs, kernels), ``kernels(rtol, atol)``
+    (attempt, rows), and ``far_test(floors)`` a run's far test (``_rk45_far``).
+
+    ``attempt(y, k1, h)`` gives (y_new, f(y_new), error norm, the flat stages
+    that ``rows(y, y_new, stages, h)`` turns into h times scipy's ``K.T @ P``
+    row per component).  Stage j's state is ``{name}{j}``; ``rhs``'s
+    expressions set its derivatives ``k{j}{name}`` in place, NaN or
+    ``_ieee``'s values where ``rhs`` gives those.  Every sum is in the order
+    of scipy's ``rk_step``, an error term's scale max(|old|, |new|) is
+    ``new if new > old else old`` (max's result, NaN included), and the sum
+    of squares starts at its first term.  The autonomous system needs no
+    stage times (C), and the second stage, with no weight in B, E and P, is
+    left out of their sums.
+    """
+    names, derivs = _EQUATIONS[size]
+    factors = names[::2]
+    used = [j for j, (b, e, p) in enumerate(zip(RK45_B + (0.0,), RK45_E, RK45_P), 1)
+            if b or e or any(p)]
+    word = re.compile(r"\b(%s)\b" % "|".join(names))
+
+    def at(j, expr):
+        """``expr`` in stage j's state."""
+        return word.sub(rf"\g<1>{j}", expr)
+
+    def terms(weights, name, stages):
+        return " + ".join(f"k{j}{name} * {weights[j - 1]!r}" for j in stages)
+
+    def ks(j):
+        return ", ".join(f"k{j}{n}" for n in names)
+    flat = ", ".join(ks(j) for j in used)
+    lines = [f"def equations({_CONSTANTS}):",
+             f"    nan = (math.nan,) * {size}",
+             "    def rhs(y):",
+             f"        {', '.join(names)} = y",
+             f"        if {' or '.join(f'{n} <= 0.0' for n in factors)}:",
+             "            return nan",
+             "        try:",
+             f"            return {', '.join(derivs)}",
+             "        except ArithmeticError:",
+             "            return _ieee(rhs, y)",
+             "    def kernels(rtol, atol):",
+             "        def attempt(y, k1, h):",
+             f"            {', '.join(names)} = y",
+             f"            {ks(1)} = k1"]
+    for j in range(2, 8):
+        # stage 7 is f(y_new)
+        lines += [f"            {n}{j} = {n} + ({terms(RK45_A[j - 1], n, range(1, j))}) * h"
+                  if j < 7 else f"            {n}7 = {n} + h * ({terms(RK45_B, n, used[:-1])})"
+                  for n in names]
+        state = ", ".join(f"{n}{j}" for n in names)
+        lines += [f"            if {' or '.join(f'{n}{j} <= 0.0' for n in factors)}:",
+                  f"                {ks(j).replace(',', ' =')} = math.nan",
+                  "            else:",
+                  "                try:",
+                  *(f"                    k{j}{n} = {at(j, d)}" for n, d in zip(names, derivs)),
+                  "                except ArithmeticError:",
+                  f"                    {ks(j)} = _ieee(rhs, ({state}))"]
+    for n in names:
+        lines += [f"            old, new = abs({n}), abs({n}7)",
+                  f"            e{n} = (({terms(RK45_E, n, used)}) * h",
+                  "                  / (atol + (new if new > old else old) * rtol))"]
+    lines += [f"            return (({', '.join(f'{n}7' for n in names)}), ({ks(7)}),",
+              f"                    math.sqrt({' + '.join(f'e{n} * e{n}' for n in names)})"
+              f" / {size ** 0.5!r}, ({flat}))",
+              "        def rows(y, y_new, stages, h):",
+              f"            {flat} = stages",
+              "            return (" + ", ".join(
+                  "(" + ", ".join(f"({terms([row[c] for row in RK45_P], n, used)}) * h"
+                                  for c in range(4)) + ")" for n in names) + ")",
+              "        return attempt, rows",
+              "    return rhs, kernels",
+              f"def far_test({', '.join(f'floor_{n}' for n in factors)}):",
+              "    def far(y, stages, h):"]
+    for c in range(0, size, 2):
+        reach = " + ".join(f"abs(stages[{i * size + c}]) * {m!r}"
+                           for i, m in enumerate(RK45_P_BOUND))
+        lines += [f"        y_c = y[{c}]",
+                  f"        reach = h * ({reach})",
+                  f"        if not y_c - floor_{names[c]} > 2.0 * reach + 1e-12 * abs(y_c):",
+                  "            return False"]
+    lines += ["        return True", "    return far"]
+    return "\n".join(lines) + "\n"
 
 
-def _dp5_attempt_3d(f, y, k1, h, rtol, atol):
-    """One trial step of the 3D system from y = (a, u, b, v), u = a' and
-    v = b': (y_new, f(y_new), error norm, the stages the dense output needs).
-    Stage j is k_j, and kc_j its component c.  Each stage adds
-    (sum of a_j k_j) * h, as scipy's ``rk_step`` does, and each error term is
-    divided by its own scale before the root mean square."""
-    a, u, b, v = y
-    ka1, ku1, kb1, kv1 = k1
-    ka2, ku2, kb2, kv2 = f((a + (ka1 * _A21) * h, u + (ku1 * _A21) * h,
-                            b + (kb1 * _A21) * h, v + (kv1 * _A21) * h))
-    k3 = ka3, ku3, kb3, kv3 = f((
-        a + (ka1 * _A31 + ka2 * _A32) * h, u + (ku1 * _A31 + ku2 * _A32) * h,
-        b + (kb1 * _A31 + kb2 * _A32) * h, v + (kv1 * _A31 + kv2 * _A32) * h))
-    k4 = ka4, ku4, kb4, kv4 = f((
-        a + (ka1 * _A41 + ka2 * _A42 + ka3 * _A43) * h,
-        u + (ku1 * _A41 + ku2 * _A42 + ku3 * _A43) * h,
-        b + (kb1 * _A41 + kb2 * _A42 + kb3 * _A43) * h,
-        v + (kv1 * _A41 + kv2 * _A42 + kv3 * _A43) * h))
-    k5 = ka5, ku5, kb5, kv5 = f((
-        a + (ka1 * _A51 + ka2 * _A52 + ka3 * _A53 + ka4 * _A54) * h,
-        u + (ku1 * _A51 + ku2 * _A52 + ku3 * _A53 + ku4 * _A54) * h,
-        b + (kb1 * _A51 + kb2 * _A52 + kb3 * _A53 + kb4 * _A54) * h,
-        v + (kv1 * _A51 + kv2 * _A52 + kv3 * _A53 + kv4 * _A54) * h))
-    k6 = ka6, ku6, kb6, kv6 = f((
-        a + (ka1 * _A61 + ka2 * _A62 + ka3 * _A63 + ka4 * _A64 + ka5 * _A65) * h,
-        u + (ku1 * _A61 + ku2 * _A62 + ku3 * _A63 + ku4 * _A64 + ku5 * _A65) * h,
-        b + (kb1 * _A61 + kb2 * _A62 + kb3 * _A63 + kb4 * _A64 + kb5 * _A65) * h,
-        v + (kv1 * _A61 + kv2 * _A62 + kv3 * _A63 + kv4 * _A64 + kv5 * _A65) * h))
-    y_new = (a + h * (ka1 * _B1 + ka3 * _B3 + ka4 * _B4 + ka5 * _B5 + ka6 * _B6),
-             u + h * (ku1 * _B1 + ku3 * _B3 + ku4 * _B4 + ku5 * _B5 + ku6 * _B6),
-             b + h * (kb1 * _B1 + kb3 * _B3 + kb4 * _B4 + kb5 * _B5 + kb6 * _B6),
-             v + h * (kv1 * _B1 + kv3 * _B3 + kv4 * _B4 + kv5 * _B5 + kv6 * _B6))
-    na, nu, nb, nv = y_new
-    k7 = ka7, ku7, kb7, kv7 = f(y_new)
-    # each scale is max(abs(old), abs(new)), written ``n if n > o else o``:
-    # max's result, NaN included, without the call
-    o, n = abs(a), abs(na)
-    ea = ((ka1 * _E1 + ka3 * _E3 + ka4 * _E4 + ka5 * _E5 + ka6 * _E6 + ka7 * _E7) * h
-          / (atol + (n if n > o else o) * rtol))
-    o, n = abs(u), abs(nu)
-    eu = ((ku1 * _E1 + ku3 * _E3 + ku4 * _E4 + ku5 * _E5 + ku6 * _E6 + ku7 * _E7) * h
-          / (atol + (n if n > o else o) * rtol))
-    o, n = abs(b), abs(nb)
-    eb = ((kb1 * _E1 + kb3 * _E3 + kb4 * _E4 + kb5 * _E5 + kb6 * _E6 + kb7 * _E7) * h
-          / (atol + (n if n > o else o) * rtol))
-    o, n = abs(v), abs(nv)
-    ev = ((kv1 * _E1 + kv3 * _E3 + kv4 * _E4 + kv5 * _E5 + kv6 * _E6 + kv7 * _E7) * h
-          / (atol + (n if n > o else o) * rtol))
-    # 0.0 + e * e is e * e, so the sum starts at the first term
-    sq = ea * ea + eu * eu + eb * eb + ev * ev
-    return y_new, k7, math.sqrt(sq) / 4 ** 0.5, (k1, k3, k4, k5, k6, k7)
+@functools.cache
+def _generated(size: int) -> dict:
+    """The factories ``_rk45_source(size)`` defines, compiled once per process;
+    they read ``math`` and ``_ieee`` from this module."""
+    namespace = {}
+    exec(compile(_rk45_source(size), f"<RK45 kernels of state size {size}>", "exec"),
+         globals(), namespace)
+    return namespace
 
 
-def _dp5_dense_3d(f, y, y_new, stages, h):
-    """The step's dense-output rows, one per component of the 3D state."""
-    (ka1, ku1, kb1, kv1), (ka3, ku3, kb3, kv3), (ka4, ku4, kb4, kv4), \
-        (ka5, ku5, kb5, kv5), (ka6, ku6, kb6, kv6), (ka7, ku7, kb7, kv7) = stages
-    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h),
-            _dp5_row(kb1, kb3, kb4, kb5, kb6, kb7, h), _dp5_row(kv1, kv3, kv4, kv5, kv6, kv7, h))
+def _rk45(p: PhysParams, dim: int, rtol: float, atol: float):
+    """A run's right-hand side and RK45 kernels (``_rk45_source``)."""
+    rhs, kernels = _generated(2 * dim - 2)["equations"](*_constants(p))
+    return (rhs, *kernels(rtol, atol))
 
 
-def _dp5_attempt_2d(f, y, k1, h, rtol, atol):
-    """``_dp5_attempt_3d`` for the planar state y = (a, u), u = a'."""
-    a, u = y
-    ka1, ku1 = k1
-    ka2, ku2 = f((a + (ka1 * _A21) * h, u + (ku1 * _A21) * h))
-    k3 = ka3, ku3 = f((a + (ka1 * _A31 + ka2 * _A32) * h, u + (ku1 * _A31 + ku2 * _A32) * h))
-    k4 = ka4, ku4 = f((a + (ka1 * _A41 + ka2 * _A42 + ka3 * _A43) * h,
-                       u + (ku1 * _A41 + ku2 * _A42 + ku3 * _A43) * h))
-    k5 = ka5, ku5 = f((a + (ka1 * _A51 + ka2 * _A52 + ka3 * _A53 + ka4 * _A54) * h,
-                       u + (ku1 * _A51 + ku2 * _A52 + ku3 * _A53 + ku4 * _A54) * h))
-    k6 = ka6, ku6 = f((
-        a + (ka1 * _A61 + ka2 * _A62 + ka3 * _A63 + ka4 * _A64 + ka5 * _A65) * h,
-        u + (ku1 * _A61 + ku2 * _A62 + ku3 * _A63 + ku4 * _A64 + ku5 * _A65) * h))
-    y_new = na, nu = (a + h * (ka1 * _B1 + ka3 * _B3 + ka4 * _B4 + ka5 * _B5 + ka6 * _B6),
-                      u + h * (ku1 * _B1 + ku3 * _B3 + ku4 * _B4 + ku5 * _B5 + ku6 * _B6))
-    k7 = ka7, ku7 = f(y_new)
-    o, n = abs(a), abs(na)
-    ea = ((ka1 * _E1 + ka3 * _E3 + ka4 * _E4 + ka5 * _E5 + ka6 * _E6 + ka7 * _E7) * h
-          / (atol + (n if n > o else o) * rtol))
-    o, n = abs(u), abs(nu)
-    eu = ((ku1 * _E1 + ku3 * _E3 + ku4 * _E4 + ku5 * _E5 + ku6 * _E6 + ku7 * _E7) * h
-          / (atol + (n if n > o else o) * rtol))
-    return y_new, k7, math.sqrt(ea * ea + eu * eu) / 2 ** 0.5, (k1, k3, k4, k5, k6, k7)
-
-
-def _dp5_dense_2d(f, y, y_new, stages, h):
-    """``_dp5_dense_3d`` for the planar state."""
-    (ka1, ku1), (ka3, ku3), (ka4, ku4), (ka5, ku5), (ka6, ku6), (ka7, ku7) = stages
-    return (_dp5_row(ka1, ka3, ka4, ka5, ka6, ka7, h), _dp5_row(ku1, ku3, ku4, ku5, ku6, ku7, h))
-
-
-def _dp5_row(p1, p3, p4, p5, p6, p7, h):
-    """One component's dense-output row: h times scipy's ``K.T @ P`` row, the
-    quartic's coefficients of x, x^2, x^3, x^4."""
-    return ((p1 * _P10 + p3 * _P30 + p4 * _P40 + p5 * _P50 + p6 * _P60 + p7 * _P70) * h,
-            (p1 * _P11 + p3 * _P31 + p4 * _P41 + p5 * _P51 + p6 * _P61 + p7 * _P71) * h,
-            (p1 * _P12 + p3 * _P32 + p4 * _P42 + p5 * _P52 + p6 * _P62 + p7 * _P72) * h,
-            (p1 * _P13 + p3 * _P33 + p4 * _P43 + p5 * _P53 + p6 * _P63 + p7 * _P73) * h)
-
-
-_M1, _M3, _M4, _M5, _M6, _M7 = RK45_P_BOUND
-
-
-def _dp5_far(y, stages, h, floors) -> bool:
-    """Whether the step's dense output provably stays clear of every floor,
-    so that ``_locate`` would find no floor event on it.  A component's
-    output is y_c + h * sum_j k_j[c] * w_j(x) with each weight |w_j| <= M_j
-    on the step (``RK45_P_BOUND``), so it moves at most
-    reach_c = h * sum_j |k_j[c]| * M_j from y_c; a floor f is far when
-    y_c - f > 2 reach_c + 1e-12 |y_c|, a margin that covers the rounding
-    of the rows and of their evaluation.  A NaN reach is never far."""
-    k1, k3, k4, k5, k6, k7 = stages
-    for c, floor in floors:
-        y_c = y[c]
-        reach = h * (abs(k1[c]) * _M1 + abs(k3[c]) * _M3 + abs(k4[c]) * _M4
-                     + abs(k5[c]) * _M5 + abs(k6[c]) * _M6 + abs(k7[c]) * _M7)
-        if not y_c - floor > 2.0 * reach + 1e-12 * abs(y_c):
-            return False
-    return True
+def _rk45_far(dim: int, floors):
+    """A run's test ``far(y, stages, h)`` of whether an accepted step's
+    dense output provably stays clear of every floor, so that ``_locate``
+    would find no floor event on it.  A component's output is
+    y_c + h * sum_j k_j[c] * w_j(x) with each weight |w_j| <= M_j on the step
+    (``RK45_P_BOUND``), so it moves at most reach_c = h * sum_j |k_j[c]| * M_j
+    from y_c; a floor f is far when y_c - f > 2 reach_c + 1e-12 |y_c|, a
+    margin that covers the rounding of the rows and of their evaluation.  A
+    NaN reach is never far."""
+    return _generated(2 * dim - 2)["far_test"](*(floor for _, floor in floors))
 
 
 # DOP853: the 12 stages, the 3 extra stages of its dense output, and the
@@ -552,57 +528,66 @@ def _combine(y, weights, stages, h):
     return out
 
 
-def _dop853_attempt(f, y, k1, h, rtol, atol):
-    stages = [k1]
-    for row in _A8:
-        stages.append(f(_combine(y, row, stages, h)))
-    y_new = _combine(y, DOP853_B, stages, h)
-    stages.append(f(y_new))
-    sq5 = sq3 = 0.0
-    for i, (v, w) in enumerate(zip(y, y_new)):
-        e5 = e3 = 0.0
-        for (c5, c3), k in zip(_E8, stages):
-            e5 += k[i] * c5
-            e3 += k[i] * c3
-        scale = atol + max(abs(v), abs(w)) * rtol
-        e5, e3 = e5 / scale, e3 / scale
-        sq5 += e5 * e5
-        sq3 += e3 * e3
-    if sq5 == 0.0 and sq3 == 0.0:
-        err = 0.0
-    else:
-        err = abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
-    return y_new, stages[-1], err, stages
+def _dop853(p: PhysParams, dim: int, rtol: float, atol: float):
+    """A run's right-hand side and DOP853 kernels, table-driven for any state
+    size: the trial step, as ``_rk45_source``'s, and per component scipy's
+    seven ``F`` rows of the interpolant, whose three extra stages are
+    evaluated there."""
+    f = _rhs(p, dim)
 
+    def attempt(y, k1, h):
+        stages = [k1]
+        for row in _A8:
+            stages.append(f(_combine(y, row, stages, h)))
+        y_new = _combine(y, DOP853_B, stages, h)
+        stages.append(f(y_new))
+        sq5 = sq3 = 0.0
+        for i, (v, w) in enumerate(zip(y, y_new)):
+            e5 = e3 = 0.0
+            for (c5, c3), k in zip(_E8, stages):
+                e5 += k[i] * c5
+                e3 += k[i] * c3
+            scale = atol + max(abs(v), abs(w)) * rtol
+            e5, e3 = e5 / scale, e3 / scale
+            sq5 += e5 * e5
+            sq3 += e3 * e3
+        if sq5 == 0.0 and sq3 == 0.0:
+            err = 0.0
+        else:
+            err = abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+        return y_new, stages[-1], err, stages
 
-def _dop853_dense(f, y, y_new, stages, h):
-    """Per component, scipy's seven ``F`` rows of the DOP853 interpolant; the
-    three extra stages are evaluated here."""
-    stages = list(stages)
-    for row in _A8_EXTRA:
-        stages.append(f(_combine(y, row, stages, h)))
-    rows = []
-    for i, v in enumerate(y):
-        dy = y_new[i] - v
-        f_old, f_new = stages[0][i], stages[DOP853_STAGES][i]
-        coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
-        for d in DOP853_D:
-            acc = 0.0
-            for w, k in zip(d, stages):
-                acc += k[i] * w
-            coeffs.append(h * acc)
-        rows.append(tuple(coeffs))
-    return rows
+    def rows(y, y_new, stages, h):
+        stages = list(stages)
+        for row in _A8_EXTRA:
+            stages.append(f(_combine(y, row, stages, h)))
+        out = []
+        for i, v in enumerate(y):
+            dy = y_new[i] - v
+            f_old, f_new = stages[0][i], stages[DOP853_STAGES][i]
+            coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
+            for d in DOP853_D:
+                acc = 0.0
+                for w, k in zip(d, stages):
+                    acc += k[i] * w
+                coeffs.append(h * acc)
+            out.append(tuple(coeffs))
+        return out
+
+    return f, attempt, rows
 
 
 class _Method(NamedTuple):
-    """An embedded pair: its trial step and dense-output coefficients per
-    dimension (``kernels[dim]``), the factors of its nested dense polynomial,
-    the order of its error estimate, its right-hand-side evaluations per
-    attempt and per dense output, and its test that an accepted step stays
-    clear of the floors without its dense output (None: no such test)."""
+    """An embedded pair: ``kernels(p, dim, rtol, atol)``, which makes a run's
+    right-hand side, trial step ``attempt(y, k1, h)`` and dense-output rows
+    ``rows(y, y_new, stages, h)``; the factors of its nested dense
+    polynomial; the order of its error estimate; its right-hand-side
+    evaluations per attempt and per dense output; and ``far(dim, floors)``,
+    which makes a run's test ``far(y, stages, h)`` that an accepted step
+    stays clear of the floors without its dense output (None: no such
+    test)."""
 
-    kernels: dict[int, tuple[Callable, Callable]]
+    kernels: Callable
     factors: Callable
     error_order: int
     stage_evals: int
@@ -615,10 +600,8 @@ class _Method(NamedTuple):
 # factor w_k in [0, 1] on the step: Horner's rule in x for RK45, alternating
 # x and 1 - x for DOP853 (scipy's Dop853DenseOutput).
 _METHODS = {
-    "RK45": _Method({2: (_dp5_attempt_2d, _dp5_dense_2d), 3: (_dp5_attempt_3d, _dp5_dense_3d)},
-                    lambda x: (x, x, x, x), 4, 6, 0, _dp5_far),
-    "DOP853": _Method(dict.fromkeys((2, 3), (_dop853_attempt, _dop853_dense)),
-                      lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
+    "RK45": _Method(_rk45, lambda x: (x, x, x, x), 4, 6, 0, _rk45_far),
+    "DOP853": _Method(_dop853, lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
                       7, DOP853_STAGES, DOP853_STAGES_EXTENDED - DOP853_STAGES - 1, None),
 }
 
@@ -782,7 +765,7 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
     polynomial provably stays above the floor (``_floor_clear`` on its
     coefficients), the step is scanned at 9 evenly spaced samples so a dip
     below the floor inside the step is not missed.  A lifespan run calls it
-    only for a step that ``_dp5_far`` could not clear.
+    only for a step that its far test (``_rk45_far``) could not clear.
     """
     samples = None
     best = None
@@ -887,56 +870,71 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     earlier ``t_est`` ends the run, and the floor wins a tie.  Events read
     only the current step, so a run keeps a step table only through a sink
     (``_DenseOutput.append``).  Without a sink, a run of RK45 (a lifespan
-    run) builds a step's rows and calls ``_locate`` only when ``_dp5_far``
+    run) builds a step's rows and calls ``_locate`` only when its far test
     cannot show from the step's stages that no floor is within reach; every
     floor time is the one a run that builds every step's rows finds.  A
     floor (``RunOptions.floors``) at or above its start raises ValueError.
 
-    The controller is scipy's: the initial step of ``select_initial_step``, a
-    step never below 10 ulp of t, growth by 0.9 err^(-1/(order+1)) within
-    [0.2, 10], and no growth right after a rejection.  A trial step whose
-    error norm is not below 1 (NaN included) is rejected.
+    The run makes its functions once, before the first step: the method's
+    right-hand side, trial step and dense rows for the family and the
+    tolerances, and, without a sink, the far test for its floors
+    (``_Method``).  The controller is scipy's: the initial step of
+    ``select_initial_step``, a step never below 10 ulp of t, growth by
+    0.9 err^(-1/(order+1)) within [0.2, 10], and no growth right after a
+    rejection.  A trial step whose error norm is not below 1 (NaN included)
+    is rejected.
     """
     _check_span(t0, t_end)
     method = _METHODS[run.method]
-    attempt, dense_rows = method.kernels[dim]
+    rtol, atol, max_steps = run.rel_tol, run.abs_tol, run.max_steps
+    floors = run.floors(y0)
+    f, attempt, dense_rows = method.kernels(p, dim, rtol, atol)
     factors = method.factors
     # with no sink, only floors read a step's rows: a step whose floors the
     # method shows to be out of reach needs none
-    far = method.far if sink is None else None
-    rtol, atol = run.rel_tol, run.abs_tol
+    far = method.far(dim, floors) if sink is None and method.far is not None else None
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
     # b'' = lam a^(2 - 2 gamma) b^(-gamma) < 0 for lam < 0
     concave = dim == 3 and p.lam < 0.0
-    floors = run.floors(y0)
-    f = _rhs(p, dim)
+    nextafter, inf = math.nextafter, math.inf
     t, y, fy = t0, y0, f(y0)
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
     accepted = rejected = 0
     h_min, h_max = math.inf, -math.inf
     termination = None
 
+    # the builtins min and max are written as comparisons in their argument
+    # order, which keeps their results, NaN included: min(u, v) is
+    # v if v < u else u, and max(u, v) is v if v > u else u
     while t < t_end:
-        if accepted >= run.max_steps:
+        if accepted >= max_steps:
             termination = Termination("step_failure",
-                                      detail=f"max_steps={run.max_steps} exhausted")
+                                      detail=f"max_steps={max_steps} exhausted")
             break
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10.0 * (nextafter(t, inf) - t)
+        if min_step > h_abs:
+            h_abs = min_step
         step_rejected = False
         while True:
             if not h_abs >= min_step:  # a NaN step size too
                 termination = _diagnose_failure(t, y, y0, comp_names)
                 break
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
             h = t_new - t
-            y_new, f_new, err, stages = attempt(f, y, fy, h, rtol, atol)
+            y_new, f_new, err, stages = attempt(y, fy, h)
             if err < 1.0:
-                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**exponent)
-                h_abs = h * (min(1.0, factor) if step_rejected else factor)
+                factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**exponent
+                if not factor < _MAX_FACTOR:
+                    factor = _MAX_FACTOR
+                if step_rejected and not factor < 1.0:
+                    factor = 1.0
+                h_abs = h * factor
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * err**exponent)
+            factor = _SAFETY * err**exponent
+            h_abs = h * (factor if factor > _MIN_FACTOR else _MIN_FACTOR)
             step_rejected = True
             rejected += 1
         if termination is not None:
@@ -946,8 +944,8 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             h_min = h
         if h > h_max:
             h_max = h
-        if far is None or not far(y, stages, h, floors):
-            rows = dense_rows(f, y, y_new, stages, h)
+        if far is None or not far(y, stages, h):
+            rows = dense_rows(y, y_new, stages, h)
             hit = _locate(t, t_new, y, rows, factors, floors, rtol)
             if sink is not None:
                 termination = sink(t, t_new, y, y_new, rows)

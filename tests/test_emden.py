@@ -415,11 +415,33 @@ class TestStrictJsonl:
         assert not out.exists()
 
 
+def _reference_rk45(p, dim, rtol, atol):
+    """RK45's kernels with the trial step of the component-loop reference
+    (``_oracles.dp5_step``), which calls ``emden._rhs`` once per stage where
+    the generated step evaluates its stages in place; ``TestKernels`` holds
+    the two equal bit for bit."""
+    f = emden._rhs(p, dim)
+    rows = emden._rk45(p, dim, rtol, atol)[2]
+
+    def attempt(y, k1, h):
+        y_new, k7, err, stages = dp5_step(f, y, k1, h, rtol, atol)
+        return tuple(y_new), k7, err, tuple(v for k in stages for v in k)
+    return f, attempt, rows
+
+
 class TestRunStats:
     @pytest.mark.parametrize("method, per_attempt, per_dense", [("RK45", 6, 0), ("DOP853", 12, 3)])
     def test_counters_are_exact(self, monkeypatch, method, per_attempt, per_dense):
         calls = 0
         real = emden._rhs
+        cases = [
+            # the steep collapse rejects steps
+            (params(gamma=2.0, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0), 10.0),
+            (params(gamma=1.5, lam=0.8), EmdenState3D(0.0, 1.0, 0.2, 1.1, -0.3), 6.0),
+            (params(gamma=1.5, lam=-1.0), EmdenState2D(0.0, 1.1, 0.0), 10.0),
+            (params(gamma=1.2, lam=0.5, xi=0.3), EmdenState2D(0.0, 0.8, -0.4), 20.0),
+        ]
+        shipped = [integrate(p, ic, t_end, method=method) for p, ic, t_end in cases]
 
         def counting(p, dim):
             f = real(p, dim)
@@ -432,16 +454,16 @@ class TestRunStats:
             return rhs
 
         monkeypatch.setattr(emden, "_rhs", counting)
+        if method == "RK45":
+            monkeypatch.setitem(emden._METHODS, "RK45",
+                                emden._METHODS["RK45"]._replace(kernels=_reference_rk45))
         rejected = 0
-        # the steep collapse rejects steps
-        for p, ic, t_end in [
-            (params(gamma=2.0, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0), 10.0),
-            (params(gamma=1.5, lam=0.8), EmdenState3D(0.0, 1.0, 0.2, 1.1, -0.3), 6.0),
-            (params(gamma=1.5, lam=-1.0), EmdenState2D(0.0, 1.1, 0.0), 10.0),
-            (params(gamma=1.2, lam=0.5, xi=0.3), EmdenState2D(0.0, 0.8, -0.4), 20.0),
-        ]:
+        for (p, ic, t_end), want in zip(cases, shipped):
             calls = 0
             traj = integrate(p, ic, t_end, method=method)
+            # the counted run is the shipped one, step for step
+            assert (traj.jsonl_lines(), repr(traj.stats)) == (want.jsonl_lines(),
+                                                              repr(want.stats))
             s = traj.stats
             # FSAL: an attempt's last stage is the next step's first
             assert s.rhs_evals == calls == (2 + per_attempt * (s.accepted + s.rejected)
@@ -712,13 +734,13 @@ def bits(obj) -> list[bytes]:
 
 def _kernel_and_reference(p, state, h, rtol, atol):
     dim, y = emden._vec_from_state(state)
-    f = emden._rhs(p, dim)
+    f, attempt, rows = emden._METHODS["RK45"].kernels(p, dim, rtol, atol)
     k1 = f(y)
-    attempt, dense = emden._METHODS["RK45"].kernels[dim]
-    got = attempt(f, y, k1, h, rtol, atol)
-    want = dp5_step(f, y, k1, h, rtol, atol)
+    got = attempt(y, k1, h)
+    want = dp5_step(emden._rhs(p, dim), y, k1, h, rtol, atol)
+    # the kernel's stages are flat, the reference's one tuple per stage
     assert bits(got) == bits(want)
-    assert bits(dense(f, y, got[0], got[3], h)) == bits(dp5_dense_rows(want[3], h))
+    assert bits(rows(y, got[0], got[3], h)) == bits(dp5_dense_rows(want[3], h))
     return got
 
 
@@ -735,8 +757,8 @@ kernel_states = st.one_of(
 
 
 class TestKernels:
-    """The written-out RK45 kernels against the component-loop reference
-    step (``_oracles.dp5_step``), bit for bit."""
+    """The generated RK45 kernels of both state sizes against the
+    component-loop reference step (``_oracles.dp5_step``), bit for bit."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(kernel_params, kernel_states, _real(1e-8, 3.0), _real(MIN_REL_TOL, 1e-2),
@@ -769,7 +791,7 @@ class TestKernels:
         _, _, err, stages = _kernel_and_reference(p, state, h, 1e-10, 1e-12)
         if leaves_domain:
             assert math.isnan(err) and not err < 1.0
-            assert any(math.isnan(v) for k in stages for v in k)
+            assert any(math.isnan(v) for v in stages)
         else:
             assert calls > 0
             # the fallback gives numpy's IEEE values of the raw equations
@@ -779,16 +801,98 @@ class TestKernels:
                 want = rhs(tuple(map(np.float64, y)), p.K, p.gamma, p.lam, p.xi)
             assert bits(emden._rhs(p, dim)(y)) == bits(want.tolist())
 
+    @pytest.mark.parametrize("p, state, h, stage, leaves_domain", [
+        # free motion, a falling linearly: a**3 underflows to 0 (so 0 / 0
+        # raises) from the sixth stage on
+        (params(lam=0.0, xi=0.0), EmdenState2D(0.0, 1e-103, -1e-103), 0.99999, 6, False),
+        (params(lam=0.0, xi=0.0), EmdenState3D(0.0, 1e-103, -1e-103, 1.0, 0.0), 0.99999, 6,
+         False),
+        # a^(2 gamma - 1) overflows from the fourth stage on
+        (params(gamma=3.0, lam=1.0), EmdenState2D(0.0, 2e61, 4e61), 1.0, 4, False),
+        (params(gamma=3.0, lam=1.0), EmdenState3D(0.0, 2e61, 4e61, 1.0, 0.0), 1.0, 4, False),
+        # the fourth stage leaves the domain
+        (params(lam=0.0, xi=0.0), EmdenState2D(0.0, 0.2, -2.0), 0.3, 4, True),
+        (params(), EmdenState3D(0.0, 1.0, 0.0, 0.2, -2.0), 0.3, 4, True),
+    ])
+    def test_a_middle_stage_falls_back(self, p, state, h, stage, leaves_domain):
+        assert _fallback_stages(p, state, h)[leaves_domain] == stage
+        _kernel_and_reference(p, state, h, 1e-10, 1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3]), st.booleans(), _real(0.0, 1.0), _real(0.3, 2.0),
+           _real(0.05, 1.5), _real(1.0, 2.0))
+    def test_steps_that_fall_back_at_any_stage_are_the_reference(
+            self, dim, huge, depth, speed, h, gamma):
+        # nearly free motion from a start near where a**3 underflows to 0 (a
+        # falling) or a power of a overflows (a rising), so the fallback fires
+        # at whichever stage crosses that edge, or the stage leaves the domain
+        if huge:
+            edge = 10.0 ** (308.0 / max(3.0, 2.0 * gamma - 1.0))
+            a = edge / (1.0 + 2.0 * depth)
+            p, y = params(gamma=gamma, lam=1.0), (a, speed * a / h)
+        else:
+            a = 1.4e-108 * 10.0 ** (3.0 * depth)
+            p, y = params(gamma=gamma, lam=0.0, xi=0.0), (a, -speed * a / h)
+        state = EmdenState3D(0.0, *y, 1.0, 0.0) if dim == 3 else EmdenState2D(0.0, *y)
+        _kernel_and_reference(p, state, h, 1e-10, 1e-12)
+
+
+    def test_each_state_size_is_compiled_once_per_process(self, monkeypatch):
+        compiled = []
+
+        def counting(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+        monkeypatch.setattr(emden, "compile", counting, raising=False)
+        emden._generated.cache_clear()
+        codes = set()
+        # two families, two runs of each with other options, both sizes
+        for p in (params(gamma=1.4, lam=-1.0), params(gamma=2.0, lam=0.5, xi=0.3)):
+            for y0 in ((1.0, 0.0, 1.0, 0.2), (1.1, 0.0)):
+                dim = len(y0) // 2 + 1
+                for run in (RunOptions(), RunOptions(rel_tol=1e-8, eps_blow=0.5)):
+                    emden._run(p, dim, y0, 0.0, 2.0, run)
+                    kernels = emden._METHODS["RK45"].kernels(p, dim, run.rel_tol, run.abs_tol)
+                    far = emden._METHODS["RK45"].far(dim, run.floors(y0))
+                    codes.add(tuple(fn.__code__ for fn in (*kernels, far, emden._rhs(p, dim))))
+        assert len(compiled) == 2
+        # every run and family reuses its size's code objects
+        assert len(codes) == 2
+
+def _fallback_stages(p, state, h):
+    """(the first stage, 2 to 7, of the reference step from ``state`` whose
+    right-hand side falls back to ``_ieee``, the first whose state leaves
+    the domain), None where there is none."""
+    dim, y = emden._vec_from_state(state)
+    f = emden._rhs(p, dim)
+    k1 = f(y)
+    seen, raised = [], []
+
+    def recording(stage):
+        seen.append(tuple(stage))
+        return f(stage)
+
+    def ieee(fn, stage):
+        raised.append(len(seen) + 1)
+        return real(fn, stage)
+    real = emden._ieee
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emden, "_ieee", ieee)
+        dp5_step(recording, y, k1, h, 1e-10, 1e-12)
+    outside = [j for j, s in enumerate(seen, 2) if not min(s[::2]) > 0.0]
+    return min(raised, default=None), min(outside, default=None)
+
 
 collapse_params = st.builds(params, gamma=st.one_of(st.just(1.0), _real(1.0, 2.5)),
                             lam=_real(-2.0, -0.1), xi=_real(0.0, 1.5))
 
 
 class TestFarSteps:
-    """A lifespan run skips the dense output of a step that ``_dp5_far``
-    clears.  Such a step has no floor event: ``_locate`` finds none on its
-    rows and its dense output stays above the floor.  And a lifespan run
-    that never trusts the bound is the shipped run, bit for bit."""
+    """A lifespan run skips the dense output of a step that its far test
+    (``_rk45_far``) clears.  Such a step has no floor event: ``_locate``
+    finds none on its rows and its dense output stays above the floor.  And
+    a lifespan run that never trusts the bound, and so builds every step's
+    rows, is the shipped run, bit for bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(collapse_params, st.sampled_from([2, 3]), _real(0.01, 2.0), _real(-2.0, 2.0),
@@ -798,22 +902,23 @@ class TestFarSteps:
         y = (a, u, b, v)[:2 * dim - 2]
         comp = comp if dim == 3 else 0
         h = 10.0 ** log_h
-        f = emden._rhs(p, dim)
-        attempt, dense = emden._METHODS["RK45"].kernels[dim]
+        f, attempt, dense = emden._METHODS["RK45"].kernels(p, dim, 1e-10, 1e-12)
         # whether or not the controller would accept the step: the bound
         # does not read its error
-        y_new, _, _, stages = attempt(f, y, f(y), h, 1e-10, 1e-12)
-        ks = [k[comp] for k in stages]
-        assume(all(map(math.isfinite, ks)))
-        reach = h * sum(abs(k) * m for k, m in zip(ks, RK45_P_BOUND))
-        floor = y[comp] - reaches * reach
+        y_new, _, _, stages = attempt(y, f(y), h)
+        assume(all(map(math.isfinite, stages[comp::len(y)])))
+
+        def reach(c):
+            return h * sum(abs(k) * m for k, m in zip(stages[c::len(y)], RK45_P_BOUND))
+        floor = y[comp] - reaches * reach(comp)
         assume(floor > 0.0)
-        floors = [(comp, floor)]
-        far = emden._dp5_far(y, stages, h, floors)
-        assert far == (y[comp] - floor > 2.0 * reach + 1e-12 * y[comp])
+        # a run has a floor per scale factor: the other one's is the library's
+        floors = [(c, floor if c == comp else 1e-10 * y[c]) for c in range(0, len(y), 2)]
+        far = emden._METHODS["RK45"].far(dim, floors)(y, stages, h)
+        assert far == all(y[c] - f_c > 2.0 * reach(c) + 1e-12 * y[c] for c, f_c in floors)
         if not far:
             return
-        rows = dense(f, y, y_new, stages, h)
+        rows = dense(y, y_new, stages, h)
         factors = emden._METHODS["RK45"].factors
         assert emden._locate(0.0, h, y, rows, factors, floors, 1e-10) is None
         assert min(emden._dense_value(0.0, h, y[comp], rows[comp], factors, t)
@@ -830,12 +935,26 @@ class TestFarSteps:
         eps_blow = None if floor_share is None else floor_share * min(y0[::2])
         run = RunOptions(max_steps=5000, eps_blow=eps_blow)
         shipped = emden._run(p, dim, y0, 0.0, horizon, run)
+        method = emden._METHODS["RK45"]
+        built = 0
+
+        def kernels(*args):
+            f, attempt, rows = method.kernels(*args)
+
+            def counted(*step):
+                nonlocal built
+                built += 1
+                return rows(*step)
+            return f, attempt, counted
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(emden._METHODS, "RK45",
-                       emden._METHODS["RK45"]._replace(far=lambda *args: False))
+            mp.setitem(emden._METHODS, "RK45", method._replace(
+                kernels=kernels, far=lambda dim, floors: lambda y, stages, h: False))
             near = emden._run(p, dim, y0, 0.0, horizon, run)
         # repr writes every float exactly, -0.0 included
         assert repr(shipped) == repr(near)
+        # the run that never trusts the bound builds every step's rows
+        assert built == near[3].accepted
 
 
 def _concavity_stop(traj):
@@ -931,24 +1050,31 @@ class TestConcavityStop:
         p, y0 = params(gamma=1.4, lam=-1.0), (1.0, 0.0, 1.0, 0.2)
         run = RunOptions(eps_blow=eps_blow)
         method = emden._METHODS["RK45"]
-        attempt, dense = method.kernels[3]
         locate_rows = emden._locate
         calls = []
 
-        def far(*args):
-            calls.append(("far", method.far(*args)))
-            return calls[-1][1]
+        def far_test(*args):
+            test = method.far(*args)
 
-        def rows(*args):
-            calls.append(("rows",))
-            return dense(*args)
+            def far(*step):
+                calls.append(("far", test(*step)))
+                return calls[-1][1]
+            return far
+
+        def kernels(*args):
+            f, attempt, dense = method.kernels(*args)
+
+            def rows(*step):
+                calls.append(("rows",))
+                return dense(*step)
+            return f, attempt, rows
 
         def locate(*args):
             calls.append(("locate",))
             return locate_rows(*args)
         shipped = emden._run(p, 3, y0, 0.0, 30.0, run)
         monkeypatch.setitem(emden._METHODS, "RK45",
-                            method._replace(far=far, kernels={3: (attempt, rows)}))
+                            method._replace(far=far_test, kernels=kernels))
         monkeypatch.setattr(emden, "_locate", locate)
         watched = emden._run(p, 3, y0, 0.0, 30.0, run)
         assert repr(watched) == repr(shipped)
@@ -1006,3 +1132,38 @@ def test_runs_without_a_concave_b_are_unchanged(name, method):
     traj = integrate(p, emden._state_from_vec(dim, 0.0, y0), t_end, method=method)
     text = repr(lifespan) + "\n".join(traj.jsonl_lines()) + repr(traj.stats)
     assert hashlib.sha256(text.encode()).hexdigest() == _UNCHANGED_DIGESTS[name, method]
+
+
+# The lifespan runs of one deck-like sweep (gamma = 1.4, lam = -1, horizon 30,
+# the other keys at their defaults), pinned before the RK45 kernels were
+# generated: per b1, the run's termination and its RunStats (accepted,
+# rejected, rhs_evals, h_min, h_max), written exactly by repr
+_PINNED_SWEEP_RUNS = [
+    ("Termination(kind='blowup', t_est=0.8256756211137226, which='b', "
+     "bracket_width=9.498224804396954e-11, detail='')",
+     (364, 0, 2186, 5.648037593175559e-12, 0.023223452377702018)),
+    ("Termination(kind='blowup', t_est=1.5723625942640838, which='b', "
+     "bracket_width=1.5164084546251734e-10, detail='')",
+     (383, 1, 2306, 9.016787316795671e-12, 0.03132885566487775)),
+    ("Termination(kind='reached_t_end', t_est=None, which=None, bracket_width=None, "
+     "detail='')",
+     (134, 0, 806, 0.001908023162027349, 1.2204453777157305)),
+]
+
+
+def test_a_deck_like_sweep_takes_its_pinned_steps(monkeypatch, tmp_path):
+    from eulerexact import classify, cli
+
+    runs = []
+    real = classify._run
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(classify, "_run", recording)
+    assert cli.main(["sweep", "--gamma", "1.4", "--lambda=-1", "--sweep", "b1=-0.5,0.3,2.0",
+                     "--sweep-t-end", "30", "--out", str(tmp_path / "sweep.csv")]) == 0
+    got = [(repr(term), (s.accepted, s.rejected, s.rhs_evals, s.h_min, s.h_max))
+           for term, _, _, s in runs]
+    assert got == _PINNED_SWEEP_RUNS
