@@ -28,8 +28,7 @@ __all__ = [
     "EmdenState3D", "EmdenState2D", "Termination", "Trajectory", "RunStats",
     "emden_rhs_3d", "emden_rhs_2d", "energy_3d", "energy_2d",
     "integrate", "advance",
-    "Field3D", "Field2D", "FieldSample", "GeneralMassFamily",
-    "SnapshotFieldSource", "TrajectoryFieldSource", "GeneralFamilySource",
+    "Field3D", "Field2D", "FieldSample", "SnapshotFieldSource",
     "ResidualReport", "MassBudget", "RegularityReport",
     "mass_residual", "euler_residual", "navier_stokes_residual",
     "refined_residual", "total_mass", "cutoff_regularity_check",
@@ -42,11 +41,11 @@ __all__ = [
 
 # name -> the submodule that defines it, imported by __getattr__ (PEP 562)
 _LAZY = {
-    **dict.fromkeys(("Field2D", "Field3D", "FieldSample", "GeneralMassFamily"), "fields"),
-    **dict.fromkeys(("GeneralFamilySource", "MassBudget", "RegularityReport",
-                     "ResidualReport", "SnapshotFieldSource", "TrajectoryFieldSource",
-                     "cutoff_regularity_check", "euler_residual", "mass_residual",
-                     "navier_stokes_residual", "refined_residual", "total_mass"), "verify"),
+    **dict.fromkeys(("Field2D", "Field3D", "FieldSample"), "fields"),
+    **dict.fromkeys(("MassBudget", "RegularityReport", "ResidualReport",
+                     "SnapshotFieldSource", "cutoff_regularity_check", "euler_residual",
+                     "mass_residual", "navier_stokes_residual", "refined_residual",
+                     "total_mass"), "verify"),
 }
 
 

@@ -11,6 +11,7 @@ per-key flag overrides.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import sys
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 # for bench/tracer.py
 from .classify import (classify_3d, classify_cell, detect_period_2d,  # noqa: F401
                        search_period_2d)
-from .config import (SWEEPABLE, ConfigError, RunConfig, _SCHEMA, build_config,
+from .config import (SWEEPABLE, ConfigError, RunConfig, _KEY_OF, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
 from .emden import integrate, strict_json
 
@@ -148,14 +149,6 @@ def run_sample(cfg: RunConfig, out: str) -> int:
 
     from .fields import Field2D, Field3D
 
-    for name, axis in (("grid.x", cfg.grid_x), ("grid.y", cfg.grid_y)):
-        if axis is None:
-            raise ConfigError(f"missing required key: {name}")
-    if cfg.dim == 3 and cfg.grid_z is None:
-        raise ConfigError("missing required key: grid.z")
-    if not cfg.times:
-        raise ConfigError("missing required key: times")
-
     params = cfg.params()
     ic = cfg.initial_state()
     t_max = cfg.times[-1]
@@ -245,8 +238,6 @@ def run_verify(cfg: RunConfig, out: str) -> int:
     from .fields import Field3D
     from .verify import SnapshotFieldSource
 
-    if cfg.dim != 3:
-        raise ConfigError("verify supports dim = 3 only")
     t = cfg.verify_time
     if t > 0.0:
         traj = _integrate(cfg, t)
@@ -304,16 +295,11 @@ def run_verify(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _params_dict(cfg: RunConfig) -> dict:
-    return {"K": cfg.K, "gamma": cfg.gamma, "lambda": cfg.lam, "alpha": cfg.alpha,
-            "xi": cfg.xi, "mu": cfg.mu}
-
-
-def _ic_dict(cfg: RunConfig) -> dict:
-    d = {"a0": cfg.a0, "a1": cfg.a1}
-    if cfg.dim == 3:
-        d.update({"b0": cfg.b0, "b1": cfg.b1})
-    return d
+def _keyed(obj) -> dict:
+    """The fields of a PhysParams or of an Emden state but its time, in
+    order, under their config keys."""
+    return {_KEY_OF.get(f.name, f.name): getattr(obj, f.name)
+            for f in dataclasses.fields(obj) if f.name != "t"}
 
 
 def _classify_cell(cfg: RunConfig):
@@ -323,7 +309,7 @@ def _classify_cell(cfg: RunConfig):
 
 
 def run_classify(cfg: RunConfig, out: str) -> int:
-    doc = {"params": _params_dict(cfg), "ic": _ic_dict(cfg)}
+    doc = {"params": _keyed(cfg.params()), "ic": _keyed(cfg.initial_state())}
     stopped_short = None
     if cfg.dim == 3:
         result = _classify_cell(cfg)
@@ -348,10 +334,6 @@ def run_classify(cfg: RunConfig, out: str) -> int:
 
 
 def run_sweep(cfg: RunConfig, out: str) -> int:
-    if cfg.dim != 3:
-        raise ConfigError("sweep supports dim = 3 only")
-    if not cfg.sweep:
-        raise ConfigError("missing required key: sweep.<param> (at least one axis)")
     names = list(cfg.sweep)
     columns = [_SCHEMA[key][0] for key in SWEEPABLE]
     code = EXIT_OK

@@ -10,7 +10,8 @@ axes (``sweep.<param> = v1,v2,...``).  Command-line flags override file keys.
 Every number must be finite.  The family constants and initial values (each
 sweep value included) are valid when :class:`PhysParams` and the Emden state
 accept them, the run options when :class:`emden.RunOptions` does, and
-``eps_blow`` when ``RunOptions.floors`` accepts it for every start.
+``eps_blow`` when ``RunOptions.floors`` accepts it for every start.  The keys
+and the dimension a mode needs are checked here too, after everything else.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
-from .emden import MAX_STEPS, EmdenState2D, EmdenState3D, RunOptions
+from .emden import EmdenState2D, EmdenState3D, RunOptions
 from .profiles import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_entries",
@@ -51,11 +52,13 @@ class RunConfig:
     grid_x: tuple[float, float, int] | None = None
     grid_y: tuple[float, float, int] | None = None
     grid_z: tuple[float, float, int] | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = MAX_STEPS
-    eps_blow: float | None = None  # None: the library's floor, 1e-10 * each initial value
-    method: str = "RK45"
+    # the run options and their defaults are RunOptions's; an eps_blow of
+    # None is the library's floor, 1e-10 * each initial value
+    rel_tol: float = RunOptions.rel_tol
+    abs_tol: float = RunOptions.abs_tol
+    max_steps: int = RunOptions.max_steps
+    eps_blow: float | None = RunOptions.eps_blow
+    method: str = RunOptions.method
     out: str | None = None
     verify_points: int = 20
     verify_seed: int = 0
@@ -283,6 +286,19 @@ def build_config(entries: dict[str, object]) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
+    # what the mode needs, checked last so that a request with several
+    # faults is still told of the same one
+    if cfg.mode == "sample":
+        axes = (("grid.x", cfg.grid_x), ("grid.y", cfg.grid_y), ("grid.z", cfg.grid_z))
+        for name, axis in axes[:cfg.dim]:
+            if axis is None:
+                err(f"missing required key: {name}")
+        if not cfg.times:
+            err("missing required key: times")
+    if cfg.mode in ("verify", "sweep") and cfg.dim != 3:
+        err(f"{cfg.mode} supports dim = 3 only")
+    if cfg.mode == "sweep" and not cfg.sweep:
+        err("missing required key: sweep.<param> (at least one axis)")
     return cfg
 
 

@@ -982,12 +982,12 @@ def integrate(
     initial_state: EmdenState3D | EmdenState2D,
     t_end: float,
     *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    max_steps: int = MAX_STEPS,
+    rel_tol: float = RunOptions.rel_tol,
+    abs_tol: float = RunOptions.abs_tol,
+    max_steps: int = RunOptions.max_steps,
     dense_times: Sequence[float] | None = None,
-    eps_blow: float | None = None,
-    method: str = "RK45",
+    eps_blow: float | None = RunOptions.eps_blow,
+    method: str = RunOptions.method,
 ) -> Trajectory:
     """Integrate the scale-factor system from ``initial_state`` to ``t_end``.
 

@@ -10,19 +10,15 @@ The 3D family transports the shape function along the similarity variable:
 with the planar analogue dropping u3 and using eta.  Because the velocity is
 linear in space its Laplacian vanishes identically, so the same fields solve
 the viscous momentum equation for any viscosity; the curl is the uniform
-vector (0, 0, 2 xi / a^2).
-
-:class:`GeneralMassFamily` generalizes the swirl xi/a^2 to an arbitrary
-function G(t) and the shape to an arbitrary nonnegative profile; that family
-satisfies the continuity equation alone (momentum generally fails) and exists
-to exercise the mass-residual check in isolation.
+vector (0, 0, 2 xi / a^2).  These are the package's only fields: the
+formulas are written once, in ``_exact``, which both classes evaluate.  A
+field of another kind reaches the residual checks of :mod:`eulerexact.verify`
+as a custom source, any object with ``sample(t, x, y, z)`` and ``cutoff_s``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,39 +29,33 @@ __all__ = [
     "FieldSample",
     "Field3D",
     "Field2D",
-    "GeneralMassFamily",
 ]
-
-
-def _transported(shape, x, y, z, a: float, b: float, stretch: float, swirl: float,
-                 b_stretch: float) -> dict[str, np.ndarray]:
-    """Density, velocity and similarity variable of a transported shape.
-
-    The one place the field formulas are written.  Coordinates are
-    broadcastable arrays, and each output keeps the broadcast shape of the
-    coordinates it depends on (``u3`` depends on ``z`` alone), so a scalar
-    coordinate is never expanded.  ``shape`` maps s to f(s) elementwise.
-    """
-    x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
-    s = similarity_s(x, y, z, a, b)
-    # + 0.0 turns a velocity of -0.0 (u3 at z = 0 while b shrinks, say) into
-    # the 0.0 that the field files have always held
-    return {
-        "rho": shape(s) / (a * a * b),
-        "u1": stretch * x - swirl * y + 0.0,
-        "u2": swirl * x + stretch * y + 0.0,
-        "u3": b_stretch * z + 0.0,
-        "s": s,
-    }
 
 
 def _exact(params: PhysParams, profile: DensityProfile, x, y, z,
            a: float, a_dot: float, b: float, b_dot: float) -> dict[str, np.ndarray]:
-    """The exact family at one snapshot, with the pressure K rho^gamma."""
-    g = _transported(profile.value_many, x, y, z, a, b,
-                     a_dot / a, params.xi / (a * a), b_dot / b)
-    g["p"] = params.K * np.power(g["rho"], params.gamma)  # np.power: see value_many
-    return g
+    """Density, velocity, similarity variable and pressure K rho^gamma of the
+    exact family at one snapshot.
+
+    The one place the field formulas are written.  Coordinates are
+    broadcastable arrays, and each output keeps the broadcast shape of the
+    coordinates it depends on (``u3`` depends on ``z`` alone), so a scalar
+    coordinate is never expanded.
+    """
+    stretch, swirl, b_stretch = a_dot / a, params.xi / (a * a), b_dot / b
+    x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
+    s = similarity_s(x, y, z, a, b)
+    rho = profile.value_many(s) / (a * a * b)
+    # + 0.0 turns a velocity of -0.0 (u3 at z = 0 while b shrinks, say) into
+    # the 0.0 that the field files have always held
+    return {
+        "rho": rho,
+        "u1": stretch * x - swirl * y + 0.0,
+        "u2": swirl * x + stretch * y + 0.0,
+        "u3": b_stretch * z + 0.0,
+        "s": s,
+        "p": params.K * np.power(rho, params.gamma),  # np.power: see value_many
+    }
 
 
 def _sample(cls, values):
@@ -159,38 +149,3 @@ class Field2D:
 
     def velocity_laplacian(self, x: float, y: float) -> tuple[float, float]:
         return (0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class GeneralMassFamily:
-    """Continuity-only family with arbitrary C1 handles.
-
-    ``a``/``b`` must be positive on queried times and come with their exact
-    time derivatives (``a_dot``/``b_dot``) so no numeric differentiation of
-    user callables ever enters a residual check.  Pressure is not defined for
-    this family; samples carry NaN there.
-    """
-
-    f: Callable[[float], float]
-    G: Callable[[float], float]
-    a: Callable[[float], float]
-    a_dot: Callable[[float], float]
-    b: Callable[[float], float]
-    b_dot: Callable[[float], float]
-
-    def eval(self, t: float, x, y, z) -> FieldSample:
-        """Sample at time ``t`` over broadcastable coordinate arrays; the
-        handle ``f`` is called on each similarity value in turn."""
-        av, bv = self.a(t), self.b(t)
-        g = _transported(self._shape, x, y, z, av, bv,
-                         self.a_dot(t) / av, self.G(t), self.b_dot(t) / bv)
-        return _sample(FieldSample, (g["rho"], g["u1"], g["u2"], g["u3"], g["s"], math.nan))
-
-    def _shape(self, s) -> np.ndarray:
-        s = np.asarray(s)
-        fs = np.array([self.f(v) for v in s.ravel().tolist()], dtype=float).reshape(s.shape)
-        bad = fs < 0.0
-        if np.any(bad):
-            raise ValueError("profile handle must be nonnegative, got "
-                             f"f({s[bad].flat[0]}) = {fs[bad].flat[0]}")
-        return fs

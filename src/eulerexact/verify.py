@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import Trajectory, _nonfinite_path, advance
-from .fields import Field3D, GeneralMassFamily
+from .emden import _nonfinite_path, advance
+from .fields import Field3D
 from .profiles import DensityProfile
 
 __all__ = [
     "SnapshotFieldSource",
-    "TrajectoryFieldSource",
-    "GeneralFamilySource",
     "ResidualReport",
     "MassBudget",
     "RegularityReport",
@@ -67,42 +65,6 @@ class SnapshotFieldSource:
             fld = self.field.at_state(st)
             self._cache[t] = fld
         return fld.eval(x, y, z)
-
-
-class TrajectoryFieldSource:
-    """Exact-family source reading scale factors from dense trajectory output.
-
-    Time accuracy is limited by the integration tolerance of the trajectory,
-    so residual floors scale like rel_tol/h; integrate tightly (for example
-    DOP853 at rel_tol 1e-12) when using this source for convergence studies.
-    """
-
-    def __init__(self, trajectory: Trajectory, profile: DensityProfile | None = None):
-        if trajectory.dim != 3:
-            raise ValueError("residual verification requires a 3D trajectory")
-        self.trajectory = trajectory
-        self.profile = profile if profile is not None else DensityProfile(trajectory.params)
-
-    @property
-    def cutoff_s(self) -> float | None:
-        return self.profile.cutoff_s
-
-    def sample(self, t, x, y, z):
-        st = self.trajectory.state_at(t)
-        return Field3D(self.trajectory.params, self.profile, st).eval(x, y, z)
-
-
-class GeneralFamilySource:
-    """Source over a :class:`GeneralMassFamily`; only the mass residual is
-    meaningful (samples carry NaN pressure)."""
-
-    cutoff_s = None
-
-    def __init__(self, family: GeneralMassFamily):
-        self.family = family
-
-    def sample(self, t, x, y, z):
-        return self.family.eval(t, x, y, z)
 
 
 @dataclass

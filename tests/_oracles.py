@@ -7,7 +7,8 @@ RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
 trial step and dense rows as component loops over scipy's tableau, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
 period and the isothermal fall time from the first integral by quadrature,
-and the residual stencil written point by point over scalar samples.  The one
+the residual stencil written point by point over scalar samples, and a
+continuity-only residual source.  The one
 exception is ``verify_document``, a serialization reference: it takes the
 library's residual reports and writes the ``verify`` document from per-point
 dicts.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import types
 import warnings
 
 import mpmath
@@ -275,6 +277,30 @@ def pointwise_stencil_residuals(source, t, x, y, z, h):
         laplacian.append(sum(((getattr(pl, comp) - 2.0 * getattr(c, comp) + getattr(mi, comp))
                               / (h * h) for pl, mi in shifts), start=-0.0))
     return mass, tuple(momentum), tuple(laplacian)
+
+
+class ContinuitySource:
+    """A residual source, written against the README's source protocol alone,
+    over a family that solves the continuity equation and generally no
+    momentum equation: rho = f(s) / (a^2 b) carried by the velocity
+    (a'/a x - G y, G x + a'/a y, b'/b z), s = (x^2 + y^2)/a^2 + z^2/b^2, for
+    arbitrary C1 handles of t (a, b > 0, with their exact derivatives) and a
+    profile f of s called on one value at a time.  Its pressure is NaN."""
+
+    cutoff_s = None
+
+    def __init__(self, f, G, a, a_dot, b, b_dot):
+        self.f, self.G, self.a, self.a_dot, self.b, self.b_dot = f, G, a, a_dot, b, b_dot
+
+    def sample(self, t, x, y, z):
+        x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
+        a, b, swirl = self.a(t), self.b(t), self.G(t)
+        stretch, b_stretch = self.a_dot(t) / a, self.b_dot(t) / b
+        s = (x * x + y * y) / (a * a) + z * z / (b * b)
+        rho = np.vectorize(self.f, otypes=[float])(s) / (a * a * b)
+        return types.SimpleNamespace(rho=rho, u1=stretch * x - swirl * y,
+                                     u2=swirl * x + stretch * y, u3=b_stretch * z,
+                                     s=s, pressure=math.nan)
 
 
 def verify_document(cfg) -> str:

@@ -373,7 +373,8 @@ class TestParser:
         def cfg(argv):
             return _load_config(build_parser().parse_args(argv))
 
-        assert cfg([*flags, "sweep"]) == cfg(["sweep", *flags]) != cfg(["sweep"])
+        # integrate needs no key, so the bare mode is a valid request
+        assert cfg([*flags, "integrate"]) == cfg(["integrate", *flags]) != cfg(["integrate"])
 
 
 class TestSampleWriter:

@@ -128,6 +128,37 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep.gamma"):
             parse_config("sweep.gamma = 0.5,1.5\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--grid-y=0:1:2", "--grid-z=0:1:2", "--times=0"],
+         "missing required key: grid.x"),
+        (["sample", "--grid-x=0:1:2", "--grid-z=0:1:2", "--times=0"],
+         "missing required key: grid.y"),
+        (["sample", "--grid-x=0:1:2", "--grid-y=0:1:2", "--times=0"],
+         "missing required key: grid.z"),
+        (["sample", "--grid-x=0:1:2", "--grid-y=0:1:2", "--grid-z=0:1:2"],
+         "missing required key: times"),
+        (["verify", "--dim=2"], "verify supports dim = 3 only"),
+        (["sweep", "--dim=2", "--sweep=lambda=0,1"], "sweep supports dim = 3 only"),
+        (["sweep"], "missing required key: sweep.<param> (at least one axis)"),
+    ])
+    def test_mode_needs(self, argv, message, tmp_path, capsys):
+        # checked with the rest of the config and after every other check, so
+        # no mode starts, and a request with another fault is told of that one
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ConfigError) as exc:
+            cli._load_config(args)
+        assert str(exc.value) == message
+        out = f"--out={tmp_path / 'out'}"
+        assert cli.main([*argv, out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert cli.main([*argv, out, "--gamma=0.5"]) == cli.EXIT_CONFIG
+        assert "gamma must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_planar_sample_needs_no_grid_z(self):
+        cfg = parse_config("mode = sample\ndim = 2\ngrid.x = 0:1:2\ngrid.y = 0:1:2\ntimes = 0\n")
+        assert cfg.grid_z is None
+
     def test_b0_is_ignored_in_2d(self):
         cfg = parse_config("dim = 2\na0 = 0.5\nb0 = 0\n")
         assert cfg.eps_blow is None
@@ -157,16 +188,21 @@ def random_config_text(rng) -> str:
         "eps_blow": float(10.0 ** rng.uniform(-12, -8)),
         "method": str(rng.choice(["RK45", "DOP853"])),
     }
+    # what the mode needs: dim 3 for verify and sweep, a grid for sample
+    # (times are always drawn) and an axis for sweep
+    mode = entries["mode"]
+    if mode in ("verify", "sweep"):
+        entries["dim"] = 3
     lines = [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}"
              for k, v in entries.items()]
     t_end = entries["t_end"]
     times = sorted(set(float(t) for t in rng.uniform(0.0, t_end, size=3)))
     lines.append("times = " + ",".join(repr(t) for t in times))
-    if rng.random() < 0.7:
+    if rng.random() < 0.7 or mode == "sample":
         lines.append(f"grid.x = {rng.uniform(-2, 0)!r}:{rng.uniform(0.5, 2)!r}:{rng.integers(2, 50)}")
         lines.append(f"grid.y = {rng.uniform(-2, 0)!r}:{rng.uniform(0.5, 2)!r}:{rng.integers(2, 50)}")
         lines.append(f"grid.z = {rng.uniform(-2, 0)!r}:{rng.uniform(0.5, 2)!r}:{rng.integers(2, 50)}")
-    if rng.random() < 0.5:
+    if rng.random() < 0.5 or mode == "sweep":
         lines.append("sweep.lambda = -1,0,1")
         lines.append(f"sweep.xi = {rng.uniform(0.1, 2)!r}")
     if rng.random() < 0.5:
@@ -193,22 +229,27 @@ FAMILY = {
     "mu": real(0.0, 2.0), "a0": positive(3.0), "a1": real(-2.0, 2.0),
     "b0": positive(3.0), "b1": real(-2.0, 2.0),
 }
-grids = st.one_of(st.none(), st.builds(lambda lo, width, count: (lo, lo + width, count),
-                                       real(-10.0, 10.0), real(1e-3, 10.0),
-                                       st.integers(2, 10_000)))
+grid = st.builds(lambda lo, width, count: (lo, lo + width, count),
+                 real(-10.0, 10.0), real(1e-3, 10.0), st.integers(2, 10_000))
+grids = st.one_of(st.none(), grid)
 
 
 @st.composite
 def run_configs(draw) -> RunConfig:
-    """A valid configuration: every key drawn from its valid range."""
+    """A valid configuration: every key drawn from its valid range, and the
+    keys its mode needs present (dim 3 for verify and sweep, the grid and
+    times for sample, an axis for sweep)."""
     entries = {attr: draw(FAMILY[key]) for key, (attr, _) in _SCHEMA.items() if key in FAMILY}
     t_end = draw(real(1e-3, 1e3))
+    mode = draw(st.sampled_from(["", *cli.MODES]))
+    axis = grid if mode == "sample" else grids
     entries.update(
-        mode=draw(st.sampled_from(["", *cli.MODES])),
-        dim=draw(st.sampled_from([2, 3])),
+        mode=mode,
+        dim=draw(st.sampled_from([3] if mode in ("verify", "sweep") else [2, 3])),
         t_end=t_end,
-        times=sorted(draw(st.lists(real(0.0, t_end), max_size=4, unique=True))),
-        grid_x=draw(grids), grid_y=draw(grids), grid_z=draw(grids),
+        times=sorted(draw(st.lists(real(0.0, t_end), min_size=1 if mode == "sample" else 0,
+                                   max_size=4, unique=True))),
+        grid_x=draw(axis), grid_y=draw(axis), grid_z=draw(axis),
         rel_tol=draw(st.one_of(st.just(emden.MIN_REL_TOL),
                                st.floats(emden.MIN_REL_TOL, 1.0, exclude_max=True))),
         abs_tol=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
@@ -221,7 +262,8 @@ def run_configs(draw) -> RunConfig:
         verify_time=draw(real(0.0, 100.0)),
         sweep_t_end=draw(st.one_of(st.none(), real(1e-3, 1e3))),
     )
-    axes = draw(st.lists(st.sampled_from(SWEEPABLE), unique=True, max_size=3))
+    axes = draw(st.lists(st.sampled_from(SWEEPABLE), unique=True,
+                         min_size=1 if mode == "sweep" else 0, max_size=3))
     entries["sweep"] = {param: draw(st.lists(FAMILY[param], min_size=1, max_size=4))
                         for param in axes}
     # a collapse floor below every start a run may begin from

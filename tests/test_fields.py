@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
-                        GeneralMassFamily, PhysParams, integrate)
+from eulerexact import EmdenState2D, EmdenState3D, Field2D, Field3D, PhysParams
 
 from _oracles import central_diff, second_diff
 
@@ -186,48 +183,3 @@ class TestEval2D:
             assert s3.u2 == s2.u2
             assert s3.u3 == 0.0
             assert s3.s == s2.eta
-
-
-class TestGeneralMassFamily:
-    def test_specializes_to_exact_family(self):
-        p = params(gamma=1.5, lam=0.7, xi=1.3, alpha=1.2)
-        traj = integrate(p, EmdenState3D(0.0, 1.0, 0.2, 1.1, -0.1), 2.0)
-        prof = Field3D.from_params(p, traj.initial_state).profile
-
-        def state(t):
-            return traj.state_at(t)
-
-        fam = GeneralMassFamily(
-            f=prof.value,
-            G=lambda t: p.xi / state(t).a ** 2,
-            a=lambda t: state(t).a,
-            a_dot=lambda t: state(t).a_dot,
-            b=lambda t: state(t).b,
-            b_dot=lambda t: state(t).b_dot,
-        )
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            t = rng.uniform(0.0, 2.0)
-            x, y, z = rng.uniform(-1.0, 1.0, size=3)
-            st = state(t)
-            exact = Field3D(p, prof, st).eval(x, y, z)
-            got = fam.eval(t, x, y, z)
-            assert got.rho == exact.rho
-            assert got.u1 == exact.u1
-            assert got.u2 == exact.u2
-            assert got.u3 == exact.u3
-        assert math.isnan(fam.eval(0.5, 0.1, 0.2, 0.3).pressure)
-
-    def test_vacuum_profile(self):
-        fam = GeneralMassFamily(f=lambda s: 0.0, G=math.sin,
-                                a=lambda t: 2.0 + math.cos(t),
-                                a_dot=lambda t: -math.sin(t),
-                                b=math.exp, b_dot=math.exp)
-        assert fam.eval(0.7, 1.0, 2.0, 3.0).rho == 0.0
-
-    def test_negative_profile_rejected(self):
-        fam = GeneralMassFamily(f=lambda s: -1.0, G=lambda t: 0.0,
-                                a=lambda t: 1.0, a_dot=lambda t: 0.0,
-                                b=lambda t: 1.0, b_dot=lambda t: 0.0)
-        with pytest.raises(ValueError):
-            fam.eval(0.0, 0.1, 0.0, 0.0)

@@ -22,15 +22,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D,
-                        GeneralFamilySource, GeneralMassFamily, PhysParams,
+from eulerexact import (EmdenState2D, EmdenState3D, Field2D, Field3D, PhysParams,
                         SnapshotFieldSource, advance, energy_2d, energy_3d, integrate,
                         mass_residual, navier_stokes_residual, refined_residual)
 from eulerexact.cli import _load_config, build_parser, main
 from eulerexact.profiles import DensityProfile
 
-from _oracles import (planar_potential, pointwise_stencil_residuals, rhs_2d_arrays,
-                      rhs_3d_arrays, rk4_fixed, verify_document)
+from _oracles import (ContinuitySource, planar_potential, pointwise_stencil_residuals,
+                      rhs_2d_arrays, rhs_3d_arrays, rk4_fixed, verify_document)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -145,11 +144,10 @@ def test_batched_stencil_equals_pointwise_reference(p, state, pts, mu, h):
 @given(real(0.1, 2.0), real(-1.0, 1.0), real(0.5, 2.0), real(-0.3, 0.3), real(0.2, 1.5),
        points(3), real(0.0, 1.0))
 def test_general_family_same_on_arrays_as_on_scalars(c, g, a0, a1, b0, pts, t):
-    family = GeneralMassFamily(
+    source = ContinuitySource(
         f=lambda s: math.exp(-c * s), G=lambda t: g * math.cos(t),
         a=lambda t: a0 + a1 * t, a_dot=lambda t: a1,
         b=lambda t: b0 * math.exp(t), b_dot=lambda t: b0 * math.exp(t))
-    source = GeneralFamilySource(family)
     x, y, z = np.array(pts).T
     arrays = source.sample(t, x, y, z)
     masses = mass_residual(source, t, x, y, z, 1e-3)

@@ -134,6 +134,33 @@ def test_every_imported_name_is_used_or_exported():
     assert unused == TRACED_IMPORTS
 
 
+def test_every_private_module_name_is_referenced():
+    # a private function, class or constant that no module of the package
+    # reads (by name, as an attribute, or in an import) is dead code
+    defined, referenced = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined |= {(path.stem, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert len(defined) > 50
+    assert {(module, name) for module, name in defined if name not in referenced} == set()
+
+
 def test_every_mode_runs_without_scipy(tmp_path):
     result = _run_modes(tmp_path, RUNS, schemes=("ellipsoid", "box"))
     assert result["codes"] == [0] * len(RUNS)

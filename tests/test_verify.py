@@ -9,14 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerexact import (EmdenState3D, Field3D, GeneralFamilySource,
-                        GeneralMassFamily, MassBudget, PhysParams,
+from eulerexact import (EmdenState3D, Field3D, MassBudget, PhysParams,
                         RegularityReport, ResidualReport, SnapshotFieldSource,
-                        TrajectoryFieldSource, cutoff_regularity_check,
-                        euler_residual, integrate, mass_residual,
-                        navier_stokes_residual, refined_residual, total_mass)
+                        cutoff_regularity_check, euler_residual, integrate,
+                        mass_residual, navier_stokes_residual, refined_residual,
+                        total_mass)
 from eulerexact.emden import strict_json
 from eulerexact.profiles import DensityProfile
+
+from _oracles import ContinuitySource
 
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0, mu=0.0):
@@ -150,15 +151,6 @@ class TestEulerResidual:
             n2 = math.sqrt(sum(m * m for m in r2.momentum_residual))
             assert abs(n1 - n2) < 1e-10
 
-    def test_trajectory_source(self):
-        p = params(gamma=1.5, lam=1.0, alpha=1.2, xi=1.1)
-        traj = integrate(p, EmdenState3D(0.0, 1.0, 0.2, 1.1, -0.1), 2.0,
-                         rel_tol=1e-12, abs_tol=1e-14, method="DOP853")
-        source = TrajectoryFieldSource(traj)
-        rep = refined_residual(source, 1.0, 0.3, -0.2, 0.25, 1e-3)
-        assert rep.magnitude() < 1e-4
-        assert rep.observed_order == pytest.approx(2.0, abs=0.5)
-
     def test_magnitude_past_the_range_of_a_square(self):
         # squares that overflow alone, and finite squares whose sum overflows
         from eulerexact.verify import _rms
@@ -217,7 +209,7 @@ class TestNavierStokesResidual:
 
 class TestGeneralFamilyMass:
     def test_arbitrary_handles_satisfy_continuity(self):
-        fam = GeneralMassFamily(
+        source = ContinuitySource(
             f=lambda s: math.exp(-s),
             G=math.sin,
             a=lambda t: 2.0 + math.cos(t),
@@ -225,7 +217,6 @@ class TestGeneralFamilyMass:
             b=math.exp,
             b_dot=math.exp,
         )
-        source = GeneralFamilySource(fam)
         rng = np.random.default_rng(6)
         for _ in range(5):
             t = rng.uniform(0.2, 1.5)
@@ -236,10 +227,10 @@ class TestGeneralFamilyMass:
             assert math.log2(abs(r1) / abs(r2)) == pytest.approx(2.0, abs=0.4)
 
     def test_vacuum_trivially_solves_continuity(self):
-        fam = GeneralMassFamily(f=lambda s: 0.0, G=lambda t: 1.0,
-                                a=lambda t: 1.0 + t, a_dot=lambda t: 1.0,
-                                b=lambda t: 1.0, b_dot=lambda t: 0.0)
-        assert mass_residual(GeneralFamilySource(fam), 0.5, 0.3, 0.2, 0.1, 1e-3) == 0.0
+        source = ContinuitySource(f=lambda s: 0.0, G=lambda t: 1.0,
+                                  a=lambda t: 1.0 + t, a_dot=lambda t: 1.0,
+                                  b=lambda t: 1.0, b_dot=lambda t: 0.0)
+        assert mass_residual(source, 0.5, 0.3, 0.2, 0.1, 1e-3) == 0.0
 
 
 @st.composite
