@@ -240,10 +240,10 @@ def run_verify(cfg: RunConfig, out: str) -> int:
 
     t = cfg.verify_time
     if t > 0.0:
-        traj = _integrate(cfg, t)
+        traj = _integrate(cfg, t, dense_times=[t])
         if traj.termination.kind != "reached_t_end":
             return _exit_code(traj.termination)
-        state = traj.state_at(t)
+        state = traj.states[-1]
     else:
         state = cfg.initial_state()
     field = Field3D.from_params(cfg.params(), state)
@@ -262,15 +262,13 @@ def run_verify(cfg: RunConfig, out: str) -> int:
     for row in rows[1:]:
         mom = np.where(row > mom, row, mom)
     orders = np.array([o for o in table.observed_order if o is not None])
+    mass_p50, mass_p90 = np.percentile(mass, (50, 90)).tolist()
+    mom_p50, mom_p90 = np.percentile(mom, (50, 90)).tolist()
     summary = {
         "points": mass.size,
         "kink_points": int(table.kink_crossing.sum()),
-        "mass_abs": {"p50": float(np.percentile(mass, 50)),
-                     "p90": float(np.percentile(mass, 90)),
-                     "max": float(mass.max())},
-        "momentum_abs": {"p50": float(np.percentile(mom, 50)),
-                         "p90": float(np.percentile(mom, 90)),
-                         "max": float(mom.max())},
+        "mass_abs": {"p50": mass_p50, "p90": mass_p90, "max": float(mass.max())},
+        "momentum_abs": {"p50": mom_p50, "p90": mom_p90, "max": float(mom.max())},
         "observed_order": {"p50": float(np.percentile(orders, 50)) if orders.size else None,
                            "min": float(orders.min()) if orders.size else None,
                            "max": float(orders.max()) if orders.size else None},

@@ -12,12 +12,13 @@ and in the planar case the single equation
 Both conserve a first integral (see :func:`energy_3d` / :func:`energy_2d`;
 the formulas are verified symbolically in the test suite).  The equations are
 written once, as expressions in ``_EQUATIONS``; the right-hand side ``_rhs``
-and the RK45 kernels, which evaluate them in place at every stage, are
-generated from that table and compiled once per state size.  Integration,
-the time shifts of :func:`advance` included, is done by one step loop,
-``_run``: an embedded Runge-Kutta pair (Dormand-Prince 5(4), or DOP853) on
-plain Python floats, with scipy's tableaux written out as literals in
-``_tableaux`` and scipy's step-size controller.  Collapse of a scale factor
+and the kernels of both pairs, which evaluate them in place at every stage,
+are generated from that table and compiled once per state size and pair, at
+the first run that needs them.  Integration, the time shifts of
+:func:`advance` included, is done by one step loop, ``_run``: an embedded
+Runge-Kutta pair (Dormand-Prince 5(4), or DOP853) on plain Python floats,
+with scipy's tableaux written out as literals in ``_tableaux`` and scipy's
+step-size controller.  Collapse of a scale factor
 (a or b reaching a small positive floor) is located by root bracketing on
 each step's dense output, with a port of scipy's ``brentq``; a 3D run with
 lam < 0, where b is concave, also ends once b's zero is bracketed to
@@ -41,9 +42,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from ._tableaux import (DOP853_A, DOP853_B, DOP853_D, DOP853_E3, DOP853_E5,
-                        DOP853_STAGES, DOP853_STAGES_EXTENDED, RK45_A, RK45_B, RK45_E, RK45_P,
-                        RK45_P_BOUND)
+from ._tableaux import (DOP853_A, DOP853_D, DOP853_E3, DOP853_E5, DOP853_STAGES,
+                        DOP853_STAGES_EXTENDED, RK45_A, RK45_B, RK45_E, RK45_P, RK45_P_BOUND)
 from .profiles import PhysParams
 
 __all__ = [
@@ -377,7 +377,7 @@ def _rhs(p: PhysParams, dim: int):
     overflows or a divisor underflows to zero, Python raises; ``rhs`` is then
     evaluated again on numpy scalars, which give IEEE's inf or nan instead.
     """
-    return _generated(2 * dim - 2)["equations"](*_constants(p))[0]
+    return _generated(2 * dim - 2, "RK45")["equations"](*_constants(p))[0]
 
 
 def _ieee(fn, y) -> tuple:
@@ -395,27 +395,31 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-def _rk45_source(size: int) -> str:
-    """The source of the right-hand side and the Dormand-Prince 5(4) kernels
-    (scipy's RK45) of one state size, from ``_EQUATIONS`` and the tableau:
+def _source(size: int, method: str) -> str:
+    """The source of the right-hand side and of one pair's kernels for one
+    state size, from ``_EQUATIONS`` and the pair's tableau:
     ``equations(constants)`` makes (rhs, kernels), ``kernels(rtol, atol)``
-    (attempt, rows), and ``far_test(floors)`` a run's far test (``_rk45_far``).
+    (attempt, rows), and, for RK45, ``far_test(floors)`` a run's far test
+    (``_rk45_far``).
 
     ``attempt(y, k1, h)`` gives (y_new, f(y_new), error norm, the flat stages
-    that ``rows(y, y_new, stages, h)`` turns into h times scipy's ``K.T @ P``
-    row per component).  Stage j's state is ``{name}{j}``; ``rhs``'s
-    expressions set its derivatives ``k{j}{name}`` in place, NaN or
-    ``_ieee``'s values where ``rhs`` gives those.  Every sum is in the order
-    of scipy's ``rk_step``, an error term's scale max(|old|, |new|) is
-    ``new if new > old else old`` (max's result, NaN included), and the sum
-    of squares starts at its first term.  The autonomous system needs no
-    stage times (C), and the second stage, with no weight in B, E and P, is
-    left out of their sums.
+    that ``rows(y, y_new, stages, h)`` turns into one dense-output row per
+    component): h times scipy's ``K.T @ P`` row for RK45, and scipy's seven
+    ``F`` rows for DOP853, whose three extra stages ``rows`` evaluates.
+    Stage j's state is ``{name}{j}``; ``rhs``'s expressions set its
+    derivatives ``k{j}{name}`` in place, NaN or ``_ieee``'s values where
+    ``rhs`` gives those.  An error term's scale max(|old|, |new|) is
+    ``new if new > old else old`` (max's result, NaN included).
+
+    RK45's sums are in the order of scipy's ``rk_step``, and its sum of
+    squares starts at its first term; the autonomous system needs no stage
+    times (C), and the second stage, with no weight in B, E and P, is left
+    out of their sums.  DOP853's sums are those of a loop over the
+    components: each starts at 0.0 and adds every stage in order, zero
+    weights included.
     """
     names, derivs = _EQUATIONS[size]
     factors = names[::2]
-    used = [j for j, (b, e, p) in enumerate(zip(RK45_B + (0.0,), RK45_E, RK45_P), 1)
-            if b or e or any(p)]
     word = re.compile(r"\b(%s)\b" % "|".join(names))
 
     def at(j, expr):
@@ -425,9 +429,25 @@ def _rk45_source(size: int) -> str:
     def terms(weights, name, stages):
         return " + ".join(f"k{j}{name} * {weights[j - 1]!r}" for j in stages)
 
+    def total(weights, name):
+        """0.0 plus each stage's weighted term, in stage order."""
+        return f"0.0 + {terms(weights, name, range(1, len(weights) + 1))}"
+
     def ks(j):
         return ", ".join(f"k{j}{n}" for n in names)
-    flat = ", ".join(ks(j) for j in used)
+
+    def stage(j, states):
+        """Stage j from one state expression per component."""
+        state = ", ".join(f"{n}{j}" for n in names)
+        return [*(f"            {n}{j} = {s}" for n, s in zip(names, states)),
+                f"            if {' or '.join(f'{n}{j} <= 0.0' for n in factors)}:",
+                f"                {ks(j).replace(',', ' =')} = math.nan",
+                "            else:",
+                "                try:",
+                *(f"                    k{j}{n} = {at(j, d)}" for n, d in zip(names, derivs)),
+                "                except ArithmeticError:",
+                f"                    {ks(j)} = _ieee(rhs, ({state}))"]
+
     lines = [f"def equations({_CONSTANTS}):",
              f"    nan = (math.nan,) * {size}",
              "    def rhs(y):",
@@ -442,59 +462,86 @@ def _rk45_source(size: int) -> str:
              "        def attempt(y, k1, h):",
              f"            {', '.join(names)} = y",
              f"            {ks(1)} = k1"]
-    for j in range(2, 8):
+    if method == "RK45":
+        used = [j for j, (b, e, p) in enumerate(zip(RK45_B + (0.0,), RK45_E, RK45_P), 1)
+                if b or e or any(p)]
+        flat = ", ".join(ks(j) for j in used)
+        for j in range(2, 7):
+            lines += stage(j, [f"{n} + ({terms(RK45_A[j - 1], n, range(1, j))}) * h"
+                               for n in names])
         # stage 7 is f(y_new)
-        lines += [f"            {n}{j} = {n} + ({terms(RK45_A[j - 1], n, range(1, j))}) * h"
-                  if j < 7 else f"            {n}7 = {n} + h * ({terms(RK45_B, n, used[:-1])})"
-                  for n in names]
-        state = ", ".join(f"{n}{j}" for n in names)
-        lines += [f"            if {' or '.join(f'{n}{j} <= 0.0' for n in factors)}:",
-                  f"                {ks(j).replace(',', ' =')} = math.nan",
+        lines += stage(7, [f"{n} + h * ({terms(RK45_B, n, used[:-1])})" for n in names])
+        for n in names:
+            lines += [f"            old, new = abs({n}), abs({n}7)",
+                      f"            e{n} = (({terms(RK45_E, n, used)}) * h",
+                      "                  / (atol + (new if new > old else old) * rtol))"]
+        lines += [f"            return (({', '.join(f'{n}7' for n in names)}), ({ks(7)}),",
+                  f"                    math.sqrt({' + '.join(f'e{n} * e{n}' for n in names)})"
+                  f" / {size ** 0.5!r}, ({flat}))",
+                  "        def rows(y, y_new, stages, h):",
+                  f"            {flat} = stages",
+                  "            return (" + ", ".join(
+                      "(" + ", ".join(f"({terms([row[c] for row in RK45_P], n, used)}) * h"
+                                      for c in range(4)) + ")" for n in names) + ")"]
+        far = [f"def far_test({', '.join(f'floor_{n}' for n in factors)}):",
+               "    def far(y, stages, h):"]
+        for c in range(0, size, 2):
+            reach = " + ".join(f"abs(stages[{i * size + c}]) * {m!r}"
+                               for i, m in enumerate(RK45_P_BOUND))
+            far += [f"        y_c = y[{c}]",
+                    f"        reach = h * ({reach})",
+                    f"        if not y_c - floor_{names[c]} > 2.0 * reach + 1e-12 * abs(y_c):",
+                    "            return False"]
+        far += ["        return True", "    return far"]
+    else:
+        # stages 1 to 12 of the trial step, stage 13 f(y_new) (its state is
+        # y_new, the row of weights B), and the dense output's stages 14 to 16
+        trial, last = DOP853_STAGES + 1, DOP853_STAGES_EXTENDED
+        flat = ", ".join(ks(j) for j in range(1, trial + 1))
+        new_state = ", ".join(f"{n}{trial}" for n in names)
+        for j in range(2, trial + 1):
+            lines += stage(j, [f"{n} + ({total(DOP853_A[j - 1], n)}) * h" for n in names])
+        for n in names:
+            lines += [f"            old, new = abs({n}), abs({n}{trial})",
+                      "            scale = atol + (new if new > old else old) * rtol",
+                      f"            e5_{n} = ({total(DOP853_E5, n)}) / scale",
+                      f"            e3_{n} = ({total(DOP853_E3, n)}) / scale"]
+        lines += [f"            sq{o} = 0.0 + {' + '.join(f'e{o}_{n} * e{o}_{n}' for n in names)}"
+                  for o in (5, 3)]
+        lines += ["            if sq5 == 0.0 and sq3 == 0.0:",
+                  "                err = 0.0",
                   "            else:",
-                  "                try:",
-                  *(f"                    k{j}{n} = {at(j, d)}" for n, d in zip(names, derivs)),
-                  "                except ArithmeticError:",
-                  f"                    {ks(j)} = _ieee(rhs, ({state}))"]
-    for n in names:
-        lines += [f"            old, new = abs({n}), abs({n}7)",
-                  f"            e{n} = (({terms(RK45_E, n, used)}) * h",
-                  "                  / (atol + (new if new > old else old) * rtol))"]
-    lines += [f"            return (({', '.join(f'{n}7' for n in names)}), ({ks(7)}),",
-              f"                    math.sqrt({' + '.join(f'e{n} * e{n}' for n in names)})"
-              f" / {size ** 0.5!r}, ({flat}))",
-              "        def rows(y, y_new, stages, h):",
-              f"            {flat} = stages",
-              "            return (" + ", ".join(
-                  "(" + ", ".join(f"({terms([row[c] for row in RK45_P], n, used)}) * h"
-                                  for c in range(4)) + ")" for n in names) + ")",
-              "        return attempt, rows",
-              "    return rhs, kernels",
-              f"def far_test({', '.join(f'floor_{n}' for n in factors)}):",
-              "    def far(y, stages, h):"]
-    for c in range(0, size, 2):
-        reach = " + ".join(f"abs(stages[{i * size + c}]) * {m!r}"
-                           for i, m in enumerate(RK45_P_BOUND))
-        lines += [f"        y_c = y[{c}]",
-                  f"        reach = h * ({reach})",
-                  f"        if not y_c - floor_{names[c]} > 2.0 * reach + 1e-12 * abs(y_c):",
-                  "            return False"]
-    lines += ["        return True", "    return far"]
+                  f"                err = abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * {size})",
+                  f"            return ({new_state}), ({ks(trial)}), err, ({flat})",
+                  "        def rows(y, y_new, stages, h):",
+                  f"            {', '.join(names)} = y",
+                  f"            {new_state} = y_new",
+                  f"            {flat} = stages"]
+        for j in range(trial + 1, last + 1):
+            lines += stage(j, [f"{n} + ({total(DOP853_A[j - 1], n)}) * h" for n in names])
+        lines += [f"            dy_{n} = {n}{trial} - {n}" for n in names]
+        lines += ["            return (" + ", ".join(
+            f"(dy_{n}, h * k1{n} - dy_{n}, 2.0 * dy_{n} - h * (k{trial}{n} + k1{n}), "
+            + ", ".join(f"h * ({total(d, n)})" for d in DOP853_D) + ")" for n in names) + ")"]
+        far = []
+    lines += ["        return attempt, rows", "    return rhs, kernels", *far]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _generated(size: int) -> dict:
-    """The factories ``_rk45_source(size)`` defines, compiled once per process;
-    they read ``math`` and ``_ieee`` from this module."""
+def _generated(size: int, method: str) -> dict:
+    """The factories ``_source(size, method)`` defines, compiled once per
+    process at the first run that needs them; they read ``math`` and
+    ``_ieee`` from this module."""
     namespace = {}
-    exec(compile(_rk45_source(size), f"<RK45 kernels of state size {size}>", "exec"),
+    exec(compile(_source(size, method), f"<{method} kernels of state size {size}>", "exec"),
          globals(), namespace)
     return namespace
 
 
-def _rk45(p: PhysParams, dim: int, rtol: float, atol: float):
-    """A run's right-hand side and RK45 kernels (``_rk45_source``)."""
-    rhs, kernels = _generated(2 * dim - 2)["equations"](*_constants(p))
+def _kernels(method: str, p: PhysParams, dim: int, rtol: float, atol: float):
+    """A run's right-hand side and ``method``'s kernels (``_source``)."""
+    rhs, kernels = _generated(2 * dim - 2, method)["equations"](*_constants(p))
     return (rhs, *kernels(rtol, atol))
 
 
@@ -507,74 +554,7 @@ def _rk45_far(dim: int, floors):
     from y_c; a floor f is far when y_c - f > 2 reach_c + 1e-12 |y_c|, a
     margin that covers the rounding of the rows and of their evaluation.  A
     NaN reach is never far."""
-    return _generated(2 * dim - 2)["far_test"](*(floor for _, floor in floors))
-
-
-# DOP853: the 12 stages, the 3 extra stages of its dense output, and the
-# error and dense-output weights, as scipy's DOP853 uses them
-_A8 = DOP853_A[1:DOP853_STAGES]
-_A8_EXTRA = DOP853_A[DOP853_STAGES + 1:]
-_E8 = tuple(zip(DOP853_E5, DOP853_E3))
-
-
-def _combine(y, weights, stages, h):
-    """y + (sum of w_j k_j) * h per component, summed in stage order."""
-    out = []
-    for i, v in enumerate(y):
-        acc = 0.0
-        for w, k in zip(weights, stages):
-            acc += k[i] * w
-        out.append(v + acc * h)
-    return out
-
-
-def _dop853(p: PhysParams, dim: int, rtol: float, atol: float):
-    """A run's right-hand side and DOP853 kernels, table-driven for any state
-    size: the trial step, as ``_rk45_source``'s, and per component scipy's
-    seven ``F`` rows of the interpolant, whose three extra stages are
-    evaluated there."""
-    f = _rhs(p, dim)
-
-    def attempt(y, k1, h):
-        stages = [k1]
-        for row in _A8:
-            stages.append(f(_combine(y, row, stages, h)))
-        y_new = _combine(y, DOP853_B, stages, h)
-        stages.append(f(y_new))
-        sq5 = sq3 = 0.0
-        for i, (v, w) in enumerate(zip(y, y_new)):
-            e5 = e3 = 0.0
-            for (c5, c3), k in zip(_E8, stages):
-                e5 += k[i] * c5
-                e3 += k[i] * c3
-            scale = atol + max(abs(v), abs(w)) * rtol
-            e5, e3 = e5 / scale, e3 / scale
-            sq5 += e5 * e5
-            sq3 += e3 * e3
-        if sq5 == 0.0 and sq3 == 0.0:
-            err = 0.0
-        else:
-            err = abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
-        return y_new, stages[-1], err, stages
-
-    def rows(y, y_new, stages, h):
-        stages = list(stages)
-        for row in _A8_EXTRA:
-            stages.append(f(_combine(y, row, stages, h)))
-        out = []
-        for i, v in enumerate(y):
-            dy = y_new[i] - v
-            f_old, f_new = stages[0][i], stages[DOP853_STAGES][i]
-            coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
-            for d in DOP853_D:
-                acc = 0.0
-                for w, k in zip(d, stages):
-                    acc += k[i] * w
-                coeffs.append(h * acc)
-            out.append(tuple(coeffs))
-        return out
-
-    return f, attempt, rows
+    return _generated(2 * dim - 2, "RK45")["far_test"](*(floor for _, floor in floors))
 
 
 class _Method(NamedTuple):
@@ -600,8 +580,10 @@ class _Method(NamedTuple):
 # factor w_k in [0, 1] on the step: Horner's rule in x for RK45, alternating
 # x and 1 - x for DOP853 (scipy's Dop853DenseOutput).
 _METHODS = {
-    "RK45": _Method(_rk45, lambda x: (x, x, x, x), 4, 6, 0, _rk45_far),
-    "DOP853": _Method(_dop853, lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
+    "RK45": _Method(functools.partial(_kernels, "RK45"), lambda x: (x, x, x, x), 4, 6, 0,
+                    _rk45_far),
+    "DOP853": _Method(functools.partial(_kernels, "DOP853"),
+                      lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
                       7, DOP853_STAGES, DOP853_STAGES_EXTENDED - DOP853_STAGES - 1, None),
 }
 
@@ -764,8 +746,8 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
     is a component of ``floors`` falling to its floor; unless the step's
     polynomial provably stays above the floor (``_floor_clear`` on its
     coefficients), the step is scanned at 9 evenly spaced samples so a dip
-    below the floor inside the step is not missed.  A lifespan run calls it
-    only for a step that its far test (``_rk45_far``) could not clear.
+    below the floor inside the step is not missed.  An RK45 run calls it only
+    for a step that its far test (``_rk45_far``) could not clear.
     """
     samples = None
     best = None
@@ -869,20 +851,20 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     that ends the run there; when a floor event falls in the same step, the
     earlier ``t_est`` ends the run, and the floor wins a tie.  Events read
     only the current step, so a run keeps a step table only through a sink
-    (``_DenseOutput.append``).  Without a sink, a run of RK45 (a lifespan
-    run) builds a step's rows and calls ``_locate`` only when its far test
-    cannot show from the step's stages that no floor is within reach; every
-    floor time is the one a run that builds every step's rows finds.  A
-    floor (``RunOptions.floors``) at or above its start raises ValueError.
+    (``_DenseOutput.append``).  A run of RK45 calls ``_locate`` only when
+    its far test cannot show from the step's stages that no floor is within
+    reach, and, without a sink (a lifespan run), builds a step's rows only
+    then; every floor time is the one a run that scans every step's rows
+    finds.  A floor (``RunOptions.floors``) at or above its start raises
+    ValueError.
 
     The run makes its functions once, before the first step: the method's
     right-hand side, trial step and dense rows for the family and the
-    tolerances, and, without a sink, the far test for its floors
-    (``_Method``).  The controller is scipy's: the initial step of
-    ``select_initial_step``, a step never below 10 ulp of t, growth by
-    0.9 err^(-1/(order+1)) within [0.2, 10], and no growth right after a
-    rejection.  A trial step whose error norm is not below 1 (NaN included)
-    is rejected.
+    tolerances, and RK45's far test for its floors (``_Method``).  The
+    controller is scipy's: the initial step of ``select_initial_step``, a
+    step never below 10 ulp of t, growth by 0.9 err^(-1/(order+1)) within
+    [0.2, 10], and no growth right after a rejection.  A trial step whose
+    error norm is not below 1 (NaN included) is rejected.
     """
     _check_span(t0, t_end)
     method = _METHODS[run.method]
@@ -890,9 +872,9 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     floors = run.floors(y0)
     f, attempt, dense_rows = method.kernels(p, dim, rtol, atol)
     factors = method.factors
-    # with no sink, only floors read a step's rows: a step whose floors the
-    # method shows to be out of reach needs none
-    far = method.far(dim, floors) if sink is None and method.far is not None else None
+    # a step whose floors the method shows to be out of reach has no floor
+    # event, and without a sink needs no rows
+    far = method.far(dim, floors) if method.far is not None else None
     exponent = -1.0 / (method.error_order + 1)
     comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
     # b'' = lam a^(2 - 2 gamma) b^(-gamma) < 0 for lam < 0
@@ -944,9 +926,10 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             h_min = h
         if h > h_max:
             h_max = h
-        if far is None or not far(y, stages, h):
+        clear = far is not None and far(y, stages, h)
+        if sink is not None or not clear:
             rows = dense_rows(y, y_new, stages, h)
-            hit = _locate(t, t_new, y, rows, factors, floors, rtol)
+            hit = None if clear else _locate(t, t_new, y, rows, factors, floors, rtol)
             if sink is not None:
                 termination = sink(t, t_new, y, y_new, rows)
             # a sink's record without a time ends the run at the step's end

@@ -4,7 +4,8 @@ Everything here is deliberately written against the raw equations, not
 against the library code paths it checks: a fixed-step classic RK4 stepper
 (on plain floats, or vectorized over parameter batches), scipy's own
 RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
-trial step and dense rows as component loops over scipy's tableau, the
+and DOP853 trial steps and dense rows as component loops over scipy's
+tableaux, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
 period and the isothermal fall time from the first integral by quadrature,
 the residual stencil written point by point over scalar samples, and a
@@ -24,6 +25,7 @@ import warnings
 import mpmath
 import numpy as np
 from scipy.integrate import DOP853, RK45, quad
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
 
@@ -164,6 +166,77 @@ def dp5_dense_rows(stages, h):
     return [tuple((p1 * P[0][j] + p3 * P[2][j] + p4 * P[3][j] + p5 * P[4][j]
                    + p6 * P[5][j] + p7 * P[6][j]) * h for j in range(4))
             for p1, p3, p4, p5, p6, p7 in zip(*stages)]
+
+
+# scipy's DOP853 tableau as Python floats: the rows of the stage matrix below
+# its diagonal (the 12 trial stages, then B, the row of f(y_new)'s state, and
+# the dense output's 3 extra stages), the error weights and the interpolant's
+# weights
+_DOP8_A = [row[:i] for i, row in enumerate(dop853_coefficients.A.tolist())]
+_DOP8_E5, _DOP8_E3, _DOP8_D = (dop853_coefficients.E5.tolist(),
+                               dop853_coefficients.E3.tolist(), dop853_coefficients.D.tolist())
+_DOP8_STAGES = dop853_coefficients.N_STAGES
+
+
+def _combine(y, weights, stages, h):
+    """y + (sum of w_j k_j) * h per component, summed from 0.0 in stage order."""
+    out = []
+    for i, v in enumerate(y):
+        acc = 0.0
+        for w, k in zip(weights, stages):
+            acc += k[i] * w
+        out.append(v + acc * h)
+    return out
+
+
+def dop853_step(f, y, k1, h, rtol, atol):
+    """One DOP853 trial step from y with first stage k1, as loops over the
+    components: (y_new, f(y_new), error norm, the 13 stages, f(y_new)
+    last).  Every sum starts at 0.0 and adds each stage in order, zero
+    weights included; the error norm is scipy's ``_estimate_error_norm``,
+    with each term divided by its scale max(|y|, |y_new|) and the squares
+    summed from 0.0 in component order."""
+    stages = [k1]
+    for row in _DOP8_A[1:_DOP8_STAGES]:
+        stages.append(f(_combine(y, row, stages, h)))
+    y_new = _combine(y, _DOP8_A[_DOP8_STAGES], stages, h)
+    stages.append(f(y_new))
+    sq5 = sq3 = 0.0
+    for i, (v, w) in enumerate(zip(y, y_new)):
+        e5 = e3 = 0.0
+        for c5, c3, k in zip(_DOP8_E5, _DOP8_E3, stages):
+            e5 += k[i] * c5
+            e3 += k[i] * c3
+        scale = atol + max(abs(v), abs(w)) * rtol
+        e5, e3 = e5 / scale, e3 / scale
+        sq5 += e5 * e5
+        sq3 += e3 * e3
+    if sq5 == 0.0 and sq3 == 0.0:
+        err = 0.0
+    else:
+        err = abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+    return y_new, stages[-1], err, stages
+
+
+def dop853_dense_rows(f, y, y_new, stages, h):
+    """Per component, scipy's seven ``F`` rows of the DOP853 interpolant of
+    the step from y to y_new with the stages ``dop853_step`` returns; the
+    three extra stages are evaluated here."""
+    stages = list(stages)
+    for row in _DOP8_A[_DOP8_STAGES + 1:]:
+        stages.append(f(_combine(y, row, stages, h)))
+    out = []
+    for i, v in enumerate(y):
+        dy = y_new[i] - v
+        f_old, f_new = stages[0][i], stages[_DOP8_STAGES][i]
+        coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
+        for d in _DOP8_D:
+            acc = 0.0
+            for w, k in zip(d, stages):
+                acc += k[i] * w
+            coeffs.append(h * acc)
+        out.append(tuple(coeffs))
+    return out
 
 
 def ermakov_pinney(a0, a1, c, t):

@@ -17,9 +17,10 @@ from eulerexact import emden
 from eulerexact._tableaux import RK45_P_BOUND
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
-from _oracles import (dp5_dense_rows, dp5_step, ermakov_pinney, ermakov_pinney_collapse,
-                      isothermal_fall_time, rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays,
-                      rhs_3d_floats, rk4_fixed, scipy_run)
+from _oracles import (dop853_dense_rows, dop853_step, dp5_dense_rows, dp5_step,
+                      ermakov_pinney, ermakov_pinney_collapse, isothermal_fall_time,
+                      rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays, rhs_3d_floats, rk4_fixed,
+                      scipy_run)
 
 
 def params(K=1.0, gamma=1.4, lam=0.0, alpha=1.0, xi=1.0, mu=0.0):
@@ -421,11 +422,26 @@ def _reference_rk45(p, dim, rtol, atol):
     the generated step evaluates its stages in place; ``TestKernels`` holds
     the two equal bit for bit."""
     f = emden._rhs(p, dim)
-    rows = emden._rk45(p, dim, rtol, atol)[2]
+    rows = emden._kernels("RK45", p, dim, rtol, atol)[2]
 
     def attempt(y, k1, h):
         y_new, k7, err, stages = dp5_step(f, y, k1, h, rtol, atol)
         return tuple(y_new), k7, err, tuple(v for k in stages for v in k)
+    return f, attempt, rows
+
+
+def _reference_dop853(p, dim, rtol, atol):
+    """DOP853's kernels as the component-loop reference
+    (``_oracles.dop853_step`` and ``dop853_dense_rows``), which call
+    ``emden._rhs`` once per stage where the generated kernels evaluate their
+    stages in place; ``TestKernels`` holds the two equal."""
+    f = emden._rhs(p, dim)
+
+    def attempt(y, k1, h):
+        return dop853_step(f, y, k1, h, rtol, atol)
+
+    def rows(y, y_new, stages, h):
+        return dop853_dense_rows(f, y, y_new, stages, h)
     return f, attempt, rows
 
 
@@ -454,9 +470,9 @@ class TestRunStats:
             return rhs
 
         monkeypatch.setattr(emden, "_rhs", counting)
-        if method == "RK45":
-            monkeypatch.setitem(emden._METHODS, "RK45",
-                                emden._METHODS["RK45"]._replace(kernels=_reference_rk45))
+        reference = {"RK45": _reference_rk45, "DOP853": _reference_dop853}[method]
+        monkeypatch.setitem(emden._METHODS, method,
+                            emden._METHODS[method]._replace(kernels=reference))
         rejected = 0
         for (p, ic, t_end), want in zip(cases, shipped):
             calls = 0
@@ -744,6 +760,34 @@ def _kernel_and_reference(p, state, h, rtol, atol):
     return got
 
 
+def nan_bits(obj) -> list[bytes]:
+    """``bits`` with every NaN as one marker.  Where two NaNs of opposite
+    sign meet in an addition (a NaN stage's, and inf * 0.0 where a stage's
+    derivative is infinite and its weight zero), CPython's float addition
+    returns one or the other depending on whether it has specialized that
+    instruction yet, so such a NaN's sign varies between the first calls of
+    one function."""
+    return [b"nan" if np.isnan(np.frombuffer(b)[0]) else b for b in bits(obj)]
+
+
+def _dop853_and_reference(p, state, h, rtol, atol):
+    """The generated DOP853 step and rows against the component-loop
+    reference (``_oracles.dop853_step`` and ``dop853_dense_rows``): every
+    float equal bit for bit, every NaN a NaN."""
+    dim, y = emden._vec_from_state(state)
+    f, attempt, rows = emden._METHODS["DOP853"].kernels(p, dim, rtol, atol)
+    reference = emden._rhs(p, dim)
+    k1 = f(y)
+    assert bits(k1) == bits(reference(y))
+    got = attempt(y, k1, h)
+    want = dop853_step(reference, y, k1, h, rtol, atol)
+    # the kernel's stages are flat, the reference's one tuple per stage
+    assert nan_bits(got) == nan_bits(want)
+    assert nan_bits(rows(y, got[0], got[3], h)) == nan_bits(
+        dop853_dense_rows(reference, y, want[0], want[3], h))
+    return got
+
+
 def _real(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -756,9 +800,42 @@ kernel_states = st.one_of(
     st.builds(EmdenState2D, st.just(0.0), _real(0.3, 3.0), _real(-2.0, 2.0)))
 
 
+# (p, state, h, whether a stage leaves the domain; otherwise a stage's
+# right-hand side falls back to ``_ieee``)
+_EDGE_STEPS = [
+    # a stage with a or b < 0: the stage is NaN and so is the error norm
+    (params(), EmdenState3D(0.0, 0.2, -2.0, 1.0, 0.0), 1.0, True),
+    (params(), EmdenState3D(0.0, 1.0, 0.0, 0.2, -2.0), 1.0, True),
+    (params(), EmdenState2D(0.0, 0.2, -2.0), 1.0, True),
+    # a**3 underflows to 0, so xi^2 / a^3 divides by zero
+    (params(lam=-1.0), EmdenState3D(0.0, 1e-110, 0.0, 1.0, 0.0), 1e-3, False),
+    (params(lam=-1.0), EmdenState2D(0.0, 1e-110, 0.0), 1e-3, False),
+    # a^(2 gamma - 1) overflows
+    (params(gamma=3.0, lam=1.0), EmdenState3D(0.0, 1e100, 1.0, 1.0, 0.0), 1e-3, False),
+    (params(gamma=3.0, lam=1.0), EmdenState2D(0.0, 1e100, 1.0), 1e-3, False),
+]
+
+
+def _edge_step(dim, huge, depth, speed, h, gamma):
+    """(p, state) of nearly free motion from a start near where a**3
+    underflows to 0 (a falling) or a power of a overflows (a rising), so the
+    fallback fires at whichever stage crosses that edge, or the stage leaves
+    the domain."""
+    if huge:
+        edge = 10.0 ** (308.0 / max(3.0, 2.0 * gamma - 1.0))
+        a = edge / (1.0 + 2.0 * depth)
+        p, y = params(gamma=gamma, lam=1.0), (a, speed * a / h)
+    else:
+        a = 1.4e-108 * 10.0 ** (3.0 * depth)
+        p, y = params(gamma=gamma, lam=0.0, xi=0.0), (a, -speed * a / h)
+    return p, EmdenState3D(0.0, *y, 1.0, 0.0) if dim == 3 else EmdenState2D(0.0, *y)
+
+
 class TestKernels:
-    """The generated RK45 kernels of both state sizes against the
-    component-loop reference step (``_oracles.dp5_step``), bit for bit."""
+    """The generated kernels of both state sizes against the component-loop
+    reference steps: RK45's (``_oracles.dp5_step``) bit for bit, DOP853's
+    (``_oracles.dop853_step``) bit for bit but for the sign of a NaN
+    (``nan_bits``)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(kernel_params, kernel_states, _real(1e-8, 3.0), _real(MIN_REL_TOL, 1e-2),
@@ -766,18 +843,13 @@ class TestKernels:
     def test_rk45_kernels_are_the_reference_step(self, p, state, h, rtol, atol):
         _kernel_and_reference(p, state, h, rtol, atol)
 
-    @pytest.mark.parametrize("p, state, h, leaves_domain", [
-        # a stage with a or b < 0: the stage is NaN and so is the error norm
-        (params(), EmdenState3D(0.0, 0.2, -2.0, 1.0, 0.0), 1.0, True),
-        (params(), EmdenState3D(0.0, 1.0, 0.0, 0.2, -2.0), 1.0, True),
-        (params(), EmdenState2D(0.0, 0.2, -2.0), 1.0, True),
-        # a**3 underflows to 0, so xi^2 / a^3 divides by zero
-        (params(lam=-1.0), EmdenState3D(0.0, 1e-110, 0.0, 1.0, 0.0), 1e-3, False),
-        (params(lam=-1.0), EmdenState2D(0.0, 1e-110, 0.0), 1e-3, False),
-        # a^(2 gamma - 1) overflows
-        (params(gamma=3.0, lam=1.0), EmdenState3D(0.0, 1e100, 1.0, 1.0, 0.0), 1e-3, False),
-        (params(gamma=3.0, lam=1.0), EmdenState2D(0.0, 1e100, 1.0), 1e-3, False),
-    ])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kernel_params, kernel_states, _real(1e-8, 3.0), _real(MIN_REL_TOL, 1e-2),
+           _real(1e-15, 1e-3))
+    def test_dop853_kernels_are_the_reference_step(self, p, state, h, rtol, atol):
+        _dop853_and_reference(p, state, h, rtol, atol)
+
+    @pytest.mark.parametrize("p, state, h, leaves_domain", _EDGE_STEPS)
     def test_rejected_and_ieee_steps(self, monkeypatch, p, state, h, leaves_domain):
         calls = 0
         real = emden._ieee
@@ -801,6 +873,33 @@ class TestKernels:
                 want = rhs(tuple(map(np.float64, y)), p.K, p.gamma, p.lam, p.xi)
             assert bits(emden._rhs(p, dim)(y)) == bits(want.tolist())
 
+    @pytest.mark.parametrize("p, state, h, leaves_domain", _EDGE_STEPS)
+    def test_dop853_rejected_and_ieee_steps(self, monkeypatch, p, state, h, leaves_domain):
+        calls = 0
+        real = emden._ieee
+
+        def counting(fn, y):
+            nonlocal calls
+            calls += 1
+            return real(fn, y)
+
+        monkeypatch.setattr(emden, "_ieee", counting)
+        _, _, err, stages = _dop853_and_reference(p, state, h, 1e-10, 1e-12)
+        if leaves_domain:
+            assert math.isnan(err) and not err < 1.0
+            assert any(math.isnan(v) for v in stages)
+        else:
+            assert calls > 0
+
+    def test_dop853_sums_start_at_zero(self):
+        # a' is -0.0 and a'' a subnormal below zero, so stage 2's a' sum,
+        # k1 * A[1][0], underflows to -0.0: from 0.0 it is +0.0, and so is a'
+        # at stage 2, where a's derivative is a'
+        p = params(lam=-1e-323, xi=0.0)
+        _, _, _, stages = _dop853_and_reference(p, EmdenState2D(0.0, 1.0, -0.0), 0.1,
+                                                1e-10, 1e-12)
+        assert bits(stages[2]) == bits(0.0)
+
     @pytest.mark.parametrize("p, state, h, stage, leaves_domain", [
         # free motion, a falling linearly: a**3 underflows to 0 (so 0 / 0
         # raises) from the sixth stage on
@@ -823,18 +922,14 @@ class TestKernels:
            _real(0.05, 1.5), _real(1.0, 2.0))
     def test_steps_that_fall_back_at_any_stage_are_the_reference(
             self, dim, huge, depth, speed, h, gamma):
-        # nearly free motion from a start near where a**3 underflows to 0 (a
-        # falling) or a power of a overflows (a rising), so the fallback fires
-        # at whichever stage crosses that edge, or the stage leaves the domain
-        if huge:
-            edge = 10.0 ** (308.0 / max(3.0, 2.0 * gamma - 1.0))
-            a = edge / (1.0 + 2.0 * depth)
-            p, y = params(gamma=gamma, lam=1.0), (a, speed * a / h)
-        else:
-            a = 1.4e-108 * 10.0 ** (3.0 * depth)
-            p, y = params(gamma=gamma, lam=0.0, xi=0.0), (a, -speed * a / h)
-        state = EmdenState3D(0.0, *y, 1.0, 0.0) if dim == 3 else EmdenState2D(0.0, *y)
-        _kernel_and_reference(p, state, h, 1e-10, 1e-12)
+        _kernel_and_reference(*_edge_step(dim, huge, depth, speed, h, gamma), h, 1e-10, 1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3]), st.booleans(), _real(0.0, 1.0), _real(0.3, 2.0),
+           _real(0.05, 1.5), _real(1.0, 2.0))
+    def test_dop853_steps_that_fall_back_at_any_stage_are_the_reference(
+            self, dim, huge, depth, speed, h, gamma):
+        _dop853_and_reference(*_edge_step(dim, huge, depth, speed, h, gamma), h, 1e-10, 1e-12)
 
 
     def test_each_state_size_is_compiled_once_per_process(self, monkeypatch):
@@ -858,6 +953,24 @@ class TestKernels:
         assert len(compiled) == 2
         # every run and family reuses its size's code objects
         assert len(codes) == 2
+
+    def test_dop853_is_compiled_at_its_first_run_only(self, monkeypatch):
+        compiled = []
+
+        def counting(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+        monkeypatch.setattr(emden, "compile", counting, raising=False)
+        emden._generated.cache_clear()
+        p = params(gamma=1.4, lam=-1.0)
+        state = EmdenState3D(0.0, 1.0, 0.1, 1.0, 0.2)
+        integrate(p, state, 1.0)
+        assert compiled == ["<RK45 kernels of state size 4>"]
+        for dt in (1e-3, -1e-3, 0.5):
+            advance(p, state, dt)
+        advance(p, EmdenState2D(0.0, 1.0, 0.1), 1e-3)
+        assert compiled == ["<RK45 kernels of state size 4>", "<DOP853 kernels of state size 4>",
+                            "<DOP853 kernels of state size 2>"]
 
 def _fallback_stages(p, state, h):
     """(the first stage, 2 to 7, of the reference step from ``state`` whose
@@ -955,6 +1068,49 @@ class TestFarSteps:
         assert repr(shipped) == repr(near)
         # the run that never trusts the bound builds every step's rows
         assert built == near[3].accepted
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(collapse_params, st.sampled_from([2, 3]), _real(0.3, 2.0), _real(-1.0, 1.0),
+           _real(0.3, 2.0), _real(-1.0, 1.0), _real(1.0, 10.0),
+           st.one_of(st.none(), _real(0.05, 0.9)))
+    def test_sink_run_is_the_run_that_never_trusts_the_bound(
+            self, p, dim, a0, a1, b0, b1, horizon, floor_share):
+        # a run with a sink (integrate's step table) skips ``_locate`` on the
+        # steps its far test clears, and its sink still gets every step's rows
+        ic = emden._state_from_vec(dim, 0.0, (a0, a1, b0, b1)[:2 * dim - 2])
+        eps_blow = None if floor_share is None else floor_share * min(a0, b0)
+        shipped, located = _located_run(p, ic, horizon, max_steps=5000, eps_blow=eps_blow)
+        method = emden._METHODS["RK45"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(emden._METHODS, "RK45", method._replace(
+                far=lambda dim, floors: lambda y, stages, h: False))
+            near, near_located = _located_run(p, ic, horizon, max_steps=5000, eps_blow=eps_blow)
+        assert (shipped.jsonl_lines(), repr(shipped.termination), repr(shipped.stats),
+                shipped.t_span) == (near.jsonl_lines(), repr(near.termination),
+                                    repr(near.stats), near.t_span)
+        assert shipped._dense.coeffs.tobytes() == near._dense.coeffs.tobytes()
+        assert located <= near_located == near.stats.accepted
+
+    def test_a_deck_like_sink_run_skips_the_floor_search(self):
+        traj, located = _located_run(params(gamma=1.4, lam=-1.0),
+                                     EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2), 30.0)
+        assert traj.termination.kind == "blowup"
+        assert located < traj.stats.accepted // 10
+
+
+def _located_run(p, ic, t_end, **options):
+    """(``integrate``'s trajectory, the number of ``_locate`` calls its run made)."""
+    located = 0
+    real = emden._locate
+
+    def counting(*args):
+        nonlocal located
+        located += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emden, "_locate", counting)
+        return integrate(p, ic, t_end, **options), located
 
 
 def _concavity_stop(traj):
@@ -1090,7 +1246,9 @@ class TestConcavityStop:
 
 
 # sha256 of each run's lifespan result, trajectory records and RunStats,
-# pinned before the concavity stop: lam >= 0 and planar runs do not see it
+# pinned before the concavity stop: lam >= 0 and planar runs do not see it.
+# DOP853's were pinned again when its kernels were generated: its last state
+# became a tuple, as RK45's is, with every float unchanged
 _UNCHANGED_RUNS = {
     "3d_lam_zero_collapse": ((1.4, 0.0, 1.0), (1.0, 0.1, 1.0, -0.5), 5.0),
     "3d_lam_positive": ((1.67, 1.0, 0.5), (1.0, -0.2, 1.2, 0.3), 10.0),
@@ -1100,23 +1258,23 @@ _UNCHANGED_RUNS = {
 }
 _UNCHANGED_DIGESTS = {
     ("2d_collapse", "DOP853"):
-        "1a0da1e3ee4b8438be5fdb35d4b093084d9aef9f13233cf7dc2f64a2095236f4",
+        "1fae0b7a6ecd780982098346dceed717280ff1a260b1b85562430bf3a105a4e5",
     ("2d_collapse", "RK45"):
         "b5a185401c83089b6c5abc9c8848a640aa7e69aa695fa0b7c27d87c915ab3737",
     ("2d_orbit", "DOP853"):
-        "04e53e2ada9601b339457e9cd2bbafec01a8798b7436aa3fcb1e76f351d1e7df",
+        "31913435a424f23a4a1235ea850049fdcb3141c413337ecddafdfcb4d4023a30",
     ("2d_orbit", "RK45"):
         "94efdb5f9cdf207b62c9fdb3b296db8eef6d5004cc0ef18cdfd686dab01f8f08",
     ("3d_isothermal_lam_positive", "DOP853"):
-        "fd414dab1ab48002139e083d4560213116e489c025f708878c80772a60a36411",
+        "cd20a25a6b52b1b817d36eb3f7599d1bb02d50d166a60dffa41bc40f231e61bb",
     ("3d_isothermal_lam_positive", "RK45"):
         "81bf5d13e6b5fa4e96bd61585a20defa5a84b568edcdc9d08e9da318fdc135be",
     ("3d_lam_positive", "DOP853"):
-        "70ec6266918fe60483f467769f71577e6764ca8c56cc00d4a1798998319289d1",
+        "11a431d2d043ef21029cca22b566b530fa77532af7dad6d9fdfe7780322e4d64",
     ("3d_lam_positive", "RK45"):
         "c74cc6add1399ff7bf4f83097fbc6813bbb42f757c362685e4656cf7fdfea45d",
     ("3d_lam_zero_collapse", "DOP853"):
-        "cc032e2c419aa0b3e440f09366ebd3773d9a793e2be0d8a85fca7902bc39d1a5",
+        "a2dafba2fce3f97cf147a09922ee0b9a2797d8822aaa55f5c8bb5fd7b1631b71",
     ("3d_lam_zero_collapse", "RK45"):
         "4f3789f834a27beca1fe5b2ed436a58be5289988df7c37727322356416d61852",
 }

@@ -161,6 +161,14 @@ def test_every_private_module_name_is_referenced():
     assert {(module, name) for module, name in defined if name not in referenced} == set()
 
 
+def test_importing_the_cli_generates_no_kernels():
+    # the kernels are generated per state size and pair at the first run
+    # that needs them
+    result = _fresh("import json; import eulerexact.cli; from eulerexact import emden; "
+                    "print(json.dumps(emden._generated.cache_info().currsize))")
+    assert result == 0
+
+
 def test_every_mode_runs_without_scipy(tmp_path):
     result = _run_modes(tmp_path, RUNS, schemes=("ellipsoid", "box"))
     assert result["codes"] == [0] * len(RUNS)
