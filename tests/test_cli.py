@@ -505,6 +505,55 @@ class TestIntegrateCommand:
         assert set(rec) == {"t", "a", "a_dot", "energy"}
 
 
+# sha256 of the `integrate` JSONL bytes, with the run's exit code and the
+# sample count and termination of its stdout line: every way a run ends,
+# with and without sample times
+GOLDEN_TRAJECTORIES = {
+    # the floor is crossed at t = 1.25 - 1.3e-10, so 1.25 and later are dropped
+    "3d_times_floor_blowup": (
+        ["--lambda", "0", "--a1", "0.1", "--b1", "-0.8", "--t-end", "3",
+         "--times", "0,0.25,0.5,1,1.25,1.5,2,3"],
+        3, "4 samples, blowup",
+        "39cff98ad188175f917f1d5f4031fcb6f272539b71be336ed3de237e54591962"),
+    "3d_concavity_stop": (
+        ["--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
+        3, "380 samples, blowup",
+        "198cc1d70d91c094b72fc81aee3c8ea6a91fcc4248beb14d26f39d5d9eb4f1d3"),
+    # samples at t0 and at t_end
+    "2d_reached_t_end": (
+        ["--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
+         "--t-end", "6", "--times", "0,0.7,1.9,3,6"],
+        0, "5 samples, reached_t_end",
+        "0d680b989ec646e1067708554f7743cf7e9b136558619529e80ca2769f8900d0"),
+    # the step points, then the collapse point at the floor crossing
+    "3d_floor_collapse_point": (
+        ["--lambda", "0", "--a0", "0.5", "--b1", "-1", "--t-end", "2"],
+        3, "91 samples, blowup",
+        "87eb5dcfae837c85aa192e08914676770ba3b6745990a7aa090dae9d17f91779"),
+    # the partial file of an exhausted step budget
+    "2d_max_steps": (
+        ["--dim", "2", "--gamma", "1.4", "--lambda", "1", "--xi", "0.7", "--a1", "0.2",
+         "--t-end", "50", "--max-steps", "40"],
+        4, "41 samples, step_failure",
+        "709a0ac15e289492305b808ebb991719c75bf97cff5d4fd9146b05ac96a524d7"),
+    "3d_dop853_times": (
+        ["--method", "DOP853", "--gamma", "1.67", "--lambda", "0.8", "--a1", "0.2",
+         "--b1", "-0.3", "--t-end", "4", "--times", "0,1,2,3,4"],
+        0, "5 samples, reached_t_end",
+        "5e7d4264c18df3420de7990a433d8518e378c6459d03b7295a9d669d0366f792"),
+}
+
+
+class TestIntegrateWriter:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
+    def test_output_bytes_pinned(self, tmp_path, name):
+        argv, want_code, summary, digest = GOLDEN_TRAJECTORIES[name]
+        out = tmp_path / "t.jsonl"
+        code, stdout, _ = run(tmp_path, "integrate", *argv, "--out", str(out))
+        assert (code, stdout) == (want_code, f"wrote {out} ({summary})\n")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestVerifyCommand:
     def test_report_shows_second_order(self, tmp_path):
         out = tmp_path / "v.json"
