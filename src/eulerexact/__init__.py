@@ -15,7 +15,7 @@ from .classify import (BLOWUP, GLOBAL, OPEN_CASE, Classification,
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .emden import (EmdenState2D, EmdenState3D, RunStats, Termination, Trajectory,
                     advance, emden_rhs_2d, emden_rhs_3d, energy_2d, energy_3d,
-                    integrate)
+                    integrate, stream_trajectory)
 from .profiles import (DensityProfile, NonSmoothCutoffWarning, PhysParams,
                        similarity_eta, similarity_s)
 
@@ -27,7 +27,7 @@ __all__ = [
     "similarity_s", "similarity_eta",
     "EmdenState3D", "EmdenState2D", "Termination", "Trajectory", "RunStats",
     "emden_rhs_3d", "emden_rhs_2d", "energy_3d", "energy_2d",
-    "integrate", "advance",
+    "integrate", "stream_trajectory", "advance",
     "Field3D", "Field2D", "FieldSample", "SnapshotFieldSource",
     "ResidualReport", "MassBudget", "RegularityReport",
     "mass_residual", "euler_residual", "navier_stokes_residual",

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import itertools
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -23,7 +24,7 @@ from .classify import (classify_3d, classify_cell, detect_period_2d,  # noqa: F4
                        search_period_2d)
 from .config import (SWEEPABLE, ConfigError, RunConfig, _KEY_OF, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
-from .emden import integrate, strict_json
+from .emden import integrate, stream_trajectory, strict_json
 
 # numpy, fields and verify are imported inside the modes that use them, sample
 # and verify, so that integrate, classify and sweep start without numpy
@@ -117,10 +118,23 @@ def _write_text(out: str, text: str) -> None:
 
 
 def run_integrate(cfg: RunConfig, out: str) -> int:
-    traj = _integrate(cfg, cfg.t_end, dense_times=cfg.times or None)
-    traj.write_jsonl(out)
-    print(f"wrote {out} ({len(traj.states)} samples, {traj.termination.kind})")
-    return _exit_code(traj.termination)
+    """Stream the trajectory to ``out.tmp`` as the run goes, then rename it
+    to ``out``; on any error the tmp file is removed and ``out`` untouched."""
+    tmp = out + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            termination, samples = stream_trajectory(
+                cfg.params(), cfg.initial_state(), cfg.t_end, f.write,
+                dense_times=cfg.times or None, **cfg.run_options())
+        os.replace(tmp, out)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+    print(f"wrote {out} ({samples} samples, {termination.kind})")
+    return _exit_code(termination)
 
 
 def _csv_float(v) -> str:

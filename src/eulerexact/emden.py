@@ -23,10 +23,12 @@ step-size controller.  Collapse of a scale factor
 each step's dense output, with a port of scipy's ``brentq``; a 3D run with
 lam < 0, where b is concave, also ends once b's zero is bracketed to
 ``rel_tol`` from the state alone.  A caller reads a run through one step
-sink, which sees each step's dense output and may end the run: the step
-table of :func:`integrate`, or the pericenter section of the planar period
-search (``_section``), whose upward crossings of a' = 0 are located the same
-way.
+sink, which sees each step's dense output and may end the run: the sampler
+(``_sampler``) that gives :func:`integrate` its states and
+:func:`stream_trajectory` its JSONL records as the run goes, beside
+:func:`integrate`'s step table, or the pericenter section of the planar
+period search (``_section``), whose upward crossings of a' = 0 are located
+the same way.
 The module runs on the standard library; only ``_ieee``, the overflow
 fallback of the right-hand side, imports numpy.
 """
@@ -58,6 +60,7 @@ __all__ = [
     "RunOptions",
     "RunStats",
     "integrate",
+    "stream_trajectory",
     "advance",
 ]
 
@@ -239,14 +242,10 @@ class Trajectory:
         return [e(st, self.params) for st in self.states]
 
     def jsonl_lines(self) -> list[str]:
-        """One strict JSON record per state, then the termination record."""
-        lines = []
-        for st, energy in zip(self.states, self.energies()):
-            rec = {"t": st.t, "a": st.a, "a_dot": st.a_dot}
-            if self.dim == 3:
-                rec.update(b=st.b, b_dot=st.b_dot)
-            rec["energy"] = energy
-            lines.append(strict_json(rec))
+        """One strict JSON record per state (``_recorder``), then the
+        termination record: the lines :func:`stream_trajectory` writes."""
+        record = _recorder(self.params, self.dim)
+        lines = [record(st.t, _vec_from_state(st)[1]) for st in self.states]
         lines.append(strict_json({"termination": self.termination.to_dict()}))
         return lines
 
@@ -270,6 +269,42 @@ def strict_json(obj, indent: int | None = None) -> str:
         where = path.removeprefix(".") if path else "the top level"
         raise ValueError("non-finite number in an output record (strict JSON has "
                          f"no NaN or Infinity) at {where}: {str(obj)[:300]}") from None
+
+
+# the keys of a trajectory record, per dimension
+_RECORD_KEYS = {3: ("t", "a", "a_dot", "b", "b_dot", "energy"), 2: ("t", "a", "a_dot", "energy")}
+
+
+def _recorder(p: PhysParams, dim: int):
+    """``record(t, y)``: the JSONL record of the sample (t, y), y = (a, a'[,
+    b, b']), with its first-integral value, as ``strict_json`` writes the
+    dict of ``_RECORD_KEYS``: one template, a float (numpy's included)
+    written by ``float.__repr__``, any other number by ``json.dumps``.
+
+    A sample that is no state raises ``_check_state``'s ValueError, and a
+    non-finite energy ``strict_json``'s, which names ``energy``.
+    """
+    keys = _RECORD_KEYS[dim]
+    template = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
+    isfinite, float_repr = math.isfinite, float.__repr__
+
+    def record(t, y) -> str:
+        values = (t, *y)
+        # y[-2] is the last scale factor: a in 2D, b in 3D
+        if not (all(map(isfinite, values)) and y[0] > 0.0 and y[-2] > 0.0):
+            _check_state(**dict(zip(keys, values)))
+        energy = _energy(p, *y) if dim == 3 else _energy(p, y[0], y[1], 1.0, 0.0)
+        values += (energy,)
+        if not isfinite(energy):
+            strict_json(dict(zip(keys, values)))
+        try:
+            return template % tuple(map(float_repr, values))
+        except TypeError:
+            # a caller's int
+            return template % tuple(float_repr(v) if isinstance(v, float) else json.dumps(v)
+                                    for v in values)
+
+    return record
 
 
 def _nonfinite_path(obj) -> str | None:
@@ -617,10 +652,11 @@ def _dense_value(t_lo: float, t_hi: float, y: float, row, factors, t: float) -> 
 
 class _DenseOutput:
     """The step table of a run, in flat float arrays: step k spans
-    [ts[k], ts[k+1]] and starts at ``state(k)``; its dense output adds to each
-    component the nested polynomial of that component's coefficients.  Only
-    :func:`integrate` keeps one, for :meth:`Trajectory.state_at` and its
-    sample times: its :meth:`append` is the run's step sink."""
+    [ts[k], ts[k+1]] and starts at the state ``ys[k * n:(k + 1) * n]``; its
+    dense output adds to each component the nested polynomial of that
+    component's coefficients.  Only
+    :func:`integrate` keeps one, for :meth:`Trajectory.state_at`: its
+    :meth:`append` sees each step beside the sampler."""
 
     __slots__ = ("factors", "n", "m", "ts", "ys", "coeffs")
 
@@ -640,10 +676,6 @@ class _DenseOutput:
         self.ys.extend(y_new)
         for row in rows:
             self.coeffs.extend(row)
-
-    def state(self, k: int):
-        """The state at step point k."""
-        return self.ys[k * self.n:(k + 1) * self.n]
 
     def value(self, k: int, comp: int, t: float) -> float:
         """Component ``comp`` at time t by the dense output of step k."""
@@ -802,6 +834,61 @@ def _section(method: str):
     return sink, crossings
 
 
+def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
+    """The samples of a run from (t0, y0), as a step sink: (sink, finish).
+
+    With ``times`` (strictly increasing, in [t0, t_end]) a sample is the
+    state at each time: a time equal to t0 is the initial state, and any
+    other one is evaluated by the dense output of the step [t, t_new] with
+    t < time <= t_new, as ``_DenseOutput.__call__`` evaluates it (a boundary
+    belongs to the step it ends, whose polynomial is taken at x = 1).  With
+    ``times`` None the samples are the initial state and every step point
+    (t_new, y_new).  ``emit(t, y)`` gets each sample in time order.
+
+    Only the run's end fixes t_stop, which a floor event puts inside the
+    last step, so each step's samples are held until the next step comes
+    (the initial state until the first step, after the run's own checks);
+    ``finish(t_stop)`` emits the last step's samples up to t_stop and,
+    without ``times``, the collapse point (t_stop, state) when a floor event
+    ended the run inside the last step.
+    """
+    if times is None:
+        held, todo = [(t0, y0)], iter(())
+    elif times and times[0] == t0:
+        held, todo = [(t0, y0)], iter(times[1:])
+    else:
+        held, todo = [], iter(times)
+    upcoming = next(todo, None)
+    last = None
+
+    def at(t, t_new, y, rows, t_s) -> tuple:
+        # ``_dense_value`` of each component, with the factors made once
+        w = factors((t_s - t) / (t_new - t))
+        return tuple([v + _nest(row, w) for v, row in zip(y, rows)])
+
+    def sink(t, t_new, y, y_new, rows):
+        nonlocal upcoming, last
+        if held:
+            for sample in held:
+                emit(*sample)
+            held.clear()
+        if times is None:
+            held.append((t_new, y_new))
+            last = (t, t_new, y, rows)
+        while upcoming is not None and upcoming <= t_new:
+            held.append((upcoming, at(t, t_new, y, rows, upcoming)))
+            upcoming = next(todo, None)
+
+    def finish(t_stop: float) -> None:
+        for sample in held:
+            if sample[0] <= t_stop:
+                emit(*sample)
+        if times is None and last is not None and last[0] < t_stop < last[1]:
+            emit(t_stop, at(*last, t_stop))
+
+    return sink, finish
+
+
 def _rms(values) -> float:
     return math.hypot(*values) / len(values) ** 0.5
 
@@ -851,11 +938,11 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     that ends the run there; when a floor event falls in the same step, the
     earlier ``t_est`` ends the run, and the floor wins a tie.  Events read
     only the current step, so a run keeps a step table only through a sink
-    (``_DenseOutput.append``).  A run of RK45 calls ``_locate`` only when
-    its far test cannot show from the step's stages that no floor is within
-    reach, and, without a sink (a lifespan run), builds a step's rows only
-    then; every floor time is the one a run that scans every step's rows
-    finds.  A floor (``RunOptions.floors``) at or above its start raises
+    (``_DenseOutput.append``, in :func:`integrate` alone).  A run of RK45
+    calls ``_locate`` only when its far test cannot show from the step's
+    stages that no floor is within reach, and, without a sink (a lifespan
+    run), builds a step's rows only then; every floor time is the one a run
+    that scans every step's rows finds.  A floor (``RunOptions.floors``) at or above its start raises
     ValueError.
 
     The run makes its functions once, before the first step: the method's
@@ -984,9 +1071,63 @@ def integrate(
     sample lies past it.  A step-size underflow while a component is
     collapsing is also reported as blowup; any other failure (including
     ``max_steps`` exhaustion) is a ``step_failure``.
+
+    ``states`` holds the samples at ``dense_times`` up to where the run
+    stopped or, without them, the initial state, every accepted step point
+    and, after a floor event, the collapse point (``_sampler``).
     """
     dim, y0 = _vec_from_state(initial_state)
     t0 = initial_state.t
+    states = []
+
+    def keep(t, y):
+        states.append(initial_state if t == t0 else _state_from_vec(dim, t, y))
+
+    options = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_steps=max_steps, eps_blow=eps_blow,
+                   method=method)
+    termination, t_stop, stats, dense = _sampled_run(p, dim, y0, t0, t_end, dense_times,
+                                                     options, keep, table=True)
+    return Trajectory(params=p, dim=dim, initial_state=initial_state,
+                      states=states, termination=termination, t_span=(t0, t_stop),
+                      _dense=dense if dense.steps else None, stats=stats)
+
+
+def stream_trajectory(p: PhysParams, initial_state: EmdenState3D | EmdenState2D,
+                      t_end: float, write: Callable[[str], object], *,
+                      dense_times: Sequence[float] | None = None,
+                      **run_options) -> tuple[Termination, int]:
+    """The run of :func:`integrate` with the same arguments, written as it
+    goes: ``write`` gets each line of its ``Trajectory.write_jsonl`` file,
+    newline included, as soon as the sample is fixed, and the run keeps no
+    step table and makes no state objects.  Returns the termination and the
+    number of samples written.
+
+    A sample that :func:`integrate` could not return or ``write_jsonl``
+    could not write raises the same ValueError, after the samples before it
+    have been written.
+    """
+    dim, y0 = _vec_from_state(initial_state)
+    record = _recorder(p, dim)
+    samples = 0
+
+    def emit(t, y):
+        nonlocal samples
+        write(record(t, y) + "\n")
+        samples += 1
+
+    termination, _, _, _ = _sampled_run(p, dim, y0, initial_state.t, t_end, dense_times,
+                                        run_options, emit)
+    write(strict_json({"termination": termination.to_dict()}) + "\n")
+    return termination, samples
+
+
+def _sampled_run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
+                 dense_times, run_options: dict, emit, table: bool = False):
+    """The run of :func:`integrate`: check ``dense_times`` and the run
+    options, then run from (t0, y0) to ``t_end`` with a ``_sampler`` that
+    passes the samples to ``emit``.  With ``table`` each step also goes to a
+    ``_DenseOutput``.  Returns (termination, t_stop, stats, the table or
+    None)."""
     if dense_times is not None:
         dense_times = [float(t) for t in dense_times]
         if any(t1 >= t2 for t1, t2 in zip(dense_times, dense_times[1:])):
@@ -994,23 +1135,21 @@ def integrate(
         if dense_times and (dense_times[0] < t0 or dense_times[-1] > t_end):
             raise ValueError("dense_times must lie within [t0, t_end]")
 
-    run = RunOptions(rel_tol, abs_tol, max_steps, eps_blow, method)
-    dense = _DenseOutput(_METHODS[method].factors, t0, y0)
-    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, dense.append)
+    run = RunOptions(**run_options)
+    factors = _METHODS[run.method].factors
+    sink, finish = _sampler(factors, t0, y0, dense_times, emit)
+    dense = None
+    if table:
+        dense = _DenseOutput(factors, t0, y0)
+        sample, append = sink, dense.append
 
-    if dense_times is not None:
-        states = [initial_state if t == t0 else _state_from_vec(dim, t, dense(t))
-                  for t in dense_times if t <= t_stop]
-    else:
-        # the accepted step points, then the collapse point on blowup
-        states = [initial_state] + [_state_from_vec(dim, dense.ts[k], dense.state(k))
-                                    for k in range(1, dense.steps + 1) if dense.ts[k] <= t_stop]
-        if termination.kind == "blowup" and states[-1].t < t_stop:
-            states.append(_state_from_vec(dim, t_stop, dense(t_stop)))
+        def sink(t, t_new, y, y_new, rows):
+            append(t, t_new, y, y_new, rows)
+            sample(t, t_new, y, y_new, rows)
 
-    return Trajectory(params=p, dim=dim, initial_state=initial_state,
-                      states=states, termination=termination, t_span=(t0, t_stop),
-                      _dense=dense if dense.steps else None, stats=stats)
+    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, sink)
+    finish(t_stop)
+    return termination, t_stop, stats, dense
 
 
 def _diagnose_failure(t: float, y, y0, comp_names) -> Termination:

@@ -552,6 +552,99 @@ class TestIntegrateWriter:
         code, stdout, _ = run(tmp_path, "integrate", *argv, "--out", str(out))
         assert (code, stdout) == (want_code, f"wrote {out} ({summary})\n")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert os.listdir(tmp_path) == ["t.jsonl"]
+
+    def test_out_in_a_missing_directory_exits_2_and_leaves_nothing(self, tmp_path):
+        out = tmp_path / "nodir" / "t.jsonl"
+        code, _, err = run(tmp_path, "integrate", "--t-end", "1", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert os.listdir(tmp_path) == []
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), method=st.sampled_from(["RK45", "DOP853"]),
+           gamma=st.one_of(st.just(1.0), st.floats(1.05, 2.5)), lam=st.floats(-2.0, 2.0),
+           xi=st.floats(0.0, 1.5), a0=st.floats(0.5, 2.0), a1=st.floats(-1.0, 1.0),
+           b0=st.floats(0.5, 2.0), b1=st.floats(-1.0, 1.0), t_end=st.floats(0.5, 8.0),
+           eps_blow=st.one_of(st.none(), st.floats(1e-3, 0.4)),
+           max_steps=st.sampled_from([5, 40, 3000, 3000]),
+           picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=12),
+           extra=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                          max_size=6),
+           with_times=st.booleans())
+    # floor events inside the last step: the collapse point, and times past it
+    @example(dim=3, method="RK45", gamma=1.4, lam=0.0, xi=1.0, a0=0.5, a1=0.0, b0=1.0,
+             b1=-1.0, t_end=2.0, eps_blow=None, max_steps=3000, picks=[0], extra=[],
+             with_times=False)
+    @example(dim=2, method="DOP853", gamma=2.0, lam=-1.5, xi=0.5, a0=1.0, a1=-0.5, b0=1.0,
+             b1=0.0, t_end=4.0, eps_blow=0.3, max_steps=3000, picks=[3, 8, 21],
+             extra=[0.0, 0.5, 1.0], with_times=True)
+    def test_streamed_file_is_the_library_trajectory(self, tmp_path_factory, dim, method,
+                                                     gamma, lam, xi, a0, a1, b0, b1, t_end,
+                                                     eps_blow, max_steps, picks, extra,
+                                                     with_times):
+        from eulerexact import integrate
+
+        argv = ["integrate", f"--dim={dim}", f"--method={method}", f"--gamma={gamma!r}",
+                f"--lambda={lam!r}", f"--xi={xi!r}", f"--a0={a0!r}", f"--a1={a1!r}",
+                f"--b0={b0!r}", f"--b1={b1!r}", f"--t-end={t_end!r}", f"--max-steps={max_steps}"]
+        if eps_blow is not None:
+            argv.append(f"--eps-blow={eps_blow * min(a0, b0)!r}")
+        cfg = _load_config(build_parser().parse_args(argv))
+        args = (cfg.params(), cfg.initial_state(), cfg.t_end)
+        times = None
+        if with_times:
+            # accepted step ends of a first run (and its collapse point),
+            # and fractions of t_end, 0 and 1 among them
+            ends = [s.t for s in integrate(*args, **cfg.run_options()).states]
+            times = sorted({ends[i % len(ends)] for i in picks} | {t_end * u for u in extra})
+            argv.append("--times=" + ",".join(map(repr, times)))
+        out = tmp_path_factory.mktemp("stream") / "t.jsonl"
+        code, _, err = run(out.parent, *argv, "--out", str(out))
+        try:
+            traj = integrate(*args, dense_times=times, **cfg.run_options())
+            lines = traj.jsonl_lines()
+        except ValueError as exc:
+            assert (code, err) == (2, f"error: {exc}\n")
+            assert not out.exists() and not os.path.exists(f"{out}.tmp")
+            return
+        assert code == {"reached_t_end": 0, "blowup": 3}.get(traj.termination.kind, 4)
+        want = out.parent / "want.jsonl"
+        traj.write_jsonl(want)
+        assert out.read_bytes() == want.read_bytes()
+        assert len(lines) == len(traj.states) + 1
+        t_stop = traj.t_span[1]
+        if times is not None:
+            # the samples are the step table's dense output, bit for bit
+            assert list(map(repr, traj.states)) == [repr(traj.state_at(t)) for t in times
+                                                    if t <= t_stop]
+        else:
+            # the step points end at the run's end or its collapse point
+            assert traj.states[-1].t == t_stop
+
+    def test_memory_does_not_grow_with_the_run(self, tmp_path):
+        # every accepted step of a planar orbit is a sample; the step budget
+        # ends the run (exit 4) after 1 000 or 20 000 of them
+        script = ("import resource, sys; from eulerexact.cli import main; code = main(); "
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             os.environ.get("PYTHONPATH", "")]))
+
+        def peak_kib(max_steps):
+            out = tmp_path / f"{max_steps}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "integrate", "--dim", "2", "--gamma", "1.5",
+                 "--lambda=-1", "--xi", "1", "--a0", "1.1", "--t-end", "1e6",
+                 "--max-steps", str(max_steps), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=60.0)
+            code, peak = proc.stdout.split()[-2:]
+            assert code == "4", proc.stderr
+            assert out.read_bytes().count(b"\n") == max_steps + 2
+            return int(peak)
+
+        # Linux reports ru_maxrss in KiB
+        assert peak_kib(20_000) - peak_kib(1_000) < 3 * 1024
 
 
 class TestVerifyCommand:
@@ -947,8 +1040,10 @@ class TestStrictJson:
         code, _, err = run(tmp_path, "integrate", "--xi", "1e200", "--t-end", "1",
                            "--out", str(out))
         assert code == 2
-        assert "non-finite" in err
-        assert not out.exists()
+        assert err.startswith("error: non-finite number in an output record (strict JSON "
+                              "has no NaN or Infinity) at energy: {'t': 0.0, ")
+        # neither the file nor the one it is streamed to
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_verify_summary_leaves_no_file(self, tmp_path):

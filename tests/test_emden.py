@@ -549,7 +549,7 @@ class TestTableFree:
             assert stats.accepted == table.steps
             assert (stats.h_min, stats.h_max) == (min(steps, default=None),
                                                   max(steps, default=None))
-            assert repr(list(y_end)) == repr(list(table.state(table.steps)))
+            assert repr(list(y_end)) == repr(list(table.ys[-len(y0):]))
             if termination.kind == "section":
                 assert len(crossings) == 2 and termination.t_est == crossings[1][0]
             kinds.add((termination.kind, eps_blow is not None and termination.kind == "blowup",
@@ -756,7 +756,8 @@ def _kernel_and_reference(p, state, h, rtol, atol):
     want = dp5_step(emden._rhs(p, dim), y, k1, h, rtol, atol)
     # the kernel's stages are flat, the reference's one tuple per stage
     assert bits(got) == bits(want)
-    assert bits(rows(y, got[0], got[3], h)) == bits(dp5_dense_rows(want[3], h))
+    # P's zero weights meet an infinite stage as inf * 0.0 = NaN in the rows
+    assert nan_bits(rows(y, got[0], got[3], h)) == nan_bits(dp5_dense_rows(want[3], h))
     return got
 
 
@@ -833,9 +834,9 @@ def _edge_step(dim, huge, depth, speed, h, gamma):
 
 class TestKernels:
     """The generated kernels of both state sizes against the component-loop
-    reference steps: RK45's (``_oracles.dp5_step``) bit for bit, DOP853's
-    (``_oracles.dop853_step``) bit for bit but for the sign of a NaN
-    (``nan_bits``)."""
+    reference steps: RK45's trial step (``_oracles.dp5_step``) bit for bit,
+    its dense rows and DOP853's step and rows (``_oracles.dop853_step``) bit
+    for bit but for the sign of a NaN (``nan_bits``)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(kernel_params, kernel_states, _real(1e-8, 3.0), _real(MIN_REL_TOL, 1e-2),

@@ -78,12 +78,13 @@ IEEE_FALLBACK_RUN = ["integrate", "--gamma", "3", "--lambda", "1", "--a0", "1e10
                      "--a1", "1", "--t-end", "1e-3"]
 
 
-def _fresh(script: str, *args: str) -> dict:
-    """The JSON a fresh interpreter running ``script`` prints last."""
+def _fresh(script: str, *args: str, flags: tuple = ()) -> dict:
+    """The JSON a fresh interpreter (with ``flags``) running ``script``
+    prints last."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script, *args],
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=60.0)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -167,6 +168,16 @@ def test_importing_the_cli_generates_no_kernels():
     result = _fresh("import json; import eulerexact.cli; from eulerexact import emden; "
                     "print(json.dumps(emden._generated.cache_info().currsize))")
     assert result == 0
+
+
+def test_importing_the_cli_loads_no_tempfile_or_shutil():
+    # integrate streams to ``out.tmp`` and renames it with ``os`` alone, so
+    # start-up does not pay for either module.  Without -S, site hooks of
+    # installed packages may load both before the package is imported
+    result = _fresh("import json, sys; before = set(sys.modules); import eulerexact.cli; "
+                    "print(json.dumps(sorted(set(sys.modules) - before)))", flags=("-S",))
+    assert "eulerexact.cli" in result
+    assert not {"tempfile", "shutil"} & set(result)
 
 
 def test_every_mode_runs_without_scipy(tmp_path):
