@@ -973,6 +973,22 @@ class TestKernels:
         assert compiled == ["<RK45 kernels of state size 4>", "<DOP853 kernels of state size 4>",
                             "<DOP853 kernels of state size 2>"]
 
+    @pytest.mark.parametrize("method, dim, digest", [
+        ("RK45", 3, "a227587ed86c9597"), ("RK45", 2, "a48cb3f0740ad909"),
+        ("DOP853", 3, "475e3973d670dfa9"), ("DOP853", 2, "04bfed06f17981fd")])
+    def test_the_generated_source_is_pinned(self, monkeypatch, method, dim, digest):
+        # the text ``_source`` writes fixes every operation of the kernels
+        # and their compile cost; it is read where ``_generated`` compiles it
+        sources = []
+
+        def capturing(source, filename, mode):
+            sources.append(source)
+            return compile(source, filename, mode)
+        monkeypatch.setattr(emden, "compile", capturing, raising=False)
+        emden._generated.cache_clear()
+        emden._METHODS[method].kernels(params(), dim, 1e-10, 1e-12)
+        assert [hashlib.sha256(s.encode()).hexdigest()[:16] for s in sources] == [digest]
+
 def _fallback_stages(p, state, h):
     """(the first stage, 2 to 7, of the reference step from ``state`` whose
     right-hand side falls back to ``_ieee``, the first whose state leaves
