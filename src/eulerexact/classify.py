@@ -87,6 +87,15 @@ class Classification:
 _MAX_EXP_ARG = 700.0
 
 
+def _components(ic, dim: int, what: str) -> tuple:
+    """The components of ``ic``, a state of the ``dim``-dimensional family;
+    a state of another dimension raises ValueError."""
+    got, y0 = _vec_from_state(ic)
+    if got != dim:
+        raise ValueError(f"{what} requires a {dim}D state, got a {got}D one")
+    return y0
+
+
 def _isothermal_zero(x0: float, x1: float, k: float) -> float | None:
     """Time for x'' = -k / x (k > 0) to reach 0 from x = x0, x' = x1, or None
     when e^w0 is out of reach (see ``_MAX_EXP_ARG``) or the time overflows.
@@ -159,16 +168,17 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     bracket width later.  A run
     that ran out of steps or step size before the horizon leaves its
     ``termination`` in the result.  Bad options, a collapse floor at or above
-    ``ic.a`` or ``ic.b`` included, raise even when the table needs no run."""
+    ``ic.a`` or ``ic.b`` included, and a planar state raise even when the
+    table needs no run."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     run = RunOptions(**run_options)
-    dim, y0 = _vec_from_state(ic)
+    y0 = _components(ic, 3, "lifespan classification")
     run.floors(y0)
     table = classify_3d(p, ic)
     if table.T is not None or table.verdict == GLOBAL:
         return table
-    termination, t_stop, _, _ = _run(p, dim, y0, ic.t, ic.t + horizon, run)
+    termination, t_stop, _, _ = _run(p, 3, y0, ic.t, ic.t + horizon, run)
     T = termination.t_est if termination.kind == "blowup" else None
     # the table leaves an open cell undecided; only the run saw its collapse
     evidence = T is not None and table.verdict == OPEN_CASE
@@ -187,6 +197,7 @@ def probe_open_case(p: PhysParams, ic: EmdenState3D, t_horizon: float,
     as a blowup verdict with its time, otherwise the open verdict stays; the
     basis is always numerical evidence.  Never returns "global".
     """
+    _components(ic, 3, "open-case probe")
     if classify_3d(p, ic).verdict != OPEN_CASE:
         raise ValueError("open-case probe requires lam < 0, gamma > 1 and b1 > 0; "
                          f"got lam={p.lam}, gamma={p.gamma}, b1={ic.b_dot}")
@@ -228,11 +239,12 @@ def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
     found the second crossing).  An equilibrium start is reported, once the
     horizon and options (a floor below ``ic.a`` included) pass, as a fixed
     point with the linearized period and no termination, since it needs no
-    run.
+    run.  A 3D state raises ValueError.
     """
     run = RunOptions(**run_options)
     _check_span(ic.t, ic.t + t_max)
-    run.floors((ic.a, ic.a_dot))
+    y0 = _components(ic, 2, "period search")
+    run.floors(y0)
     accel0 = emden_rhs_2d(ic, p)[1]
     scale = max(1.0, abs(ic.a))
     if abs(ic.a_dot) <= fixed_point_tol * scale and abs(accel0) <= fixed_point_tol * scale:
@@ -246,7 +258,7 @@ def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
                               return_error=0.0, method="fixed-point"), None
 
     section, crossings = _section(run.method)
-    termination, _, _, _ = _run(p, 2, (ic.a, ic.a_dot), ic.t, ic.t + t_max, run, section)
+    termination, _, _, _ = _run(p, 2, y0, ic.t, ic.t + t_max, run, section)
     if termination.kind != "section":
         return None, termination
     (t1, y1), (t2, y2) = crossings

@@ -24,7 +24,7 @@ from .classify import (classify_3d, classify_cell, detect_period_2d,  # noqa: F4
                        search_period_2d)
 from .config import (SWEEPABLE, ConfigError, RunConfig, _KEY_OF, _SCHEMA, build_config,
                      parse_entries, parse_entry, parse_sweep_axis)
-from .emden import integrate, stream_trajectory, strict_json
+from .emden import _padded, integrate, stream_trajectory, strict_json
 
 # numpy, fields and verify are imported inside the modes that use them, sample
 # and verify, so that integrate, classify and sweep start without numpy
@@ -161,7 +161,7 @@ def _csv_lines(values: np.ndarray) -> list[list[str]]:
 def run_sample(cfg: RunConfig, out: str) -> int:
     import numpy as np
 
-    from .fields import Field2D, Field3D
+    from .fields import Field3D
 
     params = cfg.params()
     ic = cfg.initial_state()
@@ -176,10 +176,10 @@ def run_sample(cfg: RunConfig, out: str) -> int:
     else:
         states = {0.0: ic}
 
-    # each axis is (min, max, count)
-    xs = np.linspace(*cfg.grid_x)
-    ys = np.linspace(*cfg.grid_y)
-    zs = np.linspace(*cfg.grid_z) if cfg.dim == 3 else np.array([0.0])
+    # each axis is (min, max, count); a planar grid is padded with the plane
+    # z = 0, where the 3D field at the padded state is the planar field
+    xs, ys, zs, *_ = [np.linspace(*axis) for axis in
+                      (cfg.grid_x, cfg.grid_y, cfg.grid_z)[:cfg.dim]] + [np.zeros(1)]
     x_strs = list(map(repr, xs.tolist()))
     y_strs = list(map(repr, ys.tolist()))
     X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
@@ -193,18 +193,14 @@ def run_sample(cfg: RunConfig, out: str) -> int:
             if state is None:
                 truncated = True
                 continue
-            field = (Field3D if cfg.dim == 3 else Field2D).from_params(params, state)
+            field = Field3D.from_params(params, _padded(state))
             t_str = _csv_float(t)
             # one (nx, ny) slab per z keeps memory O(nx*ny); the velocity is
             # linear in space, so u1 and u2 are the same on every slab and u3
             # is constant on each
             for iz, z in enumerate(zs.tolist()):
-                if cfg.dim == 3:
-                    g = field.eval_grid(X, Y, z)
-                    u3, sim = _csv_float(g["u3"].flat[0]), g["s"]
-                else:
-                    g = field.eval_grid(X, Y)
-                    u3, sim = "0.0", g["eta"]
+                g = field.eval_grid(X, Y, z)
+                u3, sim = _csv_float(g["u3"].flat[0]), g["s"]
                 if iz == 0:
                     u1, u2 = _csv_lines(g["u1"]), _csv_lines(g["u2"])
                 z_str = repr(z)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
-from .emden import EmdenState2D, EmdenState3D, RunOptions
+from .emden import _FAMILIES, EmdenState2D, EmdenState3D, RunOptions
 from .profiles import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_entries",
@@ -73,10 +73,10 @@ class RunConfig:
                           alpha=self.alpha, xi=self.xi, mu=self.mu)
 
     def initial_state(self) -> EmdenState3D | EmdenState2D:
-        """The Emden state at t = 0 from a0, a1 (and b0, b1 in 3D)."""
-        if self.dim == 3:
-            return EmdenState3D(0.0, self.a0, self.a1, self.b0, self.b1)
-        return EmdenState2D(0.0, self.a0, self.a1)
+        """The Emden state at t = 0 from a0, a1, b0, b1: as many as the
+        dimension's state has components."""
+        family = _FAMILIES[self.dim]
+        return family.state(0.0, *(self.a0, self.a1, self.b0, self.b1)[:len(family.names)])
 
     def run_options(self) -> dict:
         """The run options: the fields of :class:`emden.RunOptions`, as keywords."""

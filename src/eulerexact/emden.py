@@ -10,27 +10,24 @@ and in the planar case the single equation
     a'' = xi^2 / a^3 + lam / a^(2 gamma - 1).
 
 Both conserve a first integral (see :func:`energy_3d` / :func:`energy_2d`;
-the formulas are verified symbolically in the test suite).  The equations are
-written once, as expressions in ``_EQUATIONS``; the right-hand side ``_rhs``
-and the kernels of both pairs, which evaluate them in place at every stage,
-are generated from that table and compiled once per state size and pair, at
-the first run that needs them.  Integration, the time shifts of
-:func:`advance` included, is done by one step loop, ``_run``: an embedded
-Runge-Kutta pair (Dormand-Prince 5(4), or DOP853) on plain Python floats,
-with scipy's tableaux written out as literals in ``_tableaux`` and scipy's
-step-size controller.  Collapse of a scale factor
-(a or b reaching a small positive floor) is located by root bracketing on
-each step's dense output, with a port of scipy's ``brentq``; a 3D run with
-lam < 0, where b is concave, also ends once b's zero is bracketed to
-``rel_tol`` from the state alone.  A caller reads a run through one step
-sink, which sees each step's dense output and may end the run: the sampler
-(``_sampler``) that gives :func:`integrate` its states and
-:func:`stream_trajectory` its JSONL records as the run goes, beside
-:func:`integrate`'s step table, or the pericenter section of the planar
-period search (``_section``), whose upward crossings of a' = 0 are located
-the same way.
-The module runs on the standard library; only ``_ieee``, the overflow
-fallback of the right-hand side, imports numpy.
+the formulas are verified symbolically in the test suite).  Each
+dimension's system is one entry of ``_FAMILIES``: its state, equations,
+scale factors, concave factor and planar padding.  The right-hand side
+``_rhs`` and the kernels of both pairs are generated from the entry and
+compiled once per dimension and pair, at the first run that needs them.
+Integration, the time shifts of :func:`advance` included, is done by one
+step loop, ``_run``: an embedded Runge-Kutta pair (Dormand-Prince 5(4), or
+DOP853) on plain Python floats, with scipy's tableaux (``_tableaux``) and
+step-size controller.  A scale factor's collapse to a small positive floor
+is located by root bracketing on each step's dense output, with a port of
+scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
+(b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``.
+A caller reads a run through one step sink, which sees each step's dense
+output and may end the run: the sampler (``_sampler``) of :func:`integrate`
+and :func:`stream_trajectory`, beside :func:`integrate`'s step table, or
+the pericenter section of the planar period search (``_section``).  The
+module runs on the standard library; only ``_ieee``, the overflow fallback
+of the right-hand side, imports numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +38,8 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 from ._tableaux import (DOP853_A, DOP853_D, DOP853_E3, DOP853_E5, DOP853_STAGES,
@@ -75,12 +73,10 @@ MIN_REL_TOL = 100 * math.ulp(1.0)
 _COLLAPSE_RATIO = 1e-3
 
 
-def _check_state(**components: float) -> None:
-    """Reject a non-finite component or a scale factor (a, b) that is not > 0.
-
-    The message begins with the component's name.
-    """
-    for name, value in components.items():
+def _check_state(state) -> None:
+    """Reject a state with a non-finite field or a scale factor (a, b) that
+    is not > 0.  The message begins with the field's name."""
+    for name, value in vars(state).items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
         if name in ("a", "b") and not value > 0.0:
@@ -97,8 +93,7 @@ class EmdenState3D:
     b: float
     b_dot: float
 
-    def __post_init__(self) -> None:
-        _check_state(t=self.t, a=self.a, a_dot=self.a_dot, b=self.b, b_dot=self.b_dot)
+    __post_init__ = _check_state
 
 
 @dataclass(frozen=True)
@@ -109,8 +104,30 @@ class EmdenState2D:
     a: float
     a_dot: float
 
-    def __post_init__(self) -> None:
-        _check_state(t=self.t, a=self.a, a_dot=self.a_dot)
+    __post_init__ = _check_state
+
+
+# The Emden system of each dimension, written once: the step loop, the
+# kernels, the floors, the records and the planar padding read its entry.
+# - state: the state class, whose fields after t are the components;
+# - names: the components' names in the generated source, and derivs: each
+#   one's derivative, an expression of those names and of the family's
+#   constants (``_CONSTANTS``, as ``_constants`` gives them);
+# - scale_factors: the factors, which must stay > 0, as {component: name};
+# - concave: the component of the factor that is concave for lam < 0
+#   (b'' < 0), or None;
+# - padding: the (b, b') that pad a state to the 3D one with the same first
+#   integral and, at z = 0, the same field.
+_Family = namedtuple("_Family", "state names derivs scale_factors concave padding")
+_FAMILIES = {
+    3: _Family(EmdenState3D, ("a", "ad", "b", "bd"),
+               ("ad", "xi2 / a**3 + lam / (a**e1 * b**e2)", "bd", "lam / (a**e3 * b**g)"),
+               {0: "a", 2: "b"}, 2, ()),
+    2: _Family(EmdenState2D, ("a", "ad"), ("ad", "xi2 / a**3 + lam / a**e1"),
+               {0: "a"}, None, (1.0, 0.0)),
+}
+# the entries by state size, for the floors of a run, which see its start only
+_BY_SIZE = {len(family.names): family for family in _FAMILIES.values()}
 
 
 def emden_rhs_3d(state: EmdenState3D, p: PhysParams) -> tuple[float, float, float, float]:
@@ -150,9 +167,9 @@ def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
 
 
 def energy_2d(state: EmdenState2D, p: PhysParams) -> float:
-    """Conserved first integral of the planar equation: the 3D one at b = 1,
-    b' = 0, which leave every bit of the planar value unchanged."""
-    return _energy(p, state.a, state.a_dot, 1.0, 0.0)
+    """Conserved first integral of the planar equation: the 3D one at the
+    padding b = 1, b' = 0, which leaves every bit of the planar value as is."""
+    return _energy(p, state.a, state.a_dot, *_FAMILIES[2].padding)
 
 
 @dataclass(frozen=True)
@@ -234,12 +251,10 @@ class Trajectory:
             return self.initial_state
         if self._dense is None:
             raise ValueError("no dense output available (no step was accepted)")
-        y = self._dense(t)
-        return _state_from_vec(self.dim, t, y)
+        return _state_from_vec(self.dim, t, self._dense(t))
 
     def energies(self) -> list[float]:
-        e = energy_3d if self.dim == 3 else energy_2d
-        return [e(st, self.params) for st in self.states]
+        return [energy_3d(_padded(st), self.params) for st in self.states]
 
     def jsonl_lines(self) -> list[str]:
         """One strict JSON record per state (``_recorder``), then the
@@ -271,29 +286,24 @@ def strict_json(obj, indent: int | None = None) -> str:
                          f"no NaN or Infinity) at {where}: {str(obj)[:300]}") from None
 
 
-# the keys of a trajectory record, per dimension
-_RECORD_KEYS = {3: ("t", "a", "a_dot", "b", "b_dot", "energy"), 2: ("t", "a", "a_dot", "energy")}
-
-
 def _recorder(p: PhysParams, dim: int):
-    """``record(t, y)``: the JSONL record of the sample (t, y), y = (a, a'[,
-    b, b']), with its first-integral value, as ``strict_json`` writes the
-    dict of ``_RECORD_KEYS``: one template, a float (numpy's included)
-    written by ``float.__repr__``, any other number by ``json.dumps``.
-
-    A sample that is no state raises ``_check_state``'s ValueError, and a
-    non-finite energy ``strict_json``'s, which names ``energy``.
-    """
-    keys = _RECORD_KEYS[dim]
+    """``record(t, y)``: the JSONL record of the sample (t, y), with the
+    first integral at the padded state, as ``strict_json`` writes the dict
+    of the state's fields and ``energy``: one template, a float (numpy's
+    included) written by ``float.__repr__``, any other number by
+    ``json.dumps``.  A sample that is no state raises the state class's
+    ValueError, and a non-finite energy ``strict_json``'s, which names it."""
+    family = _FAMILIES[dim]
+    keys = (*(f.name for f in fields(family.state)), "energy")
     template = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
     isfinite, float_repr = math.isfinite, float.__repr__
+    at, padding = list(family.scale_factors), family.padding
 
     def record(t, y) -> str:
         values = (t, *y)
-        # y[-2] is the last scale factor: a in 2D, b in 3D
-        if not (all(map(isfinite, values)) and y[0] > 0.0 and y[-2] > 0.0):
-            _check_state(**dict(zip(keys, values)))
-        energy = _energy(p, *y) if dim == 3 else _energy(p, y[0], y[1], 1.0, 0.0)
+        if not (all(map(isfinite, values)) and min([y[c] for c in at]) > 0.0):
+            family.state(*values)  # raises the state's ValueError
+        energy = _energy(p, *y, *padding)
         values += (energy,)
         if not isfinite(energy):
             strict_json(dict(zip(keys, values)))
@@ -326,17 +336,20 @@ def _nonfinite_path(obj) -> str | None:
 
 
 def _state_from_vec(dim: int, t: float, y) -> EmdenState3D | EmdenState2D:
-    if dim == 3:
-        return EmdenState3D(t, float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-    return EmdenState2D(t, float(y[0]), float(y[1]))
+    return _FAMILIES[dim].state(t, *map(float, y))
 
 
 def _vec_from_state(state: EmdenState3D | EmdenState2D) -> tuple[int, tuple]:
-    if isinstance(state, EmdenState3D):
-        return 3, (state.a, state.a_dot, state.b, state.b_dot)
-    if isinstance(state, EmdenState2D):
-        return 2, (state.a, state.a_dot)
+    for dim, family in _FAMILIES.items():
+        if isinstance(state, family.state):
+            return dim, tuple(vars(state).values())[1:]
     raise TypeError(f"unsupported state type: {type(state)!r}")
+
+
+def _padded(state: EmdenState3D | EmdenState2D) -> EmdenState3D:
+    """The 3D state with the same first integral and, at z = 0, the same field."""
+    dim, y = _vec_from_state(state)
+    return EmdenState3D(state.t, *y, *_FAMILIES[dim].padding)
 
 
 @dataclass(frozen=True)
@@ -364,12 +377,12 @@ class RunOptions:
             raise ValueError(f"method must be one of {', '.join(_METHODS)}; got {self.method!r}")
 
     def floors(self, y0) -> list[tuple[int, float]]:
-        """(component, collapse floor) of each scale factor of a run from
-        y0 = (a, a'[, b, b']): ``eps_blow``, or 1e-10 times the factor's
+        """(component, collapse floor) of each scale factor of a run from y0,
+        a state's components: ``eps_blow``, or 1e-10 times the factor's
         value in y0 when it is unset.  A floor at or above that value would
         report a collapse at the start, so it raises ValueError."""
         floors = []
-        for comp, name in ((0, "a"), (2, "b"))[:len(y0) // 2]:
+        for comp, name in _BY_SIZE[len(y0)].scale_factors.items():
             # eps_blow is None or > 0, so ``or`` picks the library's floor for None only
             floor = self.eps_blow or 1e-10 * y0[comp]
             if not floor < y0[comp]:
@@ -386,15 +399,7 @@ def _check_span(t0: float, t_end: float) -> None:
         raise ValueError(f"t_end={t_end} must exceed the initial time {t0}")
 
 
-# The equations of motion, written once: per state size, the names of the
-# state's components, whose even ones are the scale factors (which must stay
-# > 0), and each component's derivative as an expression of those names and
-# of the family's constants (``_CONSTANTS``, as ``_constants`` gives them).
-_EQUATIONS = {
-    4: (("a", "ad", "b", "bd"),
-        ("ad", "xi2 / a**3 + lam / (a**e1 * b**e2)", "bd", "lam / (a**e3 * b**g)")),
-    2: (("a", "ad"), ("ad", "xi2 / a**3 + lam / a**e1")),
-}
+# the constants of the equations of motion (``_Family.derivs``)
 _CONSTANTS = "g, xi2, lam, e1, e2, e3"
 
 
@@ -404,15 +409,15 @@ def _constants(p: PhysParams) -> tuple:
 
 
 def _rhs(p: PhysParams, dim: int):
-    """The equations of motion (``_EQUATIONS``) as ``rhs(y)`` on a sequence
-    of plain floats (a, a'[, b, b']), returning a tuple.
+    """The equations of motion (``_FAMILIES[dim]``) as ``rhs(y)`` on a
+    sequence of plain floats (a, a'[, b, b']), returning a tuple.
 
     Outside the domain (a or b not > 0) every component is NaN, so the
     controller rejects a trial step that leaves it.  Where a float power
     overflows or a divisor underflows to zero, Python raises; ``rhs`` is then
     evaluated again on numpy scalars, which give IEEE's inf or nan instead.
     """
-    return _generated(2 * dim - 2, "RK45")["equations"](*_constants(p))[0]
+    return _generated(dim, "RK45")["equations"](*_constants(p))[0]
 
 
 def _ieee(fn, y) -> tuple:
@@ -430,9 +435,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-def _source(size: int, method: str) -> str:
+def _source(dim: int, method: str) -> str:
     """The source of the right-hand side and of one pair's kernels for one
-    state size, from ``_EQUATIONS`` and the pair's tableau:
+    family, from ``_FAMILIES[dim]`` and the pair's tableau:
     ``equations(constants)`` makes (rhs, kernels), ``kernels(rtol, atol)``
     (attempt, rows), and, for RK45, ``far_test(floors)`` a run's far test
     (``_rk45_far``).
@@ -453,8 +458,9 @@ def _source(size: int, method: str) -> str:
     components: each starts at 0.0 and adds every stage in order, zero
     weights included.
     """
-    names, derivs = _EQUATIONS[size]
-    factors = names[::2]
+    family = _FAMILIES[dim]
+    names, derivs, size = family.names, family.derivs, len(family.names)
+    factors = [names[comp] for comp in family.scale_factors]
     word = re.compile(r"\b(%s)\b" % "|".join(names))
 
     def at(j, expr):
@@ -520,7 +526,7 @@ def _source(size: int, method: str) -> str:
                                       for c in range(4)) + ")" for n in names) + ")"]
         far = [f"def far_test({', '.join(f'floor_{n}' for n in factors)}):",
                "    def far(y, stages, h):"]
-        for c in range(0, size, 2):
+        for c in family.scale_factors:
             reach = " + ".join(f"abs(stages[{i * size + c}]) * {m!r}"
                                for i, m in enumerate(RK45_P_BOUND))
             far += [f"        y_c = y[{c}]",
@@ -564,19 +570,19 @@ def _source(size: int, method: str) -> str:
 
 
 @functools.cache
-def _generated(size: int, method: str) -> dict:
-    """The factories ``_source(size, method)`` defines, compiled once per
+def _generated(dim: int, method: str) -> dict:
+    """The factories ``_source(dim, method)`` defines, compiled once per
     process at the first run that needs them; they read ``math`` and
     ``_ieee`` from this module."""
-    namespace = {}
-    exec(compile(_source(size, method), f"<{method} kernels of state size {size}>", "exec"),
+    namespace, size = {}, len(_FAMILIES[dim].names)
+    exec(compile(_source(dim, method), f"<{method} kernels of state size {size}>", "exec"),
          globals(), namespace)
     return namespace
 
 
 def _kernels(method: str, p: PhysParams, dim: int, rtol: float, atol: float):
     """A run's right-hand side and ``method``'s kernels (``_source``)."""
-    rhs, kernels = _generated(2 * dim - 2, method)["equations"](*_constants(p))
+    rhs, kernels = _generated(dim, method)["equations"](*_constants(p))
     return (rhs, *kernels(rtol, atol))
 
 
@@ -589,7 +595,7 @@ def _rk45_far(dim: int, floors):
     from y_c; a floor f is far when y_c - f > 2 reach_c + 1e-12 |y_c|, a
     margin that covers the rounding of the rows and of their evaluation.  A
     NaN reach is never far."""
-    return _generated(2 * dim - 2, "RK45")["far_test"](*(floor for _, floor in floors))
+    return _generated(dim, "RK45")["far_test"](*(floor for _, floor in floors))
 
 
 class _Method(NamedTuple):
@@ -650,13 +656,19 @@ def _dense_value(t_lo: float, t_hi: float, y: float, row, factors, t: float) -> 
     return y + _nest(row, factors((t - t_lo) / (t_hi - t_lo)))
 
 
+def _dense_state(t_lo: float, t_hi: float, y, rows, factors, t: float) -> tuple:
+    """Each component's ``_dense_value`` at t, with the factors made once."""
+    w = factors((t - t_lo) / (t_hi - t_lo))
+    return tuple([v + _nest(row, w) for v, row in zip(y, rows)])
+
+
 class _DenseOutput:
     """The step table of a run, in flat float arrays: step k spans
     [ts[k], ts[k+1]] and starts at the state ``ys[k * n:(k + 1) * n]``; its
     dense output adds to each component the nested polynomial of that
-    component's coefficients.  Only
-    :func:`integrate` keeps one, for :meth:`Trajectory.state_at`: its
-    :meth:`append` sees each step beside the sampler."""
+    component's coefficients.  Only :func:`integrate` keeps one, for
+    :meth:`Trajectory.state_at`: its :meth:`append` sees each step beside
+    the sampler."""
 
     __slots__ = ("factors", "n", "m", "ts", "ys", "coeffs")
 
@@ -677,16 +689,13 @@ class _DenseOutput:
         for row in rows:
             self.coeffs.extend(row)
 
-    def value(self, k: int, comp: int, t: float) -> float:
-        """Component ``comp`` at time t by the dense output of step k."""
-        i = k * self.n + comp
-        return _dense_value(self.ts[k], self.ts[k + 1], self.ys[i],
-                            self.coeffs[i * self.m:(i + 1) * self.m], self.factors, t)
-
     def __call__(self, t: float) -> tuple:
         """The state at t; a step boundary belongs to the step it ends."""
         k = min(max(bisect_left(self.ts, t) - 1, 0), self.steps - 1)
-        return tuple(self.value(k, comp, t) for comp in range(self.n))
+        n, m = self.n, self.m
+        rows = [self.coeffs[i * m:(i + 1) * m] for i in range(k * n, (k + 1) * n)]
+        return _dense_state(self.ts[k], self.ts[k + 1], self.ys[k * n:(k + 1) * n], rows,
+                            self.factors, t)
 
 
 # the smallest rtol brentq accepts; section crossings are refined to it as
@@ -827,8 +836,7 @@ def _section(method: str):
                         _BRENTQ_RTOL, _BRENTQ_RTOL)
         if crossings and not t_est > crossings[-1][0]:
             return None
-        crossings.append((t_est, tuple(_dense_value(t_lo, t_hi, v, r, factors, t_est)
-                                       for v, r in zip(y, rows))))
+        crossings.append((t_est, _dense_state(t_lo, t_hi, y, rows, factors, t_est)))
         return Termination("section", t_est=t_est) if len(crossings) == 2 else None
 
     return sink, crossings
@@ -861,11 +869,6 @@ def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
     upcoming = next(todo, None)
     last = None
 
-    def at(t, t_new, y, rows, t_s) -> tuple:
-        # ``_dense_value`` of each component, with the factors made once
-        w = factors((t_s - t) / (t_new - t))
-        return tuple([v + _nest(row, w) for v, row in zip(y, rows)])
-
     def sink(t, t_new, y, y_new, rows):
         nonlocal upcoming, last
         if held:
@@ -876,7 +879,7 @@ def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
             held.append((t_new, y_new))
             last = (t, t_new, y, rows)
         while upcoming is not None and upcoming <= t_new:
-            held.append((upcoming, at(t, t_new, y, rows, upcoming)))
+            held.append((upcoming, _dense_state(t, t_new, y, rows, factors, upcoming)))
             upcoming = next(todo, None)
 
     def finish(t_stop: float) -> None:
@@ -884,7 +887,7 @@ def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
             if sample[0] <= t_stop:
                 emit(*sample)
         if times is None and last is not None and last[0] < t_stop < last[1]:
-            emit(t_stop, at(*last, t_stop))
+            emit(t_stop, _dense_state(*last, factors, t_stop))
 
     return sink, finish
 
@@ -924,9 +927,10 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     statistics); t_stop is the floor crossing of a floor event and otherwise
     the end of the last accepted step.
 
-    The concavity stop holds in every 3D run with lam < 0, whatever its
-    caller: there b'' < 0, so from a state with b' < 0 the exact b reaches 0
-    by t + w, w = b / |b'|.  After an accepted step to (t_new, y_new) with
+    The concavity stop holds in every run with lam < 0 of a family with a
+    concave factor (``_FAMILIES``; b in 3D), whatever its caller: there
+    b'' < 0, so from a state with b' < 0 the exact b reaches 0 by t + w,
+    w = b / |b'|.  After an accepted step to (t_new, y_new) with
     b' < 0, w <= ``rel_tol`` max(1, t_new) and t_new + w <= ``t_end``, the run
     ends as a ``blowup`` of b with ``t_est`` t_new + w and ``bracket_width``
     w.  It reads only (t_new, y_new), so far steps stay skipped; a floor
@@ -942,8 +946,8 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     calls ``_locate`` only when its far test cannot show from the step's
     stages that no floor is within reach, and, without a sink (a lifespan
     run), builds a step's rows only then; every floor time is the one a run
-    that scans every step's rows finds.  A floor (``RunOptions.floors``) at or above its start raises
-    ValueError.
+    that scans every step's rows finds.  A floor (``RunOptions.floors``) at
+    or above its start raises ValueError.
 
     The run makes its functions once, before the first step: the method's
     right-hand side, trial step and dense rows for the family and the
@@ -963,9 +967,12 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     # event, and without a sink needs no rows
     far = method.far(dim, floors) if method.far is not None else None
     exponent = -1.0 / (method.error_order + 1)
-    comp_names = {0: "a", 2: "b"} if dim == 3 else {0: "a"}
-    # b'' = lam a^(2 - 2 gamma) b^(-gamma) < 0 for lam < 0
-    concave = dim == 3 and p.lam < 0.0
+    comp_names = _FAMILIES[dim].scale_factors
+    # b'' = lam a^(2 - 2 gamma) b^(-gamma) < 0 for lam < 0: the concave factor,
+    # at component cb, with its velocity at cv
+    cb = _FAMILIES[dim].concave
+    concave = cb is not None and p.lam < 0.0
+    cv = cb + 1 if concave else None
     nextafter, inf = math.nextafter, math.inf
     t, y, fy = t0, y0, f(y0)
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
@@ -1019,17 +1026,15 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             hit = None if clear else _locate(t, t_new, y, rows, factors, floors, rtol)
             if sink is not None:
                 termination = sink(t, t_new, y, y_new, rows)
-            # a sink's record without a time ends the run at the step's end
-            if hit is not None and (termination is None or termination.t_est is None
-                                    or hit[0] <= termination.t_est):
+            if hit is not None and (termination is None or hit[0] <= termination.t_est):
                 t_est, comp, width = hit
                 termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
                                           bracket_width=width)
-        if concave and termination is None and y_new[3] < 0.0:
+        if concave and termination is None and y_new[cv] < 0.0:
             # b is concave, so it reaches 0 by t_new + w
-            w = y_new[2] / -y_new[3]
+            w = y_new[cb] / -y_new[cv]
             if w <= rtol * max(1.0, t_new) and t_new + w <= t_end:
-                termination = Termination("blowup", t_est=t_new + w, which="b",
+                termination = Termination("blowup", t_est=t_new + w, which=comp_names[cb],
                                           bracket_width=w)
         t, y, fy = t_new, y_new, f_new
         if termination is not None:

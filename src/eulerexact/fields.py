@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import EmdenState2D, EmdenState3D
+from .emden import EmdenState2D, EmdenState3D, _padded
 from .profiles import DensityProfile, PhysParams, similarity_s
 
 __all__ = [
@@ -136,10 +136,10 @@ class Field2D:
         return _sample(FieldSample, (g["rho"], g["u1"], g["u2"], 0.0, g["eta"], g["p"]))
 
     def eval_grid(self, x, y) -> dict[str, np.ndarray]:
-        """rho, u1, u2, eta and p: the 3D formulas at z = 0 with b = 1, b' = 0,
-        which leave every bit of the planar values unchanged."""
-        st = self.state
-        g = _exact(self.params, self.profile, x, y, 0.0, st.a, st.a_dot, 1.0, 0.0)
+        """rho, u1, u2, eta and p: the 3D formulas at z = 0 at the padded
+        state (b = 1, b' = 0), which leave every planar value's bits as is."""
+        st = _padded(self.state)
+        g = _exact(self.params, self.profile, x, y, 0.0, st.a, st.a_dot, st.b, st.b_dot)
         return {"rho": g["rho"], "u1": g["u1"], "u2": g["u2"], "eta": g["s"], "p": g["p"]}
 
     def vorticity(self, x: float, y: float) -> float:

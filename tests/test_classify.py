@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eulerexact import (BLOWUP, GLOBAL, OPEN_CASE, EmdenState2D, EmdenState3D,
                         PhysParams, Trajectory, check_no_period_3d,
                         classify_3d, classify_cell, detect_period_2d, integrate,
-                        probe_open_case)
+                        probe_open_case, search_period_2d)
 from eulerexact.emden import Termination
 
 from _oracles import first_integral_period, isothermal_fall_time, planar_potential
@@ -349,6 +349,14 @@ class TestClassifyCell:
         with pytest.raises(ValueError, match=r"^eps_blow must lie below .* of b, got 0\.6$"):
             classify_cell(params(gamma=1.4, lam=lam), state3(b0=0.5, b1=b1), 10.0, eps_blow=0.6)
 
+    @pytest.mark.parametrize("check", [lambda p, ic: classify_cell(p, ic, 10.0),
+                                       lambda p, ic: probe_open_case(p, ic, 10.0)],
+                             ids=["classify_cell", "probe_open_case"])
+    def test_a_planar_state_is_a_named_error(self, check):
+        # a planar state has no b: the error names the dimension it needs
+        with pytest.raises(ValueError, match="requires a 3D state, got a 2D one"):
+            check(params(gamma=1.4, lam=-1.0), EmdenState2D(0.0, 1.0, 0.2))
+
     def test_probe_forwards_the_run_options(self):
         p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
         assert probe_open_case(p, ic, 30.0).T == 1.4240267193753302
@@ -414,6 +422,14 @@ class TestPeriodDetection:
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         with pytest.raises(ValueError, match="^max_steps must"):
             detect_period_2d(p, EmdenState2D(0.0, 1.0, 0.0), 50.0, max_steps=0)
+
+    @pytest.mark.parametrize("search", [search_period_2d, detect_period_2d])
+    def test_a_3d_state_is_a_named_error(self, search):
+        # the planar search would ignore b, and find a period of the
+        # planar orbit from (1.1, 0) (6.3619, kind section)
+        p = params(gamma=1.5, lam=-1.0, xi=1.0)
+        with pytest.raises(ValueError, match="requires a 2D state, got a 3D one"):
+            search(p, EmdenState3D(0.0, 1.1, 0.0, 0.5, -3.0), 100.0)
 
     def test_collapse_floor_ends_the_search(self):
         # a swings between about 0.92 and 1.1, below a floor of 1.05

@@ -606,7 +606,7 @@ class TestSink:
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     @pytest.mark.parametrize("when, kind", [("before", "early"), ("tie", "blowup"),
-                                            ("step_end", "blowup"), ("no_time", "blowup")])
+                                            ("step_end", "blowup")])
     def test_a_floor_in_the_sinks_step(self, method, when, kind):
         # planar gamma = 2 with xi^2 + lam < 0 collapses; a falls to the floor
         # at a = 0.5 inside a step, long before the step size gives out
@@ -619,8 +619,7 @@ class TestSink:
         def sink(t, t_new, y, y_new, rows):
             if not t < T <= t_new:
                 return None
-            t_est = {"before": math.nextafter(T, -math.inf), "tie": T, "step_end": t_new,
-                     "no_time": None}[when]
+            t_est = {"before": math.nextafter(T, -math.inf), "tie": T, "step_end": t_new}[when]
             return emden.Termination("early", t_est=t_est)
         termination, t_stop, _, _ = emden._run(p, 2, y0, 0.0, 5.0, run, sink)
         assert termination.kind == kind
