@@ -39,6 +39,7 @@ import re
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
+from operator import itemgetter
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
@@ -140,8 +141,8 @@ def emden_rhs_2d(state: EmdenState2D, p: PhysParams) -> tuple[float, float]:
     return _rhs(p, 2)((state.a, state.a_dot))
 
 
-def _energy(p: PhysParams, a: float, ad: float, b: float, bd: float) -> float:
-    """The first integral, written once.  The b-kinetic term carries weight
+def _energy(p: PhysParams, y) -> float:
+    """The first integral of the 3D state y = (a, a', b, b'), written once.  The b-kinetic term carries weight
     1/4 (not 1/2) because the b equation sources the lam potential at half
     the strength of the a equation; with that weight d/dt of the value below
     vanishes along exact solutions.  A value out of float range is IEEE's inf
@@ -155,21 +156,21 @@ def _energy(p: PhysParams, a: float, ad: float, b: float, bd: float) -> float:
         return (kinetic + p.lam / (2.0 * g - 2.0) * a ** (2.0 - 2.0 * g) * b ** (1.0 - g),)
 
     try:
-        (value,) = terms((a, ad, b, bd))
+        (value,) = terms(y)
     except ArithmeticError:
-        (value,) = _ieee(terms, (a, ad, b, bd))
+        (value,) = _ieee(terms, y)
     return value
 
 
 def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
     """Conserved first integral of the 3D system."""
-    return _energy(p, state.a, state.a_dot, state.b, state.b_dot)
+    return _energy(p, (state.a, state.a_dot, state.b, state.b_dot))
 
 
 def energy_2d(state: EmdenState2D, p: PhysParams) -> float:
     """Conserved first integral of the planar equation: the 3D one at the
     padding b = 1, b' = 0, which leaves every bit of the planar value as is."""
-    return _energy(p, state.a, state.a_dot, *_FAMILIES[2].padding)
+    return _energy(p, (state.a, state.a_dot) + _FAMILIES[2].padding)
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def strict_json(obj, indent: int | None = None) -> str:
 
 
 def _recorder(p: PhysParams, dim: int):
-    """``record(t, y)``: the JSONL record of the sample (t, y), with the
+    """``record(t, y)``: the JSONL record of the sample (t, y tuple), with the
     first integral at the padded state, as ``strict_json`` writes the dict
     of the state's fields and ``energy``: one template, a float (numpy's
     included) written by ``float.__repr__``, any other number by
@@ -296,14 +297,15 @@ def _recorder(p: PhysParams, dim: int):
     family = _FAMILIES[dim]
     keys = (*(f.name for f in fields(family.state)), "energy")
     template = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
-    isfinite, float_repr = math.isfinite, float.__repr__
-    at, padding = list(family.scale_factors), family.padding
+    isfinite, float_repr, padding = math.isfinite, float.__repr__, family.padding
+    # every factor twice, so that a single factor's value also comes as a tuple
+    factor_values = itemgetter(*family.scale_factors, *family.scale_factors)
 
     def record(t, y) -> str:
         values = (t, *y)
-        if not (all(map(isfinite, values)) and min([y[c] for c in at]) > 0.0):
+        if not (all(map(isfinite, values)) and min(factor_values(y)) > 0.0):
             family.state(*values)  # raises the state's ValueError
-        energy = _energy(p, *y, *padding)
+        energy = _energy(p, y + padding)
         values += (energy,)
         if not isfinite(energy):
             strict_json(dict(zip(keys, values)))
