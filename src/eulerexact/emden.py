@@ -288,10 +288,10 @@ def strict_json(obj, indent: int | None = None) -> str:
 
 
 def _recorder(p: PhysParams, dim: int):
-    """``record(t, y)``: the JSONL record of the sample (t, y tuple), with the
-    first integral at the padded state, as ``strict_json`` writes the dict
-    of the state's fields and ``energy``: one template, a float (numpy's
-    included) written by ``float.__repr__``, any other number by
+    """``record(t, y)``: the JSONL record of the sample (t, y), y a tuple,
+    with the first integral at the padded state, as ``strict_json`` writes
+    the dict of the state's fields and ``energy``: one template, a float
+    (numpy's included) written by ``float.__repr__``, any other number by
     ``json.dumps``.  A sample that is no state raises the state class's
     ValueError, and a non-finite energy ``strict_json``'s, which names it."""
     family = _FAMILIES[dim]
