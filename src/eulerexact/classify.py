@@ -12,13 +12,12 @@ undecided analytically and can only be probed numerically
 (:func:`classify_cell`), which never upgrades to "global": surviving a horizon
 does not prove global existence.
 
-Planar dynamics with lam < 0 and 1 <= gamma < 2 admits periodic orbits; they
-are detected by the first two upward crossings of the pericenter section
-{a' = 0, a'' > 0}, found by a step sink of the integrator's step loop,
-which stops the run at the second one (a start exactly at a pericenter counts
-as the first).  In 3D no periodic solution exists when lam < 0 because
-b'' < 0 makes b' strictly decreasing; :func:`check_no_period_3d` verifies that
-monotonicity on a trajectory.
+Planar dynamics with lam < 0, xi != 0 and 1 <= gamma < 2 has periodic
+orbits about the minimum of its potential V, and a bound orbit's period is a
+quadrature of the first integral, with no run (:func:`search_period_2d`).  In
+3D no periodic solution exists when lam < 0 because b'' < 0 makes b' strictly
+decreasing; :func:`check_no_period_3d` verifies that monotonicity on a
+trajectory.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ import math
 from dataclasses import dataclass, replace
 
 # integrate is not called here: it stays importable for bench/tracer.py
-from .emden import (EmdenState2D, EmdenState3D, RunOptions, Termination,  # noqa: F401
-                    Trajectory, _check_span, _run, _section, _vec_from_state, emden_rhs_2d,
-                    integrate)
+from .emden import (_BRENTQ_RTOL, EmdenState2D, EmdenState3D, RunOptions,  # noqa: F401
+                    Termination, Trajectory, _brentq, _check_span, _components, _energy, _run,
+                    emden_rhs_2d, integrate)
 from .profiles import PhysParams
 
 __all__ = [
@@ -85,15 +84,6 @@ class Classification:
 
 # above this w0 = x1^2 / (2k), e^w0 is near float overflow: the cell is run instead
 _MAX_EXP_ARG = 700.0
-
-
-def _components(ic, dim: int, what: str) -> tuple:
-    """The components of ``ic``, a state of the ``dim``-dimensional family;
-    a state of another dimension raises ValueError."""
-    got, y0 = _vec_from_state(ic)
-    if got != dim:
-        raise ValueError(f"{what} requires a {dim}D state, got a {got}D one")
-    return y0
 
 
 def _isothermal_zero(x0: float, x1: float, k: float) -> float | None:
@@ -208,62 +198,120 @@ def probe_open_case(p: PhysParams, ic: EmdenState3D, t_horizon: float,
 
 @dataclass(frozen=True)
 class PeriodEstimate:
-    """Detected orbital period of the planar dynamics.
-
-    ``return_error`` is the phase-space distance of (a, a') after one period
-    from its value at the first section crossing.  ``method`` is
-    ``pericenter-section`` for genuine orbits or ``fixed-point`` for an
-    equilibrium start, in which case the period is the linearized
-    small-oscillation limit and the return error is zero.
-    """
+    """Orbital period of the planar dynamics; ``method`` is ``first-integral``,
+    or ``fixed-point`` for an equilibrium start (2 pi / sqrt(V''(a)))."""
 
     period: float
-    return_error: float
     method: str
 
     def to_dict(self) -> dict:
         return dict(vars(self))
 
 
+def _bound_period(p: PhysParams, a0: float, a1: float, floor: float) -> float | None:
+    """The period of the planar orbit from (a, a') = (a0, a1) from its first
+    integral; None if it is not bound (lam < 0, xi != 0, gamma < 2, and
+    E < 0 unless ``is_isothermal``), its pericenter is not above ``floor``,
+    or the sum leaves the float range or has not settled at 2^16 intervals."""
+    xi2, lam, g = p.xi * p.xi, p.lam, p.gamma
+    if not (lam < 0.0 and xi2 > 0.0 and g < 2.0
+            and (p.is_isothermal or _energy(p, (a0, a1, 1.0, 0.0)) < 0.0)):
+        return None
+    # V(a) = xi^2 / (2 a^2) + lam w(a), w = -a^k / k (-ln a at k = 0)
+    k = 0.0 if p.is_isothermal else 2.0 - 2.0 * g
+
+    def slope(x, y):
+        # V[x, y], V'(x) at x = y; w's with expm1 and log1p
+        m, h = min(x, y), abs(y - x)
+        u = math.log1p(h / m)
+        w = -m ** (k - 1.0) if h == 0.0 else -m ** k * (math.expm1(k * u) / k if k else u) / h
+        return lam * w - 0.5 * xi2 * (x + y) / (x * x * y * y)
+
+    def gap(a):
+        # E - V(a), without E's rounding
+        return 0.5 * a1 * a1 - (a - a0) * slope(a0, a)
+
+    def q(a):
+        if d > 0.1 * c:
+            # V[a_i, a_o] = 0: Q is V[a, a_o] / (a - a_i) = -V[a_i, a] / (a_o - a),
+            # each taken away from where its xi^2 and lam parts cancel
+            return (slope(a, a_o) / (a - a_i) if a > min(c, 2.0 * a_i)
+                    else -slope(a_i, a) / (a_o - a))
+        # near a circle: xi^2's part exactly, and lam w[a_i, a, a_o] as
+        # c^(k-2) sum_{n>=2} b_n h_{n-2}(-r, s, r), b_n = -binomial(k, n) / k,
+        # h_m the complete homogeneous polynomials: h_m = s h_{m-1}
+        # + r^2 h_{m-2} - r^2 s h_{m-3}; the next term is below (n+1)^3 r^(n-1)
+        r, s, h, h1, h2, n = d / c, (a - c) / c, 1.0, 0.0, 0.0, 2
+        b = total = 0.5 * (1.0 - k)
+        while (n + 1) ** 3 * r ** (n - 1) > 1e-17:
+            n += 1
+            h, h1, h2 = s * h + r * r * (h1 - s * h2), h, h1
+            b *= (k - n + 1) / n
+            total += b * h
+        return (0.5 * xi2 * (a_i * a + a * a_o + a_o * a_i) / (a_i * a * a_o) ** 2
+                + lam * c ** (k - 2.0) * total)
+
+    # an arithmetic error is the float range, and a math domain error a Q
+    # not > 0 from rounding (gamma next to 2)
+    try:
+        a_i = a_o = a0
+        a_eq = (xi2 / -lam) ** (1.0 / (4.0 - 2.0 * g))
+        # a start within rounding of the equilibrium has E - V(a_eq) <= 0,
+        # and d = 0
+        if gap(a_eq) > 0.0:
+            ends = []
+            # from a_eq out by factors of 2 to where E < V, then _brentq
+            for step, stop in ((0.5, floor), (2.0, math.inf)):
+                inner, outer = a_eq, max(step * a_eq, floor)
+                while not gap(outer) < 0.0:
+                    if outer == stop:
+                        return None
+                    inner, outer = outer, max(step * outer, floor)
+                ends.append(_brentq(gap, outer, inner, 1e-300, _BRENTQ_RTOL))
+            a_i, a_o = ends
+        # E - V(a) = (a - a_i)(a_o - a) Q(a), Q = V[a_i, a, a_o], and with
+        # a = c - d cos(theta), T = 2 int_0^pi dtheta / sqrt(2 Q(a)): the
+        # trapezoid rule on a smooth periodic integrand, doubled from 8
+        # intervals until T changes by at most 1e-14; 2 pi / sqrt(V''(c)) at d = 0
+        c, d = 0.5 * (a_i + a_o), 0.5 * (a_o - a_i)
+
+        def f(theta):
+            return 1.0 / math.sqrt(2.0 * q(c - d * math.cos(theta)))
+
+        total, period, n = 0.5 * (f(0.0) + f(math.pi)), None, 1
+        while n < 2 ** 16:
+            total += math.fsum(f((2 * j + 1) * math.pi / (2 * n)) for j in range(n))
+            n *= 2
+            period, last = 2.0 * math.pi / n * total, period
+            if n > 8 and abs(period - last) <= 1e-14 * period:
+                return period
+    except (ArithmeticError, ValueError):
+        pass
+    return None
+
+
 def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
                      fixed_point_tol: float = 1e-9,
                      **run_options) -> tuple[PeriodEstimate | None, Termination | None]:
-    """Search a period of the planar dynamics via the pericenter section.
-
-    Integrates for at most ``t_max`` time units past ``ic.t`` with the
-    ``run_options`` of :func:`classify_cell` until the second upward crossing
-    of a' = 0 (where a'' > 0).  Returns the crossing-to-crossing time with its
-    return error, or None if fewer than two crossings occur (e.g. escape for
-    lam > 0, a collapse, or ``max_steps`` steps taken), and the run's
-    termination, which says how the search ended (kind ``section`` when it
-    found the second crossing).  An equilibrium start is reported, once the
-    horizon and options (a floor below ``ic.a`` included) pass, as a fixed
-    point with the linearized period and no termination, since it needs no
-    run.  A 3D state raises ValueError.
-    """
+    """The period of the planar orbit from ``ic``, or how a run from it
+    ended.  ``t_max`` and the ``run_options`` of :func:`classify_cell` (a
+    floor below ``ic.a`` included) are checked first; a 3D state raises
+    ValueError.  An equilibrium start (a' and a'' within ``fixed_point_tol``
+    max(1, a) of 0) is a ``fixed-point``, or (None, None) if not stable.  A
+    bound orbit whose pericenter lies above the floor has its
+    ``first-integral`` period and no termination, whatever ``t_max`` and the
+    step budget.  Any other orbit is run once, ``t_max`` past ``ic.t``, and
+    gives None with that run's termination."""
     run = RunOptions(**run_options)
     _check_span(ic.t, ic.t + t_max)
     y0 = _components(ic, 2, "period search")
-    run.floors(y0)
-    accel0 = emden_rhs_2d(ic, p)[1]
-    scale = max(1.0, abs(ic.a))
-    if abs(ic.a_dot) <= fixed_point_tol * scale and abs(accel0) <= fixed_point_tol * scale:
-        # d(a'')/da at the equilibrium; oscillatory only if negative
-        g = p.gamma
-        daccel = (-3.0 * p.xi * p.xi / ic.a**4
-                  + (1.0 - 2.0 * g) * p.lam / ic.a ** (2.0 * g))
-        if daccel >= 0.0:
-            return None, None
-        return PeriodEstimate(period=2.0 * math.pi / math.sqrt(-daccel),
-                              return_error=0.0, method="fixed-point"), None
-
-    section, crossings = _section(run.method)
-    termination, _, _, _ = _run(p, 2, y0, ic.t, ic.t + t_max, run, section)
-    if termination.kind != "section":
-        return None, termination
-    (t1, y1), (t2, y2) = crossings
-    return PeriodEstimate(period=t2 - t1, return_error=math.hypot(y2[0] - y1[0], y2[1] - y1[1]),
-                          method="pericenter-section"), termination
+    ((_, floor),) = run.floors(y0)
+    # the right-hand side is (a', a'')
+    fixed = all(abs(v) <= fixed_point_tol * max(1.0, abs(ic.a)) for v in emden_rhs_2d(ic, p))
+    period = _bound_period(p, ic.a, ic.a_dot, floor)
+    if period is None:
+        return None, (None if fixed else _run(p, 2, y0, ic.t, ic.t + t_max, run)[0])
+    return PeriodEstimate(period, "fixed-point" if fixed else "first-integral"), None
 
 
 def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,

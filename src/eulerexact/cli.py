@@ -170,8 +170,6 @@ def run_sample(cfg: RunConfig, out: str) -> int:
     if t_max > 0.0:
         traj = _integrate(cfg, t_max, dense_times=cfg.times)
         states = {st.t: st for st in traj.states}
-        if 0.0 in cfg.times:
-            states[0.0] = ic
         termination = traj.termination
     else:
         states = {0.0: ic}
@@ -329,7 +327,7 @@ def run_classify(cfg: RunConfig, out: str) -> int:
         estimate, termination = search_period_2d(cfg.params(), cfg.initial_state(), cfg.t_end,
                                                  **cfg.run_options())
         doc["period"] = estimate.to_dict() if estimate is not None else None
-        # how the search run ended; an equilibrium start needs no run
+        # how the run ended; a bound orbit and an equilibrium start need none
         doc["termination"] = termination.to_dict() if termination is not None else None
         if estimate is not None:
             summary = "period {:.6g}".format(estimate.period)

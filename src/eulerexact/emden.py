@@ -22,12 +22,10 @@ step-size controller.  A scale factor's collapse to a small positive floor
 is located by root bracketing on each step's dense output, with a port of
 scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
 (b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``.
-A caller reads a run through one step sink, which sees each step's dense
-output and may end the run: the sampler (``_sampler``) of :func:`integrate`
-and :func:`stream_trajectory`, beside :func:`integrate`'s step table, or
-the pericenter section of the planar period search (``_section``).  The
-module runs on the standard library; only ``_ieee``, the overflow fallback
-of the right-hand side, imports numpy.
+Step sinks, which only observe, read each step's dense output: the sampler
+(``_sampler``) of :func:`integrate` and :func:`stream_trajectory`, and
+:func:`integrate`'s step table.  The module runs on the standard library;
+only ``_ieee``, the overflow fallback of the right-hand side, imports numpy.
 """
 
 from __future__ import annotations
@@ -133,12 +131,12 @@ _BY_SIZE = {len(family.names): family for family in _FAMILIES.values()}
 
 def emden_rhs_3d(state: EmdenState3D, p: PhysParams) -> tuple[float, float, float, float]:
     """Right-hand side (a', a'', b', b'') of the 3D scale-factor system."""
-    return _rhs(p, 3)((state.a, state.a_dot, state.b, state.b_dot))
+    return _rhs(p, 3)(_components(state, 3, "emden_rhs_3d"))
 
 
 def emden_rhs_2d(state: EmdenState2D, p: PhysParams) -> tuple[float, float]:
     """Right-hand side (a', a'') of the planar scale-factor equation."""
-    return _rhs(p, 2)((state.a, state.a_dot))
+    return _rhs(p, 2)(_components(state, 2, "emden_rhs_2d"))
 
 
 def _energy(p: PhysParams, y) -> float:
@@ -164,23 +162,22 @@ def _energy(p: PhysParams, y) -> float:
 
 def energy_3d(state: EmdenState3D, p: PhysParams) -> float:
     """Conserved first integral of the 3D system."""
-    return _energy(p, (state.a, state.a_dot, state.b, state.b_dot))
+    return _energy(p, _components(state, 3, "energy_3d"))
 
 
 def energy_2d(state: EmdenState2D, p: PhysParams) -> float:
     """Conserved first integral of the planar equation: the 3D one at the
     padding b = 1, b' = 0, which leaves every bit of the planar value as is."""
-    return _energy(p, (state.a, state.a_dot) + _FAMILIES[2].padding)
+    return _energy(p, _components(state, 2, "energy_2d") + _FAMILIES[2].padding)
 
 
 @dataclass(frozen=True)
 class Termination:
     """How an integration ended.
 
-    kind is one of ``reached_t_end``, ``blowup``, ``step_failure``, or, for
-    the planar period search, ``section`` at the second pericenter crossing
-    (``t_est``).  For ``blowup``, ``which`` names the collapsing factor, and
-    ``t_est`` and ``bracket_width`` depend on how the run saw the collapse:
+    kind is one of ``reached_t_end``, ``blowup`` or ``step_failure``.  For
+    ``blowup``, ``which`` names the collapsing factor, and ``t_est`` and
+    ``bracket_width`` depend on how the run saw the collapse:
     - a floor crossing located on a step's dense output: ``t_est`` is the
       crossing and ``bracket_width`` is ``rel_tol * |t_est|``, the root
       finder's tolerance (not a rigorous error bound);
@@ -346,6 +343,15 @@ def _vec_from_state(state: EmdenState3D | EmdenState2D) -> tuple[int, tuple]:
         if isinstance(state, family.state):
             return dim, tuple(vars(state).values())[1:]
     raise TypeError(f"unsupported state type: {type(state)!r}")
+
+
+def _components(state, dim: int, what: str) -> tuple:
+    """The components of ``state``, a state of the ``dim``-dimensional
+    family; a state of another dimension raises ValueError."""
+    got, y = _vec_from_state(state)
+    if got != dim:
+        raise ValueError(f"{what} requires a {dim}D state, got a {got}D one")
+    return y
 
 
 def _padded(state: EmdenState3D | EmdenState2D) -> EmdenState3D:
@@ -700,8 +706,7 @@ class _DenseOutput:
                             self.factors, t)
 
 
-# the smallest rtol brentq accepts; section crossings are refined to it as
-# xtol and rtol, the tolerance scipy's solve_ivp uses for events
+# the smallest rtol brentq accepts
 _BRENTQ_RTOL = 4.0 * math.ulp(1.0)
 
 
@@ -820,30 +825,6 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
     return best
 
 
-def _section(method: str):
-    """The pericenter section of the planar period search, as a step sink of
-    a ``method`` run: (sink, crossings).  A crossing is a' rising through 0
-    over a step (``a'(t_lo) <= 0 <= a'(t_hi)``, the rule of solve_ivp),
-    refined by ``_brentq`` to 4 eps; ``crossings`` gains its (t, state), and
-    a crossing on a step boundary is counted once.  The second one ends the
-    run as ``section``."""
-    factors = _METHODS[method].factors
-    crossings = []
-
-    def sink(t_lo, t_hi, y, y_new, rows):
-        u, row = y[1], rows[1]
-        if not u <= 0.0 <= _dense_value(t_lo, t_hi, u, row, factors, t_hi):
-            return None
-        t_est = _brentq(lambda q: _dense_value(t_lo, t_hi, u, row, factors, q), t_lo, t_hi,
-                        _BRENTQ_RTOL, _BRENTQ_RTOL)
-        if crossings and not t_est > crossings[-1][0]:
-            return None
-        crossings.append((t_est, _dense_state(t_lo, t_hi, y, rows, factors, t_est)))
-        return Termination("section", t_est=t_est) if len(crossings) == 2 else None
-
-    return sink, crossings
-
-
 def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
     """The samples of a run from (t0, y0), as a step sink: (sink, finish).
 
@@ -920,36 +901,29 @@ def _initial_step(f, y0, f0, interval, order, rtol, atol) -> float:
 
 
 def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
-         run: RunOptions, sink: Callable | None = None):
-    """The adaptive step loop: step from (t0, y0) towards ``t_end``.
-
-    The run ends at ``t_end``, at the first floor event, at the concavity
-    stop, after ``max_steps`` steps, on a step failure, or where ``sink`` ends
-    it.  Returns (termination, t_stop, the last accepted state, run
-    statistics); t_stop is the floor crossing of a floor event and otherwise
-    the end of the last accepted step.
+         run: RunOptions, *sinks: Callable):
+    """The adaptive step loop: step from (t0, y0) towards ``t_end``, and end
+    there, at the first floor event, at the concavity stop, after
+    ``max_steps`` steps, or on a step failure.  Returns (termination, t_stop,
+    the last accepted state, run statistics); t_stop is a floor event's
+    crossing, and otherwise the end of the last accepted step.
 
     The concavity stop holds in every run with lam < 0 of a family with a
-    concave factor (``_FAMILIES``; b in 3D), whatever its caller: there
-    b'' < 0, so from a state with b' < 0 the exact b reaches 0 by t + w,
-    w = b / |b'|.  After an accepted step to (t_new, y_new) with
-    b' < 0, w <= ``rel_tol`` max(1, t_new) and t_new + w <= ``t_end``, the run
-    ends as a ``blowup`` of b with ``t_est`` t_new + w and ``bracket_width``
-    w.  It reads only (t_new, y_new), so far steps stay skipped; a floor
-    event or a sink's record in the same step comes first.
+    concave factor (``_FAMILIES``; b in 3D): b'' < 0 there, so from a state
+    with b' < 0 the exact b reaches 0 by t + w, w = b / |b'|.  After an
+    accepted step to (t_new, y_new) with b' < 0, w <= ``rel_tol``
+    max(1, t_new) and t_new + w <= ``t_end``, the run ends as a ``blowup``
+    of b with ``t_est`` t_new + w and ``bracket_width`` w.  It reads only
+    (t_new, y_new), so far steps stay skipped; a floor event comes first.
 
-    A step sink is how a caller reads the run: ``sink(t, t_new, y, y_new,
-    rows)`` is called once per accepted step [t, t_new] from y to y_new,
-    with the step's dense-output rows, and may return the ``Termination``
-    that ends the run there; when a floor event falls in the same step, the
-    earlier ``t_est`` ends the run, and the floor wins a tie.  Events read
-    only the current step, so a run keeps a step table only through a sink
-    (``_DenseOutput.append``, in :func:`integrate` alone).  A run of RK45
-    calls ``_locate`` only when its far test cannot show from the step's
-    stages that no floor is within reach, and, without a sink (a lifespan
-    run), builds a step's rows only then; every floor time is the one a run
-    that scans every step's rows finds.  A floor (``RunOptions.floors``) at
-    or above its start raises ValueError.
+    Each of ``sinks`` gets ``sink(t, t_new, y, y_new, rows)`` for every
+    accepted step [t, t_new] from y to y_new, with its dense-output rows,
+    and only observes: what it returns is ignored.  Events read only the
+    current step, so only a sink keeps a step table (``_DenseOutput.append``,
+    in :func:`integrate`).  RK45 calls ``_locate`` only where its far test
+    cannot clear the step's floors, and without a sink builds rows only
+    there; every floor time is the one a run that scans every step finds.
+    A floor (``RunOptions.floors``) at or above its start raises ValueError.
 
     The run makes its functions once, before the first step: the method's
     right-hand side, trial step and dense rows for the family and the
@@ -1023,12 +997,12 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
         if h > h_max:
             h_max = h
         clear = far is not None and far(y, stages, h)
-        if sink is not None or not clear:
+        if sinks or not clear:
             rows = dense_rows(y, y_new, stages, h)
             hit = None if clear else _locate(t, t_new, y, rows, factors, floors, rtol)
-            if sink is not None:
-                termination = sink(t, t_new, y, y_new, rows)
-            if hit is not None and (termination is None or hit[0] <= termination.t_est):
+            for sink in sinks:
+                sink(t, t_new, y, y_new, rows)
+            if hit is not None:
                 t_est, comp, width = hit
                 termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
                                           bracket_width=width)
@@ -1144,17 +1118,10 @@ def _sampled_run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
 
     run = RunOptions(**run_options)
     factors = _METHODS[run.method].factors
-    sink, finish = _sampler(factors, t0, y0, dense_times, emit)
-    dense = None
-    if table:
-        dense = _DenseOutput(factors, t0, y0)
-        sample, append = sink, dense.append
-
-        def sink(t, t_new, y, y_new, rows):
-            append(t, t_new, y, y_new, rows)
-            sample(t, t_new, y, y_new, rows)
-
-    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, sink)
+    sample, finish = _sampler(factors, t0, y0, dense_times, emit)
+    dense = _DenseOutput(factors, t0, y0) if table else None
+    sinks = (dense.append, sample) if table else (sample,)
+    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, *sinks)
     finish(t_stop)
     return termination, t_stop, stats, dense
 

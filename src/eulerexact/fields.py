@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import EmdenState2D, EmdenState3D, _padded
+from .emden import EmdenState2D, EmdenState3D, _components, _padded
 from .profiles import DensityProfile, PhysParams, similarity_s
 
 __all__ = [
@@ -83,11 +83,15 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class Field3D:
-    """The exact 3D field frozen at one scale-factor snapshot."""
+    """The exact 3D field frozen at one scale-factor snapshot; a planar
+    state raises ValueError (pad it with ``emden._padded``)."""
 
     params: PhysParams
     profile: DensityProfile
     state: EmdenState3D
+
+    def __post_init__(self) -> None:
+        _components(self.state, 3, "Field3D")
 
     @classmethod
     def from_params(cls, params: PhysParams, state: EmdenState3D) -> "Field3D":
@@ -120,11 +124,15 @@ class Field3D:
 
 @dataclass(frozen=True)
 class Field2D:
-    """The exact planar field frozen at one scale-factor snapshot."""
+    """The exact planar field frozen at one scale-factor snapshot; a 3D
+    state raises ValueError."""
 
     params: PhysParams
     profile: DensityProfile
     state: EmdenState2D
+
+    def __post_init__(self) -> None:
+        _components(self.state, 2, "Field2D")
 
     @classmethod
     def from_params(cls, params: PhysParams, state: EmdenState2D) -> "Field2D":

@@ -24,7 +24,7 @@ import warnings
 
 import mpmath
 import numpy as np
-from scipy.integrate import DOP853, RK45, quad
+from scipy.integrate import DOP853, RK45
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
@@ -297,34 +297,66 @@ def planar_potential(a, gamma, lam, xi):
     return xi * xi / (2.0 * a * a) + lam * a ** (2.0 - 2.0 * gamma) / (2.0 * gamma - 2.0)
 
 
-def first_integral_period(gamma, lam, xi, a0, a1):
-    """Period T = 2 int da / sqrt(2 (E - V(a))) between the turning points.
+def first_integral_period(gamma, lam, xi, a0, a1, dps=40):
+    """Period T = 2 int da / sqrt(2 (E - V(a))) between the turning points,
+    by ``dps``-digit mpmath quadrature of E - V as written, which is
+    evaluated with 25 digits more (next to a_eq it cancels that many).
 
-    Needs lam < 0 and 1 <= gamma < 2 (V has one minimum, at
-    a_eq = (xi^2/|lam|)^(1/(4-2gamma))) and a bound orbit, E below V's limit
-    at infinity.  The substitution a = c + h sin(theta) removes the inverse
-    square-root singularities at the turning points c -/+ h.
+    Needs lam < 0, xi != 0, 1 <= gamma < 2 and a bound orbit (E below V's
+    limit at infinity).  The turning points are bisected to the working
+    precision on each side of V's minimum a_eq = (xi^2/|lam|)^(1/(4-2gamma)).
+    The substitution a = c - d cos(theta) removes the inverse-square-root
+    singularities; a is written as a step from the nearer turning point
+    (a_i + 2 d sin^2(theta/2), or a_o - 2 d cos^2(theta/2)), and where E - V
+    falls to its rounding there, its linear part |V'| |step| stands in.
     """
-    V = lambda a: planar_potential(a, gamma, lam, xi)  # noqa: E731
-    E = 0.5 * a1 * a1 + V(a0)
-    a_eq = (xi * xi / -lam) ** (1.0 / (4.0 - 2.0 * gamma))
-    lo = a_eq
-    while V(lo) < E:
-        lo *= 0.5
-    hi = a_eq
-    while V(hi) < E:
-        hi *= 2.0
-    a_min = brentq(lambda a: V(a) - E, lo, a_eq, xtol=1e-15, rtol=1e-15)
-    a_max = brentq(lambda a: V(a) - E, a_eq, hi, xtol=1e-15, rtol=1e-15)
-    c, h = 0.5 * (a_min + a_max), 0.5 * (a_max - a_min)
+    mp = mpmath.mp
+    with mpmath.workdps(dps + 25):
+        g, lam, xi, a0, a1 = map(mpmath.mpf, (gamma, lam, xi, a0, a1))
 
-    def integrand(theta):
-        gap = E - V(c + h * math.sin(theta))
-        return h * math.cos(theta) / math.sqrt(2.0 * max(gap, 1e-300))
+        def V(a):
+            if g == 1:
+                return xi**2 / (2 * a * a) - lam * mpmath.log(a)
+            return xi**2 / (2 * a * a) + lam * a ** (2 - 2 * g) / (2 * g - 2)
 
-    value, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi,
-                    epsabs=0.0, epsrel=1e-12, limit=200)
-    return 2.0 * value
+        def dV(a):
+            return -xi**2 / a**3 - lam * a ** (1 - 2 * g)
+
+        E = a1 * a1 / 2 + V(a0)
+        a_eq = (xi**2 / -lam) ** (1 / (4 - 2 * g))
+
+        def turning(x, step):
+            # x walks away from a_eq until V(x) >= E; then bisect
+            inside = a_eq
+            while V(x) < E:
+                inside, x = x, x * step
+            for _ in range(int(3.5 * (dps + 25))):
+                mid = (inside + x) / 2
+                if V(mid) < E:
+                    inside = mid
+                else:
+                    x = mid
+            return (inside + x) / 2
+
+        a_i, a_o = turning(a_eq / 2, mpmath.mpf(0.5)), turning(a_eq * 2, mpmath.mpf(2))
+        c, d = (a_i + a_o) / 2, (a_o - a_i) / 2
+
+        def integrand(theta):
+            # quad works at dps digits, and this at dps + 25
+            with mpmath.extradps(25):
+                if theta < mp.pi / 2:
+                    end, step = a_i, 2 * d * mpmath.sin(theta / 2) ** 2
+                else:
+                    end, step = a_o, -2 * d * mpmath.cos(theta / 2) ** 2
+                a = end + step
+                gap = E - V(a)
+                if gap <= abs(V(a)) * mpmath.mpf(10) ** (-20 - dps):
+                    gap = abs(dV(end) * step)
+                value = d * mpmath.sin(theta) / mpmath.sqrt(2 * gap)
+            return +value
+
+        with mpmath.workdps(dps):
+            return float(2 * mpmath.quad(integrand, [0, mp.pi / 2, mp.pi]))
 
 
 def pointwise_stencil_residuals(source, t, x, y, z, h):

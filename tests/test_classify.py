@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerexact import (BLOWUP, GLOBAL, OPEN_CASE, EmdenState2D, EmdenState3D,
@@ -370,17 +370,23 @@ class TestPeriodDetection:
         est = detect_period_2d(p, EmdenState2D(0.0, 1.0, 0.0), 50.0)
         assert est is not None
         assert est.method == "fixed-point"
-        assert est.return_error == 0.0
         # linearization: omega^2 = 1, so the degenerate period is 2 pi
         assert est.period == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma, lam, xi, a0", [
+        (2.5, -1.0, 1.0, 1.0),  # V has a maximum at a = 1
+        (1.5, 0.0, 0.0, 1.0),  # free motion: every a is an equilibrium
+    ])
+    def test_an_equilibrium_that_is_not_bound_has_no_period(self, gamma, lam, xi, a0):
+        p = params(gamma=gamma, lam=lam, xi=xi)
+        assert search_period_2d(p, EmdenState2D(0.0, a0, 0.0), 50.0) == (None, None)
 
     def test_perturbed_equilibrium_oscillates(self):
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         est = detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), 50.0,
                                rel_tol=1e-10, abs_tol=1e-12)
         assert est is not None
-        assert est.method == "pericenter-section"
-        assert est.return_error < 1e-6
+        assert est.method == "first-integral"
         assert est.period == pytest.approx(2.0 * math.pi, rel=0.05)
 
     def test_period_stable_under_tolerance_halving(self):
@@ -395,15 +401,20 @@ class TestPeriodDetection:
         p = params(gamma=1.0, lam=-1.0, xi=1.0)
         est = detect_period_2d(p, EmdenState2D(0.0, 1.2, 0.0), 60.0)
         assert est is not None
-        assert est.return_error < 1e-6
+        assert est.method == "first-integral"
 
     def test_lam_positive_escapes(self):
         p = params(gamma=1.5, lam=1.0, xi=1.0)
         assert detect_period_2d(p, EmdenState2D(0.0, 1.0, 0.0), 50.0) is None
 
     def test_no_second_crossing_before_t_max(self):
+        # a horizon shorter than the period, and a step budget of one step,
+        # do not hide it: a bound orbit's period needs no run
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
-        assert detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), 3.0) is None
+        ic = EmdenState2D(0.0, 1.1, 0.0)
+        est, termination = search_period_2d(p, ic, 3.0, max_steps=1)
+        assert (est.period, est.method, termination) == (
+            6.361888521587524, "first-integral", None)
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan])
     def test_search_horizon_must_be_positive_and_finite(self, t_max):
@@ -422,11 +433,14 @@ class TestPeriodDetection:
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         with pytest.raises(ValueError, match="^max_steps must"):
             detect_period_2d(p, EmdenState2D(0.0, 1.0, 0.0), 50.0, max_steps=0)
+        # and before the quadrature of a bound orbit
+        with pytest.raises(ValueError, match="^method must"):
+            detect_period_2d(p, EmdenState2D(0.0, 1.1, 0.0), 50.0, method="RK4")
 
     @pytest.mark.parametrize("search", [search_period_2d, detect_period_2d])
     def test_a_3d_state_is_a_named_error(self, search):
-        # the planar search would ignore b, and find a period of the
-        # planar orbit from (1.1, 0) (6.3619, kind section)
+        # the planar search would ignore b, and find the period 6.3619 of
+        # the planar orbit from (1.1, 0)
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         with pytest.raises(ValueError, match="requires a 2D state, got a 3D one"):
             search(p, EmdenState3D(0.0, 1.1, 0.0, 0.5, -3.0), 100.0)
@@ -437,26 +451,30 @@ class TestPeriodDetection:
         ic = EmdenState2D(0.0, 1.1, 0.0)
         assert detect_period_2d(p, ic, 100.0) is not None
         assert detect_period_2d(p, ic, 100.0, eps_blow=1.05) is None
-        assert integrate(p, ic, 100.0, eps_blow=1.05).termination.kind == "blowup"
+        est, termination = search_period_2d(p, ic, 100.0, eps_blow=1.05)
+        assert (est, termination.kind) == (None, "blowup")
+        assert repr(termination) == repr(integrate(p, ic, 100.0, eps_blow=1.05).termination)
 
+    # each within 6e-16 relative of a 50-digit mpmath quadrature
+    # (first_integral_period); the section run that gave the periods
+    # before was 1.8e-11 to 5.1e-11 off
     @pytest.mark.parametrize("a0, a1, period", [
-        (0.9, 0.0, 6.401362423544938),  # starts at a pericenter
-        (1.1, 0.0, 6.361888521466641),
-        (1.0, 0.2, 6.679947031751413),
+        (0.9, 0.0, 6.401362423660859),  # starts at a pericenter
+        (1.1, 0.0, 6.361888521587524),
+        (1.0, 0.2, 6.679947032093039),
     ])
     def test_pinned_periods(self, a0, a1, period):
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         est = detect_period_2d(p, EmdenState2D(0.0, a0, a1), 50.0)
-        assert est.method == "pericenter-section"
-        assert est.period == pytest.approx(period, rel=1e-13, abs=0.0)
+        assert est.method == "first-integral"
+        assert est.period == period
 
     def test_pericenter_start_counts_as_first_crossing(self):
-        # a' = 0 and a'' > 0 at t0: t0 is the first crossing, so a horizon
-        # just over one period finds the second
+        # a' = 0 and a'' > 0 at t0, and a horizon just over one period
         p = params(gamma=1.5, lam=-1.0, xi=1.0)
         est = detect_period_2d(p, EmdenState2D(0.0, 0.9, 0.0), 7.0)
         assert est is not None
-        assert est.period == pytest.approx(6.401362423544938, rel=1e-13, abs=0.0)
+        assert est.period == 6.401362423660859
 
     def test_period_matches_first_integral(self):
         # generated bound orbits (E below V at infinity when gamma > 1)
@@ -476,8 +494,98 @@ class TestPeriodDetection:
             est = detect_period_2d(params(gamma=gamma, lam=lam, xi=xi),
                                    EmdenState2D(0.0, a0, a1), 2.5 * want)
             assert est is not None
-            assert est.period == pytest.approx(want, rel=1e-7)
+            assert est.period == pytest.approx(want, rel=1e-13)
             checked += 1
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(st.just(1.0), st.floats(1.01, 1.95)), st.floats(0.3, 2.0),
+           st.floats(0.5, 2.0), st.floats(-5.0, -0.2), st.sampled_from([-1.0, 1.0]),
+           st.floats(-1.0, 1.0))
+    def test_period_matches_mpmath(self, gamma, xi, a_eq, log_offset, side, speed):
+        # the start lies 10^log_offset (relative) from the equilibrium, with
+        # a speed of the orbit's own size, of either sign
+        lam = -xi * xi * a_eq ** (2.0 * gamma - 4.0)
+        offset = 10.0 ** log_offset
+        a0, a1 = a_eq * (1.0 + side * offset), speed * offset * a_eq
+        p = params(gamma=gamma, lam=lam, xi=xi)
+        assume(gamma == 1.0 or 0.5 * a1 * a1 + planar_potential(a0, gamma, lam, xi) < 0.0)
+        est, termination = search_period_2d(p, EmdenState2D(0.0, a0, a1), 1.0)
+        assert (est.method, termination) == ("first-integral", None)
+        want = first_integral_period(gamma, lam, xi, a0, a1)
+        assert est.period == pytest.approx(want, rel=1e-13 if offset >= 1e-3 else 1e-11,
+                                           abs=0.0)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.one_of(st.just(1.0), st.floats(1.01, 1.9)), st.floats(0.3, 2.0),
+           st.floats(0.5, 2.0), st.floats(0.6, 1.6), st.floats(-0.3, 0.3))
+    def test_a_run_of_one_period_returns_to_the_start(self, gamma, xi, a_eq, ratio, a1):
+        # T ties to the equations of motion, not to V
+        lam = -xi * xi * a_eq ** (2.0 * gamma - 4.0)
+        p, ic = params(gamma=gamma, lam=lam, xi=xi), EmdenState2D(0.0, a_eq * ratio, a1)
+        est = detect_period_2d(p, ic, 1.0)
+        assume(est is not None)
+        back = integrate(p, ic, est.period, dense_times=[est.period], rel_tol=1e-12,
+                         abs_tol=1e-14).states[-1]
+        assert back.t == est.period
+        scale = max(1.0, abs(ic.a), abs(ic.a_dot))
+        assert abs(back.a - ic.a) <= 1e-9 * scale
+        assert abs(back.a_dot - ic.a_dot) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("gamma, lam, xi", [(1.0, -1.0, 1.0), (1.5, -1.0, 1.0),
+                                                (1.8, -0.7, 0.6)])
+    def test_the_period_tends_to_the_fixed_points(self, gamma, lam, xi):
+        # the period is even in the amplitude, so it leaves the linearized
+        # period quadratically in the start's offset from a_eq
+        p = params(gamma=gamma, lam=lam, xi=xi)
+        a_eq = (xi * xi / -lam) ** (1.0 / (4.0 - 2.0 * gamma))
+        fixed = detect_period_2d(p, EmdenState2D(0.0, a_eq, 0.0), 1.0)
+        assert fixed.method == "fixed-point"
+        for j in range(1, 10):
+            offset = 10.0 ** -j
+            est = detect_period_2d(p, EmdenState2D(0.0, a_eq * (1.0 + offset), 0.0), 1.0)
+            assert est.method == "first-integral"
+            assert abs(est.period / fixed.period - 1.0) <= 2.0 * offset * offset + 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(st.just(1.0), st.floats(1.01, 1.95)), st.floats(0.3, 2.0),
+           st.floats(0.5, 2.0), st.floats(0.6, 1.6), st.floats(-0.3, 0.3),
+           st.integers(-160, 160))
+    def test_a_bound_orbit_keeps_its_period_at_every_scale(self, gamma, xi, a_eq, ratio,
+                                                           a1, e):
+        # (2^e xi, 4^e lam, 2^e a1) is the orbit with time divided by 2^e,
+        # and every value in the quadrature scales by a power of 2 exactly.
+        # fixed_point_tol = 0 leaves the slow orbits of e << 0 to the quadrature
+        lam = -xi * xi * a_eq ** (2.0 * gamma - 4.0)
+        a0, s = a_eq * ratio, 2.0 ** e
+        est = detect_period_2d(params(gamma=gamma, lam=lam, xi=xi),
+                               EmdenState2D(0.0, a0, a1), 1.0, fixed_point_tol=0.0)
+        assume(est is not None)
+        scaled = detect_period_2d(params(gamma=gamma, lam=lam * s * s, xi=xi * s),
+                                  EmdenState2D(0.0, a0, a1 * s), 1.0, fixed_point_tol=0.0)
+        assert (scaled.period * s, scaled.method) == (est.period, "first-integral")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(1.0, -1e300, 1e-100, 1.0, 0.0)
+    @given(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)),
+           st.sampled_from([-1.0, 1.0]).flatmap(
+               lambda sign: st.floats(-100.0, 100.0).map(lambda e: sign * 10.0 ** e)),
+           st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e),
+           st.floats(1e-3, 1e3), st.floats(-10.0, 10.0))
+    def test_extreme_scales_end_in_a_period_or_a_run(self, gamma, lam, xi, a0, a1):
+        # no hang and no bare math error: a period, a run's termination, or
+        # a ValueError that names what is wrong
+        p, ic = params(gamma=gamma, lam=lam, xi=xi), EmdenState2D(0.0, a0, a1)
+        try:
+            est, termination = search_period_2d(p, ic, 10.0, max_steps=2000)
+        except ValueError as exc:
+            assert "math domain error" not in str(exc)
+            return
+        if est is not None:
+            assert math.isfinite(est.period) and est.period > 0.0
+            assert termination is None
+        else:
+            assert termination is None or termination.kind in (
+                "reached_t_end", "blowup", "step_failure")
 
 
 class TestNoPeriod3D:

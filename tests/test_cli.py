@@ -38,8 +38,8 @@ class TestClassifyCommand:
         assert doc["basis"] == "analytic"
 
     def test_dim2_long_horizon_stops_at_second_crossing(self, tmp_path):
-        # the period is fixed after about 13 time units; t_end only bounds
-        # the search, so a 1e7 horizon must neither hang nor change it
+        # the period of a bound orbit comes from its first integral, with no
+        # run, so a 1e7 horizon must neither hang nor change it
         periods = []
         for t_end in ("1e7", "100"):
             out = tmp_path / f"c{t_end}.json"
@@ -55,7 +55,7 @@ class TestClassifyCommand:
                 env=env, capture_output=True, timeout=5.0)
             assert proc.returncode == 0, proc.stderr
             periods.append(json.loads(out.read_text())["period"]["period"])
-        assert periods == [6.361888521466634, 6.361888521466634]
+        assert periods == [6.361888521587524, 6.361888521587524]
 
     def test_dim2_reports_period(self, tmp_path):
         out = tmp_path / "c.json"
@@ -64,18 +64,25 @@ class TestClassifyCommand:
                          "--t-end", "50", "--out", str(out))
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["period"]["method"] == "pericenter-section"
+        assert doc["period"]["method"] == "first-integral"
+        assert doc["termination"] is None
         assert doc["period"]["period"] == pytest.approx(2 * math.pi, rel=0.05)
         assert "b0" not in doc["ic"]
 
     def test_dim2_period_search_keeps_the_step_budget(self, tmp_path):
-        # with the default budget this orbit has period 6.36189
+        # a bound orbit's period needs no run, so a budget of 3 steps leaves
+        # it as it is; an escaping orbit's run still stops at the budget
         out = tmp_path / "c.json"
-        code, _, _ = run(tmp_path, "classify", "--dim", "2", "--gamma", "1.5",
-                         "--lambda=-1", "--xi", "1", "--a0", "1.1", "--t-end", "100",
-                         "--max-steps", "3", "--out", str(out))
-        assert code == 0
-        assert json.loads(out.read_text())["period"] is None
+        for extra, period, termination in (
+                ([], {"period": 6.361888521587524, "method": "first-integral"}, None),
+                (["--lambda", "1"], None, {"kind": "step_failure",
+                                           "detail": "max_steps=3 exhausted"})):
+            code, _, _ = run(tmp_path, "classify", "--dim", "2", "--gamma", "1.5",
+                             "--lambda=-1", "--xi", "1", "--a0", "1.1", "--t-end", "100",
+                             "--max-steps", "3", *extra, "--out", str(out))
+            assert code == 0
+            doc = json.loads(out.read_text())
+            assert (doc["period"], doc["termination"]) == (period, termination)
 
     ORBIT = ["--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
              "--t-end", "100"]
@@ -105,7 +112,7 @@ class TestClassifyCommand:
         assert doc["period"] is None
         assert (doc["termination"]["kind"], doc["termination"]["t_est"]) == (
             "blowup", last["t_est"])
-        for extra, kind in ((["--max-steps", "3"], "step_failure"),
+        for extra, kind in ((["--lambda", "1", "--max-steps", "3"], "step_failure"),
                             (["--lambda", "1"], "reached_t_end")):
             assert run(tmp_path, "classify", *self.ORBIT, *extra, "--out", str(c_out))[0] == 0
             doc = json.loads(c_out.read_text())
@@ -113,13 +120,25 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("option", [["--abs-tol", "1e-6"], ["--method", "DOP853"]])
     def test_dim2_period_search_takes_the_run_options(self, tmp_path, option):
+        # the options are checked, but a bound orbit's period is the first
+        # integral's and needs no run: no option moves it; the run of a
+        # collapsing orbit takes them
         outs = [tmp_path / "default.json", tmp_path / "option.json"]
         for extra, out in zip([[], option], outs):
             assert run(tmp_path, "classify", *self.ORBIT, *extra, "--out", str(out))[0] == 0
-        default, changed = (json.loads(out.read_text())["period"] for out in outs)
-        assert default["period"] == 6.361888521466634
-        assert changed["period"] != default["period"]
-        assert changed["period"] == pytest.approx(default["period"], rel=1e-5)
+        default, changed = (json.loads(out.read_text()) for out in outs)
+        assert default["period"] == {"period": 6.361888521587524, "method": "first-integral"}
+        assert changed == default
+        code, _, err = run(tmp_path, "classify", *self.ORBIT, option[0], "0",
+                           "--out", str(outs[1]))
+        assert code == 2 and option[0][2:].replace("-", "_") in err
+        for extra, out in zip([[], option], outs):
+            assert run(tmp_path, "classify", *self.ORBIT, "--gamma", "2", "--lambda=-3",
+                       *extra, "--out", str(out))[0] == 0
+        default, changed = (json.loads(out.read_text())["termination"] for out in outs)
+        assert default["kind"] == changed["kind"] == "blowup"
+        assert changed["t_est"] != default["t_est"]
+        assert changed["t_est"] == pytest.approx(default["t_est"], rel=1e-8)
 
     def test_dim2_horizon_is_checked_at_an_equilibrium(self, tmp_path):
         # a0 = 1 is a fixed point, whose period needs no run
@@ -303,7 +322,7 @@ GOLDEN_JSON = {
     "classify_2d_period": (
         ["classify", "--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
          "--t-end", "50"],
-        "704e9fc30f812429565d4d5222617fb794385fbd9ac7db96e93cfc6457ac39a3"),
+        "638c568370f6f2d97df72fdd6d80e738363a4a685e8195de3fff47e2a0663174"),
     "classify_2d_collapse": (
         ["classify", "--dim", "2", "--gamma", "2", "--lambda=-3", "--t-end", "5"],
         "4d53ee3cde8057c9670e66de19e1fc7e7abcb5567d80ea11617b9bb18484a0ed"),

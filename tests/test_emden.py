@@ -100,6 +100,32 @@ class TestEnergy:
         assert energy_2d(st, params(gamma=2.0, lam=0.0, xi=0.0)) == pytest.approx(0.5)
 
 
+class TestWrongDimension:
+    """A per-dimension helper given a state of the other dimension raises
+    the ValueError that names both: a 2D helper would otherwise drop b, and
+    a 3D one fail on a missing attribute."""
+
+    P = params(gamma=1.5, lam=-1.0, xi=1.0)
+    S3 = EmdenState3D(0.0, 1.1, 0.0, 0.5, -3.0)
+    S2 = EmdenState2D(0.0, 1.1, 0.0)
+
+    def test_energy_2d(self):
+        with pytest.raises(ValueError, match="^energy_2d requires a 2D state, got a 3D one$"):
+            energy_2d(self.S3, self.P)
+
+    def test_emden_rhs_2d(self):
+        with pytest.raises(ValueError, match="^emden_rhs_2d requires a 2D state, got a 3D one$"):
+            emden_rhs_2d(self.S3, self.P)
+
+    def test_energy_3d(self):
+        with pytest.raises(ValueError, match="^energy_3d requires a 3D state, got a 2D one$"):
+            energy_3d(self.S2, self.P)
+
+    def test_emden_rhs_3d(self):
+        with pytest.raises(ValueError, match="^emden_rhs_3d requires a 3D state, got a 2D one$"):
+            emden_rhs_3d(self.S2, self.P)
+
+
 class TestIntegrate:
     def test_rel_tol_floor_is_the_steppers_own(self):
         # MIN_REL_TOL runs as given (the test suite turns scipy's clamp
@@ -510,14 +536,14 @@ class TestRunStats:
 
 class TestTableFree:
     """A run through no sink (which skips the dense output of steps whose
-    floors are out of reach) or through the section sink alone is the run
-    that also keeps a step table, bit for bit."""
+    floors are out of reach) is the run that keeps a step table, bit for
+    bit."""
 
     def test_runs_with_and_without_a_table_agree(self):
         rng = np.random.default_rng(13)
         kinds = set()
         for i in range(160):
-            method, dim, section = ("RK45", "DOP853")[i % 2], 2 + (i // 2) % 2, i % 8 < 6
+            method, dim = ("RK45", "DOP853")[i % 2], 2 + (i // 2) % 2
             p = params(gamma=1.0 if rng.random() < 0.2 else float(rng.uniform(1.05, 2.5)),
                        lam=float(rng.uniform(-2.0, 2.0)), xi=float(rng.uniform(0.0, 1.5)))
             y0 = tuple(float(v) for v in (rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
@@ -529,19 +555,8 @@ class TestTableFree:
             t_end = float(rng.uniform(1.0, 20.0))
 
             table = emden._DenseOutput(emden._METHODS[method].factors, 0.0, y0)
-            if section:
-                alone, crossings = emden._section(method)
-                free = emden._run(p, dim, y0, 0.0, t_end, run, alone)
-                watched, kept_crossings = emden._section(method)
-
-                def both(*step):
-                    table.append(*step)
-                    return watched(*step)
-                kept = emden._run(p, dim, y0, 0.0, t_end, run, both)
-                assert repr(crossings) == repr(kept_crossings), i
-            else:
-                free = emden._run(p, dim, y0, 0.0, t_end, run)
-                kept = emden._run(p, dim, y0, 0.0, t_end, run, table.append)
+            free = emden._run(p, dim, y0, 0.0, t_end, run)
+            kept = emden._run(p, dim, y0, 0.0, t_end, run, table.append)
             # repr writes every float exactly, -0.0 included
             assert repr(free) == repr(kept), i
             termination, _, y_end, stats = free
@@ -550,24 +565,22 @@ class TestTableFree:
             assert (stats.h_min, stats.h_max) == (min(steps, default=None),
                                                   max(steps, default=None))
             assert repr(list(y_end)) == repr(list(table.ys[-len(y0):]))
-            if termination.kind == "section":
-                assert len(crossings) == 2 and termination.t_est == crossings[1][0]
             kinds.add((termination.kind, eps_blow is not None and termination.kind == "blowup",
                        "max_steps" in termination.detail))
         # every way a run ends was drawn: floors hit at the default and at an
-        # explicit eps_blow, the second section crossing, the step budget
-        assert {("blowup", False, False), ("blowup", True, False), ("section", False, False),
+        # explicit eps_blow, the step budget
+        assert {("blowup", False, False), ("blowup", True, False),
                 ("step_failure", False, True), ("reached_t_end", False, False)} <= kinds
 
 
 class TestSink:
-    """A step sink sees every accepted step and may end the run; a floor
-    event in the same step ends it instead when it comes first or ties."""
+    """A step sink sees every accepted step and only observes: what it
+    returns never ends the run, which is the sink-free run step for step."""
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("k", [1, 7, 25])
-    def test_a_sink_ends_the_run_with_its_record(self, method, dim, k):
+    def test_a_sink_observes_and_never_ends_the_run(self, method, dim, k):
         p = params(gamma=1.5, lam=1.0, xi=0.5)
         y0 = (1.0, 0.1, 1.2, -0.2)[:2 * dim - 2]
         stop = emden.Termination("stopped", detail="by the sink")
@@ -576,40 +589,26 @@ class TestSink:
         def sink(t, t_new, y, y_new, rows):
             seen.append((t, t_new, y, y_new))
             return stop if len(seen) == k else None
-        termination, t_stop, y_end, stats = emden._run(
-            p, dim, y0, 0.0, 50.0, RunOptions(method=method), sink)
-        assert termination is stop
-        assert stats.accepted == len(seen) == k
+        watched = emden._run(p, dim, y0, 0.0, 50.0, RunOptions(method=method), sink)
+        termination, t_stop, y_end, stats = watched
+        assert termination.kind == "reached_t_end" and t_stop == 50.0
+        assert stats.accepted == len(seen) > k
         assert (seen[0][0], seen[0][2]) == (0.0, y0)
-        # the steps chain, and the run stops at the end of the sink's step
+        # the steps chain to the run's end
         assert all(a[1] == b[0] and a[3] == b[2] for a, b in zip(seen, seen[1:]))
         assert (t_stop, y_end) == seen[-1][1::2]
-        # the steps are the sink-free run's: its step budget stops it there
-        budget = emden._run(p, dim, y0, 0.0, 50.0, RunOptions(method=method, max_steps=k))
-        assert repr((budget[1], budget[2])) == repr((t_stop, y_end))
-
-    def test_the_section_counts_a_crossing_on_a_step_boundary_once(self):
-        sink, crossings = emden._section("RK45")
-
-        def rows(c):
-            # RK45's row (c, 0, 0, 0) adds c * x to a' over the step
-            return (0.0,) * 4, (c, 0.0, 0.0, 0.0)
-        # a' rises to 0 at the end of one step and on from it in the next
-        assert sink(0.0, 1.0, (1.0, -1.0), (1.0, 0.0), rows(1.0)) is None
-        assert sink(1.0, 2.0, (1.0, 0.0), (1.0, 1.0), rows(1.0)) is None
-        assert crossings == [(1.0, (1.0, 0.0))]
-        # falling through 0 is no crossing; rising again is the second
-        assert sink(2.0, 3.0, (1.0, 1.0), (1.0, -1.0), rows(-2.0)) is None
-        end = sink(3.0, 4.0, (1.0, -1.0), (1.0, 1.0), rows(2.0))
-        assert crossings == [(1.0, (1.0, 0.0)), (3.5, (1.0, 0.0))]
-        assert (end.kind, end.t_est) == ("section", 3.5)
+        # repr writes every float exactly, -0.0 included
+        alone = emden._run(p, dim, y0, 0.0, 50.0, RunOptions(method=method))
+        assert repr(alone) == repr(watched)
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
-    @pytest.mark.parametrize("when, kind", [("before", "early"), ("tie", "blowup"),
+    @pytest.mark.parametrize("when, kind", [("before", "blowup"), ("tie", "blowup"),
                                             ("step_end", "blowup")])
     def test_a_floor_in_the_sinks_step(self, method, when, kind):
         # planar gamma = 2 with xi^2 + lam < 0 collapses; a falls to the floor
-        # at a = 0.5 inside a step, long before the step size gives out
+        # at a = 0.5 inside a step, long before the step size gives out.  A
+        # record the sink returns in that step, before, at or after the
+        # floor crossing, changes nothing: the floor ends the run
         p, y0 = params(gamma=2.0, lam=-3.0), (1.0, 0.0)
         run = RunOptions(method=method, eps_blow=0.5)
         reference = emden._run(p, 2, y0, 0.0, 5.0, run)[0]
@@ -623,10 +622,7 @@ class TestSink:
             return emden.Termination("early", t_est=t_est)
         termination, t_stop, _, _ = emden._run(p, 2, y0, 0.0, 5.0, run, sink)
         assert termination.kind == kind
-        if kind == "blowup":
-            assert repr(termination) == repr(reference) and t_stop == T
-        else:
-            assert termination.t_est < T < t_stop
+        assert repr(termination) == repr(reference) and t_stop == T
 
 
 class TestClosedForms:

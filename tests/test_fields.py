@@ -188,3 +188,17 @@ class TestEval2D:
         for k2, k3 in (("rho", "rho"), ("u1", "u1"), ("u2", "u2"), ("eta", "s"), ("p", "p")):
             assert g2[k2].tobytes() == g3[k3].tobytes(), k2
         assert np.float64(g3["u3"]).tobytes() == np.float64(0.0).tobytes()
+
+
+class TestWrongDimension:
+    # Field3D read a missing b off a planar state, and Field2D dropped the
+    # b of a 3D one; each now names the dimension it needs
+    P = params(gamma=1.5, lam=-1.0, xi=1.0)
+
+    def test_field3d_rejects_a_planar_state(self):
+        with pytest.raises(ValueError, match="^Field3D requires a 3D state, got a 2D one$"):
+            Field3D.from_params(self.P, EmdenState2D(0.0, 1.1, 0.0))
+
+    def test_field2d_rejects_a_3d_state(self):
+        with pytest.raises(ValueError, match="^Field2D requires a 2D state, got a 3D one$"):
+            Field2D.from_params(self.P, EmdenState3D(0.0, 1.1, 0.0, 0.5, -3.0))

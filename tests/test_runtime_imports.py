@@ -50,7 +50,7 @@ RUNS = [
     # 3D classify: a table cell, and an open cell integrated to its collapse
     ["classify", "--lambda", "0", "--b0", "1", "--b1", "-1"],
     ["classify", "--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
-    # 2D classify: a period (section crossings), and a collapse
+    # 2D classify: a period (the first integral, no run), and a collapse
     ["classify", "--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
      "--t-end", "50"],
     ["classify", "--dim", "2", "--gamma", "2", "--lambda=-3", "--t-end", "5"],
