@@ -290,24 +290,40 @@ def _bound_period(p: PhysParams, a0: float, a1: float, floor: float) -> float | 
     return None
 
 
+def _at_rest(p: PhysParams, ic: EmdenState2D, tol: float) -> bool:
+    """Whether the planar state is an equilibrium to ``tol`` on the orbit's
+    own time scale (:func:`search_period_2d`)."""
+    a = ic.a
+    try:
+        rate2 = p.xi * p.xi / a**4 + abs(p.lam) * a ** (-2.0 * p.gamma)
+    except ArithmeticError:
+        return False
+    # the right-hand side is (a', a'')
+    ad, add = emden_rhs_2d(ic, p)
+    return (math.isfinite(rate2) and abs(ad) <= tol * a * math.sqrt(rate2)
+            and abs(add) <= tol * a * rate2)
+
+
 def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
                      fixed_point_tol: float = 1e-9,
                      **run_options) -> tuple[PeriodEstimate | None, Termination | None]:
     """The period of the planar orbit from ``ic``, or how a run from it
     ended.  ``t_max`` and the ``run_options`` of :func:`classify_cell` (a
     floor below ``ic.a`` included) are checked first; a 3D state raises
-    ValueError.  An equilibrium start (a' and a'' within ``fixed_point_tol``
-    max(1, a) of 0) is a ``fixed-point``, or (None, None) if not stable.  A
-    bound orbit whose pericenter lies above the floor has its
-    ``first-integral`` period and no termination, whatever ``t_max`` and the
-    step budget.  Any other orbit is run once, ``t_max`` past ``ic.t``, and
+    ValueError.  An equilibrium start is a ``fixed-point``, or (None, None)
+    if not stable: |a'| <= ``fixed_point_tol`` a w and |a''| <=
+    ``fixed_point_tol`` a w^2, with w^2 = xi^2 / a^4 + |lam| a^(-2 gamma)
+    the orbit's own rate (the sum of the magnitudes of a''/a's terms), so
+    the test does not depend on the time unit; a w out of float range is no
+    equilibrium.  A bound orbit whose pericenter lies above the floor has
+    its ``first-integral`` period and no termination, whatever ``t_max`` and
+    the step budget.  Any other orbit is run once, ``t_max`` past ``ic.t``, and
     gives None with that run's termination."""
     run = RunOptions(**run_options)
     _check_span(ic.t, ic.t + t_max)
     y0 = _components(ic, 2, "period search")
     ((_, floor),) = run.floors(y0)
-    # the right-hand side is (a', a'')
-    fixed = all(abs(v) <= fixed_point_tol * max(1.0, abs(ic.a)) for v in emden_rhs_2d(ic, p))
+    fixed = _at_rest(p, ic, fixed_point_tol)
     period = _bound_period(p, ic.a, ic.a_dot, floor)
     if period is None:
         return None, (None if fixed else _run(p, 2, y0, ic.t, ic.t + t_max, run)[0])

@@ -22,7 +22,8 @@ step-size controller.  A scale factor's collapse to a small positive floor
 is located by root bracketing on each step's dense output, with a port of
 scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
 (b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``.
-Step sinks, which only observe, read each step's dense output: the sampler
+Step sinks, which only observe, read each step's dense output, built on
+demand and evaluated by the pair's generated evaluator: the sampler
 (``_sampler``) of :func:`integrate` and :func:`stream_trajectory`, and
 :func:`integrate`'s step table.  The module runs on the standard library;
 only ``_ieee``, the overflow fallback of the right-hand side, imports numpy.
@@ -447,13 +448,19 @@ def _source(dim: int, method: str) -> str:
     """The source of the right-hand side and of one pair's kernels for one
     family, from ``_FAMILIES[dim]`` and the pair's tableau:
     ``equations(constants)`` makes (rhs, kernels), ``kernels(rtol, atol)``
-    (attempt, rows), and, for RK45, ``far_test(floors)`` a run's far test
-    (``_rk45_far``).
+    (attempt, rows), ``dense(y, rows, x)`` is the pair's dense evaluator and,
+    for RK45, ``far_test(floors)`` makes a run's far test (``_rk45_far``).
 
     ``attempt(y, k1, h)`` gives (y_new, f(y_new), error norm, the flat stages
     that ``rows(y, y_new, stages, h)`` turns into one dense-output row per
     component): h times scipy's ``K.T @ P`` row for RK45, and scipy's seven
     ``F`` rows for DOP853, whose three extra stages ``rows`` evaluates.
+    ``dense`` gives the state at the fraction x of the step that starts at y
+    and has those rows: each component y_c plus its row's polynomial by
+    Horner's rule, v = (v + c_k) * w_k over the reversed coefficients from
+    v = 0.0, with every factor w_k x for RK45 and x alternating with 1 - x
+    for DOP853 (scipy's ``Dop853DenseOutput``), so every w_k lies in [0, 1]
+    on the step.
     Stage j's state is ``{name}{j}``; ``rhs``'s expressions set its
     derivatives ``k{j}{name}`` in place, NaN or ``_ieee``'s values where
     ``rhs`` gives those.  An error term's scale max(|old|, |new|) is
@@ -573,7 +580,23 @@ def _source(dim: int, method: str) -> str:
             f"(dy_{n}, h * k1{n} - dy_{n}, 2.0 * dy_{n} - h * (k{trial}{n} + k1{n}), "
             + ", ".join(f"h * ({total(d, n)})" for d in DOP853_D) + ")" for n in names) + ")"]
         far = []
-    lines += ["        return attempt, rows", "    return rhs, kernels", *far]
+    # Horner's rule from 0.0 plus the last coefficient, over the pair's
+    # factors of x: x for RK45, x alternating with u = 1 - x for DOP853
+    count = len(RK45_P[0]) if method == "RK45" else 3 + len(DOP853_D)
+    horner_factors = ["x"] * count if method == "RK45" else ["x", "u"] * (count // 2) + ["x"]
+
+    def horner(n):
+        expr = "0.0"
+        for j, w in zip(range(count, 0, -1), horner_factors):
+            expr = f"({expr} + c{j}{n}) * {w}"
+        return f"{n} + {expr}"
+    dense = ["def dense(y, rows, x):",
+             f"    {', '.join(names)} = y",
+             "    " + ", ".join("(" + ", ".join(f"c{j}{n}" for j in range(1, count + 1)) + ")"
+                            for n in names) + " = rows",
+             *(["    u = 1.0 - x"] if "u" in horner_factors else []),
+             f"    return ({', '.join(horner(n) for n in names)})"]
+    lines += ["        return attempt, rows", "    return rhs, kernels", *far, *dense]
     return "\n".join(lines) + "\n"
 
 
@@ -606,49 +629,44 @@ def _rk45_far(dim: int, floors):
     return _generated(dim, "RK45")["far_test"](*(floor for _, floor in floors))
 
 
+def _dense(method: str, dim: int):
+    """``method``'s dense evaluator ``dense(y, rows, x)`` for the family
+    (``_source``)."""
+    return _generated(dim, method)["dense"]
+
+
 class _Method(NamedTuple):
     """An embedded pair: ``kernels(p, dim, rtol, atol)``, which makes a run's
     right-hand side, trial step ``attempt(y, k1, h)`` and dense-output rows
-    ``rows(y, y_new, stages, h)``; the factors of its nested dense
-    polynomial; the order of its error estimate; its right-hand-side
-    evaluations per attempt and per dense output; and ``far(dim, floors)``,
-    which makes a run's test ``far(y, stages, h)`` that an accepted step
-    stays clear of the floors without its dense output (None: no such
-    test)."""
+    ``rows(y, y_new, stages, h)``; ``dense(dim)``, its dense evaluator
+    ``dense(y, rows, x)``; the order of its error estimate; its
+    right-hand-side evaluations per attempt and per dense output; and
+    ``far(dim, floors)``, which makes a run's test ``far(y, stages, h)``
+    that an accepted step stays clear of the floors without its dense output
+    (None: no such test)."""
 
     kernels: Callable
-    factors: Callable
+    dense: Callable
     error_order: int
     stage_evals: int
     dense_evals: int
     far: Callable | None
 
 
-# A step's dense output is y_old + nest(c, w) with nest(c, w) the value v of
-# v = 0; for c_k, w_k in zip(reversed(c), w): v = (v + c_k) * w_k, and every
-# factor w_k in [0, 1] on the step: Horner's rule in x for RK45, alternating
-# x and 1 - x for DOP853 (scipy's Dop853DenseOutput).
 _METHODS = {
-    "RK45": _Method(functools.partial(_kernels, "RK45"), lambda x: (x, x, x, x), 4, 6, 0,
-                    _rk45_far),
-    "DOP853": _Method(functools.partial(_kernels, "DOP853"),
-                      lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x),
+    "RK45": _Method(functools.partial(_kernels, "RK45"), functools.partial(_dense, "RK45"),
+                    4, 6, 0, _rk45_far),
+    "DOP853": _Method(functools.partial(_kernels, "DOP853"), functools.partial(_dense, "DOP853"),
                       7, DOP853_STAGES, DOP853_STAGES_EXTENDED - DOP853_STAGES - 1, None),
 }
 
 
-def _nest(coeffs, factors) -> float:
-    v = 0.0
-    for c, w in zip(reversed(coeffs), factors):
-        v = (v + c) * w
-    return v
-
-
 def _floor_clear(y: float, coeffs, floor: float) -> bool:
     """Whether the step's dense output of a component that starts at y stays
-    above ``floor`` everywhere on the step.  With every factor in [0, 1],
-    ``nest`` is at least the lower bound b of b = min(0, b + c_k) over the
-    reversed coefficients; the margin covers the rounding of evaluating it."""
+    above ``floor`` everywhere on the step.  With every factor of the
+    evaluator's Horner's rule in [0, 1] (``_source``), its polynomial is at
+    least the lower bound b of b = min(0, b + c_k) over the reversed
+    coefficients; the margin covers the rounding of evaluating it."""
     bound, size = 0.0, abs(y)
     for c in reversed(coeffs):
         bound += c
@@ -658,31 +676,38 @@ def _floor_clear(y: float, coeffs, floor: float) -> bool:
     return y + bound - floor > 1e-12 * size
 
 
-def _dense_value(t_lo: float, t_hi: float, y: float, row, factors, t: float) -> float:
-    """At time t, a component that starts the step [t_lo, t_hi] at y: y plus
-    the nested polynomial of its coefficient row."""
-    return y + _nest(row, factors((t - t_lo) / (t_hi - t_lo)))
+def _dense_state(t_lo: float, t_hi: float, y, rows, dense, t: float) -> tuple:
+    """The state at time t on the step [t_lo, t_hi] that starts at y and has
+    the dense-output rows ``rows``: the pair's evaluator ``dense`` at the
+    step's fraction x = (t - t_lo) / (t_hi - t_lo)."""
+    return dense(y, rows, (t - t_lo) / (t_hi - t_lo))
 
 
-def _dense_state(t_lo: float, t_hi: float, y, rows, factors, t: float) -> tuple:
-    """Each component's ``_dense_value`` at t, with the factors made once."""
-    w = factors((t - t_lo) / (t_hi - t_lo))
-    return tuple([v + _nest(row, w) for v, row in zip(y, rows)])
+def _once(dense_rows, y, y_new, stages, h):
+    """The dense-output rows of one step as a callable that builds them,
+    ``dense_rows(y, y_new, stages, h)``, at its first call only."""
+    built = None
+
+    def rows():
+        nonlocal built
+        if built is None:
+            built = dense_rows(y, y_new, stages, h)
+        return built
+    return rows
 
 
 class _DenseOutput:
     """The step table of a run, in flat float arrays: step k spans
-    [ts[k], ts[k+1]] and starts at the state ``ys[k * n:(k + 1) * n]``; its
-    dense output adds to each component the nested polynomial of that
-    component's coefficients.  Only :func:`integrate` keeps one, for
+    [ts[k], ts[k+1]], starts at the state ``ys[k * n:(k + 1) * n]`` and has
+    one row of m coefficients per component; the pair's evaluator ``dense``
+    gives its state.  Only :func:`integrate` keeps one, for
     :meth:`Trajectory.state_at`: its :meth:`append` sees each step beside
     the sampler."""
 
-    __slots__ = ("factors", "n", "m", "ts", "ys", "coeffs")
+    __slots__ = ("dense", "n", "ts", "ys", "coeffs")
 
-    def __init__(self, factors, t0: float, y0):
-        self.factors = factors
-        self.n, self.m = len(y0), len(factors(0.0))
+    def __init__(self, dense, t0: float, y0):
+        self.dense, self.n = dense, len(y0)
         self.ts, self.ys, self.coeffs = array("d", [t0]), array("d", y0), array("d")
 
     @property
@@ -690,20 +715,22 @@ class _DenseOutput:
         return len(self.ts) - 1
 
     def append(self, t: float, t_new: float, y, y_new, rows) -> None:
-        """Add the step [t, t_new] from y to y_new, with one coefficient row
-        per component: a step sink of ``_run``."""
+        """Add the step [t, t_new] from y to y_new: a step sink of ``_run``,
+        which builds the step's rows (``rows()``, one coefficient row per
+        component) on every step."""
         self.ts.append(t_new)
         self.ys.extend(y_new)
-        for row in rows:
+        for row in rows():
             self.coeffs.extend(row)
 
     def __call__(self, t: float) -> tuple:
         """The state at t; a step boundary belongs to the step it ends."""
         k = min(max(bisect_left(self.ts, t) - 1, 0), self.steps - 1)
-        n, m = self.n, self.m
+        n = self.n
+        m = len(self.coeffs) // (self.steps * n)
         rows = [self.coeffs[i * m:(i + 1) * m] for i in range(k * n, (k + 1) * n)]
         return _dense_state(self.ts[k], self.ts[k + 1], self.ys[k * n:(k + 1) * n], rows,
-                            self.factors, t)
+                            self.dense, t)
 
 
 # the smallest rtol brentq accepts
@@ -785,10 +812,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
 
 
-def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
+def _locate(t_lo: float, t_hi: float, y, rows, dense, floors, rel_tol):
     """Locate the earliest floor event in the step [t_lo, t_hi], which starts
     at state y and whose dense output has the coefficient rows ``rows`` and
-    the method's ``factors``.
+    the pair's evaluator ``dense``, read at the floor's component.
 
     Returns (t_est, component_index, bracket_width) or None.  A floor event
     is a component of ``floors`` falling to its floor; unless the step's
@@ -800,15 +827,14 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
     samples = None
     best = None
     for comp, floor in floors:
-        y_c, row = y[comp], rows[comp]
-        if _floor_clear(y_c, row, floor):
+        if _floor_clear(y[comp], rows[comp], floor):
             continue
         if samples is None:
             # np.linspace(t_lo, t_hi, 9)
             step = (t_hi - t_lo) / 8
             samples = [t_lo + i * step for i in range(8)] + [t_hi]
         i = next((i for i, t in enumerate(samples)
-                  if _dense_value(t_lo, t_hi, y_c, row, factors, t) <= floor), None)
+                  if _dense_state(t_lo, t_hi, y, rows, dense, t)[comp] <= floor), None)
         if i is None:
             continue
         if i == 0:
@@ -817,7 +843,7 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
             # stayed above them; treat the start as the estimate
             t_est, width = t_lo, 0.0
         else:
-            t_est = _brentq(lambda q: _dense_value(t_lo, t_hi, y_c, row, factors, q) - floor,
+            t_est = _brentq(lambda q: _dense_state(t_lo, t_hi, y, rows, dense, q)[comp] - floor,
                             samples[i - 1], samples[i], 1e-300, rel_tol)
             width = rel_tol * abs(t_est)
         if best is None or t_est < best[0]:
@@ -825,23 +851,27 @@ def _locate(t_lo: float, t_hi: float, y, rows, factors, floors, rel_tol):
     return best
 
 
-def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
+def _sampler(dense, t0: float, y0, times: list[float] | None, emit):
     """The samples of a run from (t0, y0), as a step sink: (sink, finish).
 
     With ``times`` (strictly increasing, in [t0, t_end]) a sample is the
     state at each time: a time equal to t0 is the initial state, and any
     other one is evaluated by the dense output of the step [t, t_new] with
-    t < time <= t_new, as ``_DenseOutput.__call__`` evaluates it (a boundary
-    belongs to the step it ends, whose polynomial is taken at x = 1).  With
-    ``times`` None the samples are the initial state and every step point
-    (t_new, y_new).  ``emit(t, y)`` gets each sample in time order.
+    t < time <= t_new, as ``_DenseOutput.__call__`` evaluates it, through the
+    pair's evaluator ``dense`` (a boundary belongs to the step it ends, whose
+    polynomial is taken at x = 1).  With ``times`` None the samples are the
+    initial state and every step point (t_new, y_new).  ``emit(t, y)`` gets
+    each sample in time order.  The sink asks for a step's rows (``rows()``,
+    which ``_run`` builds at most once per step) only on a step that holds a
+    requested time; without ``times`` it keeps only the last step's
+    ``rows``, for the collapse point.
 
     Only the run's end fixes t_stop, which a floor event puts inside the
     last step, so each step's samples are held until the next step comes
     (the initial state until the first step, after the run's own checks);
     ``finish(t_stop)`` emits the last step's samples up to t_stop and,
     without ``times``, the collapse point (t_stop, state) when a floor event
-    ended the run inside the last step.
+    ended the run inside the last step (whose rows ``_locate`` has built).
     """
     if times is None:
         held, todo = [(t0, y0)], iter(())
@@ -862,7 +892,7 @@ def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
             held.append((t_new, y_new))
             last = (t, t_new, y, rows)
         while upcoming is not None and upcoming <= t_new:
-            held.append((upcoming, _dense_state(t, t_new, y, rows, factors, upcoming)))
+            held.append((upcoming, _dense_state(t, t_new, y, rows(), dense, upcoming)))
             upcoming = next(todo, None)
 
     def finish(t_stop: float) -> None:
@@ -870,7 +900,8 @@ def _sampler(factors, t0: float, y0, times: list[float] | None, emit):
             if sample[0] <= t_stop:
                 emit(*sample)
         if times is None and last is not None and last[0] < t_stop < last[1]:
-            emit(t_stop, _dense_state(*last, factors, t_stop))
+            t, t_new, y, rows = last
+            emit(t_stop, _dense_state(t, t_new, y, rows(), dense, t_stop))
 
     return sink, finish
 
@@ -917,17 +948,20 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     (t_new, y_new), so far steps stay skipped; a floor event comes first.
 
     Each of ``sinks`` gets ``sink(t, t_new, y, y_new, rows)`` for every
-    accepted step [t, t_new] from y to y_new, with its dense-output rows,
-    and only observes: what it returns is ignored.  Events read only the
-    current step, so only a sink keeps a step table (``_DenseOutput.append``,
-    in :func:`integrate`).  RK45 calls ``_locate`` only where its far test
-    cannot clear the step's floors, and without a sink builds rows only
-    there; every floor time is the one a run that scans every step finds.
+    accepted step [t, t_new] from y to y_new, and only observes: what it
+    returns is ignored.  ``rows()`` gives the step's dense-output rows,
+    built at its first call (``_once``) and shared with ``_locate``, so no
+    step's rows are built twice and a step whose rows nothing asks for
+    builds none.  Events read only the current step, so only a sink keeps a
+    step table (``_DenseOutput.append``, in :func:`integrate`).  RK45 calls
+    ``_locate`` only where its far test cannot clear the step's floors;
+    every floor time is the one a run that scans every step finds.
     A floor (``RunOptions.floors``) at or above its start raises ValueError.
 
     The run makes its functions once, before the first step: the method's
     right-hand side, trial step and dense rows for the family and the
-    tolerances, and RK45's far test for its floors (``_Method``).  The
+    tolerances, its dense evaluator, and RK45's far test for its floors
+    (``_Method``).  The
     controller is scipy's: the initial step of ``select_initial_step``, a
     step never below 10 ulp of t, growth by 0.9 err^(-1/(order+1)) within
     [0.2, 10], and no growth right after a rejection.  A trial step whose
@@ -938,7 +972,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     rtol, atol, max_steps = run.rel_tol, run.abs_tol, run.max_steps
     floors = run.floors(y0)
     f, attempt, dense_rows = method.kernels(p, dim, rtol, atol)
-    factors = method.factors
+    dense = method.dense(dim)
     # a step whose floors the method shows to be out of reach has no floor
     # event, and without a sink needs no rows
     far = method.far(dim, floors) if method.far is not None else None
@@ -997,15 +1031,19 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
         if h > h_max:
             h_max = h
         clear = far is not None and far(y, stages, h)
-        if sinks or not clear:
-            rows = dense_rows(y, y_new, stages, h)
-            hit = None if clear else _locate(t, t_new, y, rows, factors, floors, rtol)
+        hit = None
+        if sinks:
+            rows = _once(dense_rows, y, y_new, stages, h)
+            if not clear:
+                hit = _locate(t, t_new, y, rows(), dense, floors, rtol)
             for sink in sinks:
                 sink(t, t_new, y, y_new, rows)
-            if hit is not None:
-                t_est, comp, width = hit
-                termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
-                                          bracket_width=width)
+        elif not clear:
+            hit = _locate(t, t_new, y, dense_rows(y, y_new, stages, h), dense, floors, rtol)
+        if hit is not None:
+            t_est, comp, width = hit
+            termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
+                                      bracket_width=width)
         if concave and termination is None and y_new[cv] < 0.0:
             # b is concave, so it reaches 0 by t_new + w
             w = y_new[cb] / -y_new[cv]
@@ -1117,9 +1155,9 @@ def _sampled_run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             raise ValueError("dense_times must lie within [t0, t_end]")
 
     run = RunOptions(**run_options)
-    factors = _METHODS[run.method].factors
-    sample, finish = _sampler(factors, t0, y0, dense_times, emit)
-    dense = _DenseOutput(factors, t0, y0) if table else None
+    evaluator = _METHODS[run.method].dense(dim)
+    sample, finish = _sampler(evaluator, t0, y0, dense_times, emit)
+    dense = _DenseOutput(evaluator, t0, y0) if table else None
     sinks = (dense.append, sample) if table else (sample,)
     termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, *sinks)
     finish(t_stop)

@@ -5,7 +5,7 @@ against the library code paths it checks: a fixed-step classic RK4 stepper
 (on plain floats, or vectorized over parameter batches), scipy's own
 RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
 and DOP853 trial steps and dense rows as component loops over scipy's
-tableaux, the
+tableaux, their dense output as a loop over the nested polynomial, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
 period and the isothermal fall time from the first integral by quadrature,
 the residual stencil written point by point over scalar samples, and a
@@ -237,6 +237,28 @@ def dop853_dense_rows(f, y, y_new, stages, h):
             coeffs.append(h * acc)
         out.append(tuple(coeffs))
     return out
+
+
+# the factors of each pair's nested dense polynomial, every one in [0, 1] on
+# the step: x for RK45's quartic, x alternating with 1 - x for DOP853 (scipy's
+# Dop853DenseOutput)
+DENSE_FACTORS = {"RK45": lambda x: (x, x, x, x),
+                 "DOP853": lambda x: (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x)}
+
+
+def nest(coeffs, factors):
+    """The nested polynomial of a dense-output row as a loop: v = 0.0, then
+    v = (v + c_k) * w_k over the reversed coefficients and the factors."""
+    v = 0.0
+    for c, w in zip(reversed(coeffs), factors):
+        v = (v + c) * w
+    return v
+
+
+def dense_value(t_lo, t_hi, y, row, factors, t):
+    """At time t, a component that starts the step [t_lo, t_hi] at y: y plus
+    the nested polynomial of its coefficient row."""
+    return y + nest(row, factors((t - t_lo) / (t_hi - t_lo)))
 
 
 def ermakov_pinney(a0, a1, c, t):

@@ -13,6 +13,8 @@ from scipy.optimize import brentq as scipy_brentq
 from eulerexact import emden
 from eulerexact.emden import MIN_REL_TOL, _brentq
 
+from _oracles import DENSE_FACTORS
+
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 EPS4 = 4.0 * math.ulp(1.0)
 
@@ -77,10 +79,12 @@ def test_quartic_roots_match_scipy(coeffs, lo, width, frac, tol):
 
 def step_output(method, t_lo, t_hi, y0, coeffs):
     """One component's dense output on one ``method`` step, evaluated as
-    ``emden._locate`` evaluates it."""
-    factors = emden._METHODS[method].factors
-    row = tuple(coeffs[:len(factors(0.0))])
-    return lambda q: emden._dense_value(t_lo, t_hi, y0, row, factors, q)
+    ``emden._locate`` evaluates it: the pair's generated evaluator, read at
+    the component of a planar state whose other component has the same
+    row."""
+    row = tuple(coeffs[:len(DENSE_FACTORS[method](0.0))])
+    dense = emden._METHODS[method].dense(2)
+    return lambda q: emden._dense_state(t_lo, t_hi, (y0, 0.0), (row, row), dense, q)[0]
 
 
 @SETTINGS

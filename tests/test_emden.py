@@ -17,8 +17,8 @@ from eulerexact import emden
 from eulerexact._tableaux import RK45_P_BOUND
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
-from _oracles import (dop853_dense_rows, dop853_step, dp5_dense_rows, dp5_step,
-                      ermakov_pinney, ermakov_pinney_collapse, isothermal_fall_time,
+from _oracles import (DENSE_FACTORS, dop853_dense_rows, dop853_step, dp5_dense_rows, dp5_step,
+                      ermakov_pinney, ermakov_pinney_collapse, isothermal_fall_time, nest,
                       rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays, rhs_3d_floats, rk4_fixed,
                       scipy_run)
 
@@ -554,7 +554,7 @@ class TestTableFree:
             run = RunOptions(max_steps=max_steps, eps_blow=eps_blow, method=method)
             t_end = float(rng.uniform(1.0, 20.0))
 
-            table = emden._DenseOutput(emden._METHODS[method].factors, 0.0, y0)
+            table = emden._DenseOutput(emden._METHODS[method].dense(dim), 0.0, y0)
             free = emden._run(p, dim, y0, 0.0, t_end, run)
             kept = emden._run(p, dim, y0, 0.0, t_end, run, table.append)
             # repr writes every float exactly, -0.0 included
@@ -830,8 +830,9 @@ def _edge_step(dim, huge, depth, speed, h, gamma):
 class TestKernels:
     """The generated kernels of both state sizes against the component-loop
     reference steps: RK45's trial step (``_oracles.dp5_step``) bit for bit,
-    its dense rows and DOP853's step and rows (``_oracles.dop853_step``) bit
-    for bit but for the sign of a NaN (``nan_bits``)."""
+    its dense rows, DOP853's step and rows (``_oracles.dop853_step``) and
+    both pairs' dense evaluators (``_oracles.nest``) bit for bit but for the
+    sign of a NaN (``nan_bits``)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(kernel_params, kernel_states, _real(1e-8, 3.0), _real(MIN_REL_TOL, 1e-2),
@@ -928,6 +929,26 @@ class TestKernels:
         _dop853_and_reference(*_edge_step(dim, huge, depth, speed, h, gamma), h, 1e-10, 1e-12)
 
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(["RK45", "DOP853"]), st.sampled_from([2, 3]), st.data())
+    def test_dense_is_the_loop_reference(self, method, dim, data):
+        # the generated evaluator against the loop over the nested polynomial
+        # (``_oracles.nest``), at the step's ends and inside it, with signed
+        # zeros, infinities and NaNs among the coefficients.  A step of -0.0
+        # everywhere shows the sum's start at 0.0: 0.0 + -0.0 is +0.0
+        value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+            [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e308, -5e-324]))
+        if data.draw(st.booleans()):
+            value = st.just(-0.0)
+        n, m = 2 * dim - 2, len(DENSE_FACTORS[method](0.0))
+        y = tuple(data.draw(st.lists(value, min_size=n, max_size=n)))
+        rows = tuple(tuple(data.draw(st.lists(value, min_size=m, max_size=m)))
+                     for _ in range(n))
+        x = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        got = emden._METHODS[method].dense(dim)(y, rows, x)
+        want = tuple(v + nest(row, DENSE_FACTORS[method](x)) for v, row in zip(y, rows))
+        assert nan_bits(got) == nan_bits(want)
+
     def test_each_state_size_is_compiled_once_per_process(self, monkeypatch):
         compiled = []
 
@@ -969,8 +990,10 @@ class TestKernels:
                             "<DOP853 kernels of state size 2>"]
 
     @pytest.mark.parametrize("method, dim, digest", [
-        ("RK45", 3, "a227587ed86c9597"), ("RK45", 2, "a48cb3f0740ad909"),
-        ("DOP853", 3, "475e3973d670dfa9"), ("DOP853", 2, "04bfed06f17981fd")])
+        ("RK45", 3, "5c5213a64a45a73b"), ("RK45", 2, "6a9c1c810d41b2b3"),
+        ("DOP853", 3, "c384863986e38c7f"), ("DOP853", 2, "8e585653116528cb")],
+        # named without the digest, so that a re-pin keeps the test's name
+        ids=["RK45-3", "RK45-2", "DOP853-3", "DOP853-2"])
     def test_the_generated_source_is_pinned(self, monkeypatch, method, dim, digest):
         # the text ``_source`` writes fixes every operation of the kernels
         # and their compile cost; it is read where ``_generated`` compiles it
@@ -1012,6 +1035,136 @@ collapse_params = st.builds(params, gamma=st.one_of(st.just(1.0), _real(1.0, 2.5
                             lam=_real(-2.0, -0.1), xi=_real(0.0, 1.5))
 
 
+def _streamed_and_kept(p, ic, t_end, times, options):
+    """The ``stream_trajectory`` text and the ``integrate`` trajectory of
+    one run."""
+    lines = []
+    termination, samples = emden.stream_trajectory(p, ic, t_end, lines.append,
+                                                    dense_times=times, **options)
+    assert samples == len(lines) - 1
+    return "".join(lines), integrate(p, ic, t_end, dense_times=times, **options)
+
+
+def _eager_once(dense_rows, *step):
+    """``emden._once`` that builds the step's rows at once, on every step."""
+    rows = dense_rows(*step)
+    return lambda: rows
+
+
+def _on_demand_is_eager(p, ic, t_end, times, options):
+    """Run with rows built on demand and with every step's rows built, and
+    hold the two equal: streamed lines, states, termination, statistics and
+    step table.  Returns the on-demand trajectory."""
+    lazy = _streamed_and_kept(p, ic, t_end, times, options)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emden, "_once", _eager_once)
+        eager = _streamed_and_kept(p, ic, t_end, times, options)
+    for (text, traj), want in ((lazy, eager), (eager, lazy)):
+        assert text == want[0] == "\n".join(traj.jsonl_lines()) + "\n"
+    (_, traj), (_, want) = lazy, eager
+    # repr writes every float exactly, -0.0 included
+    assert (repr(traj.states), repr(traj.termination), repr(traj.stats), traj.t_span) == (
+        repr(want.states), repr(want.termination), repr(want.stats), want.t_span)
+    assert traj._dense.coeffs.tobytes() == want._dense.coeffs.tobytes()
+    return traj
+
+
+class TestRowsOnDemand:
+    """A run hands its sinks each step's dense-output rows as a callable
+    that builds them at most once: the step table builds them on every step,
+    the sampler only on a step that holds a requested time, and the floor
+    search shares them.  The samples are those of a run that builds every
+    step's rows, bit for bit."""
+
+    @pytest.mark.parametrize("p, y0, t_end, eps_blow", [
+        # the gamma = 1.4 open cell, stopped by the concavity bound or, at
+        # eps_blow 0.5, by a floor event inside its last step
+        (params(gamma=1.4, lam=-1.0), (1.0, 0.0, 1.0, 0.2), 30.0, None),
+        (params(gamma=1.4, lam=-1.0), (1.0, 0.0, 1.0, 0.2), 30.0, 0.5),
+        # a planar orbit and an escape
+        (params(gamma=1.5, lam=-1.0), (1.1, 0.0), 20.0, None),
+        (params(gamma=1.67, lam=1.0, xi=0.5), (1.0, -0.2, 1.2, 0.3), 10.0, None)])
+    @pytest.mark.parametrize("count", [None, 0, 1, 31])
+    def test_a_streamed_run_builds_only_the_rows_it_reads(self, p, y0, t_end, eps_blow,
+                                                          count):
+        dim = len(y0) // 2 + 1
+        ic = emden._state_from_vec(dim, 0.0, y0)
+        times = None if count is None else [t_end * k / max(count - 1, 1) for k in range(count)]
+        lines = []
+        emden.stream_trajectory(p, ic, t_end, lines.append, dense_times=times, eps_blow=eps_blow)
+        method = emden._METHODS["RK45"]
+        calls = []
+
+        def far_test(*args):
+            test = method.far(*args)
+
+            def far(*step):
+                calls.append(("far", test(*step)))
+                return calls[-1][1]
+            return far
+
+        def kernels(*args):
+            f, attempt, dense = method.kernels(*args)
+
+            def rows(*step):
+                calls.append(("rows",))
+                return dense(*step)
+            return f, attempt, rows
+
+        watched = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(emden._METHODS, "RK45", method._replace(far=far_test, kernels=kernels))
+            termination, _ = emden.stream_trajectory(p, ic, t_end, watched.append,
+                                                     dense_times=times, eps_blow=eps_blow)
+        assert watched == lines
+        # the far test runs once per accepted step, first: each step's calls
+        # start with it
+        steps = []
+        for call in calls:
+            if call[0] == "far":
+                steps.append([not call[1], 0])
+            else:
+                steps[-1][1] += 1
+        table = integrate(p, ic, t_end, eps_blow=eps_blow)._dense.ts
+        assert len(steps) == len(table) - 1
+        for (near, built), t, t_new in zip(steps, table, table[1:]):
+            holds = times is not None and any(t < time <= t_new for time in times)
+            assert built == (near or holds), (t, t_new)
+        assert (termination.kind == "blowup") == (p.lam < 0.0 and dim == 3)
+        # most steps hold no sample and stay clear of the floors
+        assert sum(built for _, built in steps) < len(steps) // 3
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(["RK45", "DOP853"]), st.sampled_from([2, 3]),
+           st.builds(params, gamma=st.one_of(st.just(1.0), _real(1.05, 2.5)),
+                     lam=_real(-2.0, 2.0), xi=_real(0.0, 1.5)),
+           _real(0.5, 2.0), _real(-1.0, 1.0), _real(0.5, 2.0), _real(-1.0, 1.0),
+           _real(0.5, 6.0), st.one_of(st.none(), _real(0.3, 0.95)),
+           st.one_of(st.none(), st.lists(_real(0.0, 1.0), max_size=12)))
+    def test_rows_on_demand_are_the_eager_run(self, method, dim, p, a0, a1, b0, b1, t_end,
+                                              floor_share, fractions):
+        y0 = (a0, a1, b0, b1)[:2 * dim - 2]
+        ic = emden._state_from_vec(dim, 0.0, y0)
+        eps_blow = None if floor_share is None else floor_share * min(y0[::2])
+        times = None if fractions is None else sorted({t_end * f for f in fractions})
+        _on_demand_is_eager(p, ic, t_end, times,
+                            dict(method=method, eps_blow=eps_blow, max_steps=3000))
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("times", [None, [0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 2.0]])
+    def test_a_floor_event_inside_the_last_step(self, method, times):
+        # planar gamma = 2 with xi^2 + lam < 0 falls to the floor at a = 0.5
+        # inside a step; the samples past the crossing are dropped and,
+        # without times, the collapse point is the last one
+        traj = _on_demand_is_eager(params(gamma=2.0, lam=-3.0), EmdenState2D(0.0, 1.0, 0.0),
+                                   5.0, times, dict(method=method, eps_blow=0.5))
+        term = traj.termination
+        assert (term.kind, term.detail) == ("blowup", "")
+        assert traj._dense.ts[-2] < term.t_est == traj.t_span[1] < traj._dense.ts[-1]
+        assert traj.states[-1].t == (term.t_est if times is None else 0.5)
+        assert traj.states[-1].a > 0.5 if times else traj.states[-1].a == pytest.approx(0.5)
+
+
 class TestFarSteps:
     """A lifespan run skips the dense output of a step that its far test
     (``_rk45_far``) clears.  Such a step has no floor event: ``_locate``
@@ -1044,9 +1197,9 @@ class TestFarSteps:
         if not far:
             return
         rows = dense(y, y_new, stages, h)
-        factors = emden._METHODS["RK45"].factors
-        assert emden._locate(0.0, h, y, rows, factors, floors, 1e-10) is None
-        assert min(emden._dense_value(0.0, h, y[comp], rows[comp], factors, t)
+        evaluator = emden._METHODS["RK45"].dense(dim)
+        assert emden._locate(0.0, h, y, rows, evaluator, floors, 1e-10) is None
+        assert min(emden._dense_state(0.0, h, y, rows, evaluator, t)[comp]
                    for t in np.linspace(0.0, h, 1000).tolist()) > floor
 
     @settings(max_examples=30, deadline=None, derandomize=True)
