@@ -51,6 +51,9 @@ OPEN_CASE = "unknown_open_case"
 
 _NUMERIC_NOTE = "numerical evidence, not proof"
 
+# the relative tolerance of the period search's equilibrium test (``_at_rest``)
+FIXED_POINT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -290,9 +293,9 @@ def _bound_period(p: PhysParams, a0: float, a1: float, floor: float) -> float | 
     return None
 
 
-def _at_rest(p: PhysParams, ic: EmdenState2D, tol: float) -> bool:
-    """Whether the planar state is an equilibrium to ``tol`` on the orbit's
-    own time scale (:func:`search_period_2d`)."""
+def _at_rest(p: PhysParams, ic: EmdenState2D) -> bool:
+    """Whether the planar state is an equilibrium to ``FIXED_POINT_TOL`` on
+    the orbit's own time scale (:func:`search_period_2d`)."""
     a = ic.a
     try:
         rate2 = p.xi * p.xi / a**4 + abs(p.lam) * a ** (-2.0 * p.gamma)
@@ -300,19 +303,18 @@ def _at_rest(p: PhysParams, ic: EmdenState2D, tol: float) -> bool:
         return False
     # the right-hand side is (a', a'')
     ad, add = emden_rhs_2d(ic, p)
-    return (math.isfinite(rate2) and abs(ad) <= tol * a * math.sqrt(rate2)
-            and abs(add) <= tol * a * rate2)
+    return (math.isfinite(rate2) and abs(ad) <= FIXED_POINT_TOL * a * math.sqrt(rate2)
+            and abs(add) <= FIXED_POINT_TOL * a * rate2)
 
 
-def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
-                     fixed_point_tol: float = 1e-9,
+def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
                      **run_options) -> tuple[PeriodEstimate | None, Termination | None]:
     """The period of the planar orbit from ``ic``, or how a run from it
     ended.  ``t_max`` and the ``run_options`` of :func:`classify_cell` (a
     floor below ``ic.a`` included) are checked first; a 3D state raises
     ValueError.  An equilibrium start is a ``fixed-point``, or (None, None)
-    if not stable: |a'| <= ``fixed_point_tol`` a w and |a''| <=
-    ``fixed_point_tol`` a w^2, with w^2 = xi^2 / a^4 + |lam| a^(-2 gamma)
+    if not stable: |a'| <= ``FIXED_POINT_TOL`` a w and |a''| <=
+    ``FIXED_POINT_TOL`` a w^2, with w^2 = xi^2 / a^4 + |lam| a^(-2 gamma)
     the orbit's own rate (the sum of the magnitudes of a''/a's terms), so
     the test does not depend on the time unit; a w out of float range is no
     equilibrium.  A bound orbit whose pericenter lies above the floor has
@@ -323,17 +325,17 @@ def search_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
     _check_span(ic.t, ic.t + t_max)
     y0 = _components(ic, 2, "period search")
     ((_, floor),) = run.floors(y0)
-    fixed = _at_rest(p, ic, fixed_point_tol)
+    fixed = _at_rest(p, ic)
     period = _bound_period(p, ic.a, ic.a_dot, floor)
     if period is None:
         return None, (None if fixed else _run(p, 2, y0, ic.t, ic.t + t_max, run)[0])
     return PeriodEstimate(period, "fixed-point" if fixed else "first-integral"), None
 
 
-def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float, *,
-                     fixed_point_tol: float = 1e-9, **run_options) -> PeriodEstimate | None:
+def detect_period_2d(p: PhysParams, ic: EmdenState2D, t_max: float,
+                     **run_options) -> PeriodEstimate | None:
     """The period found by :func:`search_period_2d`, or None."""
-    return search_period_2d(p, ic, t_max, fixed_point_tol=fixed_point_tol, **run_options)[0]
+    return search_period_2d(p, ic, t_max, **run_options)[0]
 
 
 def check_no_period_3d(p: PhysParams, traj: Trajectory) -> bool:

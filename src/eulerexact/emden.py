@@ -22,11 +22,12 @@ step-size controller.  A scale factor's collapse to a small positive floor
 is located by root bracketing on each step's dense output, with a port of
 scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
 (b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``.
-Step sinks, which only observe, read each step's dense output, built on
-demand and evaluated by the pair's generated evaluator: the sampler
-(``_sampler``) of :func:`integrate` and :func:`stream_trajectory`, and
-:func:`integrate`'s step table.  The module runs on the standard library;
-only ``_ieee``, the overflow fallback of the right-hand side, imports numpy.
+Step sinks, which only observe, see each step once it is settled and read
+its dense output, built on demand and evaluated by the pair's generated
+evaluator: the sampler (``_sampler``) of :func:`integrate` and
+:func:`stream_trajectory`, and :func:`integrate`'s step table.  The module
+runs on the standard library; only ``_ieee``, the overflow fallback of the
+right-hand side, imports numpy.
 """
 
 from __future__ import annotations
@@ -701,8 +702,8 @@ class _DenseOutput:
     [ts[k], ts[k+1]], starts at the state ``ys[k * n:(k + 1) * n]`` and has
     one row of m coefficients per component; the pair's evaluator ``dense``
     gives its state.  Only :func:`integrate` keeps one, for
-    :meth:`Trajectory.state_at`: its :meth:`append` sees each step beside
-    the sampler."""
+    :meth:`Trajectory.state_at`: its :meth:`append` is a step sink of the
+    run, beside the sampler."""
 
     __slots__ = ("dense", "n", "ts", "ys", "coeffs")
 
@@ -714,10 +715,10 @@ class _DenseOutput:
     def steps(self) -> int:
         return len(self.ts) - 1
 
-    def append(self, t: float, t_new: float, y, y_new, rows) -> None:
+    def append(self, t: float, t_new: float, y, y_new, rows, t_stop: float) -> None:
         """Add the step [t, t_new] from y to y_new: a step sink of ``_run``,
         which builds the step's rows (``rows()``, one coefficient row per
-        component) on every step."""
+        component) on every step, whole, past a floor event's t_stop too."""
         self.ts.append(t_new)
         self.ys.extend(y_new)
         for row in rows():
@@ -852,58 +853,41 @@ def _locate(t_lo: float, t_hi: float, y, rows, dense, floors, rel_tol):
 
 
 def _sampler(dense, t0: float, y0, times: list[float] | None, emit):
-    """The samples of a run from (t0, y0), as a step sink: (sink, finish).
+    """The samples of a run from (t0, y0), as a step sink: ``emit(t, y)``
+    gets each one in time order as soon as its step is settled, and the
+    initial state at once, when it is a sample.
 
     With ``times`` (strictly increasing, in [t0, t_end]) a sample is the
     state at each time: a time equal to t0 is the initial state, and any
-    other one is evaluated by the dense output of the step [t, t_new] with
-    t < time <= t_new, as ``_DenseOutput.__call__`` evaluates it, through the
-    pair's evaluator ``dense`` (a boundary belongs to the step it ends, whose
-    polynomial is taken at x = 1).  With ``times`` None the samples are the
-    initial state and every step point (t_new, y_new).  ``emit(t, y)`` gets
-    each sample in time order.  The sink asks for a step's rows (``rows()``,
-    which ``_run`` builds at most once per step) only on a step that holds a
-    requested time; without ``times`` it keeps only the last step's
-    ``rows``, for the collapse point.
-
-    Only the run's end fixes t_stop, which a floor event puts inside the
-    last step, so each step's samples are held until the next step comes
-    (the initial state until the first step, after the run's own checks);
-    ``finish(t_stop)`` emits the last step's samples up to t_stop and,
-    without ``times``, the collapse point (t_stop, state) when a floor event
-    ended the run inside the last step (whose rows ``_locate`` has built).
+    other one in (t, t_stop] of the step [t, t_new] is evaluated by the
+    step's dense output, as ``_DenseOutput.__call__`` evaluates it, through
+    the pair's evaluator ``dense`` (a boundary belongs to the step it ends,
+    whose polynomial is taken at x = 1).  Without ``times`` the samples are
+    the initial state and each step's (t_new, y_new) when its t_stop is
+    t_new, or its collapse point (t_stop, state) when a floor event ends
+    the run inside the step.  The sink asks for a step's rows (``rows()``,
+    which ``_run`` builds at most once per step) only on a step that holds
+    a requested time or a collapse point (whose rows ``_locate`` has built).
     """
-    if times is None:
-        held, todo = [(t0, y0)], iter(())
-    elif times and times[0] == t0:
-        held, todo = [(t0, y0)], iter(times[1:])
-    else:
-        held, todo = [], iter(times)
+    todo = iter(times or ())
+    if times is None or times[:1] == [t0]:
+        emit(t0, y0)
+        next(todo, None)
     upcoming = next(todo, None)
-    last = None
 
-    def sink(t, t_new, y, y_new, rows):
-        nonlocal upcoming, last
-        if held:
-            for sample in held:
-                emit(*sample)
-            held.clear()
+    def sink(t, t_new, y, y_new, rows, t_stop):
+        nonlocal upcoming
         if times is None:
-            held.append((t_new, y_new))
-            last = (t, t_new, y, rows)
-        while upcoming is not None and upcoming <= t_new:
-            held.append((upcoming, _dense_state(t, t_new, y, rows(), dense, upcoming)))
+            if t_stop == t_new:
+                emit(t_new, y_new)
+            elif t < t_stop:
+                emit(t_stop, _dense_state(t, t_new, y, rows(), dense, t_stop))
+            return
+        while upcoming is not None and upcoming <= t_stop:
+            emit(upcoming, _dense_state(t, t_new, y, rows(), dense, upcoming))
             upcoming = next(todo, None)
 
-    def finish(t_stop: float) -> None:
-        for sample in held:
-            if sample[0] <= t_stop:
-                emit(*sample)
-        if times is None and last is not None and last[0] < t_stop < last[1]:
-            t, t_new, y, rows = last
-            emit(t_stop, _dense_state(t, t_new, y, rows(), dense, t_stop))
-
-    return sink, finish
+    return sink
 
 
 def _rms(values) -> float:
@@ -936,8 +920,8 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     """The adaptive step loop: step from (t0, y0) towards ``t_end``, and end
     there, at the first floor event, at the concavity stop, after
     ``max_steps`` steps, or on a step failure.  Returns (termination, t_stop,
-    the last accepted state, run statistics); t_stop is a floor event's
-    crossing, and otherwise the end of the last accepted step.
+    the last accepted state, run statistics); t_stop, where the run stopped,
+    is its last step's t_stop, or t0.
 
     The concavity stop holds in every run with lam < 0 of a family with a
     concave factor (``_FAMILIES``; b in 3D): b'' < 0 there, so from a state
@@ -947,22 +931,24 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     of b with ``t_est`` t_new + w and ``bracket_width`` w.  It reads only
     (t_new, y_new), so far steps stay skipped; a floor event comes first.
 
-    Each of ``sinks`` gets ``sink(t, t_new, y, y_new, rows)`` for every
-    accepted step [t, t_new] from y to y_new, and only observes: what it
-    returns is ignored.  ``rows()`` gives the step's dense-output rows,
-    built at its first call (``_once``) and shared with ``_locate``, so no
-    step's rows are built twice and a step whose rows nothing asks for
-    builds none.  Events read only the current step, so only a sink keeps a
-    step table (``_DenseOutput.append``, in :func:`integrate`).  RK45 calls
-    ``_locate`` only where its far test cannot clear the step's floors;
-    every floor time is the one a run that scans every step finds.
-    A floor (``RunOptions.floors``) at or above its start raises ValueError.
+    Each of ``sinks`` gets ``sink(t, t_new, y, y_new, rows, t_stop)`` for
+    every accepted step [t, t_new] from y to y_new, after its floor search:
+    t_stop is the floor crossing ``_locate`` found in the step, which ends
+    the run there, or else t_new (no other ending stops inside a step), so
+    a sink sees a settled step.  It only observes: what it returns is
+    ignored.  ``rows()`` gives the step's dense-output rows, built at its
+    first call (``_once``) and shared with ``_locate``, so no step's rows
+    are built twice and a step whose rows nothing asks for builds none.
+    Events read only the current step, so only a sink keeps a step table
+    (``_DenseOutput.append``, in :func:`integrate`).  RK45 calls ``_locate``
+    only where its far test cannot clear the step's floors; every floor
+    time is the one a run that scans every step finds.  A floor
+    (``RunOptions.floors``) at or above its start raises ValueError.
 
     The run makes its functions once, before the first step: the method's
     right-hand side, trial step and dense rows for the family and the
     tolerances, its dense evaluator, and RK45's far test for its floors
-    (``_Method``).  The
-    controller is scipy's: the initial step of ``select_initial_step``, a
+    (``_Method``).  The controller is scipy's: the initial step of ``select_initial_step``, a
     step never below 10 ulp of t, growth by 0.9 err^(-1/(order+1)) within
     [0.2, 10], and no growth right after a rejection.  A trial step whose
     error norm is not below 1 (NaN included) is rejected.
@@ -988,7 +974,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
     accepted = rejected = 0
     h_min, h_max = math.inf, -math.inf
-    termination = None
+    termination, t_stop = None, t0
 
     # the builtins min and max are written as comparisons in their argument
     # order, which keeps their results, NaN included: min(u, v) is
@@ -1030,20 +1016,18 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             h_min = h
         if h > h_max:
             h_max = h
-        clear = far is not None and far(y, stages, h)
-        hit = None
         if sinks:
             rows = _once(dense_rows, y, y_new, stages, h)
-            if not clear:
-                hit = _locate(t, t_new, y, rows(), dense, floors, rtol)
-            for sink in sinks:
-                sink(t, t_new, y, y_new, rows)
-        elif not clear:
-            hit = _locate(t, t_new, y, dense_rows(y, y_new, stages, h), dense, floors, rtol)
-        if hit is not None:
-            t_est, comp, width = hit
-            termination = Termination("blowup", t_est=t_est, which=comp_names[comp],
-                                      bracket_width=width)
+        t_stop = t_new
+        if far is None or not far(y, stages, h):
+            hit = _locate(t, t_new, y, rows() if sinks else dense_rows(y, y_new, stages, h),
+                          dense, floors, rtol)
+            if hit is not None:
+                t_stop, comp, width = hit
+                termination = Termination("blowup", t_est=t_stop, which=comp_names[comp],
+                                          bracket_width=width)
+        for sink in sinks:
+            sink(t, t_new, y, y_new, rows, t_stop)
         if concave and termination is None and y_new[cv] < 0.0:
             # b is concave, so it reaches 0 by t_new + w
             w = y_new[cb] / -y_new[cv]
@@ -1056,9 +1040,6 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
 
     if termination is None:
         termination = Termination("reached_t_end")
-    # a floor event ends the run at its crossing, and a concavity stop, whose
-    # t_est lies past the last step, at that step
-    t_stop = min(t, termination.t_est) if termination.kind == "blowup" else t
     stats = RunStats(accepted=accepted, rejected=rejected,
                      rhs_evals=2 + method.stage_evals * (accepted + rejected)
                      + method.dense_evals * accepted,
@@ -1093,22 +1074,26 @@ def integrate(
 
     ``states`` holds the samples at ``dense_times`` up to where the run
     stopped or, without them, the initial state, every accepted step point
-    and, after a floor event, the collapse point (``_sampler``).
+    and, after a floor event, the collapse point: the run's sinks are the
+    sampler (``_sampler``) and the step table that ``Trajectory.state_at``
+    reads (``_DenseOutput.append``).
     """
     dim, y0 = _vec_from_state(initial_state)
     t0 = initial_state.t
+    times = _sample_times(dense_times, t0, t_end)
+    run = RunOptions(rel_tol=rel_tol, abs_tol=abs_tol, max_steps=max_steps, eps_blow=eps_blow,
+                     method=method)
+    table = _DenseOutput(_METHODS[method].dense(dim), t0, y0)
     states = []
 
     def keep(t, y):
         states.append(initial_state if t == t0 else _state_from_vec(dim, t, y))
 
-    options = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_steps=max_steps, eps_blow=eps_blow,
-                   method=method)
-    termination, t_stop, stats, dense = _sampled_run(p, dim, y0, t0, t_end, dense_times,
-                                                     options, keep, table=True)
+    termination, t_stop, stats = _sampled_run(p, dim, y0, t0, t_end, times, run, keep,
+                                              table.append)
     return Trajectory(params=p, dim=dim, initial_state=initial_state,
                       states=states, termination=termination, t_span=(t0, t_stop),
-                      _dense=dense if dense.steps else None, stats=stats)
+                      _dense=table if table.steps else None, stats=stats)
 
 
 def stream_trajectory(p: PhysParams, initial_state: EmdenState3D | EmdenState2D,
@@ -1117,15 +1102,18 @@ def stream_trajectory(p: PhysParams, initial_state: EmdenState3D | EmdenState2D,
                       **run_options) -> tuple[Termination, int]:
     """The run of :func:`integrate` with the same arguments, written as it
     goes: ``write`` gets each line of its ``Trajectory.write_jsonl`` file,
-    newline included, as soon as the sample is fixed, and the run keeps no
-    step table and makes no state objects.  Returns the termination and the
+    newline included, as soon as the step that holds its sample is settled
+    (the initial state's before the first step), and the run keeps no step
+    table and makes no state objects.  Returns the termination and the
     number of samples written.
 
     A sample that :func:`integrate` could not return or ``write_jsonl``
     could not write raises the same ValueError, after the samples before it
-    have been written.
+    have been written; so does any other error the run raises mid-run.
     """
     dim, y0 = _vec_from_state(initial_state)
+    t0 = initial_state.t
+    times = _sample_times(dense_times, t0, t_end)
     record = _recorder(p, dim)
     samples = 0
 
@@ -1134,34 +1122,36 @@ def stream_trajectory(p: PhysParams, initial_state: EmdenState3D | EmdenState2D,
         write(record(t, y) + "\n")
         samples += 1
 
-    termination, _, _, _ = _sampled_run(p, dim, y0, initial_state.t, t_end, dense_times,
-                                        run_options, emit)
+    termination, _, _ = _sampled_run(p, dim, y0, t0, t_end, times, RunOptions(**run_options),
+                                     emit)
     write(strict_json({"termination": termination.to_dict()}) + "\n")
     return termination, samples
 
 
-def _sampled_run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
-                 dense_times, run_options: dict, emit, table: bool = False):
-    """The run of :func:`integrate`: check ``dense_times`` and the run
-    options, then run from (t0, y0) to ``t_end`` with a ``_sampler`` that
-    passes the samples to ``emit``.  With ``table`` each step also goes to a
-    ``_DenseOutput``.  Returns (termination, t_stop, stats, the table or
-    None)."""
-    if dense_times is not None:
-        dense_times = [float(t) for t in dense_times]
-        if any(t1 >= t2 for t1, t2 in zip(dense_times, dense_times[1:])):
-            raise ValueError("dense_times must be strictly increasing")
-        if dense_times and (dense_times[0] < t0 or dense_times[-1] > t_end):
-            raise ValueError("dense_times must lie within [t0, t_end]")
+def _sample_times(dense_times, t0: float, t_end: float) -> list[float] | None:
+    """``dense_times`` as a list of floats, checked to be strictly increasing
+    and within [t0, t_end]: the first check of :func:`integrate`'s run."""
+    if dense_times is None:
+        return None
+    times = [float(t) for t in dense_times]
+    if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        raise ValueError("dense_times must be strictly increasing")
+    if times and (times[0] < t0 or times[-1] > t_end):
+        raise ValueError("dense_times must lie within [t0, t_end]")
+    return times
 
-    run = RunOptions(**run_options)
-    evaluator = _METHODS[run.method].dense(dim)
-    sample, finish = _sampler(evaluator, t0, y0, dense_times, emit)
-    dense = _DenseOutput(evaluator, t0, y0) if table else None
-    sinks = (dense.append, sample) if table else (sample,)
-    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, *sinks)
-    finish(t_stop)
-    return termination, t_stop, stats, dense
+
+def _sampled_run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
+                 times, run: RunOptions, emit, *sinks: Callable):
+    """The run of :func:`integrate` with its checked ``times`` and options:
+    ``_run``'s own checks, then the run with ``sinks`` and a ``_sampler``
+    that passes the samples to ``emit``.  Returns (termination, t_stop,
+    stats)."""
+    _check_span(t0, t_end)
+    run.floors(y0)
+    sample = _sampler(_METHODS[run.method].dense(dim), t0, y0, times, emit)
+    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, *sinks, sample)
+    return termination, t_stop, stats
 
 
 def _diagnose_failure(t: float, y, y0, comp_names) -> Termination:

@@ -5,7 +5,8 @@ against the library code paths it checks: a fixed-step classic RK4 stepper
 (on plain floats, or vectorized over parameter batches), scipy's own
 RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
 and DOP853 trial steps and dense rows as component loops over scipy's
-tableaux, their dense output as a loop over the nested polynomial, the
+tableaux, their dense output as a loop over the nested polynomial, a
+sampler that holds each step's samples until the run's end is known, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
 period and the isothermal fall time from the first integral by quadrature,
 the residual stencil written point by point over scalar samples, and a
@@ -259,6 +260,49 @@ def dense_value(t_lo, t_hi, y, row, factors, t):
     """At time t, a component that starts the step [t_lo, t_hi] at y: y plus
     the nested polynomial of its coefficient row."""
     return y + nest(row, factors((t - t_lo) / (t_hi - t_lo)))
+
+
+def held_sampler(dense, t0, y0, times, emit):
+    """The samples of a run from (t0, y0) as a hold-back step sink: (sink,
+    finish).  Each step's samples wait for the next step, since only the
+    run's end fixes where it stopped; ``finish(t_stop)`` emits the last
+    step's samples up to t_stop and, without ``times``, the collapse point
+    when t_stop lies inside the last step.  ``sink(t, t_new, y, y_new,
+    rows)`` evaluates a requested time in (t, t_new] by ``dense(y, rows(),
+    x)`` at the step's fraction x, and without ``times`` takes the step
+    point (t_new, y_new)."""
+    if times is None:
+        held, todo = [(t0, y0)], iter(())
+    elif times and times[0] == t0:
+        held, todo = [(t0, y0)], iter(times[1:])
+    else:
+        held, todo = [], iter(times)
+    upcoming = next(todo, None)
+    last = None
+
+    def state(t, t_new, y, rows, time):
+        return dense(y, rows(), (time - t) / (t_new - t))
+
+    def sink(t, t_new, y, y_new, rows):
+        nonlocal upcoming, last
+        for sample in held:
+            emit(*sample)
+        held.clear()
+        if times is None:
+            held.append((t_new, y_new))
+            last = (t, t_new, y, rows)
+        while upcoming is not None and upcoming <= t_new:
+            held.append((upcoming, state(t, t_new, y, rows, upcoming)))
+            upcoming = next(todo, None)
+
+    def finish(t_stop):
+        for sample in held:
+            if sample[0] <= t_stop:
+                emit(*sample)
+        if times is None and last is not None and last[0] < t_stop < last[1]:
+            emit(t_stop, state(*last, t_stop))
+
+    return sink, finish
 
 
 def ermakov_pinney(a0, a1, c, t):

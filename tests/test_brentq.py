@@ -1,7 +1,8 @@
 """``emden._brentq`` is scipy's ``brentq``: on generated sign-changing brackets
 it evaluates f at the same points and returns the same root, bit for bit, in
-both call shapes of ``emden._locate``; on each failure path it raises the
-exception type scipy raises."""
+both of the package's call shapes (``emden._locate``'s floor crossing and
+``classify._bound_period``'s turning point); on each failure path it raises
+the exception type scipy raises."""
 
 import math
 
@@ -23,12 +24,12 @@ def real(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# the two call shapes of emden._locate: a floor crossing refined to
-# rel_tol * |t|, and a section crossing refined to 4 eps
+# the package's two call shapes: emden._locate's floor crossing, refined to
+# rel_tol * |t|, and classify._bound_period's turning point, refined to 4 eps
 rel_tols = st.one_of(st.just(MIN_REL_TOL), st.just(1e-10),
                      real(math.log10(MIN_REL_TOL), -3.0).map(lambda e: 10.0 ** e))
 tolerances = st.one_of(rel_tols.map(lambda r: (1e-300, r)),
-                       st.just((emden._BRENTQ_RTOL, emden._BRENTQ_RTOL)))
+                       st.just((1e-300, emden._BRENTQ_RTOL)))
 
 
 def recorded(f):

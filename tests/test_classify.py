@@ -9,6 +9,7 @@ from eulerexact import (BLOWUP, GLOBAL, OPEN_CASE, EmdenState2D, EmdenState3D,
                         PhysParams, Trajectory, check_no_period_3d,
                         classify_3d, classify_cell, detect_period_2d, integrate,
                         probe_open_case, search_period_2d)
+from eulerexact.classify import FIXED_POINT_TOL
 from eulerexact.emden import Termination
 
 from _oracles import first_integral_period, isothermal_fall_time, planar_potential
@@ -531,6 +532,14 @@ class TestPeriodDetection:
         assert abs(back.a - ic.a) <= 1e-9 * scale
         assert abs(back.a_dot - ic.a_dot) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("search", [search_period_2d, detect_period_2d])
+    def test_the_equilibrium_tolerance_is_a_constant(self, search):
+        # a keyword the search no longer has is a bad run option
+        assert FIXED_POINT_TOL == 1e-9
+        with pytest.raises(TypeError, match="fixed_point_tol"):
+            search(params(gamma=1.5, lam=-1.0), EmdenState2D(0.0, 1.0, 0.0), 1.0,
+                   fixed_point_tol=1e-9)
+
     @pytest.mark.parametrize("gamma, lam, xi", [(1.0, -1.0, 1.0), (1.5, -1.0, 1.0),
                                                 (1.8, -0.7, 0.6)])
     def test_the_period_tends_to_the_fixed_points(self, gamma, lam, xi):
@@ -544,7 +553,7 @@ class TestPeriodDetection:
             offset = 10.0 ** -j
             est = detect_period_2d(p, EmdenState2D(0.0, a_eq * (1.0 + offset), 0.0), 1.0)
             # |a''| / (a w^2) is about (2 - gamma) offset, and the start is an
-            # equilibrium where that is within fixed_point_tol = 1e-9; at
+            # equilibrium where that is within FIXED_POINT_TOL = 1e-9; at
             # j = 9 it lies next to the tolerance
             if j != 9:
                 assert est.method == ("first-integral" if j < 9 else "fixed-point")

@@ -4,10 +4,11 @@ import inspect
 import json
 import math
 import time
+from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, RunConfig, Trajectory,
@@ -18,7 +19,8 @@ from eulerexact._tableaux import RK45_P_BOUND
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
 from _oracles import (DENSE_FACTORS, dop853_dense_rows, dop853_step, dp5_dense_rows, dp5_step,
-                      ermakov_pinney, ermakov_pinney_collapse, isothermal_fall_time, nest,
+                      ermakov_pinney, ermakov_pinney_collapse, held_sampler,
+                      isothermal_fall_time, nest,
                       rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays, rhs_3d_floats, rk4_fixed,
                       scipy_run)
 
@@ -287,6 +289,25 @@ class TestIntegrate:
         for t_end in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="t_end"):
                 integrate(p, ic, t_end)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_checks_come_in_order(self, streamed):
+        # dense_times, then the run options, then the span, then the floors;
+        # a streamed run writes nothing before them
+        ic, written = EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0), []
+
+        def run(t_end, **options):
+            if streamed:
+                return emden.stream_trajectory(params(), ic, t_end, written.append, **options)
+            return integrate(params(), ic, t_end, **options)
+        faults = dict(dense_times=[0.5, 0.2], rel_tol=2.0, t_end=math.nan, eps_blow=2.0)
+        for fault in list(faults):
+            options = dict(faults)
+            t_end = options.pop("t_end", 1.0)
+            with pytest.raises(ValueError, match=f"^{fault} must"):
+                run(t_end, **options)
+            del faults[fault]
+        assert written == []
 
     @pytest.mark.parametrize("option, value", [
         ("eps_blow", 0.0), ("eps_blow", -1.0), ("eps_blow", math.nan), ("eps_blow", math.inf),
@@ -586,7 +607,9 @@ class TestSink:
         stop = emden.Termination("stopped", detail="by the sink")
         seen = []
 
-        def sink(t, t_new, y, y_new, rows):
+        def sink(t, t_new, y, y_new, rows, t_stop):
+            # no floor event: every step is settled at its end
+            assert t_stop == t_new
             seen.append((t, t_new, y, y_new))
             return stop if len(seen) == k else None
         watched = emden._run(p, dim, y0, 0.0, 50.0, RunOptions(method=method), sink)
@@ -614,8 +637,10 @@ class TestSink:
         reference = emden._run(p, 2, y0, 0.0, 5.0, run)[0]
         assert (reference.kind, reference.detail) == ("blowup", "")
         T = reference.t_est
+        stops = []
 
-        def sink(t, t_new, y, y_new, rows):
+        def sink(t, t_new, y, y_new, rows, t_stop):
+            stops.append((t_new, t_stop))
             if not t < T <= t_new:
                 return None
             t_est = {"before": math.nextafter(T, -math.inf), "tie": T, "step_end": t_new}[when]
@@ -623,6 +648,11 @@ class TestSink:
         termination, t_stop, _, _ = emden._run(p, 2, y0, 0.0, 5.0, run, sink)
         assert termination.kind == kind
         assert repr(termination) == repr(reference) and t_stop == T
+        # the floor event's last step stops at its crossing, every other
+        # step at its end
+        last_end, last_stop = stops[-1]
+        assert last_stop == T < last_end
+        assert all(t_new == t_stop for t_new, t_stop in stops[:-1])
 
 
 class TestClosedForms:
@@ -1163,6 +1193,162 @@ class TestRowsOnDemand:
         assert traj._dense.ts[-2] < term.t_est == traj.t_span[1] < traj._dense.ts[-1]
         assert traj.states[-1].t == (term.t_est if times is None else 0.5)
         assert traj.states[-1].a > 0.5 if times else traj.states[-1].a == pytest.approx(0.5)
+
+
+def _held_and_settled(p, dim, y0, t_end, times, run):
+    """Run once with the sampler and with the hold-back reference
+    (``_oracles.held_sampler``) as sinks, and hold their samples equal, bit
+    for bit.  Returns the run's t_stop and its last step (t, t_new)."""
+    dense = emden._METHODS[run.method].dense(dim)
+    settled, held, steps = [], [], []
+    sample = emden._sampler(dense, 0.0, y0, times, lambda t, y: settled.append((t, y)))
+    sink, finish = held_sampler(dense, 0.0, y0, times, lambda t, y: held.append((t, y)))
+
+    def reference(t, t_new, y, y_new, rows, t_stop):
+        steps.append((t, t_new))
+        sink(t, t_new, y, y_new, rows)
+    _, t_stop, _, _ = emden._run(p, dim, y0, 0.0, t_end, run, reference, sample)
+    finish(t_stop)
+    # repr writes every float exactly, -0.0 included
+    assert repr(settled) == repr(held)
+    return t_stop, steps[-1] if steps else None
+
+
+def _floor_at(table, k, comp, where):
+    """An eps_blow that puts a floor event of component ``comp`` at a step
+    boundary of the run whose step table is ``table``: step k's end state,
+    at which step k + 1 starts ("start"), or step k's polynomial at its end
+    ("end")."""
+    if where == "start":
+        return table.ys[(k + 1) * table.n + comp]
+    return table(table.ts[k + 1])[comp]
+
+
+def _where(t_stop, step):
+    """Where in its last step (t, t_new) a run stopped."""
+    t, t_new = step
+    return "start" if t_stop == t else "end" if t_stop == t_new else "inside"
+
+
+class TestSettledSteps:
+    """The sampler emits each sample as soon as its step is settled: the
+    samples of the run that holds each step's samples until its end, bit for
+    bit, and every line of a streamed run is written before the trial step
+    that follows its own step."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(["RK45", "DOP853"]), st.sampled_from([2, 3]),
+           st.builds(params, gamma=st.one_of(st.just(1.0), _real(1.05, 2.5)),
+                     lam=_real(-3.0, 1.0), xi=_real(0.0, 1.5)),
+           _real(0.5, 2.0), _real(-1.0, 1.0), _real(0.5, 2.0), _real(-1.0, 1.0),
+           _real(0.5, 6.0),
+           st.one_of(st.none(), st.lists(_real(0.0, 1.0), max_size=12)),
+           st.booleans(), st.booleans(),
+           st.sampled_from([None, "share", "start", "end"]), _real(0.05, 0.95),
+           st.integers(0, 10 ** 6), st.sampled_from([0, 2]))
+    def test_the_settled_samples_are_the_held_ones(self, method, dim, p, a0, a1, b0, b1,
+                                                   t_end, fractions, at_t0, at_end, where,
+                                                   share, k, comp):
+        y0 = (a0, a1, b0, b1)[:2 * dim - 2]
+        if fractions is None:
+            times = None
+        else:
+            times = sorted({t_end * f for f in fractions + [0.0] * at_t0 + [1.0] * at_end})
+        comp = comp if dim == 3 else 0
+        if where is None:
+            eps_blow = None
+        elif where == "share":
+            eps_blow = share * min(y0[::2])
+        else:
+            ic = emden._state_from_vec(dim, 0.0, y0)
+            table = integrate(p, ic, t_end, method=method, max_steps=3000)._dense
+            # the steps with such a floor below every factor's start; for
+            # "start", where the step's polynomial ends above its end state
+            steps = [j for j in range(table.steps - 1)
+                     if 0.0 < _floor_at(table, j, comp, where) < min(y0[::2])
+                     and (where == "end" or table(table.ts[j + 1])[comp]
+                          > _floor_at(table, j, comp, "start"))]
+            assume(steps)
+            eps_blow = _floor_at(table, steps[k % len(steps)], comp, where)
+        t_stop, step = _held_and_settled(p, dim, y0, t_end, times,
+                                         RunOptions(method=method, eps_blow=eps_blow,
+                                                    max_steps=3000))
+        event(f"floor {where}, stopped {step and _where(t_stop, step)}")
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("times", [None, [0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 2.0, 5.0]])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_floor_events_at_the_start_inside_and_at_the_end_of_a_step(self, method, times,
+                                                                       dim):
+        # planar gamma = 2 with xi^2 + lam < 0 collapses, and so does b in
+        # this 3D cell
+        p = params(gamma=2.0, lam=-3.0)
+        y0 = (1.0, 0.0, 1.0, -0.5)[:2 * dim - 2]
+        table = integrate(p, emden._state_from_vec(dim, 0.0, y0), 5.0, method=method)._dense
+        # floors of the collapsing factor, which falls below the other one:
+        # one at a step's polynomial end value is crossed at the step's end,
+        # and one at its end state, where the polynomial ends above it by
+        # rounding, at the next step's start.  DOP853's polynomial ends at
+        # y + (y_new - y), which is y_new on these runs
+        comp = len(y0) - 2
+        ends = range(0, table.steps - 1, table.steps // 4)
+        starts = [k for k in range(table.steps - 1)
+                  if table(table.ts[k + 1])[comp] > _floor_at(table, k, comp, "start")]
+        assert bool(starts) == (method == "RK45")
+        for kind, steps in (("end", ends), ("start", starts[:4])):
+            for k in steps:
+                eps_blow = _floor_at(table, k, comp, kind)
+                assert eps_blow < min(y0[::2])
+                t_stop, step = _held_and_settled(p, dim, y0, 5.0, times,
+                                                 RunOptions(method=method, eps_blow=eps_blow))
+                assert _where(t_stop, step) == kind
+        t_stop, step = _held_and_settled(p, dim, y0, 5.0, times,
+                                         RunOptions(method=method, eps_blow=0.5))
+        assert _where(t_stop, step) == "inside"
+
+    @pytest.mark.parametrize("p, y0, t_end, eps_blow, times", [
+        # a bound planar orbit, without and with times at t0 and t_end
+        (params(gamma=1.5, lam=-1.0), (1.1, 0.0), 20.0, None, None),
+        (params(gamma=1.5, lam=-1.0), (1.1, 0.0), 20.0, None, [0.0, 0.5, 7.0, 7.25, 20.0]),
+        # a floor event inside the last step, whose collapse point ends the file
+        (params(gamma=2.0, lam=-3.0), (1.0, 0.0), 5.0, 0.5, None),
+        (params(gamma=2.0, lam=-3.0), (1.0, 0.0), 5.0, 0.5, [0.0, 0.25, 0.5, 1.0, 5.0]),
+        # the open cell, stopped by the concavity bound
+        (params(gamma=1.4, lam=-1.0), (1.0, 0.0, 1.0, 0.2), 30.0, None, None)])
+    def test_each_line_is_written_before_the_next_trial_step(self, p, y0, t_end, eps_blow,
+                                                             times):
+        dim = len(y0) // 2 + 1
+        ic = emden._state_from_vec(dim, 0.0, y0)
+        method = emden._METHODS["RK45"]
+        events = []
+
+        def kernels(*args):
+            f, attempt, rows = method.kernels(*args)
+
+            def watched(y, k1, h):
+                out = attempt(y, k1, h)
+                # whether the controller accepts the trial step
+                events.append(out[2] < 1.0)
+                return out
+            return f, watched, rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(emden._METHODS, "RK45", method._replace(kernels=kernels))
+            emden.stream_trajectory(p, ic, t_end, lambda line: events.append(json.loads(line)),
+                                    dense_times=times, eps_blow=eps_blow)
+        traj = integrate(p, ic, t_end, dense_times=times, eps_blow=eps_blow)
+        accepted, last, lines = 0, None, 0
+        for item in events:
+            if isinstance(item, bool):
+                accepted, last = accepted + item, item
+            elif "t" in item:
+                # the sample lies in step k, (ts[k - 1], ts[k]], and k
+                # accepted trial steps have been made, the last one its own
+                # step's: no trial of the next step came first
+                assert (accepted, last) == (bisect_left(traj._dense.ts, item["t"]),
+                                            None if accepted == 0 else True), item
+                lines += 1
+        assert lines == len(traj.states) > 2
 
 
 class TestFarSteps:
