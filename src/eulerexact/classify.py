@@ -154,7 +154,7 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     horizon and the collapse floor.  A cell that is not global and has none is
     integrated once, ``horizon`` time units past ``ic.t``, by the step loop
     with ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
-    ``eps_blow``) and no step table: a collapse gives ``T``, and an open cell
+    ``eps_blow``) and no sink: a collapse gives ``T``, and an open cell
     whose ``T`` was found this way has basis ``numerical_evidence``.  A floor
     crossing ends the run at ``T``; the concavity stop of b (lam < 0) ends it
     at its last step, ``t_horizon`` past ``ic.t``, with ``T`` the bound one

@@ -24,9 +24,9 @@ scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
 (b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``.
 Step sinks, which only observe, see each step once it is settled and read
 its dense output, built on demand and evaluated by the pair's generated
-evaluator: the sampler (``_sampler``) of :func:`integrate` and
-:func:`stream_trajectory`, and :func:`integrate`'s step table.  The module
-runs on the standard library; only ``_ieee``, the overflow fallback of the
+evaluator; the sampler (``_sampler``) is the only sink of :func:`integrate`,
+:func:`stream_trajectory` and :meth:`Trajectory.state_at`.  The module runs
+on the standard library; only ``_ieee``, the overflow fallback of the
 right-hand side, imports numpy.
 """
 
@@ -36,8 +36,6 @@ import functools
 import json
 import math
 import re
-from array import array
-from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 from dataclasses import dataclass, field, fields
@@ -223,9 +221,9 @@ class Trajectory:
 
     ``states`` holds samples at the caller-requested times (or at the accepted
     step points when no times were requested); :meth:`state_at` evaluates the
-    dense output anywhere inside the integrated span, from the step table
-    that :func:`integrate` keeps for it.  ``stats`` counts the run's steps; a
-    hand-built trajectory has none.
+    dense output anywhere inside the integrated span, by running the loop
+    again.  ``stats`` counts the run's steps; a hand-built trajectory has
+    none.
     """
 
     params: PhysParams
@@ -234,7 +232,7 @@ class Trajectory:
     states: list
     termination: Termination
     t_span: tuple[float, float]
-    _dense: _DenseOutput | None = field(default=None, repr=False)
+    _sample_at: Callable[[float], tuple] | None = field(default=None, repr=False)
     stats: RunStats | None = None
 
     def __post_init__(self) -> None:
@@ -243,15 +241,22 @@ class Trajectory:
             raise ValueError("trajectory sample times must be strictly increasing")
 
     def state_at(self, t: float):
-        """Dense-output state at time t within the integrated span."""
+        """Dense-output state at time t within the integrated span.
+
+        Each call is one more run of :func:`integrate`'s loop, from the
+        initial state to the run's ``t_end`` with its options, whose sampler
+        takes the one time t: the state that ``dense_times=[..., t, ...]``
+        gives, bit for bit.  To sample many times, pass them to
+        :func:`integrate` as ``dense_times``, which costs one run for all.
+        """
         t0, t1 = self.t_span
         if not t0 <= t <= t1:
             raise ValueError(f"t={t} outside integrated span [{t0}, {t1}]")
         if t == t0:
             return self.initial_state
-        if self._dense is None:
-            raise ValueError("no dense output available (no step was accepted)")
-        return _state_from_vec(self.dim, t, self._dense(t))
+        if self._sample_at is None:
+            raise ValueError("no dense output available (a hand-built trajectory)")
+        return _state_from_vec(self.dim, t, self._sample_at(t))
 
     def energies(self) -> list[float]:
         return [energy_3d(_padded(st), self.params) for st in self.states]
@@ -697,43 +702,6 @@ def _once(dense_rows, y, y_new, stages, h):
     return rows
 
 
-class _DenseOutput:
-    """The step table of a run, in flat float arrays: step k spans
-    [ts[k], ts[k+1]], starts at the state ``ys[k * n:(k + 1) * n]`` and has
-    one row of m coefficients per component; the pair's evaluator ``dense``
-    gives its state.  Only :func:`integrate` keeps one, for
-    :meth:`Trajectory.state_at`: its :meth:`append` is a step sink of the
-    run, beside the sampler."""
-
-    __slots__ = ("dense", "n", "ts", "ys", "coeffs")
-
-    def __init__(self, dense, t0: float, y0):
-        self.dense, self.n = dense, len(y0)
-        self.ts, self.ys, self.coeffs = array("d", [t0]), array("d", y0), array("d")
-
-    @property
-    def steps(self) -> int:
-        return len(self.ts) - 1
-
-    def append(self, t: float, t_new: float, y, y_new, rows, t_stop: float) -> None:
-        """Add the step [t, t_new] from y to y_new: a step sink of ``_run``,
-        which builds the step's rows (``rows()``, one coefficient row per
-        component) on every step, whole, past a floor event's t_stop too."""
-        self.ts.append(t_new)
-        self.ys.extend(y_new)
-        for row in rows():
-            self.coeffs.extend(row)
-
-    def __call__(self, t: float) -> tuple:
-        """The state at t; a step boundary belongs to the step it ends."""
-        k = min(max(bisect_left(self.ts, t) - 1, 0), self.steps - 1)
-        n = self.n
-        m = len(self.coeffs) // (self.steps * n)
-        rows = [self.coeffs[i * m:(i + 1) * m] for i in range(k * n, (k + 1) * n)]
-        return _dense_state(self.ts[k], self.ts[k + 1], self.ys[k * n:(k + 1) * n], rows,
-                            self.dense, t)
-
-
 # the smallest rtol brentq accepts
 _BRENTQ_RTOL = 4.0 * math.ulp(1.0)
 
@@ -860,14 +828,14 @@ def _sampler(dense, t0: float, y0, times: list[float] | None, emit):
     With ``times`` (strictly increasing, in [t0, t_end]) a sample is the
     state at each time: a time equal to t0 is the initial state, and any
     other one in (t, t_stop] of the step [t, t_new] is evaluated by the
-    step's dense output, as ``_DenseOutput.__call__`` evaluates it, through
-    the pair's evaluator ``dense`` (a boundary belongs to the step it ends,
-    whose polynomial is taken at x = 1).  Without ``times`` the samples are
-    the initial state and each step's (t_new, y_new) when its t_stop is
-    t_new, or its collapse point (t_stop, state) when a floor event ends
-    the run inside the step.  The sink asks for a step's rows (``rows()``,
-    which ``_run`` builds at most once per step) only on a step that holds
-    a requested time or a collapse point (whose rows ``_locate`` has built).
+    step's dense output, through the pair's evaluator ``dense`` (a boundary
+    belongs to the step it ends, whose polynomial is taken at x = 1).
+    Without ``times`` the samples are the initial state and each step's
+    (t_new, y_new) when its t_stop is t_new, or its collapse point (t_stop,
+    state) when a floor event ends the run inside the step.  The sink asks
+    for a step's rows (``rows()``, which ``_run`` builds at most once per
+    step) only on a step that holds a requested time or a collapse point
+    (whose rows ``_locate`` has built).
     """
     todo = iter(times or ())
     if times is None or times[:1] == [t0]:
@@ -939,11 +907,10 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     ignored.  ``rows()`` gives the step's dense-output rows, built at its
     first call (``_once``) and shared with ``_locate``, so no step's rows
     are built twice and a step whose rows nothing asks for builds none.
-    Events read only the current step, so only a sink keeps a step table
-    (``_DenseOutput.append``, in :func:`integrate`).  RK45 calls ``_locate``
-    only where its far test cannot clear the step's floors; every floor
-    time is the one a run that scans every step finds.  A floor
-    (``RunOptions.floors``) at or above its start raises ValueError.
+    Events read only the current step.  RK45 calls ``_locate`` only where
+    its far test cannot clear the step's floors; every floor time is the one
+    a run that scans every step finds.  A floor (``RunOptions.floors``) at
+    or above its start raises ValueError.
 
     The run makes its functions once, before the first step: the method's
     right-hand side, trial step and dense rows for the family and the
@@ -1074,26 +1041,32 @@ def integrate(
 
     ``states`` holds the samples at ``dense_times`` up to where the run
     stopped or, without them, the initial state, every accepted step point
-    and, after a floor event, the collapse point: the run's sinks are the
-    sampler (``_sampler``) and the step table that ``Trajectory.state_at``
-    reads (``_DenseOutput.append``).
+    and, after a floor event, the collapse point: the run's only sink is the
+    sampler (``_sampler``), which builds a step's dense rows only where it
+    reads them.  The trajectory keeps no step table: its
+    :meth:`~Trajectory.state_at` runs the loop again for each time.
     """
     dim, y0 = _vec_from_state(initial_state)
     t0 = initial_state.t
     times = _sample_times(dense_times, t0, t_end)
     run = RunOptions(rel_tol=rel_tol, abs_tol=abs_tol, max_steps=max_steps, eps_blow=eps_blow,
                      method=method)
-    table = _DenseOutput(_METHODS[method].dense(dim), t0, y0)
     states = []
 
     def keep(t, y):
         states.append(initial_state if t == t0 else _state_from_vec(dim, t, y))
 
-    termination, t_stop, stats = _sampled_run(p, dim, y0, t0, t_end, times, run, keep,
-                                              table.append)
+    def sample_at(t: float) -> tuple:
+        """The components at t in (t0, t_stop]: the same run, sampled at t alone."""
+        samples = []
+        _sampled_run(p, dim, y0, t0, t_end, [t], run, lambda _, y: samples.append(y))
+        (y,) = samples
+        return y
+
+    termination, t_stop, stats = _sampled_run(p, dim, y0, t0, t_end, times, run, keep)
     return Trajectory(params=p, dim=dim, initial_state=initial_state,
                       states=states, termination=termination, t_span=(t0, t_stop),
-                      _dense=table if table.steps else None, stats=stats)
+                      _sample_at=sample_at, stats=stats)
 
 
 def stream_trajectory(p: PhysParams, initial_state: EmdenState3D | EmdenState2D,
@@ -1103,9 +1076,8 @@ def stream_trajectory(p: PhysParams, initial_state: EmdenState3D | EmdenState2D,
     """The run of :func:`integrate` with the same arguments, written as it
     goes: ``write`` gets each line of its ``Trajectory.write_jsonl`` file,
     newline included, as soon as the step that holds its sample is settled
-    (the initial state's before the first step), and the run keeps no step
-    table and makes no state objects.  Returns the termination and the
-    number of samples written.
+    (the initial state's before the first step), and the run makes no state
+    objects.  Returns the termination and the number of samples written.
 
     A sample that :func:`integrate` could not return or ``write_jsonl``
     could not write raises the same ValueError, after the samples before it
@@ -1142,15 +1114,14 @@ def _sample_times(dense_times, t0: float, t_end: float) -> list[float] | None:
 
 
 def _sampled_run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
-                 times, run: RunOptions, emit, *sinks: Callable):
+                 times, run: RunOptions, emit):
     """The run of :func:`integrate` with its checked ``times`` and options:
-    ``_run``'s own checks, then the run with ``sinks`` and a ``_sampler``
-    that passes the samples to ``emit``.  Returns (termination, t_stop,
-    stats)."""
+    ``_run``'s own checks, then the run with one sink, a ``_sampler`` that
+    passes the samples to ``emit``.  Returns (termination, t_stop, stats)."""
     _check_span(t0, t_end)
     run.floors(y0)
     sample = _sampler(_METHODS[run.method].dense(dim), t0, y0, times, emit)
-    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, *sinks, sample)
+    termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, sample)
     return termination, t_stop, stats
 
 

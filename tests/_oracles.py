@@ -6,7 +6,8 @@ against the library code paths it checks: a fixed-step classic RK4 stepper
 RK45/DOP853 stepping with the library's event rule, the Dormand-Prince 5(4)
 and DOP853 trial steps and dense rows as component loops over scipy's
 tableaux, their dense output as a loop over the nested polynomial, a
-sampler that holds each step's samples until the run's end is known, the
+sampler that holds each step's samples until the run's end is known, a
+step table that keeps every step and looks one up, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
 period and the isothermal fall time from the first integral by quadrature,
 the residual stencil written point by point over scalar samples, and a
@@ -22,6 +23,8 @@ import json
 import math
 import types
 import warnings
+from array import array
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -303,6 +306,40 @@ def held_sampler(dense, t0, y0, times, emit):
             emit(t_stop, state(*last, t_stop))
 
     return sink, finish
+
+
+class StepTable:
+    """The step table of a run from (t0, y0) of the pair ``method``, in flat
+    float arrays, as a step sink: ``append(t, t_new, y, y_new, rows,
+    t_stop)`` keeps every step whole, past a floor event's t_stop too, and
+    builds every step's rows.  Step k spans [ts[k], ts[k+1]], starts at the
+    state ``ys[k * n:(k + 1) * n]`` and has one row of m coefficients per
+    component in ``coeffs``.  ``table(t)`` is the state at t in
+    [ts[0], ts[-1]]: ``dense_value`` on the step that holds t, where a step
+    boundary belongs to the step it ends."""
+
+    def __init__(self, method, t0, y0):
+        self.factors, self.n = DENSE_FACTORS[method], len(y0)
+        self.ts, self.ys, self.coeffs = array("d", [t0]), array("d", y0), array("d")
+
+    @property
+    def steps(self):
+        return len(self.ts) - 1
+
+    def append(self, t, t_new, y, y_new, rows, t_stop):
+        self.ts.append(t_new)
+        self.ys.extend(y_new)
+        for row in rows():
+            self.coeffs.extend(row)
+
+    def __call__(self, t):
+        k = min(max(bisect_left(self.ts, t) - 1, 0), self.steps - 1)
+        n = self.n
+        m = len(self.coeffs) // (self.steps * n)
+        return tuple(dense_value(self.ts[k], self.ts[k + 1], self.ys[k * n + c],
+                                 self.coeffs[(k * n + c) * m:(k * n + c + 1) * m],
+                                 self.factors, t)
+                     for c in range(n))
 
 
 def ermakov_pinney(a0, a1, c, t):

@@ -634,7 +634,7 @@ class TestIntegrateWriter:
         assert len(lines) == len(traj.states) + 1
         t_stop = traj.t_span[1]
         if times is not None:
-            # the samples are the step table's dense output, bit for bit
+            # the samples are state_at's, one run per time, bit for bit
             assert list(map(repr, traj.states)) == [repr(traj.state_at(t)) for t in times
                                                     if t <= t_stop]
         else:

@@ -8,7 +8,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from eulerexact import (EmdenState2D, EmdenState3D, PhysParams, RunConfig, Trajectory,
@@ -18,8 +18,8 @@ from eulerexact import emden
 from eulerexact._tableaux import RK45_P_BOUND
 from eulerexact.emden import MIN_REL_TOL, RunOptions
 
-from _oracles import (DENSE_FACTORS, dop853_dense_rows, dop853_step, dp5_dense_rows, dp5_step,
-                      ermakov_pinney, ermakov_pinney_collapse, held_sampler,
+from _oracles import (DENSE_FACTORS, StepTable, dop853_dense_rows, dop853_step, dp5_dense_rows,
+                      dp5_step, ermakov_pinney, ermakov_pinney_collapse, held_sampler,
                       isothermal_fall_time, nest,
                       rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays, rhs_3d_floats, rk4_fixed,
                       scipy_run)
@@ -352,9 +352,12 @@ class TestIntegrate:
 
 
 class TestTrajectory:
-    def test_state_at_bounds(self):
+    def test_state_at_bounds(self, monkeypatch):
         p = params(lam=0.0)
         traj = integrate(p, EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.0), 2.0)
+        # state_at runs the loop again without the module's integrate, which a
+        # traced pass wraps and would count once more
+        monkeypatch.setattr(emden, "integrate", None)
         st = traj.state_at(1.3)
         assert st.t == 1.3
         with pytest.raises(ValueError):
@@ -553,12 +556,17 @@ class TestRunStats:
                                 states=[traj.initial_state], termination=traj.termination,
                                 t_span=(0.0, 0.0))
         assert hand_built.stats is None
+        # nor a way to run the loop again
+        hand_built = dataclasses.replace(hand_built, t_span=(0.0, 1.0))
+        assert hand_built.state_at(0.0) is traj.initial_state
+        with pytest.raises(ValueError, match="^no dense output available"):
+            hand_built.state_at(0.5)
 
 
 class TestTableFree:
     """A run through no sink (which skips the dense output of steps whose
-    floors are out of reach) is the run that keeps a step table, bit for
-    bit."""
+    floors are out of reach) is the run that keeps a step table
+    (``_oracles.StepTable``), bit for bit."""
 
     def test_runs_with_and_without_a_table_agree(self):
         rng = np.random.default_rng(13)
@@ -575,7 +583,7 @@ class TestTableFree:
             run = RunOptions(max_steps=max_steps, eps_blow=eps_blow, method=method)
             t_end = float(rng.uniform(1.0, 20.0))
 
-            table = emden._DenseOutput(emden._METHODS[method].dense(dim), 0.0, y0)
+            table = StepTable(method, 0.0, y0)
             free = emden._run(p, dim, y0, 0.0, t_end, run)
             kept = emden._run(p, dim, y0, 0.0, t_end, run, table.append)
             # repr writes every float exactly, -0.0 included
@@ -1081,31 +1089,43 @@ def _eager_once(dense_rows, *step):
     return lambda: rows
 
 
+def _tabled(p, dim, y0, t_end, run):
+    """The step table (``_oracles.StepTable``) of the run from (0, y0), kept
+    by the table as the run's only sink."""
+    table = StepTable(run.method, 0.0, y0)
+    emden._run(p, dim, y0, 0.0, t_end, run, table.append)
+    return table
+
+
 def _on_demand_is_eager(p, ic, t_end, times, options):
     """Run with rows built on demand and with every step's rows built, and
     hold the two equal: streamed lines, states, termination, statistics and
-    step table.  Returns the on-demand trajectory."""
+    step table.  Returns the on-demand trajectory and its step table."""
+    dim, y0 = emden._vec_from_state(ic)
     lazy = _streamed_and_kept(p, ic, t_end, times, options)
+    table = _tabled(p, dim, y0, t_end, RunOptions(**options))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(emden, "_once", _eager_once)
         eager = _streamed_and_kept(p, ic, t_end, times, options)
+        eager_table = _tabled(p, dim, y0, t_end, RunOptions(**options))
     for (text, traj), want in ((lazy, eager), (eager, lazy)):
         assert text == want[0] == "\n".join(traj.jsonl_lines()) + "\n"
     (_, traj), (_, want) = lazy, eager
     # repr writes every float exactly, -0.0 included
     assert (repr(traj.states), repr(traj.termination), repr(traj.stats), traj.t_span) == (
         repr(want.states), repr(want.termination), repr(want.stats), want.t_span)
-    assert traj._dense.coeffs.tobytes() == want._dense.coeffs.tobytes()
-    return traj
+    assert table.coeffs.tobytes() == eager_table.coeffs.tobytes()
+    return traj, table
 
 
 class TestRowsOnDemand:
     """A run hands its sinks each step's dense-output rows as a callable
-    that builds them at most once: the step table builds them on every step,
+    that builds them at most once: a step table builds them on every step,
     the sampler only on a step that holds a requested time, and the floor
     search shares them.  The samples are those of a run that builds every
     step's rows, bit for bit."""
 
+    @pytest.mark.parametrize("entry", ["stream_trajectory", "integrate"])
     @pytest.mark.parametrize("p, y0, t_end, eps_blow", [
         # the gamma = 1.4 open cell, stopped by the concavity bound or, at
         # eps_blow 0.5, by a floor event inside its last step
@@ -1116,12 +1136,24 @@ class TestRowsOnDemand:
         (params(gamma=1.67, lam=1.0, xi=0.5), (1.0, -0.2, 1.2, 0.3), 10.0, None)])
     @pytest.mark.parametrize("count", [None, 0, 1, 31])
     def test_a_streamed_run_builds_only_the_rows_it_reads(self, p, y0, t_end, eps_blow,
-                                                          count):
+                                                          count, entry):
+        # integrate's run, like the streamed one, has the sampler as its only
+        # sink
         dim = len(y0) // 2 + 1
         ic = emden._state_from_vec(dim, 0.0, y0)
         times = None if count is None else [t_end * k / max(count - 1, 1) for k in range(count)]
+
+        def run(write):
+            if entry == "stream_trajectory":
+                return emden.stream_trajectory(p, ic, t_end, write, dense_times=times,
+                                               eps_blow=eps_blow)[0]
+            traj = integrate(p, ic, t_end, dense_times=times, eps_blow=eps_blow)
+            for line in traj.jsonl_lines():
+                write(line + "\n")
+            return traj.termination
+
         lines = []
-        emden.stream_trajectory(p, ic, t_end, lines.append, dense_times=times, eps_blow=eps_blow)
+        run(lines.append)
         method = emden._METHODS["RK45"]
         calls = []
 
@@ -1144,8 +1176,7 @@ class TestRowsOnDemand:
         watched = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(emden._METHODS, "RK45", method._replace(far=far_test, kernels=kernels))
-            termination, _ = emden.stream_trajectory(p, ic, t_end, watched.append,
-                                                     dense_times=times, eps_blow=eps_blow)
+            termination = run(watched.append)
         assert watched == lines
         # the far test runs once per accepted step, first: each step's calls
         # start with it
@@ -1155,7 +1186,7 @@ class TestRowsOnDemand:
                 steps.append([not call[1], 0])
             else:
                 steps[-1][1] += 1
-        table = integrate(p, ic, t_end, eps_blow=eps_blow)._dense.ts
+        table = _tabled(p, dim, y0, t_end, RunOptions(eps_blow=eps_blow)).ts
         assert len(steps) == len(table) - 1
         for (near, built), t, t_new in zip(steps, table, table[1:]):
             holds = times is not None and any(t < time <= t_new for time in times)
@@ -1186,11 +1217,12 @@ class TestRowsOnDemand:
         # planar gamma = 2 with xi^2 + lam < 0 falls to the floor at a = 0.5
         # inside a step; the samples past the crossing are dropped and,
         # without times, the collapse point is the last one
-        traj = _on_demand_is_eager(params(gamma=2.0, lam=-3.0), EmdenState2D(0.0, 1.0, 0.0),
-                                   5.0, times, dict(method=method, eps_blow=0.5))
+        traj, table = _on_demand_is_eager(params(gamma=2.0, lam=-3.0),
+                                          EmdenState2D(0.0, 1.0, 0.0), 5.0, times,
+                                          dict(method=method, eps_blow=0.5))
         term = traj.termination
         assert (term.kind, term.detail) == ("blowup", "")
-        assert traj._dense.ts[-2] < term.t_est == traj.t_span[1] < traj._dense.ts[-1]
+        assert table.ts[-2] < term.t_est == traj.t_span[1] < table.ts[-1]
         assert traj.states[-1].t == (term.t_est if times is None else 0.5)
         assert traj.states[-1].a > 0.5 if times else traj.states[-1].a == pytest.approx(0.5)
 
@@ -1224,6 +1256,27 @@ def _floor_at(table, k, comp, where):
     return table(table.ts[k + 1])[comp]
 
 
+def _forced_floor(p, dim, y0, t_end, method, where, share, k, comp):
+    """An eps_blow for a run from (0, y0): None (the library's floors) for
+    ``where`` None, ``share`` times the smaller factor's start for "share",
+    and for "start" or "end" a floor of component ``comp`` (of a in 2D) at a
+    step boundary, picked by k, of the run with the library's floors."""
+    comp = comp if dim == 3 else 0
+    if where is None:
+        return None
+    if where == "share":
+        return share * min(y0[::2])
+    table = _tabled(p, dim, y0, t_end, RunOptions(method=method, max_steps=3000))
+    # the steps with such a floor below every factor's start; for "start",
+    # where the step's polynomial ends above its end state
+    steps = [j for j in range(table.steps - 1)
+             if 0.0 < _floor_at(table, j, comp, where) < min(y0[::2])
+             and (where == "end" or table(table.ts[j + 1])[comp]
+                  > _floor_at(table, j, comp, "start"))]
+    assume(steps)
+    return _floor_at(table, steps[k % len(steps)], comp, where)
+
+
 def _where(t_stop, step):
     """Where in its last step (t, t_new) a run stopped."""
     t, t_new = step
@@ -1254,22 +1307,7 @@ class TestSettledSteps:
             times = None
         else:
             times = sorted({t_end * f for f in fractions + [0.0] * at_t0 + [1.0] * at_end})
-        comp = comp if dim == 3 else 0
-        if where is None:
-            eps_blow = None
-        elif where == "share":
-            eps_blow = share * min(y0[::2])
-        else:
-            ic = emden._state_from_vec(dim, 0.0, y0)
-            table = integrate(p, ic, t_end, method=method, max_steps=3000)._dense
-            # the steps with such a floor below every factor's start; for
-            # "start", where the step's polynomial ends above its end state
-            steps = [j for j in range(table.steps - 1)
-                     if 0.0 < _floor_at(table, j, comp, where) < min(y0[::2])
-                     and (where == "end" or table(table.ts[j + 1])[comp]
-                          > _floor_at(table, j, comp, "start"))]
-            assume(steps)
-            eps_blow = _floor_at(table, steps[k % len(steps)], comp, where)
+        eps_blow = _forced_floor(p, dim, y0, t_end, method, where, share, k, comp)
         t_stop, step = _held_and_settled(p, dim, y0, t_end, times,
                                          RunOptions(method=method, eps_blow=eps_blow,
                                                     max_steps=3000))
@@ -1284,7 +1322,7 @@ class TestSettledSteps:
         # this 3D cell
         p = params(gamma=2.0, lam=-3.0)
         y0 = (1.0, 0.0, 1.0, -0.5)[:2 * dim - 2]
-        table = integrate(p, emden._state_from_vec(dim, 0.0, y0), 5.0, method=method)._dense
+        table = _tabled(p, dim, y0, 5.0, RunOptions(method=method))
         # floors of the collapsing factor, which falls below the other one:
         # one at a step's polynomial end value is crossed at the step's end,
         # and one at its end state, where the polynomial ends above it by
@@ -1337,6 +1375,7 @@ class TestSettledSteps:
             emden.stream_trajectory(p, ic, t_end, lambda line: events.append(json.loads(line)),
                                     dense_times=times, eps_blow=eps_blow)
         traj = integrate(p, ic, t_end, dense_times=times, eps_blow=eps_blow)
+        ts = _tabled(p, dim, y0, t_end, RunOptions(eps_blow=eps_blow)).ts
         accepted, last, lines = 0, None, 0
         for item in events:
             if isinstance(item, bool):
@@ -1345,10 +1384,62 @@ class TestSettledSteps:
                 # the sample lies in step k, (ts[k - 1], ts[k]], and k
                 # accepted trial steps have been made, the last one its own
                 # step's: no trial of the next step came first
-                assert (accepted, last) == (bisect_left(traj._dense.ts, item["t"]),
+                assert (accepted, last) == (bisect_left(ts, item["t"]),
                                             None if accepted == 0 else True), item
                 lines += 1
         assert lines == len(traj.states) > 2
+
+
+class TestStateAt:
+    """``Trajectory.state_at(t)`` runs the loop again, with the sampler as
+    its only sink, sampled at t alone: the state at t of the run's step
+    table (``_oracles.StepTable``), bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    # the gamma = 1.4 open cell, stopped by the concavity bound
+    @example("RK45", 3, params(gamma=1.4, lam=-1.0), 1.0, 0.0, 1.0, 0.2, 6.0, None, 0.5, 0, 2,
+             3000, None, [(7, 0.5)])
+    @example("DOP853", 3, params(gamma=1.4, lam=-1.0), 1.0, 0.0, 1.0, 0.2, 6.0, None, 0.5, 0, 2,
+             3000, [0.0, 0.1, 0.2, 0.5], [(3, 0.25), (11, 0.0)])
+    @given(st.sampled_from(["RK45", "DOP853"]), st.sampled_from([2, 3]),
+           st.builds(params, gamma=st.one_of(st.just(1.0), _real(1.05, 2.5)),
+                     lam=_real(-3.0, 1.0), xi=_real(0.0, 1.5)),
+           _real(0.5, 2.0), _real(-1.0, 1.0), _real(0.5, 2.0), _real(-1.0, 1.0),
+           _real(0.5, 6.0), st.sampled_from([None, "share", "start", "end"]),
+           _real(0.05, 0.95), st.integers(0, 10 ** 6), st.sampled_from([0, 2]),
+           st.one_of(st.just(3000), st.integers(1, 30)),
+           st.one_of(st.none(), st.lists(_real(0.0, 1.0), max_size=6)),
+           st.lists(st.tuples(st.integers(0, 10 ** 6), _real(0.0, 1.0)), min_size=1,
+                    max_size=3))
+    def test_state_at_is_the_step_table(self, method, dim, p, a0, a1, b0, b1, t_end, where,
+                                        share, k, comp, max_steps, fractions, picks):
+        y0 = (a0, a1, b0, b1)[:2 * dim - 2]
+        ic = emden._state_from_vec(dim, 0.0, y0)
+        options = dict(method=method, max_steps=max_steps,
+                       eps_blow=_forced_floor(p, dim, y0, t_end, method, where, share, k, comp))
+        times = None if fractions is None else sorted({t_end * f for f in fractions})
+        traj = integrate(p, ic, t_end, dense_times=times, **options)
+        table = _tabled(p, dim, y0, t_end, RunOptions(**options))
+        t0, t_stop = traj.t_span
+        assert table.steps == traj.stats.accepted
+        # t0, the span's end, and per pick a step's end and a time inside a
+        # step, up to where the run stopped
+        probes = {t0, t_stop}
+        for j, x in picks if table.steps else ():
+            j %= table.steps
+            lo, hi = table.ts[j], table.ts[j + 1]
+            probes |= {t for t in (hi, lo + x * (hi - lo)) if t0 < t <= t_stop}
+        for t in sorted(probes):
+            want = ic if t == t0 else emden._state_from_vec(dim, t, table(t))
+            # repr writes every float exactly, -0.0 included
+            assert repr(traj.state_at(t)) == repr(want), t
+        term = traj.termination
+        if term.detail or term.kind != "blowup":
+            ending = term.detail or term.kind
+        else:
+            ending = "floor event" if term.t_est == t_stop else "concavity stop"
+        last = _where(t_stop, (table.ts[-2], table.ts[-1])) if table.steps else "no step"
+        event(f"{ending}, {'no ' * (times is None)}dense_times: stopped {last}")
 
 
 class TestFarSteps:
@@ -1426,20 +1517,25 @@ class TestFarSteps:
            st.one_of(st.none(), _real(0.05, 0.9)))
     def test_sink_run_is_the_run_that_never_trusts_the_bound(
             self, p, dim, a0, a1, b0, b1, horizon, floor_share):
-        # a run with a sink (integrate's step table) skips ``_locate`` on the
-        # steps its far test clears, and its sink still gets every step's rows
-        ic = emden._state_from_vec(dim, 0.0, (a0, a1, b0, b1)[:2 * dim - 2])
+        # a run with a sink (integrate's sampler) skips ``_locate`` on the
+        # steps its far test clears, and a sink that reads every step's rows
+        # (a step table) still gets them
+        y0 = (a0, a1, b0, b1)[:2 * dim - 2]
+        ic = emden._state_from_vec(dim, 0.0, y0)
         eps_blow = None if floor_share is None else floor_share * min(a0, b0)
+        run = RunOptions(max_steps=5000, eps_blow=eps_blow)
         shipped, located = _located_run(p, ic, horizon, max_steps=5000, eps_blow=eps_blow)
+        table = _tabled(p, dim, y0, horizon, run)
         method = emden._METHODS["RK45"]
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(emden._METHODS, "RK45", method._replace(
                 far=lambda dim, floors: lambda y, stages, h: False))
             near, near_located = _located_run(p, ic, horizon, max_steps=5000, eps_blow=eps_blow)
+            near_table = _tabled(p, dim, y0, horizon, run)
         assert (shipped.jsonl_lines(), repr(shipped.termination), repr(shipped.stats),
                 shipped.t_span) == (near.jsonl_lines(), repr(near.termination),
                                     repr(near.stats), near.t_span)
-        assert shipped._dense.coeffs.tobytes() == near._dense.coeffs.tobytes()
+        assert table.coeffs.tobytes() == near_table.coeffs.tobytes()
         assert located <= near_located == near.stats.accepted
 
     def test_a_deck_like_sink_run_skips_the_floor_search(self):

@@ -171,13 +171,14 @@ def test_importing_the_cli_generates_no_kernels():
 
 
 def test_importing_the_cli_loads_no_tempfile_or_shutil():
-    # integrate streams to ``out.tmp`` and renames it with ``os`` alone, so
-    # start-up does not pay for either module.  Without -S, site hooks of
-    # installed packages may load both before the package is imported
+    # integrate streams to ``out.tmp`` and renames it with ``os`` alone, and
+    # keeps no step table in ``array``s looked up by ``bisect``, so start-up
+    # pays for none of these modules.  Without -S, site hooks of installed
+    # packages may load them before the package is imported
     result = _fresh("import json, sys; before = set(sys.modules); import eulerexact.cli; "
                     "print(json.dumps(sorted(set(sys.modules) - before)))", flags=("-S",))
     assert "eulerexact.cli" in result
-    assert not {"tempfile", "shutil"} & set(result)
+    assert not {"tempfile", "shutil", "array", "bisect"} & set(result)
 
 
 def test_every_mode_runs_without_scipy(tmp_path):
