@@ -64,7 +64,13 @@ class Classification:
     located.  ``t_horizon`` is set when the cell was integrated: how far past
     ``ic.t`` the run reached (the horizon; ``T - ic.t`` for a floor crossing;
     for a concavity stop the last step, at most ``rel_tol`` max(1, T) short
-    of ``T - ic.t``; or less if the step budget or step size gave out).
+    of ``T - ic.t``; for a bracket stop the last step, before the bracket
+    and up to about b / |b'| there short of ``T - ic.t``; or less if the
+    step budget or step size gave out).  After either stop b's zero of the
+    exact solution through the run's last state lies in a bracket under
+    ``T`` at most ``rel_tol`` max(1, T) wide (the run's
+    :class:`~eulerexact.emden.Termination`); that state carries the run's
+    integration error.
     A run that stopped short in that way keeps its ``termination`` record;
     runs that reached the horizon or collapsed leave it None.
     ``numerical_evidence`` verdicts carry the evidence disclaimer in ``note``.
@@ -158,7 +164,10 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     whose ``T`` was found this way has basis ``numerical_evidence``.  A floor
     crossing ends the run at ``T``; the concavity stop of b (lam < 0) ends it
     at its last step, ``t_horizon`` past ``ic.t``, with ``T`` the bound one
-    bracket width later.  A run
+    bracket width later, and for 1 < gamma < 2 the bracket stop ends it
+    earlier, at the last step before a bracket of b's zero at most
+    ``rel_tol`` max(1, T) wide whose top is ``T``: the ``T`` that
+    :func:`~eulerexact.emden.integrate` of the cell reports, bit for bit.  A run
     that ran out of steps or step size before the horizon leaves its
     ``termination`` in the result.  Bad options, a collapse floor at or above
     ``ic.a`` or ``ic.b`` included, and a planar state raise even when the

@@ -21,10 +21,12 @@ DOP853) on plain Python floats, with scipy's tableaux (``_tableaux``) and
 step-size controller.  A scale factor's collapse to a small positive floor
 is located by root bracketing on each step's dense output, with a port of
 scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
-(b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``.
-Step sinks, which only observe, see each step once it is settled and read
+(b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``,
+by its concavity or, in 3D with 1 < gamma < 2, by its energy
+(``_fall_bracket``).  Step sinks see each step once it is settled and read
 its dense output, built on demand and evaluated by the pair's generated
-evaluator; the sampler (``_sampler``) is the only sink of :func:`integrate`,
+evaluator; they never end a run, and only say which time they still need.
+The sampler (``_sampler``) is the only sink of :func:`integrate`,
 :func:`stream_trajectory` and :meth:`Trajectory.state_at`.  The module runs
 on the standard library; only ``_ieee``, the overflow fallback of the
 right-hand side, imports numpy.
@@ -183,11 +185,19 @@ class Termination:
       finder's tolerance (not a rigorous error bound);
     - the concavity stop of a 3D run with lam < 0 (b'' < 0): the run's last
       step ends at ``t_est - bracket_width``, where ``bracket_width`` is
-      b / |b'|, so the zero of b through that state lies in
-      [t_est - bracket_width, t_est]; the exact solution from the start
-      differs from that state by the run's integration error;
+      b / |b'| (at most ``rel_tol`` max(1, t));
+    - the bracket stop of a 3D run with lam < 0 and 1 < gamma < 2: the
+      run's last step ends at or before ``t_est - bracket_width``, at most
+      b / |b'| before ``t_est``, and ``bracket_width`` (at most ``rel_tol``
+      max(1, t)) is the width of the bracket b's energy gives, widened to
+      hold b's crossing of its floor as well;
     - a step-size underflow during a collapse: ``t_est`` is where the run
       stopped and ``bracket_width`` the time scale value / |velocity| there.
+
+    After either stop of b, b's zero of the exact solution through the
+    run's last state lies in [t_est - bracket_width, t_est].  That state
+    differs from the exact solution from the start by the run's integration
+    error, which the width does not cover.
     """
 
     kind: str
@@ -820,7 +830,7 @@ def _locate(t_lo: float, t_hi: float, y, rows, dense, floors, rel_tol):
     return best
 
 
-def _sampler(dense, t0: float, y0, times: list[float] | None, emit):
+def _sampler(dense, t0: float, y0, times: list[float] | None, emit, rel_tol: float):
     """The samples of a run from (t0, y0), as a step sink: ``emit(t, y)``
     gets each one in time order as soon as its step is settled, and the
     initial state at once, when it is a sample.
@@ -832,16 +842,38 @@ def _sampler(dense, t0: float, y0, times: list[float] | None, emit):
     belongs to the step it ends, whose polynomial is taken at x = 1).
     Without ``times`` the samples are the initial state and each step's
     (t_new, y_new) when its t_stop is t_new, or its collapse point (t_stop,
-    state) when a floor event ends the run inside the step.  The sink asks
-    for a step's rows (``rows()``, which ``_run`` builds at most once per
-    step) only on a step that holds a requested time or a collapse point
-    (whose rows ``_locate`` has built).
+    state) when a floor event ends the run inside the step.  A collapse
+    point or a sample in a floor event's step with a scale factor not > 0 is
+    no state: the run's ``rel_tol`` is too loose for its dense output to
+    hold the crossing, and the sink raises a ValueError that names
+    ``rel_tol``, its value and the factor.
+    The sink asks for a step's rows (``rows()``, which ``_run`` builds at
+    most once per step) only on a step that holds a requested time or a
+    collapse point (whose rows ``_locate`` has built).
+
+    The sink returns the earliest time it still needs settled: the next
+    requested time it has not sampled, which a bracket stop of ``_run``
+    does not cut off when it proves the solution gets there.  It returns
+    None once every time is sampled, and always without ``times``, so a run
+    that samples its steps stops where a run without a sink does.
     """
+    factors = _BY_SIZE[len(y0)].scale_factors
     todo = iter(times or ())
     if times is None or times[:1] == [t0]:
         emit(t0, y0)
         next(todo, None)
     upcoming = next(todo, None)
+
+    def collapsing(t_stop, time, point):
+        """``point``, the dense output at ``time`` in the step whose floor
+        crossing is at t_stop, once its scale factors are > 0."""
+        for comp, name in factors.items():
+            if not point[comp] > 0.0:
+                raise ValueError(
+                    f"rel_tol={rel_tol!r} is too loose to locate the collapse: in the step of "
+                    f"the floor crossing at t={t_stop!r}, the dense output at t={time!r} "
+                    f"gives {name}={point[comp]!r}, not > 0; use a smaller rel_tol")
+        return point
 
     def sink(t, t_new, y, y_new, rows, t_stop):
         nonlocal upcoming
@@ -849,11 +881,14 @@ def _sampler(dense, t0: float, y0, times: list[float] | None, emit):
             if t_stop == t_new:
                 emit(t_new, y_new)
             elif t < t_stop:
-                emit(t_stop, _dense_state(t, t_new, y, rows(), dense, t_stop))
-            return
+                emit(t_stop, collapsing(t_stop, t_stop,
+                                        _dense_state(t, t_new, y, rows(), dense, t_stop)))
+            return None
         while upcoming is not None and upcoming <= t_stop:
-            emit(upcoming, _dense_state(t, t_new, y, rows(), dense, upcoming))
+            point = _dense_state(t, t_new, y, rows(), dense, upcoming)
+            emit(upcoming, point if t_stop == t_new else collapsing(t_stop, upcoming, point))
             upcoming = next(todo, None)
+        return upcoming
 
     return sink
 
@@ -883,6 +918,110 @@ def _initial_step(f, y0, f0, interval, order, rtol, atol) -> float:
     return min(100.0 * h0, h1, interval)
 
 
+# the bracket stop (``_fall_bracket``) is tried once w = b / |b'| is at most
+# this share of max(1, t), and again each time w has halved since
+_BRACKET_START = 1e-3
+# the rounding margin of each end of the bracket, relative to F
+_BRACKET_MARGIN = 1e-13
+
+
+def _fall_spread(k: float, xi2: float, g: float, y) -> float:
+    """s = 2 w (|a'| + D(a / 2)) for the 3D state y = (a, a', b, b') with
+    b' < 0, lam = -k < 0 and gamma < 2: a stays within [a - s, a + s] until
+    b's zero when a - s >= a / 2 (the argument is ``_fall_bracket``'s).  An
+    arithmetic error (a power out of float range) propagates."""
+    a, ad, b, bd = y
+    speed = -bd
+    w = b / speed
+    x = 0.5 * a
+    fall = b ** (2.0 - g) / ((2.0 - g) * speed)
+    return 2.0 * w * (abs(ad) + xi2 * w / x**3 + k * x ** (1.0 - 2.0 * g) * fall)
+
+
+def _fall_bracket(k: float, xi2: float, g: float, floor_a: float, floor_b: float,
+                  y) -> tuple[float, float] | None:
+    """Bounds (lo, hi) on the time from the 3D state y = (a, a', b, b') to
+    b's zero of the exact solution through it, and to b's crossing of its
+    floor ``floor_b`` (both lie in [lo, hi]), for lam = -k < 0 and
+    1 < gamma < 2, with b' < 0; None where the argument below gives none or
+    a may reach its floor ``floor_a`` first.
+
+    Write w = b / |b'| and p = gamma - 1.  Then b'' = -K b^(-gamma) with
+    K = k a^(2 - 2 gamma), so along the fall d(b'^2)/db = -2 K b^(-gamma).
+    If K stays in [K_lo, K_hi] until b's zero, then at each position x < b,
+    b'(x)^2 lies between b'^2 + c (x^(-p) - b^(-p)) at c = c_lo and at
+    c = c_hi, with c = 2 K / p.  The time left, the integral of dx / |b'(x)|
+    over (0, b), then lies in [w F(r_hi), w F(r_lo)] (x = b u), where
+    r = c b^(-p) / b'^2 and F(r) = int_0^1 du / sqrt(1 - r + r u^(-p)), a
+    decreasing function of r.
+
+    The range of K.  b'' < 0, so until b's zero b only falls, |b'| only
+    grows, and the time left is at most w.  Hence the integral of
+    b^(1 - gamma) over the fall is at most int_0^b x^(1 - gamma) dx / |b'|
+    = B = b^(2 - gamma) / ((2 - gamma) |b'|), finite as gamma < 2.  While
+    a >= x, |a''| <= xi^2 / x^3 + k x^(1 - 2 gamma) b^(1 - gamma), so the
+    integral of |a''| over the fall is at most
+    D(x) = xi^2 w / x^3 + k x^(1 - 2 gamma) B.  Let
+    s = 2 w (|a'| + D(a / 2)) (``_fall_spread``).  If a - s >= a / 2, then
+    as long as a stays above a / 2 it moves by at most s / 2 before b's
+    zero, so by continuity it stays within [a - s, a + s] all the way, and
+    K_lo = k (a + s)^(2 - 2 gamma), K_hi = k (a - s)^(2 - 2 gamma).
+    Otherwise (a falls too, or bounces on the xi^2 barrier) there is no
+    bracket.
+
+    The floors.  A run ends at its first floor crossing.  a stays at or
+    above a - s, so where a - s > ``floor_a`` a does not reach its floor
+    before b's zero; otherwise there is no bracket.  |b'| only grows, so b
+    takes at most ``floor_b`` / |b'| to fall from its floor to 0: lo is
+    lowered by that, though not below 0 (b is above its floor in y), and
+    [lo, hi] holds b's floor crossing as well.
+
+    F by its series.  With q = (1 - r) / r, 1 - r + r u^(-p) is
+    r u^(-p) (1 + q u^p), so F(r) = r^(-1/2) sum_k C(-1/2, k) q^k
+    / (1 + p (k + 1/2)), summed only for |q| <= 1/2 (else None).  Each
+    |C(-1/2, k)| <= 1, so the sum from term n on is at most
+    |q|^n / ((1 - |q|) (1 + p (n + 1/2))); the sum stops once that tail is
+    below 1e-17, and each end is widened outward by the tail and by a
+    rounding margin of 1e-13 F, far above the rounding of r and of the sum.
+    An arithmetic error (a power out of float range) gives None.
+    """
+    a, ad, b, bd = y
+    p = g - 1.0
+
+    def fraction(r) -> tuple[float, float] | None:
+        """(lower, upper) bounds on F(r)."""
+        q = (1.0 - r) / r
+        size = abs(q)
+        if not size <= 0.5:
+            return None
+        total, coeff, n = 0.0, 1.0, 0
+        while True:
+            total += coeff / (1.0 + p * (n + 0.5))
+            coeff *= q * (-0.5 - n) / (n + 1)
+            n += 1
+            tail = size ** n / ((1.0 - size) * (1.0 + p * (n + 0.5)))
+            if tail <= 1e-17:
+                break
+        scale = r ** -0.5
+        spread = scale * (tail + _BRACKET_MARGIN * total)
+        return scale * total - spread, scale * total + spread
+
+    try:
+        s = _fall_spread(k, xi2, g, y)
+        if not (a - s >= 0.5 * a and a - s > floor_a):
+            return None
+        speed = -bd
+        # r = c b^(-p) / b'^2 at c = 2 K / p, K = k (a -+ s)^(2 - 2 gamma)
+        r_of = 2.0 * k / p * b ** -p / (speed * speed)
+        slow, fast = fraction(r_of * (a + s) ** (-2.0 * p)), fraction(r_of * (a - s) ** (-2.0 * p))
+    except ArithmeticError:
+        return None
+    if slow is None or fast is None:
+        return None
+    w = b / speed
+    return max(0.0, w * fast[0] - floor_b / speed), w * slow[1]
+
+
 def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
          run: RunOptions, *sinks: Callable):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``, and end
@@ -896,17 +1035,33 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     with b' < 0 the exact b reaches 0 by t + w, w = b / |b'|.  After an
     accepted step to (t_new, y_new) with b' < 0, w <= ``rel_tol``
     max(1, t_new) and t_new + w <= ``t_end``, the run ends as a ``blowup``
-    of b with ``t_est`` t_new + w and ``bracket_width`` w.  It reads only
-    (t_new, y_new), so far steps stay skipped; a floor event comes first.
+    of b with ``t_est`` t_new + w and ``bracket_width`` w.
+
+    The bracket stop holds in 3D runs with lam < 0 and 1 < gamma < 2 (not
+    ``is_isothermal``): there ``_fall_bracket`` bounds b's zero of the exact
+    solution through (t_new, y_new), and b's crossing of its floor, to
+    [t_new + lo, t_new + hi], and gives no bounds where a may reach its
+    floor first; so a floor event the stop skips lies in its bracket too,
+    as one does in the concavity stop's.  It is tried after a step with
+    b' < 0 that the concavity stop did not end, once
+    w <= 1e-3 max(1, t_new), and then only once w has halved since the
+    last try.  The run ends as a ``blowup`` of b with ``t_est`` t_new + hi
+    and ``bracket_width`` hi - lo when that width is at most ``rel_tol``
+    max(1, t_new), t_new + hi <= ``t_end``, and no sink still needs a time
+    before t_new + lo.  Both stops read only (t_new, y_new), so far steps
+    stay skipped; a floor event comes first.
 
     Each of ``sinks`` gets ``sink(t, t_new, y, y_new, rows, t_stop)`` for
     every accepted step [t, t_new] from y to y_new, after its floor search:
     t_stop is the floor crossing ``_locate`` found in the step, which ends
     the run there, or else t_new (no other ending stops inside a step), so
-    a sink sees a settled step.  It only observes: what it returns is
-    ignored.  ``rows()`` gives the step's dense-output rows, built at its
-    first call (``_once``) and shared with ``_locate``, so no step's rows
-    are built twice and a step whose rows nothing asks for builds none.
+    a sink sees a settled step.  It returns the earliest time it still
+    needs settled, or None.  The run keeps the earliest of these on every
+    step, and only the bracket stop reads it: it waits while a need lies
+    before its bracket.  What a sink returns never ends the run.
+    ``rows()`` gives the step's dense-output rows, built at its first call
+    (``_once``) and shared with ``_locate``, so no step's rows are built
+    twice and a step whose rows nothing asks for builds none.
     Events read only the current step.  RK45 calls ``_locate`` only where
     its far test cannot clear the step's floors; every floor time is the one
     a run that scans every step finds.  A floor (``RunOptions.floors``) at
@@ -937,6 +1092,11 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     concave = cb is not None and p.lam < 0.0
     cv = cb + 1 if concave else None
     nextafter, inf = math.nextafter, math.inf
+    # the bracket stop's reach, its constants (the floors of a and b last),
+    # and the w at which it is next tried
+    bracket = dim == 3 and p.lam < 0.0 and p.gamma < 2.0 and not p.is_isothermal
+    fall = (-p.lam, p.xi * p.xi, p.gamma, *(floor for _, floor in floors))
+    w_next = inf
     t, y, fy = t0, y0, f(y0)
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
     accepted = rejected = 0
@@ -993,14 +1153,28 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
                 t_stop, comp, width = hit
                 termination = Termination("blowup", t_est=t_stop, which=comp_names[comp],
                                           bracket_width=width)
+        # the earliest time a sink still needs, or None
+        need = None
         for sink in sinks:
-            sink(t, t_new, y, y_new, rows, t_stop)
+            asked = sink(t, t_new, y, y_new, rows, t_stop)
+            if asked is not None and (need is None or asked < need):
+                need = asked
         if concave and termination is None and y_new[cv] < 0.0:
             # b is concave, so it reaches 0 by t_new + w
             w = y_new[cb] / -y_new[cv]
-            if w <= rtol * max(1.0, t_new) and t_new + w <= t_end:
+            limit = rtol * max(1.0, t_new)
+            if w <= limit and t_new + w <= t_end:
                 termination = Termination("blowup", t_est=t_new + w, which=comp_names[cb],
                                           bracket_width=w)
+            elif bracket and w <= w_next and w <= _BRACKET_START * max(1.0, t_new):
+                w_next = 0.5 * w
+                ends = _fall_bracket(*fall, y_new)
+                if ends is not None:
+                    lo, hi = ends
+                    if (hi - lo <= limit and t_new + hi <= t_end
+                            and (need is None or need >= t_new + lo)):
+                        termination = Termination("blowup", t_est=t_new + hi,
+                                                  which=comp_names[cb], bracket_width=hi - lo)
         t, y, fy = t_new, y_new, f_new
         if termination is not None:
             break
@@ -1032,10 +1206,15 @@ def integrate(
     collapse floor (``eps_blow`` absolute, default ``1e-10`` times the
     component's initial value); the crossing time is located by root
     bracketing on the dense output to within ``rel_tol * |t|``.  A 3D run with
-    lam < 0 also ends as a blowup of b at its concavity stop (see ``_run``):
-    the record brackets b's zero in [t_est - bracket_width, t_est], and the
-    trajectory ends at the last accepted step, t_est - bracket_width, so no
-    sample lies past it.  A step-size underflow while a component is
+    lam < 0 also ends as a blowup of b at its concavity stop or, for
+    1 < gamma < 2, its bracket stop (see ``_run``): the record brackets b's
+    zero in [t_est - bracket_width, t_est], and the trajectory ends at the
+    last accepted step, at or before t_est - bracket_width, so no sample
+    lies past it.  The bracket stop waits for a requested time that lies
+    before its bracket; a requested time inside the bracket is not sampled.
+    A collapse point or sample that is no state (a scale factor not > 0,
+    from a ``rel_tol`` too loose for the crossing) raises ValueError.  A
+    step-size underflow while a component is
     collapsing is also reported as blowup; any other failure (including
     ``max_steps`` exhaustion) is a ``step_failure``.
 
@@ -1120,7 +1299,7 @@ def _sampled_run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     passes the samples to ``emit``.  Returns (termination, t_stop, stats)."""
     _check_span(t0, t_end)
     run.floors(y0)
-    sample = _sampler(_METHODS[run.method].dense(dim), t0, y0, times, emit)
+    sample = _sampler(_METHODS[run.method].dense(dim), t0, y0, times, emit, run.rel_tol)
     termination, t_stop, _, stats = _run(p, dim, y0, t0, t_end, run, sample)
     return termination, t_stop, stats
 

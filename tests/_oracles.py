@@ -10,6 +10,8 @@ sampler that holds each step's samples until the run's end is known, a
 step table that keeps every step and looks one up, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
 period and the isothermal fall time from the first integral by quadrature,
+bounds on the 3D fall time of b from its energy by quadrature and the
+range of a over that fall by scipy's DOP853,
 the residual stencil written point by point over scalar samples, and a
 continuity-only residual source.  The one
 exception is ``verify_document``, a serialization reference: it takes the
@@ -316,7 +318,8 @@ class StepTable:
     state ``ys[k * n:(k + 1) * n]`` and has one row of m coefficients per
     component in ``coeffs``.  ``table(t)`` is the state at t in
     [ts[0], ts[-1]]: ``dense_value`` on the step that holds t, where a step
-    boundary belongs to the step it ends."""
+    boundary belongs to the step it ends.  As an observer, ``append``
+    returns None: it needs no time settled."""
 
     def __init__(self, method, t0, y0):
         self.factors, self.n = DENSE_FACTORS[method], len(y0)
@@ -383,6 +386,51 @@ def isothermal_fall_time(x0, x1, k):
         if x1 >= 0:
             time += 2 * mpmath.quad(speed, [0, depth])
         return float(time)
+
+
+def fall_time_bounds(gamma, lam, a, b, bd, s):
+    """(lo, hi) with the time b of the 3D system takes to fall from (a, b, b')
+    to 0 in between, for lam < 0, 1 < gamma < 2 and b' < 0, as long as a
+    stays within [a - s, a + s] (0 < s < a), by 30-digit mpmath quadrature
+    of the fall along b'(x)^2 = b'^2 + (2 K / p) (x^(-p) - b^(-p)),
+    p = gamma - 1, with K = |lam| a^(2 - 2 gamma) held at each end of its
+    range over [a - s, a + s]."""
+    with mpmath.workdps(30):
+        g, k, a, b, bd, s = map(mpmath.mpf, (gamma, -lam, a, b, bd, s))
+        p = g - 1
+
+        def fall(a_held):
+            c = 2 * k * a_held ** (2 - 2 * g) / p
+            return mpmath.quad(lambda x: 1 / mpmath.sqrt(bd * bd + c * (x**-p - b**-p)), [0, b])
+
+        return float(fall(a - s)), float(fall(a + s))
+
+
+def fall_range_of_a(gamma, lam, xi, y):
+    """(least, greatest) a of the 3D system on its fall from y = (a, a', b,
+    b') until b is 1e-6 of its start, with scipy's DOP853 at rtol 1e-10
+    and each step's dense output sampled at 9 evenly spaced times.  The
+    rest of the fall, to b's zero, takes under 1e-6 of w = b / |b'|."""
+    def fun(t, z):
+        with np.errstate(all="ignore"):
+            return rhs_3d_arrays(z, 1.0, gamma, lam, xi)
+
+    floor = 1e-6 * y[2]
+    solver = DOP853(fun, 0.0, np.array(y, dtype=float), 10.0 * y[2] / -y[3],
+                    rtol=1e-10, atol=1e-12 * floor)
+    least = greatest = y[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while solver.status == "running":
+            t_lo = solver.t
+            solver.step()
+            if solver.status == "failed":
+                raise RuntimeError(f"the fall stopped at t={solver.t}: {solver.message}")
+            zs = solver.dense_output()(np.linspace(t_lo, solver.t, 9))
+            least, greatest = min(least, zs[0].min()), max(greatest, zs[0].max())
+            if solver.y[2] <= floor:
+                return float(least), float(greatest)
+    raise RuntimeError("b did not fall to 1e-6 of its start by 10 w")
 
 
 def central_diff(fun, x, h):

@@ -318,7 +318,7 @@ GOLDEN_JSON = {
         "f1abf113149995a360b5ca632492253b14f23ca1678846b3bf2121d61e93cc00"),
     "classify_3d_open_cell": (
         ["classify", "--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
-        "c86276abd3899b1dedee8151f4c545db91b839ec610710c30e523ad5285dcd44"),
+        "c973a92a2c9f8596804994ecba03e1f384da252adc24980eff763471f7cbfb63"),
     "classify_2d_period": (
         ["classify", "--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
          "--t-end", "50"],
@@ -534,10 +534,16 @@ GOLDEN_TRAJECTORIES = {
          "--times", "0,0.25,0.5,1,1.25,1.5,2,3"],
         3, "4 samples, blowup",
         "39cff98ad188175f917f1d5f4031fcb6f272539b71be336ed3de237e54591962"),
-    "3d_concavity_stop": (
+    # the step points, then the stop at the bracket of b's zero
+    "3d_bracket_stop": (
         ["--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
-        3, "380 samples, blowup",
-        "198cc1d70d91c094b72fc81aee3c8ea6a91fcc4248beb14d26f39d5d9eb4f1d3"),
+        3, "199 samples, blowup",
+        "4f6c35eef9b1f7b70f8cf651addc14443617dc756178c72fd4a65f8fc23e5185"),
+    # the same cell at gamma = 2.5, which the bracket cannot take
+    "3d_concavity_stop": (
+        ["--gamma", "2.5", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
+        3, "548 samples, blowup",
+        "e3e7aca28bef26d90c4f39905e28f343f4ec08a05f882ecedaa3ab77cee4a0a8"),
     # samples at t0 and at t_end
     "2d_reached_t_end": (
         ["--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
@@ -644,26 +650,87 @@ class TestIntegrateWriter:
     def test_memory_does_not_grow_with_the_run(self, tmp_path):
         # every accepted step of a planar orbit is a sample; the step budget
         # ends the run (exit 4) after 1 000 or 20 000 of them
-        script = ("import resource, sys; from eulerexact.cli import main; code = main(); "
-                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             os.environ.get("PYTHONPATH", "")]))
-
         def peak_kib(max_steps):
             out = tmp_path / f"{max_steps}.jsonl"
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "integrate", "--dim", "2", "--gamma", "1.5",
-                 "--lambda=-1", "--xi", "1", "--a0", "1.1", "--t-end", "1e6",
-                 "--max-steps", str(max_steps), "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=60.0)
-            code, peak = proc.stdout.split()[-2:]
+            code, peak, proc = _child_peak(
+                "integrate", "--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1",
+                "--a0", "1.1", "--t-end", "1e6", "--max-steps", str(max_steps),
+                "--out", str(out))
             assert code == "4", proc.stderr
             assert out.read_bytes().count(b"\n") == max_steps + 2
-            return int(peak)
+            return peak
 
-        # Linux reports ru_maxrss in KiB
         assert peak_kib(20_000) - peak_kib(1_000) < 3 * 1024
+
+    def test_the_barrier_cell_exits_4_in_bounded_memory(self, tmp_path):
+        # an open cell whose a bounces ever deeper on its xi^2 barrier while b
+        # falls: a may leave any range before b's zero, so the bracket of b's
+        # zero cannot take it, and the run streams all MAX_STEPS steps
+        out = tmp_path / "barrier.jsonl"
+        code, peak, proc = _child_peak(
+            "integrate", "--gamma", "1.8641336260446142", "--lambda=-0.9397816851774112",
+            "--xi", "0.32717873014713794", "--a0", "1.2887742179428374",
+            "--a1", "0.015415315682622", "--b0", "1.6683944051603645",
+            "--b1", "0.4435381031118337", "--t-end", "13.6", "--out", str(out))
+        assert code == "4", proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == {
+            "termination": {"kind": "step_failure", "detail": "max_steps=100000 exhausted"}}
+        assert out.read_bytes().count(b"\n") == 100_000 + 2
+        assert peak < 40 * 1000 * 1000 / 1024
+
+    @pytest.mark.parametrize("method, rel_tol, times", [
+        ("RK45", "0.5", None), ("RK45", "0.9", None), ("DOP853", "0.9", None),
+        ("RK45", "0.9", "0,0.6,0.69")])
+    def test_a_collapse_point_that_is_no_state_names_rel_tol(self, tmp_path, method, rel_tol,
+                                                             times):
+        # planar gamma = 2 with xi^2 + lam < 0 collapses at 1/sqrt(2); at
+        # these tolerances the floor search puts the crossing where the
+        # dense output's a is not > 0 (at 0.9 also at t = 0.69, before it),
+        # which no state can hold
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(tmp_path, "integrate", "--dim", "2", "--gamma", "2", "--lambda=-3",
+                           "--xi", "1", "--a0", "1", "--a1", "0", "--t-end", "5",
+                           "--rel-tol", rel_tol, "--abs-tol", rel_tol, "--method", method,
+                           *(["--times", times] if times else []), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: rel_tol={float(rel_tol)!r} is too loose to locate the "
+                              "collapse: in the step of the floor crossing at t=")
+        at = "0.69" if times else err.split("crossing at t=")[1].split(",")[0]
+        assert f", the dense output at t={at} gives a=-" in err
+        assert err.endswith(", not > 0; use a smaller rel_tol\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_collapse_point_that_is_a_state_is_written(self, tmp_path):
+        # DOP853 at rel_tol 0.5 ends its collapse at a step-size underflow,
+        # with every sample a state
+        out = tmp_path / "t.jsonl"
+        code, stdout, _ = run(tmp_path, "integrate", "--dim", "2", "--gamma", "2",
+                              "--lambda=-3", "--xi", "1", "--a0", "1", "--a1", "0",
+                              "--t-end", "5", "--rel-tol", "0.5", "--abs-tol", "0.5",
+                              "--method", "DOP853", "--out", str(out))
+        assert (code, stdout) == (3, f"wrote {out} (40 samples, blowup)\n")
+        last = json.loads(out.read_text().splitlines()[-1])["termination"]
+        assert (last["which"], last["detail"]) == ("a", "step size underflow during collapse")
+
+
+# The CLI in a child process, which prints its exit code and its peak RSS
+# in KiB: its own VmHWM, since Linux carries the peak of the process that
+# forks a child (pytest's) over into the child's ru_maxrss
+_PEAK_SCRIPT = ("from eulerexact.cli import main; code = main(); "
+                "print(code, next(line.split()[1] for line in open('/proc/self/status') "
+                "if line.startswith('VmHWM:')))")
+
+
+def _child_peak(*argv):
+    """(exit code as printed, peak RSS in KiB, the process) of the CLI run
+    with ``argv`` in a child process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120.0)
+    code, peak = proc.stdout.split()[-2:]
+    return code, int(peak), proc
 
 
 class TestVerifyCommand:
@@ -775,7 +842,7 @@ class TestOneLifespanPath:
         row = s_out.read_text().splitlines()[1].split(",")
         probe = probe_open_case(PhysParams(K=1.0, gamma=1.4, lam=-1.0, alpha=1.0, xi=1.0),
                                 EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2), 30.0)
-        assert doc["T"] == float(row[12]) == probe.T == 1.4240267193753302
+        assert doc["T"] == float(row[12]) == probe.T == 1.424026719429487
         assert (doc["verdict"], doc["basis"]) == tuple(row[10:12]) == (
             "unknown_open_case", "numerical_evidence")
         assert (probe.verdict, probe.basis) == ("finite_time_blowup", "numerical_evidence")
@@ -790,7 +857,7 @@ class TestOneLifespanPath:
         T = json.loads(c_out.read_text())["T"]
         row = s_out.read_text().splitlines()[1].split(",")
         last = json.loads(i_out.read_text().splitlines()[-1])["termination"]
-        # without the floor the run stops at the concavity bound 1.4240267193753302;
+        # without the floor the run stops at the bracket of b's zero, T 1.424026719429487;
         # the floor at 0.5 is crossed first, and located to rel_tol
         assert T == float(row[12]) == last["t_est"] == 1.1701510518576843
         assert last["bracket_width"] == 1e-10 * T

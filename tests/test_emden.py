@@ -20,7 +20,7 @@ from eulerexact.emden import MIN_REL_TOL, RunOptions
 
 from _oracles import (DENSE_FACTORS, StepTable, dop853_dense_rows, dop853_step, dp5_dense_rows,
                       dp5_step, ermakov_pinney, ermakov_pinney_collapse, held_sampler,
-                      isothermal_fall_time, nest,
+                      fall_range_of_a, fall_time_bounds, isothermal_fall_time, nest,
                       rhs_2d_arrays, rhs_2d_floats, rhs_3d_arrays, rhs_3d_floats, rk4_fixed,
                       scipy_run)
 
@@ -603,23 +603,24 @@ class TestTableFree:
 
 
 class TestSink:
-    """A step sink sees every accepted step and only observes: what it
-    returns never ends the run, which is the sink-free run step for step."""
+    """A step sink sees every accepted step.  It returns the earliest time
+    it still needs settled, or None; that never ends the run, which is the
+    sink-free run step for step, and delays only the bracket stop."""
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("k", [1, 7, 25])
     def test_a_sink_observes_and_never_ends_the_run(self, method, dim, k):
+        # the sink needs the end of its k-th step, then a time past t_end
         p = params(gamma=1.5, lam=1.0, xi=0.5)
         y0 = (1.0, 0.1, 1.2, -0.2)[:2 * dim - 2]
-        stop = emden.Termination("stopped", detail="by the sink")
         seen = []
 
         def sink(t, t_new, y, y_new, rows, t_stop):
             # no floor event: every step is settled at its end
             assert t_stop == t_new
             seen.append((t, t_new, y, y_new))
-            return stop if len(seen) == k else None
+            return t_new if len(seen) == k else 100.0 if len(seen) > k else None
         watched = emden._run(p, dim, y0, 0.0, 50.0, RunOptions(method=method), sink)
         termination, t_stop, y_end, stats = watched
         assert termination.kind == "reached_t_end" and t_stop == 50.0
@@ -638,8 +639,8 @@ class TestSink:
     def test_a_floor_in_the_sinks_step(self, method, when, kind):
         # planar gamma = 2 with xi^2 + lam < 0 collapses; a falls to the floor
         # at a = 0.5 inside a step, long before the step size gives out.  A
-        # record the sink returns in that step, before, at or after the
-        # floor crossing, changes nothing: the floor ends the run
+        # time the sink needs in that step, before, at or after the floor
+        # crossing, changes nothing: the floor ends the run
         p, y0 = params(gamma=2.0, lam=-3.0), (1.0, 0.0)
         run = RunOptions(method=method, eps_blow=0.5)
         reference = emden._run(p, 2, y0, 0.0, 5.0, run)[0]
@@ -651,8 +652,7 @@ class TestSink:
             stops.append((t_new, t_stop))
             if not t < T <= t_new:
                 return None
-            t_est = {"before": math.nextafter(T, -math.inf), "tie": T, "step_end": t_new}[when]
-            return emden.Termination("early", t_est=t_est)
+            return {"before": math.nextafter(T, -math.inf), "tie": T, "step_end": t_new}[when]
         termination, t_stop, _, _ = emden._run(p, 2, y0, 0.0, 5.0, run, sink)
         assert termination.kind == kind
         assert repr(termination) == repr(reference) and t_stop == T
@@ -661,6 +661,38 @@ class TestSink:
         last_end, last_stop = stops[-1]
         assert last_stop == T < last_end
         assert all(t_new == t_stop for t_new, t_stop in stops[:-1])
+
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_a_needed_time_delays_only_the_bracket_stop(self, method):
+        # the gamma = 1.4 open cell's run without sinks ends at its bracket
+        # stop, at t_stop before the bracket [low, t_est].  Needs at or past
+        # low leave the run as it is; a need before low keeps it stepping
+        # until that time is settled, and of two sinks' needs the earliest
+        # counts
+        p, y0 = params(gamma=1.4, lam=-1.0), (1.0, 0.0, 1.0, 0.2)
+        run = RunOptions(method=method)
+        alone = emden._run(p, 3, y0, 0.0, 30.0, run)
+        term, t_stop = alone[0], alone[1]
+        low = term.t_est - term.bracket_width
+        assert (term.kind, term.which) == ("blowup", "b") and t_stop < low
+
+        def needing(time):
+            def sink(t, t_new, y, y_new, rows, t_stop):
+                return time if time is not None and t_new < time else None
+            return sink
+        for need in (None, term.t_est - 0.5 * term.bracket_width, term.t_est, 30.0):
+            assert repr(emden._run(p, 3, y0, 0.0, 30.0, run, needing(need))) == repr(alone)
+        before = 0.5 * (t_stop + low)
+        waited = emden._run(p, 3, y0, 0.0, 30.0, run, needing(before))
+        late, late_stop = waited[0], waited[1]
+        assert (late.kind, late.which, late.detail) == ("blowup", "b", "")
+        assert before <= late_stop < late.t_est - late.bracket_width
+        assert late.bracket_width <= 1e-10 * late.t_est
+        assert abs(late.t_est - term.t_est) <= 1e-10 * term.t_est
+        for pair in ((term.t_est, before), (before, None), (None, before)):
+            both = emden._run(p, 3, y0, 0.0, 30.0, run, *map(needing, pair))
+            assert repr(both) == repr(waited)
 
 
 class TestClosedForms:
@@ -1233,7 +1265,8 @@ def _held_and_settled(p, dim, y0, t_end, times, run):
     for bit.  Returns the run's t_stop and its last step (t, t_new)."""
     dense = emden._METHODS[run.method].dense(dim)
     settled, held, steps = [], [], []
-    sample = emden._sampler(dense, 0.0, y0, times, lambda t, y: settled.append((t, y)))
+    sample = emden._sampler(dense, 0.0, y0, times, lambda t, y: settled.append((t, y)),
+                            run.rel_tol)
     sink, finish = held_sampler(dense, 0.0, y0, times, lambda t, y: held.append((t, y)))
 
     def reference(t, t_new, y, y_new, rows, t_stop):
@@ -1572,11 +1605,34 @@ def _concavity_stop(traj):
     return last.t, term.bracket_width, last
 
 
+def _bracket_stop(traj):
+    """(t_stop, w, stop state) of a run that ended at the bracket of b's
+    zero: its last step ends at t_stop, where w = b / |b'| is still above
+    the concavity stop's width, and its record is ``blowup`` of b at t_est
+    whose bracket [t_est - width, t_est] lies past t_stop and within the
+    concavity bound t_stop + w, with a width below ``rel_tol`` max(1, t)."""
+    term, last = traj.termination, traj.states[-1]
+    w = last.b / -last.b_dot
+    assert (term.kind, term.which, term.detail) == ("blowup", "b", "")
+    assert last.t == traj.t_span[1] < term.t_est - term.bracket_width
+    assert term.t_est < last.t + w
+    assert term.bracket_width <= 1e-10 * max(1.0, last.t) < w
+    return last.t, w, last
+
+
+# the stop of each test below, and the gamma of its open cell (lam = -1,
+# b1 = 0.2): the bracket cannot take gamma >= 2
+_STOPS = {"concavity": (_concavity_stop, 2.5), "bracket": (_bracket_stop, 1.4)}
+
+
 class TestConcavityStop:
     """A 3D run with lam < 0 has b'' < 0, so from a state with b' < 0 the
     exact b reaches 0 by t + b / |b'|; the run ends as a ``blowup`` of b once
     that width is below ``rel_tol`` max(1, t) and the bound is not past
-    ``t_end``."""
+    ``t_end``.  Where 1 < gamma < 2 the bracket of b's zero from its energy
+    (``emden._fall_bracket``) ends the run first; each test runs on cells
+    the bracket cannot take (gamma = 1, near-isothermal or >= 2), and the
+    same assertions hold for the bracket stop on cells it takes."""
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_isothermal_collapse_lies_in_the_bracket(self, method):
@@ -1606,51 +1662,63 @@ class TestConcavityStop:
 
     @pytest.mark.parametrize("method", ["RK45", "DOP853"])
     def test_a_finer_run_lands_in_the_open_cells_bracket(self, method):
-        # gamma > 1, lam < 0, b1 > 0: a run at rel_tol / 100 from the state the
-        # coarse run stopped at collapses inside the coarse bracket, with no
-        # slack.  From the start, the fine run (which reaches its floor before
-        # its own, narrower bound) differs from the coarse one by the coarse
-        # run's state error: it lands inside the bracket on these draws, and
-        # at most 4e-11 T outside it on 169 wider ones; the slack is rel_tol T
-        rng = np.random.default_rng(23)
-        for _ in range(6):
-            u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
-            p = params(gamma=u(1.1, 1.9), lam=-u(0.5, 2.0), xi=u(0.3, 1.2))
-            ic = EmdenState3D(0.0, u(0.8, 1.5), u(-0.3, 0.3), u(0.5, 1.5), u(0.0, 0.4))
-            coarse = integrate(p, ic, 30.0, method=method)
-            t_stop, w, last = _concavity_stop(coarse)
-            t_est = coarse.termination.t_est
-            for start, slack in ((last, 0.0), (ic, 1e-10 * t_est)):
-                fine = integrate(p, start, 30.0, rel_tol=1e-12, method=method).termination
-                assert (fine.kind, fine.which) == ("blowup", "b")
-                assert t_stop - slack < fine.t_est <= t_est + slack
+        # lam < 0, b1 > 0: a run at rel_tol / 100 from the state the coarse
+        # run stopped at collapses inside the coarse bracket, with no slack
+        # (past the bracket stop's, up to the fine run's own width).  From
+        # the start, the fine run (which reaches its floor before its own,
+        # narrower bound) differs from the coarse one by the coarse run's
+        # state error: it lands inside the bracket on these draws, and at
+        # most 4e-11 T outside it on 169 wider ones; the slack is rel_tol T.
+        # The concavity stop's cells are near-isothermal and have
+        # gamma > 2 in turn
+        for stop, (check, _) in sorted(_STOPS.items()):
+            rng = np.random.default_rng(23)
+            for i in range(6):
+                u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+                gamma = (u(1.1, 1.9) if stop == "bracket"
+                         else u(2.05, 2.8) if i % 2 else 1.0 + u(0.1, 0.9) * 1e-12)
+                p = params(gamma=gamma, lam=-u(0.5, 2.0), xi=u(0.3, 1.2))
+                ic = EmdenState3D(0.0, u(0.8, 1.5), u(-0.3, 0.3), u(0.5, 1.5), u(0.0, 0.4))
+                coarse = integrate(p, ic, 30.0, method=method)
+                t_stop, _, last = check(coarse)
+                t_est, width = coarse.termination.t_est, coarse.termination.bracket_width
+                for start, slack in ((last, 0.0), (ic, 1e-10 * t_est)):
+                    fine = integrate(p, start, 30.0, rel_tol=1e-12, method=method).termination
+                    assert (fine.kind, fine.which) == ("blowup", "b")
+                    if stop == "concavity":
+                        assert t_stop - slack < fine.t_est <= t_est + slack
+                    else:
+                        own = fine.bracket_width if start is last else 0.0
+                        assert t_est - width - slack <= fine.t_est <= t_est + own + slack
 
     def test_no_rule_fires_past_the_horizon(self):
-        # horizons around the collapse of the gamma = 1.4 open cell: each run
-        # reaches its horizon or collapses by it
-        p, ic = params(gamma=1.4, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2)
-        t_stop, w, _ = _concavity_stop(integrate(p, ic, 30.0))
-        for share in (-1.0, -0.5, 0.25, 0.5, 0.9, 1.0, 1.5):
-            horizon = t_stop + share * w
-            traj = integrate(p, ic, horizon)
-            term = traj.termination
-            if term.kind == "reached_t_end":
-                assert traj.t_span[1] == horizon
-            else:
-                assert term.kind == "blowup" and term.t_est <= horizon
-        # just short of the collapse the run reaches its horizon
-        for share in (-0.5, 0.25, 0.5):
-            traj = integrate(p, ic, t_stop + share * w)
-            assert traj.termination.kind == "reached_t_end"
+        # horizons around the collapse of each open cell: each run reaches
+        # its horizon or collapses by it
+        for check, gamma in _STOPS.values():
+            p, ic = params(gamma=gamma, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2)
+            t_stop, w, _ = check(integrate(p, ic, 30.0))
+            for share in (-1.0, -0.5, 0.25, 0.5, 0.9, 1.0, 1.5):
+                horizon = t_stop + share * w
+                traj = integrate(p, ic, horizon)
+                term = traj.termination
+                if term.kind == "reached_t_end":
+                    assert traj.t_span[1] == horizon
+                else:
+                    assert term.kind == "blowup" and term.t_est <= horizon
+            # just short of the collapse the run reaches its horizon
+            for share in (-0.5, 0.25, 0.5):
+                traj = integrate(p, ic, t_stop + share * w)
+                assert traj.termination.kind == "reached_t_end"
 
     @pytest.mark.parametrize("eps_blow", [None, 0.5])
     def test_only_steps_the_bound_cannot_clear_build_rows(self, monkeypatch, eps_blow):
-        # the lifespan run of the gamma = 1.4 open cell: the stop rule reads the
-        # step's end state alone, so the far-step skip stays on.  With the
+        # the lifespan run of each open cell: the stop rules read the step's
+        # end state alone, so the far-step skip stays on.  With the
         # library's floor the run stops before the floor is in reach of a
         # step; the floor at 0.5 is reached first, by steps the bound cannot
         # clear
-        p, y0 = params(gamma=1.4, lam=-1.0), (1.0, 0.0, 1.0, 0.2)
+        cells = [(params(gamma=gamma, lam=-1.0), (1.0, 0.0, 1.0, 0.2))
+                 for _, gamma in _STOPS.values()]
         run = RunOptions(eps_blow=eps_blow)
         method = emden._METHODS["RK45"]
         locate_rows = emden._locate
@@ -1675,21 +1743,249 @@ class TestConcavityStop:
         def locate(*args):
             calls.append(("locate",))
             return locate_rows(*args)
-        shipped = emden._run(p, 3, y0, 0.0, 30.0, run)
+        shipped = [emden._run(p, 3, y0, 0.0, 30.0, run) for p, y0 in cells]
         monkeypatch.setitem(emden._METHODS, "RK45",
                             method._replace(far=far_test, kernels=kernels))
         monkeypatch.setattr(emden, "_locate", locate)
-        watched = emden._run(p, 3, y0, 0.0, 30.0, run)
-        assert repr(watched) == repr(shipped)
-        termination, t_stop, _, stats = watched
-        # the concavity stop ends past its last step, a floor event inside it
-        assert (t_stop < termination.t_est) == (eps_blow is None)
-        assert sum(c[0] == "far" for c in calls) == stats.accepted
-        near = [i for i, c in enumerate(calls) if c == ("far", False)]
-        assert (len(near) == 0) == (eps_blow is None) and len(near) < stats.accepted // 10
-        # each rows and locate call follows a step the bound could not clear
-        assert [c for c in calls if c[0] != "far"] == [("rows",), ("locate",)] * len(near)
-        assert all(calls[i + 1:i + 3] == [("rows",), ("locate",)] for i in near)
+        for (p, y0), want in zip(cells, shipped):
+            calls.clear()
+            watched = emden._run(p, 3, y0, 0.0, 30.0, run)
+            assert repr(watched) == repr(want)
+            termination, t_stop, _, stats = watched
+            # the stops end past their last step, a floor event inside it
+            assert (t_stop < termination.t_est) == (eps_blow is None)
+            assert sum(c[0] == "far" for c in calls) == stats.accepted
+            near = [i for i, c in enumerate(calls) if c == ("far", False)]
+            assert (len(near) == 0) == (eps_blow is None) and len(near) < stats.accepted // 10
+            # each rows and locate call follows a step the bound could not clear
+            assert [c for c in calls if c[0] != "far"] == [("rows",), ("locate",)] * len(near)
+            assert all(calls[i + 1:i + 3] == [("rows",), ("locate",)] for i in near)
+
+
+def _bracket_calls(monkeypatch):
+    """The w = b / |b'| of each state ``emden._fall_bracket`` gets from now
+    on, in call order."""
+    seen, real = [], emden._fall_bracket
+
+    def counting(*args):
+        y = args[-1]
+        seen.append(y[2] / -y[3])
+        return real(*args)
+    monkeypatch.setattr(emden, "_fall_bracket", counting)
+    return seen
+
+
+class TestBracketStop:
+    """A 3D run with lam < 0 and 1 < gamma < 2 ends as a ``blowup`` of b once
+    the energy of b brackets its zero and its floor crossing
+    (``emden._fall_bracket``) to ``rel_tol`` max(1, t), unless a sink still
+    needs a time that the bracket proves the solution reaches; a floor that
+    b reaches first ends the run at its crossing."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    # a may move by s = 0.46 a: a bracket; by more than a / 2: none, even
+    # where the series would take the range of K that s gives (gamma = 1.1)
+    @example(1.25, 1.69, 0.77, 0.68, 1.33, -1.28, 1.37)
+    @example(1.93, 1.01, 0.0, 1.65, -0.19, -1.3, 1.11)
+    @example(1.1, 1.97, 0.0, 0.57, 2.01, -1.22, 1.05)
+    @given(_real(1.05, 1.95), _real(0.3, 2.0), st.one_of(st.just(0.0), _real(0.1, 1.5)),
+           _real(0.5, 2.0), _real(-3.0, 3.0), _real(-6.0, -1.0), _real(0.72, 1.6))
+    def test_the_bracket_holds_the_fall_time(self, gamma, k, xi, a, ad, log_w, r):
+        # a state near b's zero, with w = b / |b'| = 10^log_w and b'^2 at
+        # 2 K b^(-p) / (p r), the speed at which the series of F is summed
+        # when K stays put.  Where it gives a bracket, a stays within
+        # [a - s, a + s] (s the library's) on the fall of the full 3D
+        # system, and the bracket holds the quadrature bounds (the fall
+        # times with K held at each end of that range), tightly
+        p = gamma - 1.0
+        c = 2.0 * k * a ** (-2.0 * p) / p
+        w = 10.0 ** log_w
+        b = (w * math.sqrt(c / r)) ** (1.0 / (1.0 + 0.5 * p))
+        y = (a, ad, b, -b / w)
+        got = emden._fall_bracket(k, xi * xi, gamma, 0.0, 0.0, y)
+        event("bracket" if got else "no bracket")
+        if got is None:
+            return
+        s = emden._fall_spread(k, xi * xi, gamma, y)
+        assert a - s >= 0.5 * a
+        least, greatest = fall_range_of_a(gamma, -k, xi, y)
+        assert a - s <= least <= greatest <= a + s
+        (lo, hi), (want_lo, want_hi) = got, fall_time_bounds(gamma, -k, a, b, y[3], s)
+        assert 0.0 < lo <= want_lo <= want_hi <= hi < w
+        assert (hi - lo) - (want_hi - want_lo) <= 1e-12 * w
+
+    def test_the_bracket_holds_the_floor_crossing(self):
+        # b takes at most floor_b / |b'| from its floor to 0, so the floor
+        # lowers lo by that and leaves hi; a bracket whose a - s is not above
+        # a's floor is none, as a may cross it first
+        y = (1.0, 0.1, 1e-4, -10.0)
+        s = emden._fall_spread(1.0, 1.0, 1.4, y)
+        lo, hi = emden._fall_bracket(1.0, 1.0, 1.4, 0.0, 0.0, y)
+        assert 0.0 < s < 0.5
+        for floor_b in (1e-10, 1e-8, 1e-6):
+            assert emden._fall_bracket(1.0, 1.0, 1.4, 0.0, floor_b, y) == (
+                max(0.0, lo - floor_b / 10.0), hi)
+        assert emden._fall_bracket(1.0, 1.0, 1.4, math.nextafter(1.0 - s, 0.0), 0.0, y) == (lo, hi)
+        assert emden._fall_bracket(1.0, 1.0, 1.4, 1.0 - s, 0.0, y) is None
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(["RK45", "DOP853"]), _real(1.05, 1.95), _real(0.5, 2.0),
+           st.one_of(st.just(0.0), _real(0.3, 1.2)), _real(0.8, 1.5), _real(-0.3, 0.3),
+           _real(0.5, 1.5), _real(-0.5, 0.4))
+    def test_a_bracket_stop_holds_the_collapse(self, method, gamma, k, xi, a0, a1, b0, b1):
+        # b's zero of the exact solution through the last state, from a
+        # DOP853 run at rel_tol 1e-13 (up to that run's own width), lies in
+        # the bracket; and T agrees with a run at rel_tol / 100 from the
+        # start to rel_tol max(1, T)
+        p, ic = params(gamma=gamma, lam=-k, xi=xi), EmdenState3D(0.0, a0, a1, b0, b1)
+        traj = integrate(p, ic, 30.0, method=method)
+        term = traj.termination
+        at_bracket = (term.kind, term.which) == ("blowup", "b") and (
+            term.t_est - term.bracket_width > traj.t_span[1])
+        event("bracket stop" if at_bracket else f"{term.kind} of {term.which}")
+        if not at_bracket:
+            return
+        _bracket_stop(traj)
+        zero = integrate(p, traj.states[-1], 30.0, rel_tol=1e-13, abs_tol=1e-15,
+                         method="DOP853").termination
+        assert (zero.kind, zero.which) == ("blowup", "b")
+        assert term.t_est - term.bracket_width <= zero.t_est
+        assert zero.t_est - zero.bracket_width <= term.t_est
+        fine = integrate(p, ic, 30.0, rel_tol=1e-12, method=method).termination
+        assert abs(fine.t_est - term.t_est) <= 1e-10 * max(1.0, term.t_est)
+
+    # the gamma = 1.4 open cell's floor crossings of b, taken at the commit
+    # before the bracket stop: b reaches these floors before a bracket that
+    # holds its crossing is narrow enough, so the floor event ends the run
+    @pytest.mark.parametrize("method, eps_blow, T", [
+        ("RK45", 1e-5, 1.4240263523575583), ("DOP853", 1e-5, 1.424026352369655),
+        ("RK45", 1e-7, 1.424026717892818), ("DOP853", 1e-7, 1.4240267179170318)])
+    def test_a_floor_crossed_first_ends_the_run(self, method, eps_blow, T):
+        p, ic = params(gamma=1.4, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2)
+        traj = integrate(p, ic, 30.0, eps_blow=eps_blow, method=method)
+        term = traj.termination
+        assert (term.kind, term.which, term.t_est, term.detail) == ("blowup", "b", T, "")
+        assert traj.t_span[1] == T
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("eps_blow", [1e-9, 1e-8])
+    def test_a_bracket_stop_holds_the_floor_crossing(self, method, eps_blow):
+        # a floor the run has not reached when the bracket stop ends it lies
+        # in the bracket: a DOP853 run at rel_tol 1e-13 from the last state
+        # crosses it there
+        p, ic = params(gamma=1.4, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2)
+        traj = integrate(p, ic, 30.0, eps_blow=eps_blow, method=method)
+        _bracket_stop(traj)
+        term = traj.termination
+        floor = integrate(p, traj.states[-1], 30.0, eps_blow=eps_blow, rel_tol=1e-13,
+                          abs_tol=1e-15, method="DOP853")
+        assert floor.t_span[1] == floor.termination.t_est
+        assert term.t_est - term.bracket_width <= floor.termination.t_est <= term.t_est
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_a_time_before_the_bracket_keeps_its_sample(self, method):
+        # the run of the open cell without times stops at t_stop, with b's
+        # zero in [lo, t_est]; the solution reaches a time in (t_stop, lo),
+        # so a run that asks for it steps on and samples it, while a time
+        # inside the bracket is truncated where the run without it stops
+        p, ic = params(gamma=1.4, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2)
+        free = integrate(p, ic, 30.0, method=method)
+        t_stop, _, _ = _bracket_stop(free)
+        t_est, width = free.termination.t_est, free.termination.bracket_width
+        before, inside = 0.5 * (t_stop + t_est - width), t_est - 0.5 * width
+        kept = integrate(p, ic, 30.0, dense_times=[0.5, before], method=method)
+        assert [st.t for st in kept.states] == [0.5, before] and before <= kept.t_span[1]
+        term = kept.termination
+        assert (term.kind, term.which, term.detail) == ("blowup", "b", "")
+        assert abs(term.t_est - t_est) <= 1e-10 * t_est
+        cut = integrate(p, ic, 30.0, dense_times=[0.5, inside], method=method)
+        assert [st.t for st in cut.states] == [0.5]
+        assert repr(cut.termination) == repr(free.termination)
+        assert cut.t_span == free.t_span
+
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("gamma, b1", [(1.1, 0.1), (1.4, -0.5), (1.4, 0.2), (1.8, 0.3)])
+    def test_runs_without_times_report_one_time(self, method, gamma, b1):
+        from eulerexact.classify import classify_cell
+
+        p, ic = params(gamma=gamma, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, b1)
+        traj = integrate(p, ic, 30.0, method=method)
+        _bracket_stop(traj)
+        streamed, _ = emden.stream_trajectory(p, ic, 30.0, lambda line: None, method=method)
+        cell = classify_cell(p, ic, 30.0, method=method)
+        assert repr(streamed) == repr(traj.termination)
+        # bit for bit: == on floats
+        assert cell.T == traj.termination.t_est and cell.t_horizon == traj.t_span[1]
+
+    def test_only_runs_near_a_collapse_try_the_bracket(self, monkeypatch, tmp_path):
+        from eulerexact import cli
+
+        seen = _bracket_calls(monkeypatch)
+        # advance's shifts, the runs of verify and sample, and an escaping run
+        p, ic = params(gamma=1.4, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2)
+        for dt in (1e-3, -1e-3, 0.5, 1.2):
+            advance(p, ic, dt)
+        cell = ["--gamma", "1.4", "--lambda=-1", "--b1", "0.2"]
+        assert cli.main(["verify", *cell, "--verify-time", "1.0", "--verify-points", "4",
+                         "--out", str(tmp_path / "v.json")]) == 0
+        assert cli.main(["sample", *cell, "--times", "0,0.5,1.2", "--grid-x=-1:1:3",
+                         "--grid-y=-1:1:3", "--grid-z=-1:1:3",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        escape = integrate(params(gamma=1.4, lam=-1.0), EmdenState3D(0.0, 1.0, 0.0, 1.0, 2.0),
+                           30.0)
+        assert escape.termination.kind == "reached_t_end"
+        assert seen == []
+        # a collapsing run tries it from w <= 1e-3 max(1, t), each time w has
+        # halved since its last try
+        traj = integrate(p, ic, 30.0)
+        _bracket_stop(traj)
+        assert 0 < len(seen) <= 10 and seen[0] <= 1e-3 * traj.termination.t_est
+        assert all(w2 <= 0.5 * w1 for w1, w2 in zip(seen, seen[1:]))
+
+
+# cells the bracket stop cannot take, pinned as _UNCHANGED_RUNS are, at the
+# commit before it: gamma = 2, gamma > 2, near-isothermal, isothermal, and xi
+# = 0 with a1 < 0, where a falls to its floor first
+_OUT_OF_REACH_RUNS = {
+    "3d_gamma_two": ((2.0, -1.0, 1.0), (1.0, 0.0, 1.0, 0.2), 30.0),
+    "3d_gamma_above_two": ((2.5, -1.0, 1.0), (1.0, 0.0, 1.0, 0.2), 30.0),
+    "3d_near_isothermal": ((1.0 + 5e-13, -1.0, 1.0), (1.0, 0.0, 1.0, 0.2), 30.0),
+    "3d_isothermal": ((1.0, -1.0, 0.5), (1.2, 0.1, 1.0, -0.3), 30.0),
+    "3d_xi_zero_a_falls": ((1.4, -1.0, 0.0), (1.0, -0.5, 1.0, 0.2), 30.0),
+}
+_OUT_OF_REACH_DIGESTS = {
+    ("3d_gamma_two", "RK45"):
+        "b62b7b00e3dd3a7016e6db7e7039d70aadd7e294a6d572e9315147db05fec57b",
+    ("3d_gamma_two", "DOP853"):
+        "01631990d92437a01ab0d377b89442129c9aa67b596350cd069a65a8577b9a3d",
+    ("3d_gamma_above_two", "RK45"):
+        "aea63c4e6ce1a6d418f1f17d0304cb1df498d8894260781a664f1bf443b5e333",
+    ("3d_gamma_above_two", "DOP853"):
+        "cf210a7614d69e6fad0cef04002f7cf612f080f1837e0f460ff621b589fb84c0",
+    ("3d_near_isothermal", "RK45"):
+        "33cac469dd4186b16aed4d93424c5a5edb573d762af97bdea5082332e665619c",
+    ("3d_near_isothermal", "DOP853"):
+        "851555c668f0bd18107f39a66901b10a79fc8e3d90933112ed6a77efc7fe674e",
+    ("3d_isothermal", "RK45"):
+        "fdb142e775bc2a27f67429831648fbb0917a0f340e0539831fb924e7835178b3",
+    ("3d_isothermal", "DOP853"):
+        "c04378da677bcd0d53ecd7fe2eb8d766e9a5d2274a501f55a24283828a47ae02",
+    ("3d_xi_zero_a_falls", "RK45"):
+        "696a5e3bf92ebff5990e5896972a3eb98b5e7ff4c8bb37ff92caf71a27f809ff",
+    ("3d_xi_zero_a_falls", "DOP853"):
+        "30649c3a5ff36a5154d517196cafc8777b0ff1f2883cc9f5b73fb6086cd4d98a",
+}
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("name", sorted(_OUT_OF_REACH_RUNS))
+def test_runs_the_bracket_cannot_take_are_unchanged(name, method):
+    (gamma, lam, xi), y0, t_end = _OUT_OF_REACH_RUNS[name]
+    p = params(gamma=gamma, lam=lam, xi=xi)
+    lifespan = emden._run(p, 3, y0, 0.0, t_end, RunOptions(method=method))
+    traj = integrate(p, emden._state_from_vec(3, 0.0, y0), t_end, method=method)
+    text = repr(lifespan) + "\n".join(traj.jsonl_lines()) + repr(traj.stats)
+    assert hashlib.sha256(text.encode()).hexdigest() == _OUT_OF_REACH_DIGESTS[name, method]
 
 
 # sha256 of each run's lifespan result, trajectory records and RunStats,
@@ -1741,15 +2037,17 @@ def test_runs_without_a_concave_b_are_unchanged(name, method):
 
 # The lifespan runs of one deck-like sweep (gamma = 1.4, lam = -1, horizon 30,
 # the other keys at their defaults), pinned before the RK45 kernels were
-# generated: per b1, the run's termination and its RunStats (accepted,
-# rejected, rhs_evals, h_min, h_max), written exactly by repr
+# generated and again at the bracket stop, which ends the two collapsing runs
+# after 184 and 203 steps, not 364 and 383: per b1, the run's termination and
+# its RunStats (accepted, rejected, rhs_evals, h_min, h_max), written exactly
+# by repr
 _PINNED_SWEEP_RUNS = [
-    ("Termination(kind='blowup', t_est=0.8256756211137226, which='b', "
-     "bracket_width=9.498224804396954e-11, detail='')",
-     (364, 0, 2186, 5.648037593175559e-12, 0.023223452377702018)),
-    ("Termination(kind='blowup', t_est=1.5723625942640838, which='b', "
-     "bracket_width=1.5164084546251734e-10, detail='')",
-     (383, 1, 2306, 9.016787316795671e-12, 0.03132885566487775)),
+    ("Termination(kind='blowup', t_est=0.8256756211296696, which='b', "
+     "bracket_width=6.1426188547681e-11, detail='')",
+     (184, 0, 1106, 1.3452853870887793e-06, 0.023223452377702018)),
+    ("Termination(kind='blowup', t_est=1.5723625943212671, which='b', "
+     "bracket_width=1.4649929040399232e-10, detail='')",
+     (203, 1, 1226, 2.134576455370407e-06, 0.03132885566487775)),
     ("Termination(kind='reached_t_end', t_est=None, which=None, bracket_width=None, "
      "detail='')",
      (134, 0, 806, 0.001908023162027349, 1.2204453777157305)),
