@@ -7,10 +7,11 @@ too when xi = 0, so the verdict follows the signs of the slopes; negative lam
 with gamma = 1, or with gamma > 1 and nonexpanding b, collapses b in finite
 time.  At gamma = 1 exactly the system decouples (b'' = lam / b), and the
 first integral b'^2 / 2 - lam ln b gives b's collapse time through erf
-(:func:`classify_3d`).  The remaining cell (gamma > 1, lam < 0, b1 > 0) is
-undecided analytically and can only be probed numerically
-(:func:`classify_cell`), which never upgrades to "global": surviving a horizon
-does not prove global existence.
+(:func:`classify_3d`, by ``emden._isothermal_zero``, which the bracket stop
+of a gamma = 1 run applies to its last state).  The remaining cell
+(gamma > 1, lam < 0, b1 > 0) is undecided analytically and can only be
+probed numerically (:func:`classify_cell`), which never upgrades to
+"global": surviving a horizon does not prove global existence.
 
 Planar dynamics with lam < 0, xi != 0 and 1 <= gamma < 2 has periodic
 orbits about the minimum of its potential V, and a bound orbit's period is a
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 
 # integrate is not called here: it stays importable for bench/tracer.py
 from .emden import (_BRENTQ_RTOL, EmdenState2D, EmdenState3D, RunOptions,  # noqa: F401
-                    Termination, Trajectory, _brentq, _check_span, _components, _energy, _run,
-                    emden_rhs_2d, integrate)
+                    Termination, Trajectory, _brentq, _check_span, _components, _energy,
+                    _isothermal_zero, _run, emden_rhs_2d, integrate)
 from .profiles import PhysParams
 
 __all__ = [
@@ -91,29 +92,6 @@ class Classification:
         return d
 
 
-# above this w0 = x1^2 / (2k), e^w0 is near float overflow: the cell is run instead
-_MAX_EXP_ARG = 700.0
-
-
-def _isothermal_zero(x0: float, x1: float, k: float) -> float | None:
-    """Time for x'' = -k / x (k > 0) to reach 0 from x = x0, x' = x1, or None
-    when e^w0 is out of reach (see ``_MAX_EXP_ARG``) or the time overflows.
-
-    The first integral x'^2 / 2 + k ln x puts the top of the orbit at
-    x_max = x0 e^w0 with w0 = x1^2 / (2k); below it x' = -sqrt(2k ln(x_max / x))
-    on the way down, so from any x the fall takes C erfc(sqrt(ln(x_max / x)))
-    with C = x_max sqrt(pi / (2k)).  A rising start first climbs to x_max in
-    C erf(sqrt(w0)).
-    """
-    w0 = x1 * x1 / (2.0 * k)
-    if not w0 <= _MAX_EXP_ARG:
-        return None
-    root = math.sqrt(w0)
-    c = x0 * math.exp(w0) * math.sqrt(math.pi / (2.0 * k))
-    tau = c * (math.erfc(root) if x1 < 0.0 else 1.0 + math.erf(root))
-    return tau if math.isfinite(tau) else None
-
-
 def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
     """Analytic lifespan verdict for the 3D system from the decision table.
 
@@ -123,11 +101,13 @@ def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
       a = a0 + a1 t; the cell collapses iff a slope is negative, at the
       smallest -x0/x1 among those;
     - lam < 0 at gamma == 1.0 exactly: b'' = lam / b, whose zero time comes
-      from its first integral (``_isothermal_zero``); with xi = 0, a'' = lam / a
-      collapses too and ``T`` is the earlier zero, while xi != 0 keeps a > 0
-      behind the xi^2 / a^3 barrier.  ``T`` is None where e^w0 would
-      overflow and for a near-isothermal gamma != 1, which do not decouple
-      exactly: those cells are run.
+      from its first integral (``emden._isothermal_zero``, the closed form
+      the bracket stop of an integrated gamma = 1 run takes from its last
+      state); with xi = 0, a'' = lam / a collapses too and ``T`` is the
+      earlier zero, while xi != 0 keeps a > 0 behind the xi^2 / a^3
+      barrier.  ``T`` is None where e^w0 would overflow and for a
+      near-isothermal gamma != 1, which do not decouple exactly: those
+      cells are run.
     """
     if p.lam > 0.0:
         return Classification(GLOBAL, "analytic", case="lam_positive")

@@ -22,7 +22,8 @@ step-size controller.  A scale factor's collapse to a small positive floor
 is located by root bracketing on each step's dense output, with a port of
 scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
 (b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``,
-by its concavity or, in 3D with 1 < gamma < 2, by its energy
+by its concavity or, in 3D, by its closed form at gamma = 1
+(``_isothermal_bracket``) or its energy for 1 < gamma < 2
 (``_fall_bracket``).  Step sinks see each step once it is settled and read
 its dense output, built on demand and evaluated by the pair's generated
 evaluator; they never end a run, and only say which time they still need.
@@ -186,16 +187,19 @@ class Termination:
     - the concavity stop of a 3D run with lam < 0 (b'' < 0): the run's last
       step ends at ``t_est - bracket_width``, where ``bracket_width`` is
       b / |b'| (at most ``rel_tol`` max(1, t));
-    - the bracket stop of a 3D run with lam < 0 and 1 < gamma < 2: the
-      run's last step ends at or before ``t_est - bracket_width``, at most
-      b / |b'| before ``t_est``, and ``bracket_width`` (at most ``rel_tol``
-      max(1, t)) is the width of the bracket b's energy gives, widened to
+    - the bracket stop of a 3D run with lam < 0 and gamma = 1 or
+      1 < gamma < 2: the run's last step ends at or before
+      ``t_est - bracket_width``, at most b / |b'| before ``t_est``, and
+      ``bracket_width`` (at most ``rel_tol`` max(1, t)) is the width of the
+      bracket b's closed form (gamma = 1) or b's energy gives, widened to
       hold b's crossing of its floor as well;
     - a step-size underflow during a collapse: ``t_est`` is where the run
       stopped and ``bracket_width`` the time scale value / |velocity| there.
 
     After either stop of b, b's zero of the exact solution through the
-    run's last state lies in [t_est - bracket_width, t_est].  That state
+    run's last state lies in [t_est - bracket_width, t_est] (at gamma = 1
+    the record's ends are rounded outward; for 1 < gamma < 2 to nearest, so
+    the zero may lie up to half an ulp of t_est outside).  That state
     differs from the exact solution from the start by the run's integration
     error, which the width does not cover.
     """
@@ -1022,6 +1026,93 @@ def _fall_bracket(k: float, xi2: float, g: float, floor_a: float, floor_b: float
     return max(0.0, w * fast[0] - floor_b / speed), w * slow[1]
 
 
+# above this w0 = x1^2 / (2k), e^w0 is near float overflow: the isothermal
+# closed form gives no time (the table runs such a cell, and the bracket stop
+# gives no bracket)
+_MAX_EXP_ARG = 700.0
+
+
+def _isothermal_zero(x0: float, x1: float, k: float, floor: float = 0.0) -> float | None:
+    """Time for x'' = -k / x (k > 0) to reach 0 from x = x0, x' = x1, or,
+    given a ``floor`` in (0, x0), to fall to that floor; None when e^w0 is
+    out of reach (see ``_MAX_EXP_ARG``) or the time overflows.
+
+    The first integral x'^2 / 2 + k ln x puts the top of the orbit at
+    x_max = x0 e^w0 with w0 = x1^2 / (2k); below it x' = -sqrt(2k ln(x_max / x))
+    on the way down, so from any x the fall takes C erfc(sqrt(ln(x_max / x)))
+    with C = x_max sqrt(pi / (2k)).  A rising start first climbs to x_max in
+    C erf(sqrt(w0)).  The floor lies C erfc(sqrt(w0 + ln(x0 / floor))) before
+    the zero.  ``_isothermal_margin`` bounds the rounding of either time.
+    """
+    w0 = x1 * x1 / (2.0 * k)
+    if not w0 <= _MAX_EXP_ARG:
+        return None
+    root = math.sqrt(w0)
+    c = x0 * math.exp(w0) * math.sqrt(math.pi / (2.0 * k))
+    tau = c * (math.erfc(root) if x1 < 0.0 else 1.0 + math.erf(root))
+    if floor > 0.0:
+        tau -= c * math.erfc(math.sqrt(w0 + math.log(x0 / floor)))
+    return tau if math.isfinite(tau) else None
+
+
+def _isothermal_margin(x1: float, k: float) -> float:
+    """A bound on the rounding error of ``_isothermal_zero`` from (x0, x1),
+    to the zero or to any floor, relative to the time to the zero:
+    1e-15 (w0 + 2) with w0 = x1^2 / (2k).  e^w0 and erfc(sqrt(w0)) turn
+    the rounding of w0 and of its root into relative errors of order
+    w0 ulp: up to 3e-16 (w0 + 2) against 40-digit mpmath for w0 in
+    [0, 700], so a flat margin that holds at small w0 is too thin near 700."""
+    return 1e-15 * (x1 * x1 / (2.0 * k) + 2.0)
+
+
+def _isothermal_bracket(k: float, xi2: float, floor_a: float, floor_b: float,
+                        y) -> tuple[float, float] | None:
+    """Bounds (lo, hi) on the time from the 3D state y = (a, a', b, b') to
+    b's zero of the exact solution through it, and to b's crossing of its
+    floor ``floor_b`` (both lie in [lo, hi]), for gamma = 1 and lam = -k < 0,
+    with b' < 0; None where a closed form is out of reach or a may reach its
+    floor ``floor_a`` first.
+
+    At gamma = 1 the system decouples: b'' = -k / b and
+    a'' = xi^2 / a^3 - k / a.  So b's zero is ``_isothermal_zero`` of
+    (b, b'), and its floor crossing, which comes first, is that of (b, b')
+    at ``floor_b``: hi is the zero and lo the crossing (not below 0), each
+    widened outward by ``_isothermal_margin`` times the zero.
+
+    a keeps its own first integral E = a'^2 / 2 + V(a),
+    V(a) = xi^2 / (2 a^2) + k ln a, so it stays in the interval around
+    xi / sqrt(k) where V <= E.  For xi != 0, V falls on (0, xi / sqrt(k)),
+    so a floor below xi / sqrt(k) with V(floor) > E (by more than the
+    rounding of either) lies below that interval, and a never reaches it;
+    otherwise there is no bracket.  For xi = 0, a obeys b's law, and its
+    floor crossing, less its margin, must lie past hi.  An arithmetic error
+    gives None.
+    """
+    a, ad, b, bd = y
+    zero = _isothermal_zero(b, bd, k)
+    cross = _isothermal_zero(b, bd, k, floor_b)
+    if zero is None or cross is None:
+        return None
+    spread = _isothermal_margin(bd, k) * zero
+    hi = zero + spread
+    if xi2:
+        try:
+            energy = (0.5 * ad * ad, 0.5 * xi2 / (a * a), k * math.log(a))
+            barrier = (0.5 * xi2 / (floor_a * floor_a), k * math.log(floor_a))
+        except (ArithmeticError, ValueError):
+            return None
+        rounding = 1e-12 * sum(map(abs, energy + barrier))
+        if not (k * floor_a * floor_a < xi2 and sum(barrier) - sum(energy) > rounding):
+            return None
+    else:
+        a_zero = _isothermal_zero(a, ad, k)
+        a_cross = _isothermal_zero(a, ad, k, floor_a)
+        if (a_zero is None or a_cross is None
+                or not a_cross - _isothermal_margin(ad, k) * a_zero > hi):
+            return None
+    return max(0.0, cross - spread), hi
+
+
 def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
          run: RunOptions, *sinks: Callable):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``, and end
@@ -1037,19 +1128,24 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     max(1, t_new) and t_new + w <= ``t_end``, the run ends as a ``blowup``
     of b with ``t_est`` t_new + w and ``bracket_width`` w.
 
-    The bracket stop holds in 3D runs with lam < 0 and 1 < gamma < 2 (not
-    ``is_isothermal``): there ``_fall_bracket`` bounds b's zero of the exact
-    solution through (t_new, y_new), and b's crossing of its floor, to
-    [t_new + lo, t_new + hi], and gives no bounds where a may reach its
-    floor first; so a floor event the stop skips lies in its bracket too,
-    as one does in the concavity stop's.  It is tried after a step with
-    b' < 0 that the concavity stop did not end, once
-    w <= 1e-3 max(1, t_new), and then only once w has halved since the
-    last try.  The run ends as a ``blowup`` of b with ``t_est`` t_new + hi
-    and ``bracket_width`` hi - lo when that width is at most ``rel_tol``
-    max(1, t_new), t_new + hi <= ``t_end``, and no sink still needs a time
-    before t_new + lo.  Both stops read only (t_new, y_new), so far steps
-    stay skipped; a floor event comes first.
+    The bracket stop holds in 3D runs with lam < 0 and gamma == 1.0 or
+    1 < gamma < 2 (not ``is_isothermal``): there ``_isothermal_bracket``
+    (from b's closed form) or ``_fall_bracket`` (from b's energy)
+    bounds b's zero of the exact solution through (t_new, y_new), and b's
+    crossing of its floor, to [t_new + lo, t_new + hi], and gives no bounds
+    where a may reach its floor first; so a floor event the stop skips lies
+    in its bracket too, as one does in the concavity stop's.  A
+    near-isothermal gamma != 1, gamma >= 2, lam >= 0 and planar runs never
+    take it.  It is tried after a step with b' < 0 that the concavity stop
+    did not end, once w <= 1e-3 max(1, t_new), and then only once w has
+    halved since the last try.  The run ends as a ``blowup`` of b with
+    ``t_est`` t_new + hi and ``bracket_width`` hi - lo when that width is at
+    most ``rel_tol`` max(1, t_new), t_new + hi <= ``t_end``, and no sink
+    still needs a time before t_new + lo.  At gamma = 1 the sums are
+    rounded outward first (t_new + hi up, t_new + lo down, and their
+    difference up), so the record holds the closed form's ends of the reals;
+    for 1 < gamma < 2 they are rounded to nearest.  Both stops read only
+    (t_new, y_new), so far steps stay skipped; a floor event comes first.
 
     Each of ``sinks`` gets ``sink(t, t_new, y, y_new, rows, t_stop)`` for
     every accepted step [t, t_new] from y to y_new, after its floor search:
@@ -1092,10 +1188,18 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     concave = cb is not None and p.lam < 0.0
     cv = cb + 1 if concave else None
     nextafter, inf = math.nextafter, math.inf
-    # the bracket stop's reach, its constants (the floors of a and b last),
-    # and the w at which it is next tried
-    bracket = dim == 3 and p.lam < 0.0 and p.gamma < 2.0 and not p.is_isothermal
-    fall = (-p.lam, p.xi * p.xi, p.gamma, *(floor for _, floor in floors))
+    # the bracket stop's bounds from a state, its constants bound (the floors
+    # of a and b last), or None out of its reach; whether its record's ends
+    # are rounded outward; and the w at which it is next tried
+    bracket, outward = None, False
+    if dim == 3 and p.lam < 0.0:
+        (_, floor_a), (_, floor_b) = floors
+        if p.gamma == 1.0:
+            bracket, outward = functools.partial(_isothermal_bracket, -p.lam, p.xi * p.xi,
+                                                 floor_a, floor_b), True
+        elif p.gamma < 2.0 and not p.is_isothermal:
+            bracket = functools.partial(_fall_bracket, -p.lam, p.xi * p.xi, p.gamma,
+                                        floor_a, floor_b)
     w_next = inf
     t, y, fy = t0, y0, f(y0)
     h_abs = _initial_step(f, y, fy, t_end - t0, method.error_order, rtol, atol)
@@ -1166,15 +1270,19 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             if w <= limit and t_new + w <= t_end:
                 termination = Termination("blowup", t_est=t_new + w, which=comp_names[cb],
                                           bracket_width=w)
-            elif bracket and w <= w_next and w <= _BRACKET_START * max(1.0, t_new):
+            elif bracket is not None and w <= w_next and w <= _BRACKET_START * max(1.0, t_new):
                 w_next = 0.5 * w
-                ends = _fall_bracket(*fall, y_new)
+                ends = bracket(y_new)
                 if ends is not None:
                     lo, hi = ends
-                    if (hi - lo <= limit and t_new + hi <= t_end
-                            and (need is None or need >= t_new + lo)):
-                        termination = Termination("blowup", t_est=t_new + hi,
-                                                  which=comp_names[cb], bracket_width=hi - lo)
+                    t_lo, t_hi, width = t_new + lo, t_new + hi, hi - lo
+                    if outward:
+                        # the record holds t_new + lo and t_new + hi of the reals
+                        t_lo, t_hi = nextafter(t_lo, -inf), nextafter(t_hi, inf)
+                        width = nextafter(t_hi - t_lo, inf)
+                    if width <= limit and t_hi <= t_end and (need is None or need >= t_lo):
+                        termination = Termination("blowup", t_est=t_hi,
+                                                  which=comp_names[cb], bracket_width=width)
         t, y, fy = t_new, y_new, f_new
         if termination is not None:
             break
@@ -1207,11 +1315,14 @@ def integrate(
     component's initial value); the crossing time is located by root
     bracketing on the dense output to within ``rel_tol * |t|``.  A 3D run with
     lam < 0 also ends as a blowup of b at its concavity stop or, for
-    1 < gamma < 2, its bracket stop (see ``_run``): the record brackets b's
-    zero in [t_est - bracket_width, t_est], and the trajectory ends at the
-    last accepted step, at or before t_est - bracket_width, so no sample
-    lies past it.  The bracket stop waits for a requested time that lies
-    before its bracket; a requested time inside the bracket is not sampled.
+    gamma = 1 or 1 < gamma < 2, its bracket stop (see ``_run``): the record
+    brackets b's zero in [t_est - bracket_width, t_est], and the trajectory
+    ends at the last accepted step, at or before t_est - bracket_width, so
+    no sample lies past it.  At gamma = 1 that bracket is the table's
+    closed form (``classify_3d``) applied to the last state, so ``t_est``
+    agrees with the table's ``T`` within the run's state error.  The
+    bracket stop waits for a requested time that lies before its bracket;
+    a requested time inside the bracket is not sampled.
     A collapse point or sample that is no state (a scale factor not > 0,
     from a ``rel_tol`` too loose for the crossing) raises ValueError.  A
     step-size underflow while a component is

@@ -9,7 +9,8 @@ tableaux, their dense output as a loop over the nested polynomial, a
 sampler that holds each step's samples until the run's end is known, a
 step table that keeps every step and looks one up, the
 Ermakov-Pinney closed forms, plain finite-difference helpers, the planar
-period and the isothermal fall time from the first integral by quadrature,
+period and the isothermal fall time from the first integral by quadrature
+and by its erfc closed form in 40-digit arithmetic,
 bounds on the 3D fall time of b from its energy by quadrature and the
 range of a over that fall by scipy's DOP853,
 the residual stencil written point by point over scalar samples, and a
@@ -386,6 +387,25 @@ def isothermal_fall_time(x0, x1, k):
         if x1 >= 0:
             time += 2 * mpmath.quad(speed, [0, depth])
         return float(time)
+
+
+def isothermal_closed_form(x0, x1, k, floor=0.0):
+    """(time to zero, time to ``floor``) for x'' = -k / x (k > 0) from
+    (x0, x1), as mpmath numbers: the erfc closed form of the first integral
+    x'^2 / 2 + k ln x, evaluated in 40-digit arithmetic from the exact
+    inputs.  A start with w0 = x1^2 / (2k) falls from the top
+    x_max = x0 e^w0 for C erfc(sqrt(ln(x_max / x))) from x,
+    C = x_max sqrt(pi / (2k)), after a climb of C erf(sqrt(w0)) when x1 >= 0;
+    without a floor the second time is the first."""
+    with mpmath.workdps(40):
+        x0, x1, k = mpmath.mpf(x0), mpmath.mpf(x1), mpmath.mpf(k)
+        w0 = x1 * x1 / (2 * k)
+        c = x0 * mpmath.exp(w0) * mpmath.sqrt(mpmath.pi / (2 * k))
+        root = mpmath.sqrt(w0)
+        zero = c * (mpmath.erfc(root) if x1 < 0 else 1 + mpmath.erf(root))
+        if not floor:
+            return zero, zero
+        return zero, zero - c * mpmath.erfc(mpmath.sqrt(w0 + mpmath.log(x0 / mpmath.mpf(floor))))
 
 
 def fall_time_bounds(gamma, lam, a, b, bd, s):
