@@ -7,8 +7,8 @@ too when xi = 0, so the verdict follows the signs of the slopes; negative lam
 with gamma = 1, or with gamma > 1 and nonexpanding b, collapses b in finite
 time.  At gamma = 1 exactly the system decouples (b'' = lam / b), and the
 first integral b'^2 / 2 - lam ln b gives b's collapse time through erf
-(:func:`classify_3d`, by ``emden._isothermal_zero``, which the bracket stop
-of a gamma = 1 run applies to its last state).  The remaining cell
+(:func:`classify_3d`, by ``emden._isothermal_zero``, which the stop of b
+in a gamma = 1 run applies to its last state).  The remaining cell
 (gamma > 1, lam < 0, b1 > 0) is undecided analytically and can only be
 probed numerically (:func:`classify_cell`), which never upgrades to
 "global": surviving a horizon does not prove global existence.
@@ -64,14 +64,12 @@ class Classification:
     absolute time, the exact zero from the table or the collapse a run
     located.  ``t_horizon`` is set when the cell was integrated: how far past
     ``ic.t`` the run reached (the horizon; ``T - ic.t`` for a floor crossing;
-    for a concavity stop the last step, at most ``rel_tol`` max(1, T) short
-    of ``T - ic.t``; for a bracket stop the last step, before the bracket
-    and up to about b / |b'| there short of ``T - ic.t``; or less if the
-    step budget or step size gave out).  After either stop b's zero of the
-    exact solution through the run's last state lies in a bracket under
-    ``T`` at most ``rel_tol`` max(1, T) wide (the run's
-    :class:`~eulerexact.emden.Termination`); that state carries the run's
-    integration error.
+    for the stop of b the last step, before ``T`` and up to about b / |b'|
+    there short of ``T - ic.t``; or less if the step budget or step size
+    gave out).  After the stop of b, b's zero of the exact solution through
+    the run's last state lies in a bracket under ``T`` at most ``rel_tol``
+    max(1, T) wide (the run's :class:`~eulerexact.emden.Termination`); that
+    state carries the run's integration error.
     A run that stopped short in that way keeps its ``termination`` record;
     runs that reached the horizon or collapsed leave it None.
     ``numerical_evidence`` verdicts carry the evidence disclaimer in ``note``.
@@ -102,7 +100,7 @@ def classify_3d(p: PhysParams, ic: EmdenState3D) -> Classification:
       smallest -x0/x1 among those;
     - lam < 0 at gamma == 1.0 exactly: b'' = lam / b, whose zero time comes
       from its first integral (``emden._isothermal_zero``, the closed form
-      the bracket stop of an integrated gamma = 1 run takes from its last
+      the stop of b in an integrated gamma = 1 run takes from its last
       state); with xi = 0, a'' = lam / a collapses too and ``T`` is the
       earlier zero, while xi != 0 keeps a > 0 behind the xi^2 / a^3
       barrier.  ``T`` is None where e^w0 would overflow and for a
@@ -142,11 +140,9 @@ def classify_cell(p: PhysParams, ic: EmdenState3D, horizon: float,
     with ``run_options`` (``rel_tol``, ``abs_tol``, ``max_steps``, ``method``,
     ``eps_blow``) and no sink: a collapse gives ``T``, and an open cell
     whose ``T`` was found this way has basis ``numerical_evidence``.  A floor
-    crossing ends the run at ``T``; the concavity stop of b (lam < 0) ends it
-    at its last step, ``t_horizon`` past ``ic.t``, with ``T`` the bound one
-    bracket width later, and for 1 < gamma < 2 the bracket stop ends it
-    earlier, at the last step before a bracket of b's zero at most
-    ``rel_tol`` max(1, T) wide whose top is ``T``: the ``T`` that
+    crossing ends the run at ``T``; the stop of b (lam < 0) ends it at its
+    last step, ``t_horizon`` past ``ic.t``, with b's zero in a bracket at
+    most ``rel_tol`` max(1, T) wide whose top is ``T``: the ``T`` that
     :func:`~eulerexact.emden.integrate` of the cell reports, bit for bit.  A run
     that ran out of steps or step size before the horizon leaves its
     ``termination`` in the result.  Bad options, a collapse floor at or above

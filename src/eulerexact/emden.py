@@ -22,11 +22,12 @@ step-size controller.  A scale factor's collapse to a small positive floor
 is located by root bracketing on each step's dense output, with a port of
 scipy's ``brentq``; a run with lam < 0 whose family has a concave factor
 (b, in 3D) also ends once that factor's zero is bracketed to ``rel_tol``,
-by its concavity or, in 3D, by its closed form at gamma = 1
-(``_isothermal_bracket``) or its energy for 1 < gamma < 2
-(``_fall_bracket``).  Step sinks see each step once it is settled and read
-its dense output, built on demand and evaluated by the pair's generated
-evaluator; they never end a run, and only say which time they still need.
+by one stop rule whose bracket comes from its concavity or, in 3D, from its
+closed form at gamma = 1 (``_isothermal_bracket``) or its energy for
+1 < gamma < 2 (``_fall_bracket``).  Step sinks see each step once it is
+settled and read its dense output, built on demand and evaluated by the
+pair's generated evaluator; they never end a run, and only say which time
+they still need.
 The sampler (``_sampler``) is the only sink of :func:`integrate`,
 :func:`stream_trajectory` and :meth:`Trajectory.state_at`.  The module runs
 on the standard library; only ``_ieee``, the overflow fallback of the
@@ -184,24 +185,17 @@ class Termination:
     - a floor crossing located on a step's dense output: ``t_est`` is the
       crossing and ``bracket_width`` is ``rel_tol * |t_est|``, the root
       finder's tolerance (not a rigorous error bound);
-    - the concavity stop of a 3D run with lam < 0 (b'' < 0): the run's last
-      step ends at ``t_est - bracket_width``, where ``bracket_width`` is
-      b / |b'| (at most ``rel_tol`` max(1, t));
-    - the bracket stop of a 3D run with lam < 0 and gamma = 1 or
-      1 < gamma < 2: the run's last step ends at or before
-      ``t_est - bracket_width``, at most b / |b'| before ``t_est``, and
-      ``bracket_width`` (at most ``rel_tol`` max(1, t)) is the width of the
-      bracket b's closed form (gamma = 1) or b's energy gives, widened to
-      hold b's crossing of its floor as well;
+    - the stop of b in a 3D run with lam < 0 (see ``_run``): ``t_est`` and
+      ``t_est - bracket_width`` are the ends of a bracket of b's zero from
+      the run's last state, rounded outward, and ``bracket_width`` is at
+      most ``rel_tol`` max(1, t);
     - a step-size underflow during a collapse: ``t_est`` is where the run
       stopped and ``bracket_width`` the time scale value / |velocity| there.
 
-    After either stop of b, b's zero of the exact solution through the
-    run's last state lies in [t_est - bracket_width, t_est] (at gamma = 1
-    the record's ends are rounded outward; for 1 < gamma < 2 to nearest, so
-    the zero may lie up to half an ulp of t_est outside).  That state
-    differs from the exact solution from the start by the run's integration
-    error, which the width does not cover.
+    After the stop of b, b's zero of the exact solution through the run's
+    last state lies in [t_est - bracket_width, t_est], of the floats.  That
+    state differs from the exact solution from the start by the run's
+    integration error, which the width does not cover.
     """
 
     kind: str
@@ -856,7 +850,7 @@ def _sampler(dense, t0: float, y0, times: list[float] | None, emit, rel_tol: flo
     collapse point (whose rows ``_locate`` has built).
 
     The sink returns the earliest time it still needs settled: the next
-    requested time it has not sampled, which a bracket stop of ``_run``
+    requested time it has not sampled, which the stop of b in ``_run``
     does not cut off when it proves the solution gets there.  It returns
     None once every time is sampled, and always without ``times``, so a run
     that samples its steps stops where a run without a sink does.
@@ -922,8 +916,9 @@ def _initial_step(f, y0, f0, interval, order, rtol, atol) -> float:
     return min(100.0 * h0, h1, interval)
 
 
-# the bracket stop (``_fall_bracket``) is tried once w = b / |b'| is at most
-# this share of max(1, t), and again each time w has halved since
+# a run's bracket source (``_isothermal_bracket``, ``_fall_bracket``) is
+# tried once w = b / |b'| is at most this share of max(1, t), and again each
+# time w has halved since
 _BRACKET_START = 1e-3
 # the rounding margin of each end of the bracket, relative to F
 _BRACKET_MARGIN = 1e-13
@@ -1027,8 +1022,8 @@ def _fall_bracket(k: float, xi2: float, g: float, floor_a: float, floor_b: float
 
 
 # above this w0 = x1^2 / (2k), e^w0 is near float overflow: the isothermal
-# closed form gives no time (the table runs such a cell, and the bracket stop
-# gives no bracket)
+# closed form gives no time (the table runs such a cell, and the stop of b
+# takes no bracket from it)
 _MAX_EXP_ARG = 700.0
 
 
@@ -1116,36 +1111,34 @@ def _isothermal_bracket(k: float, xi2: float, floor_a: float, floor_b: float,
 def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
          run: RunOptions, *sinks: Callable):
     """The adaptive step loop: step from (t0, y0) towards ``t_end``, and end
-    there, at the first floor event, at the concavity stop, after
-    ``max_steps`` steps, or on a step failure.  Returns (termination, t_stop,
-    the last accepted state, run statistics); t_stop, where the run stopped,
-    is its last step's t_stop, or t0.
+    there, at the first floor event, at the stop of b, after ``max_steps``
+    steps, or on a step failure.  Returns (termination, t_stop, the last
+    accepted state, run statistics); t_stop, where the run stopped, is its
+    last step's t_stop, or t0.
 
-    The concavity stop holds in every run with lam < 0 of a family with a
-    concave factor (``_FAMILIES``; b in 3D): b'' < 0 there, so from a state
-    with b' < 0 the exact b reaches 0 by t + w, w = b / |b'|.  After an
-    accepted step to (t_new, y_new) with b' < 0, w <= ``rel_tol``
-    max(1, t_new) and t_new + w <= ``t_end``, the run ends as a ``blowup``
-    of b with ``t_est`` t_new + w and ``bracket_width`` w.
-
-    The bracket stop holds in 3D runs with lam < 0 and gamma == 1.0 or
-    1 < gamma < 2 (not ``is_isothermal``): there ``_isothermal_bracket``
-    (from b's closed form) or ``_fall_bracket`` (from b's energy)
-    bounds b's zero of the exact solution through (t_new, y_new), and b's
-    crossing of its floor, to [t_new + lo, t_new + hi], and gives no bounds
-    where a may reach its floor first; so a floor event the stop skips lies
-    in its bracket too, as one does in the concavity stop's.  A
-    near-isothermal gamma != 1, gamma >= 2, lam >= 0 and planar runs never
-    take it.  It is tried after a step with b' < 0 that the concavity stop
-    did not end, once w <= 1e-3 max(1, t_new), and then only once w has
-    halved since the last try.  The run ends as a ``blowup`` of b with
-    ``t_est`` t_new + hi and ``bracket_width`` hi - lo when that width is at
-    most ``rel_tol`` max(1, t_new), t_new + hi <= ``t_end``, and no sink
-    still needs a time before t_new + lo.  At gamma = 1 the sums are
-    rounded outward first (t_new + hi up, t_new + lo down, and their
-    difference up), so the record holds the closed form's ends of the reals;
-    for 1 < gamma < 2 they are rounded to nearest.  Both stops read only
-    (t_new, y_new), so far steps stay skipped; a floor event comes first.
+    The stop of b holds in every run with lam < 0 of a family with a
+    concave factor (``_FAMILIES``; b in 3D).  After an accepted step to
+    (t_new, y_new) with b' < 0 and no floor event, the run takes a bracket
+    (lo, hi) of b's zero of the exact solution through y_new, as a time
+    after t_new, with w = b / |b'|:
+    - (0, w) where w <= ``rel_tol`` max(1, t_new): b'' < 0, so b is
+      concave and reaches 0 by t_new + w;
+    - otherwise, once w <= 1e-3 max(1, t_new) and then only once w has
+      halved since the last try, the run's bracket source, which also holds
+      b's floor crossing and gives none where a may reach its floor first:
+      ``_isothermal_bracket`` (b's closed form) at gamma == 1.0,
+      ``_fall_bracket`` (b's energy) for 1 < gamma < 2 and not
+      ``is_isothermal``, and none for a near-isothermal gamma != 1 or
+      gamma >= 2.
+    Its ends are rounded outward, t_lo = t_new + lo down (t_new itself for
+    lo = 0, which is exact) and t_est = t_new + hi up, and its width
+    t_est - t_lo up.  The run ends as a ``blowup`` of b with that ``t_est``
+    and ``bracket_width`` when the width is at most ``rel_tol``
+    max(1, t_new), t_est <= ``t_end``, and no sink still needs a time
+    before t_lo.  So the record's floats hold b's zero
+    through the last state, and a floor event the stop skips lies in its
+    bracket too.  The rule reads only (t_new, y_new), so far steps stay
+    skipped.  lam >= 0 and planar runs never take it.
 
     Each of ``sinks`` gets ``sink(t, t_new, y, y_new, rows, t_stop)`` for
     every accepted step [t, t_new] from y to y_new, after its floor search:
@@ -1153,7 +1146,7 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     the run there, or else t_new (no other ending stops inside a step), so
     a sink sees a settled step.  It returns the earliest time it still
     needs settled, or None.  The run keeps the earliest of these on every
-    step, and only the bracket stop reads it: it waits while a need lies
+    step, and only the stop of b reads it: it waits while a need lies
     before its bracket.  What a sink returns never ends the run.
     ``rows()`` gives the step's dense-output rows, built at its first call
     (``_once``) and shared with ``_locate``, so no step's rows are built
@@ -1188,15 +1181,15 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
     concave = cb is not None and p.lam < 0.0
     cv = cb + 1 if concave else None
     nextafter, inf = math.nextafter, math.inf
-    # the bracket stop's bounds from a state, its constants bound (the floors
-    # of a and b last), or None out of its reach; whether its record's ends
-    # are rounded outward; and the w at which it is next tried
-    bracket, outward = None, False
+    # the run's bracket source: bounds on b's zero from a state, its
+    # constants bound (the floors of a and b last), or None out of its reach;
+    # and the w at which it is next tried
+    bracket = None
     if dim == 3 and p.lam < 0.0:
         (_, floor_a), (_, floor_b) = floors
         if p.gamma == 1.0:
-            bracket, outward = functools.partial(_isothermal_bracket, -p.lam, p.xi * p.xi,
-                                                 floor_a, floor_b), True
+            bracket = functools.partial(_isothermal_bracket, -p.lam, p.xi * p.xi,
+                                        floor_a, floor_b)
         elif p.gamma < 2.0 and not p.is_isothermal:
             bracket = functools.partial(_fall_bracket, -p.lam, p.xi * p.xi, p.gamma,
                                         floor_a, floor_b)
@@ -1264,25 +1257,25 @@ def _run(p: PhysParams, dim: int, y0: tuple, t0: float, t_end: float,
             if asked is not None and (need is None or asked < need):
                 need = asked
         if concave and termination is None and y_new[cv] < 0.0:
-            # b is concave, so it reaches 0 by t_new + w
+            # b is concave, so its zero lies in (t_new, t_new + w]
             w = y_new[cb] / -y_new[cv]
             limit = rtol * max(1.0, t_new)
-            if w <= limit and t_new + w <= t_end:
-                termination = Termination("blowup", t_est=t_new + w, which=comp_names[cb],
-                                          bracket_width=w)
+            ends = None
+            if w <= limit:
+                ends = 0.0, w
             elif bracket is not None and w <= w_next and w <= _BRACKET_START * max(1.0, t_new):
                 w_next = 0.5 * w
                 ends = bracket(y_new)
-                if ends is not None:
-                    lo, hi = ends
-                    t_lo, t_hi, width = t_new + lo, t_new + hi, hi - lo
-                    if outward:
-                        # the record holds t_new + lo and t_new + hi of the reals
-                        t_lo, t_hi = nextafter(t_lo, -inf), nextafter(t_hi, inf)
-                        width = nextafter(t_hi - t_lo, inf)
-                    if width <= limit and t_hi <= t_end and (need is None or need >= t_lo):
-                        termination = Termination("blowup", t_est=t_hi,
-                                                  which=comp_names[cb], bracket_width=width)
+            if ends is not None:
+                # the record's floats hold t_new + lo and t_new + hi of the
+                # reals (t_new + 0 is exact, so it is not rounded)
+                lo, hi = ends
+                t_lo = nextafter(t_new + lo, -inf) if lo else t_new
+                t_hi = nextafter(t_new + hi, inf)
+                width = nextafter(t_hi - t_lo, inf)
+                if width <= limit and t_hi <= t_end and (need is None or need >= t_lo):
+                    termination = Termination("blowup", t_est=t_hi, which=comp_names[cb],
+                                              bracket_width=width)
         t, y, fy = t_new, y_new, f_new
         if termination is not None:
             break
@@ -1314,15 +1307,14 @@ def integrate(
     collapse floor (``eps_blow`` absolute, default ``1e-10`` times the
     component's initial value); the crossing time is located by root
     bracketing on the dense output to within ``rel_tol * |t|``.  A 3D run with
-    lam < 0 also ends as a blowup of b at its concavity stop or, for
-    gamma = 1 or 1 < gamma < 2, its bracket stop (see ``_run``): the record
-    brackets b's zero in [t_est - bracket_width, t_est], and the trajectory
-    ends at the last accepted step, at or before t_est - bracket_width, so
-    no sample lies past it.  At gamma = 1 that bracket is the table's
-    closed form (``classify_3d``) applied to the last state, so ``t_est``
-    agrees with the table's ``T`` within the run's state error.  The
-    bracket stop waits for a requested time that lies before its bracket;
-    a requested time inside the bracket is not sampled.
+    lam < 0 also ends as a blowup of b at the stop of b (see ``_run``): the
+    record brackets b's zero through the last state in
+    [t_est - bracket_width, t_est], and the trajectory ends at the last
+    accepted step, before t_est, so no sample lies past it.  At gamma = 1
+    the bracket is the table's closed form (``classify_3d``) applied to the
+    last state, so ``t_est`` agrees with the table's ``T`` within the run's
+    state error.  The stop waits for a requested time that lies before its
+    bracket; a requested time inside the bracket is not sampled.
     A collapse point or sample that is no state (a scale factor not > 0,
     from a ``rel_tol`` too loose for the crossing) raises ValueError.  A
     step-size underflow while a component is

@@ -303,7 +303,7 @@ class TestClassifyCell:
         c = classify_cell(p, ic, 30.0)
         assert (c.verdict, c.basis) == (OPEN_CASE, "numerical_evidence")
         assert c.note == "numerical evidence, not proof"
-        assert c.T == probe_open_case(p, ic, 30.0).T == 1.424026719429487
+        assert c.T == probe_open_case(p, ic, 30.0).T == 1.4240267194294873
 
     def test_open_cell_surviving_the_horizon_keeps_the_table_label(self):
         c = classify_cell(params(gamma=2.0, lam=-1.0), state3(b1=1e6), 0.01)
@@ -360,7 +360,7 @@ class TestClassifyCell:
 
     def test_probe_forwards_the_run_options(self):
         p, ic = params(gamma=1.4, lam=-1.0), state3(b1=0.2)
-        assert probe_open_case(p, ic, 30.0).T == 1.424026719429487
+        assert probe_open_case(p, ic, 30.0).T == 1.4240267194294873
         assert probe_open_case(p, ic, 30.0, eps_blow=0.5).T == 1.1701510518576843
 
 

@@ -318,7 +318,7 @@ GOLDEN_JSON = {
         "f1abf113149995a360b5ca632492253b14f23ca1678846b3bf2121d61e93cc00"),
     "classify_3d_open_cell": (
         ["classify", "--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
-        "c973a92a2c9f8596804994ecba03e1f384da252adc24980eff763471f7cbfb63"),
+        "4bf5a2b307c7cafc3b32f6c6ae197b4c164601c5d6ae1329e726f8dd97b2b934"),
     "classify_2d_period": (
         ["classify", "--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
          "--t-end", "50"],
@@ -538,12 +538,12 @@ GOLDEN_TRAJECTORIES = {
     "3d_bracket_stop": (
         ["--gamma", "1.4", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
         3, "199 samples, blowup",
-        "4f6c35eef9b1f7b70f8cf651addc14443617dc756178c72fd4a65f8fc23e5185"),
+        "f3a199c83d8071ecd52e92d616266c035a685feed8f184714d92e35dfd959ebe"),
     # the same cell at gamma = 2.5, which the bracket cannot take
     "3d_concavity_stop": (
         ["--gamma", "2.5", "--lambda=-1", "--b1", "0.2", "--t-end", "30"],
         3, "548 samples, blowup",
-        "e3e7aca28bef26d90c4f39905e28f343f4ec08a05f882ecedaa3ab77cee4a0a8"),
+        "98d6b06c7147392d3412f7e5c8b33cd4e964236307bdce5438231d427c0cc5fb"),
     # samples at t0 and at t_end
     "2d_reached_t_end": (
         ["--dim", "2", "--gamma", "1.5", "--lambda=-1", "--xi", "1", "--a0", "1.1",
@@ -842,7 +842,7 @@ class TestOneLifespanPath:
         row = s_out.read_text().splitlines()[1].split(",")
         probe = probe_open_case(PhysParams(K=1.0, gamma=1.4, lam=-1.0, alpha=1.0, xi=1.0),
                                 EmdenState3D(0.0, 1.0, 0.0, 1.0, 0.2), 30.0)
-        assert doc["T"] == float(row[12]) == probe.T == 1.424026719429487
+        assert doc["T"] == float(row[12]) == probe.T == 1.4240267194294873
         assert (doc["verdict"], doc["basis"]) == tuple(row[10:12]) == (
             "unknown_open_case", "numerical_evidence")
         assert (probe.verdict, probe.basis) == ("finite_time_blowup", "numerical_evidence")
@@ -857,7 +857,7 @@ class TestOneLifespanPath:
         T = json.loads(c_out.read_text())["T"]
         row = s_out.read_text().splitlines()[1].split(",")
         last = json.loads(i_out.read_text().splitlines()[-1])["termination"]
-        # without the floor the run stops at the bracket of b's zero, T 1.424026719429487;
+        # without the floor the run stops at the bracket of b's zero, T 1.4240267194294873;
         # the floor at 0.5 is crossed first, and located to rel_tol
         assert T == float(row[12]) == last["t_est"] == 1.1701510518576843
         assert last["bracket_width"] == 1e-10 * T
